@@ -205,18 +205,16 @@ let dist_arg ~default =
 
 let engine_conv =
   Arg.enum
-    [ ("classic", Bs_sim.Machine.Classic);
-      ("threaded", Bs_sim.Machine.Threaded);
-      ("jit", Bs_sim.Machine.Jit) ]
+    [ ("classic", Bs_sim.Machine.Classic); ("jit", Bs_sim.Machine.Jit) ]
 
 let engine_arg =
   Arg.(value & opt engine_conv Bs_sim.Machine.Jit
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Machine dispatch engine: $(b,classic) (the reference \
-                 fetch-decode-execute loop), $(b,threaded) \
-                 (direct-threaded per-PC closures) or $(b,jit) (threaded \
-                 plus superblock trace fusion; the default).  All three \
-                 produce identical results — only host speed differs.")
+                 fetch-decode-execute loop) or $(b,jit) (direct-threaded \
+                 per-PC closures plus superblock trace fusion; the \
+                 default).  Both produce identical results — only host \
+                 speed differs.")
 
 let interp_engine_conv =
   Arg.enum [ ("tree", Interp.Tree); ("compiled", Interp.Compiled) ]
@@ -230,16 +228,6 @@ let interp_engine_arg =
                  runs; the default).  Both produce identical results — \
                  outputs, counters, per-site misspeculation histograms — \
                  only host speed differs.")
-
-let config_of ~arch ~heuristic ~no_expander =
-  let base =
-    match arch with
-    | Driver.Baseline -> Driver.baseline_config
-    | Driver.Bitspec_arch -> Driver.bitspec_config
-    | Driver.Thumb -> Driver.thumb_config
-  in
-  let base = { base with heuristic } in
-  if no_expander then { base with expander = Expander.disabled } else base
 
 let mode_of_strict strict = if strict then Driver.Strict else Driver.Degrade
 
@@ -259,7 +247,7 @@ let compile_cmd =
       strict trace remarks =
     with_reporting ~file (fun () ->
         let source = read_file file in
-        let config = config_of ~arch ~heuristic ~no_expander in
+        let config = Driver.config_of ~arch ~heuristic ~no_expander in
         let c =
           with_trace trace (fun () ->
               Driver.compile ~mode:(mode_of_strict strict) ~config ~source
@@ -333,7 +321,7 @@ let run_cmd =
       why power power_seed policy retries engine interp_engine stats =
     with_reporting ~file (fun () ->
         let source = read_file file in
-        let config = config_of ~arch ~heuristic ~no_expander in
+        let config = Driver.config_of ~arch ~heuristic ~no_expander in
         let train_args =
           if train = "" then parse_args args else parse_args train
         in
@@ -415,7 +403,7 @@ let bench_cmd =
       why =
     with_reporting (fun () ->
         let w = Registry.find wname in
-        let config = config_of ~arch ~heuristic ~no_expander in
+        let config = Driver.config_of ~arch ~heuristic ~no_expander in
         with_trace trace @@ fun () ->
         (* the configured run and the baseline comparison are independent;
            a pool overlaps them (printing stays sequential) *)
@@ -504,7 +492,7 @@ let inject_cmd =
       model dist policy retries strict validate =
     with_reporting (fun () ->
         let w = Registry.find wname in
-        let config = config_of ~arch ~heuristic ~no_expander in
+        let config = Driver.config_of ~arch ~heuristic ~no_expander in
         let sdc =
           match model with
           | `Power ->
@@ -567,7 +555,7 @@ let harvest_cmd =
       jobs =
     with_reporting (fun () ->
         let w = Registry.find wname in
-        let config = config_of ~arch ~heuristic ~no_expander in
+        let config = Driver.config_of ~arch ~heuristic ~no_expander in
         let t =
           Campaign.run_power ~jobs ~config ~policy ~retries ~dist ~trials
             ~seed w
@@ -850,34 +838,17 @@ let serve_cmd =
   let deadline =
     Arg.(value & opt int Server.default_config.Server.deadline_ms
          & info [ "deadline-ms" ] ~docv:"MS"
-             ~doc:"Default per-request deadline (0 = none); the watchdog \
-                   answers $(b,timeout) for any request that overruns it, \
-                   even if the worker is wedged.")
+             ~doc:"Default per-request deadline (0 = none), checked when a \
+                   worker takes the request off the queue: a request that \
+                   waited past it is answered $(b,timeout) without being \
+                   compiled.  A started request runs to completion.")
   in
   let fuel =
     Arg.(value & opt int Server.default_config.Server.fuel
          & info [ "fuel" ] ~docv:"N"
-             ~doc:"Default simulation instruction budget per request.")
-  in
-  let retries =
-    Arg.(value & opt int Server.default_config.Server.retries
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Re-executions of a transiently-failed request, with \
-                   exponential backoff and seeded jitter.")
-  in
-  let backoff_base =
-    Arg.(value & opt float Server.default_config.Server.backoff_base_ms
-         & info [ "backoff-base-ms" ] ~docv:"MS")
-  in
-  let backoff_cap =
-    Arg.(value & opt float Server.default_config.Server.backoff_cap_ms
-         & info [ "backoff-cap-ms" ] ~docv:"MS")
-  in
-  let seed =
-    Arg.(value & opt int64 Server.default_config.Server.seed
-         & info [ "seed" ] ~docv:"S"
-             ~doc:"Backoff-jitter seed; retry schedules are a pure \
-                   function of (seed, request id, attempt).")
+             ~doc:"Default simulation instruction budget per request: a \
+                   run needing more than $(docv) instructions is answered \
+                   with the fuel diagnostic.")
   in
   let cache_dir =
     Arg.(value & opt (some string) None
@@ -902,13 +873,10 @@ let serve_cmd =
                    on shutdown.  The span buffer is bounded; overflow is \
                    counted in the $(b,trace_dropped_events) metric.")
   in
-  let action socket jobs queue_depth deadline_ms fuel retries backoff_base_ms
-      backoff_cap_ms seed cache_dir interp_engine metrics_out trace_out =
+  let action socket jobs queue_depth deadline_ms fuel cache_dir metrics_out
+      trace_out =
     with_reporting (fun () ->
-        let cfg =
-          { Server.jobs; queue_depth; deadline_ms; fuel; retries;
-            backoff_base_ms; backoff_cap_ms; seed; cache_dir; interp_engine }
-        in
+        let cfg = { Server.jobs; queue_depth; deadline_ms; fuel; cache_dir } in
         let write_metrics path =
           let oc = open_out path in
           output_string oc (Bs_obs.Metrics.prometheus ());
@@ -950,19 +918,20 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"run the compile service: a supervised worker pool with a \
-             persistent compile cache, per-request deadlines, seeded \
-             retry/backoff and bounded-queue load shedding")
+       ~doc:"run the compile service: worker domains answering bench \
+             requests through the experiment pipeline's compile cache and \
+             memoised simulations, with admission deadlines, fuel and \
+             bounded-queue load shedding")
     Term.(const action $ socket_opt_arg $ jobs_arg $ queue_depth
-          $ deadline $ fuel $ retries $ backoff_base $ backoff_cap $ seed
-          $ cache_dir $ interp_engine_arg $ metrics_out $ trace_out)
+          $ deadline $ fuel $ cache_dir $ metrics_out $ trace_out)
 
 let chaos_conv =
   let parse s =
     match Service.chaos_of_string s with
     | Some c -> Ok c
     | None ->
-        Error (`Msg (Printf.sprintf "bad chaos %S: expected crash:N or hang:MS" s))
+        Error
+          (`Msg (Printf.sprintf "bad chaos %S: expected crash or hang:MS" s))
   in
   let print ppf c = Format.pp_print_string ppf (Service.chaos_to_string c) in
   Arg.conv (parse, print)
@@ -987,8 +956,10 @@ let client_cmd =
   let chaos =
     Arg.(value & opt (some chaos_conv) None
          & info [ "chaos" ] ~docv:"KNOB"
-             ~doc:"Inject worker misbehaviour: $(b,crash:N) (fail \
-                   attempts below N) or $(b,hang:MS) (wedge the worker).")
+             ~doc:"Inject worker misbehaviour: $(b,crash) (the worker \
+                   raises; the request fails with BS-SRV-03) or \
+                   $(b,hang:MS) (the worker stays busy for MS \
+                   milliseconds before running the request).")
   in
   let action socket op wname arch heuristic no_expander id deadline fuel
       chaos =
@@ -1065,8 +1036,10 @@ let loadgen_cmd =
   let crash_every =
     Arg.(value & opt int 0
          & info [ "crash-every" ] ~docv:"N"
-             ~doc:"Inject a $(b,crash:2) chaos knob on every $(docv)-th \
-                   request (0 = never) to exercise the retry path.")
+             ~doc:"Inject a $(b,crash) chaos knob on every $(docv)-th \
+                   request (0 = never); each such request fails with \
+                   BS-SRV-03, exercising the workers' exception \
+                   isolation.")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -1108,7 +1081,6 @@ let loadgen_cmd =
         Printf.printf "ok/err/timeout = %d / %d / %d   shed = %d\n"
           s.Loadgen.sm_ok s.Loadgen.sm_errors s.Loadgen.sm_timeouts
           s.Loadgen.sm_shed;
-        Printf.printf "retries        = %d\n" s.Loadgen.sm_retries;
         Printf.printf "throughput     = %.1f req/s (%.2f s wall)\n"
           s.Loadgen.sm_rps s.Loadgen.sm_wall_s;
         Printf.printf "p50 / p99      = %.2f / %.2f ms\n" s.Loadgen.sm_p50_ms

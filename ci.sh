@@ -4,8 +4,10 @@
 # crashes, and a campaign with a planted miscompile must catch it
 # (--expect-crash inverts the exit code).  Both smokes run with
 # --jobs 4 — reports are byte-identical to sequential, so this also
-# exercises the domain pool.  Finally a timed bench subset guards the
-# evaluation harness against performance regressions.
+# exercises the domain pool.  A longer fixed-seed campaign (seed 12,
+# 360 trials) pins the compare-elimination fix for CFG_orig.  Finally a
+# timed bench subset guards the evaluation harness against performance
+# regressions, and the benchmark's own smoke runs every workload.
 set -eu
 cd "$(dirname "$0")"
 dune build @all
@@ -16,6 +18,10 @@ dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
   --jobs 4
 dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
   --jobs 4 --fault miscompile:f --expect-crash
+# trial seed 774650633 of this campaign once miscompiled (compare
+# elimination folded a compare in CFG_orig); it must report 0 crashes
+dune exec bin/bitspecc.exe -- fuzz --seed 12 --trials 360 --corpus "$corpus" \
+  --jobs 4
 
 # Observability smoke: a traced compile must produce well-formed Chrome
 # trace JSON with balanced begin/end events, the remark stream must
@@ -79,11 +85,11 @@ dune exec bin/bitspecc.exe -- reduce --check \
   test/corpus/power-reexec-livelock-hotpc40-seed7.mc > /dev/null
 echo "intermittent-power smoke: OK (harvest jobs-invariant, inject deterministic)"
 
-# Engine-differencing smoke: the three dispatch engines (classic /
-# threaded / jit) must be observably identical, so a fixed-seed fuzz
-# campaign run under classic at --jobs 1 and under jit at --jobs 4 must
-# produce byte-identical reports, and every corpus reproducer must
-# replay into its recorded bucket under the trace-JIT.
+# Engine-differencing smoke: the two dispatch engines (classic / jit)
+# must be observably identical, so a fixed-seed fuzz campaign run under
+# classic at --jobs 1 and under jit at --jobs 4 must produce
+# byte-identical reports, and every corpus reproducer must replay into
+# its recorded bucket under the trace-JIT.
 eng="$(mktemp -d)"
 trap 'rm -rf "$corpus" "$obs" "$pw" "$eng"' EXIT
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
@@ -125,11 +131,14 @@ echo "interp-engine smoke: OK (fuzz report interp-engine-invariant, corpus repla
 
 # Compile-service smoke: start the daemon with a persistent cache, run
 # the same seeded zipfian burst twice (the second pass must be served
-# almost entirely from the cache layers), kill the server dead
-# mid-burst, restart it on the same cache directory and verify the
-# store reopened clean (no quarantined entries), then shut down
-# gracefully.  Uses the built binary directly: the daemon must not
-# hold the dune lock while the client invocations run.
+# almost entirely from the cache layers; every --crash-every request
+# fails, identically in both passes), then shut it down.  A second
+# daemon on a fresh cache directory takes a cold burst — every request
+# compiles and writes its entry — and is killed dead mid-burst; a
+# restart on that directory must reopen exactly the entries written
+# before the kill, with none quarantined.  Uses the built binary
+# directly: the daemon must not hold the dune lock while the client
+# invocations run.
 srv="$(mktemp -d)"
 serve_pid=
 trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$srv"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -162,19 +171,44 @@ awk "BEGIN { exit !($hit >= 0.90) }" || {
   echo "serve smoke: warm-cache hit rate $hit < 0.90" >&2
   exit 1
 }
-# kill the server dead mid-burst: clients may fail, the store must not
+"$BS" client --socket "$sock" shutdown > /dev/null
+wait "$serve_pid" 2>/dev/null || true
+# a fresh server on a fresh cache directory: the seed-8 burst is cold,
+# so its workers are compiling and writing entries when kill -9 lands
+"$BS" serve --socket "$sock" --cache-dir "$srv/cold" --jobs 4 \
+  > "$srv/serve-cold.log" 2>&1 &
+serve_pid=$!
+i=0
+while [ ! -S "$sock" ]; do
+  i=$((i + 1))
+  [ "$i" -gt 100 ] && { echo "serve smoke: cold server never appeared" >&2; exit 1; }
+  sleep 0.1
+done
 "$BS" loadgen --socket "$sock" --seed 8 --requests 200 --clients 4 \
   > /dev/null 2>&1 &
 burst_pid=$!
 sleep 0.5
 kill -9 "$serve_pid" 2>/dev/null || true
-wait "$burst_pid" 2>/dev/null || true
+burst_status=0
+wait "$burst_pid" 2>/dev/null || burst_status=$?
 wait "$serve_pid" 2>/dev/null || true
+[ "$burst_status" -ne 0 ] || {
+  echo "serve smoke: the cold burst finished before kill -9 landed" >&2
+  exit 1
+}
+# committed entries live in two-character shard directories
+written=$(find "$srv/cold" -mindepth 2 -maxdepth 2 -path "$srv/cold/??/*" \
+  -type f ! -name 'tmp-*' | wc -l | tr -d ' ')
+[ "$written" -gt 0 ] || {
+  echo "serve smoke: no compile was written before kill -9" >&2
+  exit 1
+}
 # kill -9 leaves a stale socket file; clear it so the wait loop below
 # sees the NEW server's socket, not the corpse's
 rm -f "$sock"
-# restart on the same cache directory: it must reopen clean
-"$BS" serve --socket "$sock" --cache-dir "$srv/cache" --jobs 2 \
+# restart on the same cache directory: it must reopen every entry
+# written before the kill, quarantining none
+"$BS" serve --socket "$sock" --cache-dir "$srv/cold" --jobs 2 \
   > "$srv/serve2.log" 2>&1 &
 serve_pid=$!
 i=0
@@ -183,6 +217,12 @@ while [ ! -S "$sock" ]; do
   [ "$i" -gt 100 ] && { echo "serve smoke: no socket after restart" >&2; exit 1; }
   sleep 0.1
 done
+"$BS" client --socket "$sock" stats > "$srv/stats.json"
+grep -q "\"cache_entries\":$written," "$srv/stats.json" || {
+  echo "serve smoke: restart did not reopen the $written entries written before kill -9" >&2
+  cat "$srv/stats.json" >&2
+  exit 1
+}
 "$BS" client --socket "$sock" bench CRC32 > /dev/null
 "$BS" client --socket "$sock" stats > "$srv/stats.json"
 grep -q '"cache_quarantined":0' "$srv/stats.json" || {
@@ -202,7 +242,7 @@ grep -q '"cache_hit_rate"' BENCH_pr8.json || {
   echo "serve smoke: BENCH_pr8.json is missing cache_hit_rate" >&2
   exit 1
 }
-echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery clean)"
+echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery reopened $written entries)"
 
 # Telemetry smoke: a fresh server must agree with the load generator
 # about every latency it reports — loadgen --check-server compares the
@@ -340,3 +380,8 @@ if [ -z "$profile_ms" ] || [ "$profile_ms" -gt $((2 * profile_baseline_ms)) ]; t
   echo "bench guard: profile span ${profile_ms:-missing} ms > 2x baseline" >&2
   exit 1
 fi
+
+# The benchmark's smoke: every workload through the benchmark harness,
+# untraced and traced, with no failed item — so a library change that
+# breaks its serve or campaign set-up at run time fails here.
+python3 perfbench/smoke.py

@@ -49,8 +49,21 @@ let sharded ~jobs f (work : 'a array) : 'b array =
       (Array.to_list (Bs_exec.Pool.map ~jobs (Array.map f) shards))
   end
 
-let run ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
-    (w : Workload.t) : t =
+(* The set-up every campaign flavour shares: the compiled workload, a
+   maker of fresh test-input images, the machine mode, the fault-free
+   ("golden") run, the reference interpreter's checksum (the
+   differential oracle), and the fuel past which a trial counts as hung:
+   [hang_factor] times the golden instruction count. *)
+type setup = {
+  c : Driver.compiled;
+  mem : unit -> Memimage.t;
+  mode : Bs_isa.Isa.mode;
+  golden : Machine.result;
+  expected : int64;
+  fuel : int;
+}
+
+let setup ~hang_factor config (w : Workload.t) =
   let c = Experiment.compile_workload config w in
   let input = w.Workload.test in
   let mem () =
@@ -73,11 +86,22 @@ let run ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
   (* injected-fault oracles stay on the tree engine: no compilation
      layer of their own between the IR and the reference checksum *)
   let expected = Experiment.reference_checksum ~interp_engine:Interp.Tree w in
-  let golden_instrs = golden.Machine.ctr.Counters.instrs in
-  let golden_misspecs = golden.Machine.ctr.Counters.misspecs in
+  let fuel =
+    Outcome.hang_fuel ~steps:golden.Machine.ctr.Counters.instrs
+      ~factor:hang_factor
+  in
+  { c; mem; mode; golden; expected; fuel }
+
+let run ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
+    (w : Workload.t) : t =
   (* a hung run is one that outlives the golden instruction count by 4x
      (the budget formula is shared with the fuzz oracle) *)
-  let fuel = Outcome.hang_fuel ~steps:golden_instrs ~factor:4 in
+  let { c; mem; mode; golden; expected; fuel } =
+    setup ~hang_factor:4 config w
+  in
+  let input = w.Workload.test in
+  let golden_instrs = golden.Machine.ctr.Counters.instrs in
+  let golden_misspecs = golden.Machine.ctr.Counters.misspecs in
   let sample = mem () in
   let mem_lo = Memimage.globals_base
   and mem_hi = Memimage.size sample - 1 in
@@ -208,35 +232,16 @@ let hot_pcs_of (p : Bs_backend.Asm.program) =
 let run_power ?(config = Driver.bitspec_config) ?(jobs = 1)
     ?(policy = Checkpoint.Interval 500) ?(retries = 8) ~dist ~trials ~seed
     (w : Workload.t) : power_campaign =
-  let c = Experiment.compile_workload config w in
+  (* an intermittent run legitimately re-executes work, so its budget is
+     wider than the soft-error campaigns' 4x before it counts as hung *)
+  let { c; mem; mode; golden; expected; fuel } =
+    setup ~hang_factor:8 config w
+  in
   let input = w.Workload.test in
-  let mem () =
-    let mem = Memimage.create c.Driver.ir in
-    input.Workload.setup c.Driver.ir mem;
-    mem
-  in
-  let mode =
-    if config.Driver.arch = Driver.Bitspec_arch then Bs_isa.Isa.Bitspec
-    else Bs_isa.Isa.Classic
-  in
-  let golden =
-    Machine.run
-      ~config:
-        { Machine.mode; fuel = 1_000_000_000; fault = None; power = None;
-          engine = Machine.Jit }
-      c.Driver.program (mem ()) ~entry:w.Workload.entry
-      ~args:input.Workload.args
-  in
-  (* injected-fault oracles stay on the tree engine: no compilation
-     layer of their own between the IR and the reference checksum *)
-  let expected = Experiment.reference_checksum ~interp_engine:Interp.Tree w in
   let golden_instrs = golden.Machine.ctr.Counters.instrs in
   let golden_energy =
     Bs_energy.Energy.total (Bs_energy.Energy.of_result golden)
   in
-  (* an intermittent run legitimately re-executes work, so its budget is
-     wider than the soft-error campaigns' 4x before it counts as hung *)
-  let fuel = Outcome.hang_fuel ~steps:golden_instrs ~factor:8 in
   let hot_pcs = hot_pcs_of c.Driver.program in
   (* one seed per trial, drawn sequentially up front (jobs-invariant) *)
   let rng = Rng.create seed in
@@ -377,31 +382,12 @@ let measured_class (v : Faultinject.verdict) : Bs_analysis.Vulnerability.clazz =
 
 let validate ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     (w : Workload.t) : validation =
-  let c = Experiment.compile_workload config w in
+  let { c; mem; mode; golden; expected; fuel } =
+    setup ~hang_factor:4 config w
+  in
   let input = w.Workload.test in
-  let mem () =
-    let mem = Memimage.create c.Driver.ir in
-    input.Workload.setup c.Driver.ir mem;
-    mem
-  in
-  let mode =
-    if config.Driver.arch = Driver.Bitspec_arch then Bs_isa.Isa.Bitspec
-    else Bs_isa.Isa.Classic
-  in
-  let golden =
-    Machine.run
-      ~config:
-        { Machine.mode; fuel = 1_000_000_000; fault = None; power = None;
-          engine = Machine.Jit }
-      c.Driver.program (mem ()) ~entry:w.Workload.entry
-      ~args:input.Workload.args
-  in
-  (* injected-fault oracles stay on the tree engine: no compilation
-     layer of their own between the IR and the reference checksum *)
-  let expected = Experiment.reference_checksum ~interp_engine:Interp.Tree w in
   let golden_instrs = golden.Machine.ctr.Counters.instrs in
   let golden_misspecs = golden.Machine.ctr.Counters.misspecs in
-  let fuel = Outcome.hang_fuel ~steps:golden_instrs ~factor:4 in
   let rng = Rng.create seed in
   let faults =
     Array.init trials (fun _ ->

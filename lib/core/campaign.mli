@@ -84,6 +84,10 @@ val power_bucket : power_verdict -> string
 (** The shared triage key ({!Bs_support.Bucket} namespace): "completed",
     "restored", "reexec-livelock", "hang", "sdc", "trapped:<name>". *)
 
+val hot_pcs_of : Bs_backend.Asm.program -> int list
+(** The pcs with a source site in the program's srcmap, ascending — the
+    speculative sites an adversarial ([hotpc]) power trace strikes. *)
+
 val run_power :
   ?config:Driver.config ->
   ?jobs:int ->

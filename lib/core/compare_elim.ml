@@ -15,7 +15,14 @@ open Bs_ir
      behind the zero-extension the squeezer inserted for wide consumers;
    - a speculative truncate (or fused speculative load) of the operand
      dominates the compare: had it misspeculated, control would already
-     have left CFG_spec. *)
+     have left CFG_spec.
+
+   The second argument holds only inside CFG_spec.  A block reachable
+   from a handler (CFG_orig, and anything after it) runs only after some
+   speculation failed, possibly the very truncate that would justify the
+   fold; and under the SIR predecessor relation a region entered at the
+   function entry dominates its own handler and what lies behind it.  No
+   compare in such a block is folded. *)
 
 let slice = Specops.slice_width
 
@@ -55,6 +62,14 @@ let run_func ?remarks (f : Ir.func) =
         b.instrs)
     f.blocks;
   let dom = lazy (Dom.compute f) in
+  let after_handler = Hashtbl.create 16 in
+  let rec reach bid =
+    if not (Hashtbl.mem after_handler bid) then begin
+      Hashtbl.replace after_handler bid ();
+      List.iter reach (Ir.succs (Ir.block f bid))
+    end
+  in
+  List.iter (fun (r : Ir.region) -> reach r.Ir.rhandler) f.regions;
   (* Is [o] proven to fit the slice at instruction [at]? *)
   let fits_at (o : Ir.operand) (at : Ir.instr) =
     match o with
@@ -90,6 +105,7 @@ let run_func ?remarks (f : Ir.func) =
           let fold op a c =
             if
               Width.required_bits c.Ir.cval > slice
+              && (not (Hashtbl.mem after_handler b.bid))
               && fits_at a i
             then
               match decide op with

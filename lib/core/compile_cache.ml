@@ -6,8 +6,8 @@ open Bs_exec
 
    Optionally backed by a persistent Disk_cache layer: a memory miss
    consults the disk before compiling, and a fresh compile is written
-   back (successes only — failures are never persisted, so a transient
-   fault can never poison the cache across processes).  The disk lookup
+   back (successes only: a failure is memoised in memory for the life of
+   the process, but the disk holds compiled programs).  The disk lookup
    runs inside the memo thunk, i.e. still single-flight per key. *)
 
 (* Memory-tier cache traffic.  Single-flight makes these deterministic
@@ -94,7 +94,7 @@ let disk_or_compute ~key ~set ~encode ~decode ~persist thunk =
 (* Run one memoised lookup and bump the memory-tier counters: the
    requester whose thunk actually ran is the miss, everyone else
    (including requesters that waited on an in-flight computation) is a
-   hit — the same accounting Memo itself keeps.  Exceptions (pinned or
+   hit — the same accounting Memo itself keeps.  Exceptions (memoised or
    fresh failures) are counted too, then rethrown. *)
 let counted find =
   let ran = ref false in

@@ -12,9 +12,9 @@
     {!Disk_cache}: a memory miss consults the disk before compiling,
     and fresh {e successful} compiles are written back atomically, so
     a compile survives the process (and the crash) that performed it.
-    Failures are never persisted — a transient fault cannot poison the
-    cache for later identical requests, matching the bounded
-    failure-retry semantics of the in-memory {!Bs_exec.Memo}.
+    Failures are never persisted: the in-memory {!Bs_exec.Memo}
+    memoises a failure for the life of the process, and the disk holds
+    only compiled programs.
 
     Cached {!Driver.compiled} values are shared, so callers must treat
     them as read-only; simulation already does (every run builds a
@@ -34,10 +34,9 @@ val compile :
   ?origin:origin ref ->
   key:string -> (unit -> Driver.compiled) -> Driver.compiled
 (** [compile ~key thunk] returns the cached compilation for [key],
-    running [thunk] on first request.  Exceptions are cached with a
-    bounded retry budget and rethrown (see {!Bs_exec.Memo}).  When
-    [origin] is given it is set to where this particular call was
-    served from. *)
+    running [thunk] on first request.  Exceptions are memoised and
+    rethrown (see {!Bs_exec.Memo}).  When [origin] is given it is set
+    to where this particular call was served from. *)
 
 val try_compile :
   ?origin:origin ref ->

@@ -47,6 +47,16 @@ let baseline_config =
 (** RQ9: the compact-ISA build (Thumb-like: 8 registers, 2-address ops). *)
 let thumb_config = { baseline_config with arch = Thumb }
 
+let config_of ~arch ~heuristic ~no_expander =
+  let base =
+    match arch with
+    | Baseline -> baseline_config
+    | Bitspec_arch -> bitspec_config
+    | Thumb -> thumb_config
+  in
+  let base = { base with heuristic } in
+  if no_expander then { base with expander = Expander.disabled } else base
+
 (* A complete, injective rendering of a configuration — the compiler half
    of every compile-cache key.  Every field that can change generated code
    appears; adding a config field without extending this tag would let the

@@ -43,6 +43,13 @@ val baseline_config : config
 val thumb_config : config
 (** RQ9's compact-ISA build: 8 registers, 2-address operations. *)
 
+val config_of :
+  arch:arch -> heuristic:Bs_interp.Profile.heuristic -> no_expander:bool ->
+  config
+(** The default build for [arch] with the given heuristic, and with the
+    expander disabled when [no_expander] — the configurations the CLI
+    flags and the compile service's bench requests name. *)
+
 val config_tag : config -> string
 (** An injective rendering of every code-affecting field — the
     configuration half of a {!Compile_cache} key (and the bench

@@ -167,9 +167,9 @@ let test_run_tbl : (string, Machine.result) Bs_exec.Memo.t =
 
 (** [run_test config w] compiles (via the compile cache) and simulates
     [w]'s test input, memoized per process. *)
-let run_test (config : Driver.config) (w : Workload.t) :
+let run_test ?origin (config : Driver.config) (w : Workload.t) :
     Driver.compiled * Machine.result =
-  let c = compile_workload config w in
+  let c = compile_workload ?origin config w in
   let key =
     Driver.config_tag config ^ "|" ^ w.Workload.name ^ "|"
     ^ Compile_cache.source_key w.Workload.source

@@ -64,14 +64,17 @@ val pp_misspec_sites :
 (** Print a [misspec_sites] histogram with its total. *)
 
 val run_test :
+  ?origin:Compile_cache.origin ref ->
   Driver.config ->
   Bs_workloads.Workload.t ->
   Driver.compiled * Bs_sim.Machine.result
 (** Compile (via the compile cache) and simulate the workload's test
     input, with the raw result memoized per (config, source) — callers
-    that need the execution itself (misspec attribution) and callers
-    that need metrics share one simulation.  Treat the result as
-    read-only. *)
+    that need the execution itself (misspec attribution), callers that
+    need metrics and the compile service share one simulation, run
+    once per process under {!Driver.run_machine}'s default fuel.  A
+    failure is memoized too.  [origin] is passed to
+    {!compile_workload}.  Treat the result as read-only. *)
 
 val run :
   ?profile_input:Bs_workloads.Workload.input ->

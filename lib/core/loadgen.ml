@@ -23,7 +23,6 @@ type summary = {
   sm_errors : int;
   sm_timeouts : int;
   sm_shed : int;
-  sm_retries : int;
   sm_wall_s : float;
   sm_rps : float;
   sm_p50_ms : float;
@@ -83,7 +82,7 @@ let plan cfg =
       let _, bench = cells.(sample_rank cdf (Rng.float rng)) in
       let chaos =
         if cfg.lg_crash_every > 0 && idx mod cfg.lg_crash_every = 0 then
-          Some (Service.Crash_before 2)
+          Some Service.Crash
         else None
       in
       { Service.rq_id = idx; rq_op = Service.Bench bench;
@@ -104,11 +103,10 @@ let summarize ?(client_ms = [||]) (pairs : (Service.request * Service.response) 
     ~wall_s =
   let n = List.length pairs in
   let ok = ref 0 and errors = ref 0 and timeouts = ref 0 and shed = ref 0 in
-  let retries = ref 0 and hits = ref 0 in
+  let hits = ref 0 in
   let lat = ref [] in
   List.iter
     (fun ((_ : Service.request), (rs : Service.response)) ->
-      retries := !retries + max 0 (rs.Service.rs_attempts - 1);
       (match rs.Service.rs_status with
       | Service.Done _ ->
           incr ok;
@@ -128,7 +126,7 @@ let summarize ?(client_ms = [||]) (pairs : (Service.request * Service.response) 
   Array.sort compare cms;
   let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   { sm_requests = n; sm_ok = !ok; sm_errors = !errors;
-    sm_timeouts = !timeouts; sm_shed = !shed; sm_retries = !retries;
+    sm_timeouts = !timeouts; sm_shed = !shed;
     sm_wall_s = wall_s;
     sm_rps = (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0);
     sm_p50_ms = percentile lat 0.50; sm_p99_ms = percentile lat 0.99;
@@ -190,7 +188,6 @@ let summary_json s =
       ("errors", Jsonx.int s.sm_errors);
       ("timeouts", Jsonx.int s.sm_timeouts);
       ("shed", Jsonx.int s.sm_shed);
-      ("retries", Jsonx.int s.sm_retries);
       ("wall_s", Jsonx.Num s.sm_wall_s);
       ("rps", Jsonx.Num s.sm_rps);
       ("p50_ms", Jsonx.Num s.sm_p50_ms);

@@ -19,8 +19,8 @@ type cfg = {
   lg_zipf_s : float;        (** zipf exponent; 1.1 is a good default *)
   lg_deadline_ms : int option;
   lg_fuel : int option;
-  lg_crash_every : int;     (** inject [Crash_before 2] on every n-th
-                                request (1-based stream index); 0 = never *)
+  lg_crash_every : int;     (** inject [Crash] on every n-th request
+                                (1-based stream index); 0 = never *)
 }
 
 val default_cfg : cfg
@@ -33,7 +33,6 @@ type summary = {
   sm_errors : int;
   sm_timeouts : int;
   sm_shed : int;
-  sm_retries : int;      (** total re-executions across the run *)
   sm_wall_s : float;
   sm_rps : float;
   sm_p50_ms : float;     (** server-side latency percentiles *)
@@ -59,9 +58,9 @@ val run : cfg -> target -> (Service.request * Service.response) list * summary
     pair (in stream order) plus the aggregate summary. *)
 
 val summary_json : summary -> Bs_support.Jsonx.t
-(** Keys: [requests], [ok], [errors], [timeouts], [shed], [retries],
-    [wall_s], [rps], [p50_ms], [p99_ms], [client_p50_ms],
-    [client_p99_ms], [cache_hit_rate], [shed_rate]. *)
+(** Keys: [requests], [ok], [errors], [timeouts], [shed], [wall_s],
+    [rps], [p50_ms], [p99_ms], [client_p50_ms], [client_p99_ms],
+    [cache_hit_rate], [shed_rate]. *)
 
 (** {2 Server-side view and reconciliation} *)
 

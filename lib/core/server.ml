@@ -1,40 +1,29 @@
 open Bs_support
-open Bs_exec
 open Bs_workloads
 
 (* The compile service engine.  One mutex [lock] guards the queue, the
-   worker table and the counters; the per-slot [s_responded] flag is an
-   Atomic CAS gate so exactly one of {worker, watchdog, shedder} ever
-   answers a request.  Respond callbacks (which may write to sockets)
-   are always invoked OUTSIDE [lock]. *)
+   worker list and the counters.  Every request is answered exactly once:
+   by the submitting thread (control ops, shed, draining) or by the one
+   worker that took it off the queue.  Respond callbacks (which may write
+   to sockets) are always invoked OUTSIDE [lock]. *)
 
 type config = {
   jobs : int;
   queue_depth : int;
   deadline_ms : int;
   fuel : int;
-  retries : int;
-  backoff_base_ms : float;
-  backoff_cap_ms : float;
-  seed : int64;
   cache_dir : string option;
-  interp_engine : Bs_interp.Interp.engine;
 }
 
 let default_config =
   { jobs = 4; queue_depth = 64; deadline_ms = 30_000; fuel = 200_000_000;
-    retries = 2; backoff_base_ms = 25.0; backoff_cap_ms = 400.0; seed = 1L;
-    cache_dir = None; interp_engine = Bs_interp.Interp.Compiled }
+    cache_dir = None }
 
 type slot = {
   s_req : Service.request;
   s_cb : Service.response -> unit;
-  s_token : Supervisor.token;
   s_enq_ns : int64;
-  s_responded : bool Atomic.t;
-  s_attempts : int Atomic.t;  (* last attempt started (watchdog reads it) *)
-  mutable s_claim_ns : int64; (* when a worker picked it up; 0 = queued *)
-  mutable s_origin : string;  (* cache origin of the last compile *)
+  s_deadline_ns : int64;  (* absolute; Int64.max_int = none *)
 }
 
 type t = {
@@ -43,12 +32,7 @@ type t = {
   cond : Condition.t;
   queue : slot Queue.t;
   mutable stopping : bool;
-  mutable watchdog_stop : bool;
-  mutable workers : (int * unit Domain.t) list;  (* worker gen -> domain *)
-  mutable next_gen : int;
-  retired : (int, unit) Hashtbl.t;
-  inflight : (int, slot) Hashtbl.t;              (* worker gen -> slot *)
-  mutable watchdog : unit Domain.t option;
+  mutable workers : unit Domain.t list;
   started_ns : int64;
   (* counters, under [lock] *)
   mutable served : int;
@@ -56,14 +40,9 @@ type t = {
   mutable errors : int;
   mutable timeouts : int;
   mutable shed : int;
-  mutable retries_done : int;
-  mutable replaced : int;
 }
 
-(* A service-level failure with its structured diagnostics attached;
-   never classified transient. *)
-exception Srv_fail of Diag.t list
-
+let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
 (* --- metrics ------------------------------------------------------------ *)
@@ -71,9 +50,8 @@ let ms_of_ns ns = Int64.to_float ns /. 1e6
 (* All serve instruments are registered at module-init time so the
    registry contents — and hence the snapshot shape — do not depend on
    which code paths happened to fire.  Everything here is deterministic
-   for a scripted request mix: outcome counts, accepted/shed,
-   retries/backoff sleeps (chaos is part of the request), watchdog
-   counts (0 without hangs), and the depth/in-flight gauges (0 at
+   for a scripted request mix: outcome counts (chaos is part of the
+   request), accepted/shed, and the depth/in-flight gauges (0 at
    quiescence).  Latency histograms are inherently run-dependent and
    live in the snapshot's histogram section. *)
 module M = Bs_obs.Metrics
@@ -90,32 +68,25 @@ let m_req_shed =
   M.counter "serve_requests_total" ~labels:[ ("outcome", "shed") ]
 
 let m_accepted = M.counter "serve_accepted_total"
-let m_retries = M.counter "serve_retries_total"
-let m_backoff_sleeps = M.counter "serve_backoff_sleeps_total"
-let m_wd_timeouts = M.counter "serve_watchdog_timeouts_total"
-let m_wd_retired = M.counter "serve_watchdog_retirements_total"
 let m_inflight = M.gauge "serve_inflight"
 let m_queue_depth = M.gauge "serve_queue_depth"
 let m_queue_wait = M.histogram "serve_queue_wait_ms"
 let m_latency = M.histogram "serve_request_ms"
 
 let m_latency_origin =
-  let mk o = (o, M.histogram "serve_request_ms" ~labels:[ ("origin", o) ]) in
-  [ mk "memory"; mk "disk"; mk "fresh" ]
+  List.map
+    (fun (o, label) ->
+      (o, M.histogram "serve_request_ms" ~labels:[ ("origin", label) ]))
+    [ (Compile_cache.Memory, "memory"); (Compile_cache.Disk, "disk");
+      (Compile_cache.Fresh, "fresh") ]
 
 let flow_name = "serve:req"
 
 (* --- responding (exactly once per request) ----------------------------- *)
 
-let mk_response (slot : slot) status ~cached =
-  { Service.rs_id = slot.s_req.Service.rq_id;
-    rs_status = status;
-    rs_attempts = max 1 (Atomic.get slot.s_attempts);
-    rs_cached = cached;
-    rs_ms =
-      ms_of_ns (Int64.sub (Supervisor.now_ns ()) slot.s_enq_ns) }
-
-(* Must be called WITHOUT [t.lock] held.
+(* Must be called WITHOUT [t.lock] held.  [origin] is where the
+   request's compile came from; [None] when it never reached the
+   compiler.
 
    Outcome counters and the latency histograms cover bench requests
    only (control ops are answered inline and carry no workload), and
@@ -123,280 +94,163 @@ let mk_response (slot : slot) status ~cached =
    the client side, where Loadgen's percentiles skip Overloaded.  The
    observed sample is [rs_ms] itself, the exact value the client will
    read back off the wire, so the server histogram describes the same
-   multiset of numbers the client measures. *)
-let respond t slot status ~cached =
-  if Atomic.compare_and_set slot.s_responded false true then begin
-    Mutex.lock t.lock;
-    t.served <- t.served + 1;
-    (match status with
-    | Service.Done _ -> t.ok <- t.ok + 1
-    | Service.Failed _ -> t.errors <- t.errors + 1
-    | Service.Timed_out -> t.timeouts <- t.timeouts + 1
-    | Service.Overloaded _ | Service.Pong | Service.Bye
-    | Service.Stats_reply _ | Service.Health_reply _ -> ());
-    Mutex.unlock t.lock;
-    let resp = mk_response slot status ~cached in
-    let observe_latency () =
-      M.observe m_latency resp.Service.rs_ms;
-      match List.assoc_opt slot.s_origin m_latency_origin with
-      | Some h -> M.observe h resp.Service.rs_ms
-      | None -> ()
-    in
-    (match status with
-    | Service.Done _ ->
-        M.inc m_req_ok;
-        observe_latency ()
-    | Service.Failed _ ->
-        M.inc m_req_error;
-        observe_latency ()
-    | Service.Timed_out ->
-        M.inc m_req_timeout;
-        observe_latency ()
-    | Service.Overloaded _ -> M.inc m_req_shed
-    | Service.Pong | Service.Bye | Service.Stats_reply _
-    | Service.Health_reply _ -> ());
-    (match status with
-    | Service.Done _ | Service.Failed _ | Service.Timed_out
-    | Service.Overloaded _ ->
-        Bs_obs.Trace.flow_end ~id:slot.s_req.Service.rq_id
-          ~args:[ ("status", Service.status_name status) ]
-          flow_name
-    | _ -> ());
-    slot.s_cb resp
-  end
+   multiset of numbers the client measures.  The per-origin histograms
+   see only requests that compiled. *)
+let respond ?origin t slot status =
+  Mutex.lock t.lock;
+  t.served <- t.served + 1;
+  (match status with
+  | Service.Done _ -> t.ok <- t.ok + 1
+  | Service.Failed _ -> t.errors <- t.errors + 1
+  | Service.Timed_out -> t.timeouts <- t.timeouts + 1
+  | Service.Overloaded _ | Service.Pong | Service.Bye
+  | Service.Stats_reply _ | Service.Health_reply _ -> ());
+  Mutex.unlock t.lock;
+  let resp =
+    { Service.rs_id = slot.s_req.Service.rq_id;
+      rs_status = status;
+      rs_cached =
+        (match origin with
+        | Some (Compile_cache.Memory | Compile_cache.Disk) -> true
+        | Some Compile_cache.Fresh | None -> false);
+      rs_ms = ms_of_ns (Int64.sub (now_ns ()) slot.s_enq_ns) }
+  in
+  let observe_latency () =
+    M.observe m_latency resp.Service.rs_ms;
+    Option.iter
+      (fun o -> M.observe (List.assoc o m_latency_origin) resp.Service.rs_ms)
+      origin
+  in
+  (match status with
+  | Service.Done _ ->
+      M.inc m_req_ok;
+      observe_latency ()
+  | Service.Failed _ ->
+      M.inc m_req_error;
+      observe_latency ()
+  | Service.Timed_out ->
+      M.inc m_req_timeout;
+      observe_latency ()
+  | Service.Overloaded _ -> M.inc m_req_shed
+  | Service.Pong | Service.Bye | Service.Stats_reply _
+  | Service.Health_reply _ -> ());
+  (match status with
+  | Service.Done _ | Service.Failed _ | Service.Timed_out
+  | Service.Overloaded _ ->
+      Bs_obs.Trace.flow_end ~id:slot.s_req.Service.rq_id
+        ~args:[ ("status", Service.status_name status) ]
+        flow_name
+  | _ -> ());
+  slot.s_cb resp
 
 (* --- the bench work itself --------------------------------------------- *)
 
-let config_of (b : Service.bench_req) : Driver.config =
-  let base =
-    match b.Service.b_arch with
-    | Driver.Baseline -> Driver.baseline_config
-    | Driver.Bitspec_arch -> Driver.bitspec_config
-    | Driver.Thumb -> Driver.thumb_config
-  in
-  let base = { base with Driver.heuristic = b.Service.b_heuristic } in
-  if b.Service.b_no_expander then
-    { base with Driver.expander = Expander.disabled }
-  else base
-
-let summarize (r : Bs_sim.Machine.result) : Service.metrics_summary =
-  let m = Experiment.metrics_of_run r in
-  { Service.m_checksum = m.Experiment.checksum;
-    m_instrs = m.Experiment.instrs;
-    m_cycles = m.Experiment.cycles;
-    m_misspecs = m.Experiment.misspecs;
-    m_energy = m.Experiment.total_energy;
-    m_epi = m.Experiment.epi }
-
-(* One attempt: chaos, compile (cached), simulate (fuel-bounded) —
-   polling the deadline token at each phase boundary. *)
-let attempt_bench t (slot : slot) (b : Service.bench_req) ~attempt ~cached =
-  let rq = slot.s_req in
-  Atomic.set slot.s_attempts attempt;
-  cached := false;
-  Supervisor.check slot.s_token;
+(* One bench request: chaos, then the experiment pipeline's memoised
+   compile + simulate.  Returns the reply and where the compile came
+   from ([None] when the request never reached the compiler).  The
+   simulation runs once per process under [Driver.run_machine]'s default
+   fuel; a request's own budget is then a check against the run's
+   instruction count, since a run of I instructions finishes under fuel
+   F exactly when I <= F. *)
+let run_bench t (rq : Service.request) (b : Service.bench_req) =
   (match rq.Service.rq_chaos with
-  | Some (Service.Crash_before n) when attempt < n ->
-      raise (Service.Injected_crash attempt)
-  | Some (Service.Hang_ms ms) ->
-      (* a wedged worker: sleeps WITHOUT polling the token, so only the
-         watchdog can answer for it if the deadline passes meanwhile *)
-      Unix.sleepf (float_of_int ms /. 1000.0)
-  | _ -> ());
-  let w =
-    match Registry.find b.Service.b_workload with
-    | w -> w
-    | exception Invalid_argument _ ->
-        raise (Srv_fail [ Service.diag_unknown_workload b.Service.b_workload ])
-  in
-  let origin = ref Compile_cache.Fresh in
-  let c =
-    Experiment.compile_workload ~origin ~interp_engine:t.cfg.interp_engine
-      (config_of b) w
-  in
-  (match !origin with
-  | Compile_cache.Memory | Compile_cache.Disk -> cached := true
-  | Compile_cache.Fresh -> ());
-  slot.s_origin <-
-    (match !origin with
-    | Compile_cache.Memory -> "memory"
-    | Compile_cache.Disk -> "disk"
-    | Compile_cache.Fresh -> "fresh");
-  Supervisor.check slot.s_token;
-  let fuel = Option.value rq.Service.rq_fuel ~default:t.cfg.fuel in
-  let r =
-    Driver.run_machine
-      ~setup:(w.Workload.test.Workload.setup c.Driver.ir)
-      ~fuel c ~entry:w.Workload.entry ~args:w.Workload.test.Workload.args
-  in
-  Supervisor.check slot.s_token;
-  match r.Bs_sim.Machine.outcome with
-  | Outcome.Finished -> summarize r
-  | Outcome.Out_of_fuel -> raise (Srv_fail [ Service.diag_fuel ])
-  | Outcome.Trapped k -> raise (Srv_fail [ Service.diag_trap k ])
-  | Outcome.Livelock ->
-      raise (Srv_fail [ Service.diag_internal "simulation livelocked" ])
+  | Some Service.Crash -> raise Service.Injected_crash
+  | Some (Service.Hang_ms ms) -> Unix.sleepf (float_of_int ms /. 1000.0)
+  | None -> ());
+  match Registry.find b.Service.b_workload with
+  | exception Invalid_argument _ ->
+      ( Service.Failed [ Service.diag_unknown_workload b.Service.b_workload ],
+        None )
+  | w ->
+      let origin = ref Compile_cache.Fresh in
+      let config =
+        Driver.config_of ~arch:b.Service.b_arch
+          ~heuristic:b.Service.b_heuristic
+          ~no_expander:b.Service.b_no_expander
+      in
+      let status =
+        match Experiment.run_test ~origin config w with
+        | exception Bs_sim.Machine.Sim_trap k ->
+            Service.Failed [ Service.diag_trap k ]
+        | _, r -> (
+            let fuel = Option.value rq.Service.rq_fuel ~default:t.cfg.fuel in
+            match r.Bs_sim.Machine.outcome with
+            | Outcome.Finished
+              when r.Bs_sim.Machine.ctr.Bs_sim.Counters.instrs <= fuel ->
+                let m = Experiment.metrics_of_run r in
+                Service.Done
+                  { Service.m_checksum = m.Experiment.checksum;
+                    m_instrs = m.Experiment.instrs;
+                    m_cycles = m.Experiment.cycles;
+                    m_misspecs = m.Experiment.misspecs;
+                    m_energy = m.Experiment.total_energy;
+                    m_epi = m.Experiment.epi }
+            | Outcome.Finished | Outcome.Out_of_fuel ->
+                Service.Failed [ Service.diag_fuel ]
+            | Outcome.Trapped k -> Service.Failed [ Service.diag_trap k ]
+            | Outcome.Livelock ->
+                Service.Failed
+                  [ Service.diag_internal "simulation livelocked" ])
+      in
+      (status, Some !origin)
 
-let process_bench t (slot : slot) (b : Service.bench_req) =
-  let cached = ref false in
-  let key = string_of_int slot.s_req.Service.rq_id in
-  let base_ns = Int64.of_float (t.cfg.backoff_base_ms *. 1e6) in
-  let cap_ns = Int64.of_float (t.cfg.backoff_cap_ms *. 1e6) in
-  let outcome =
-    Backoff.run ~retries:t.cfg.retries
-      ~is_transient:(function Service.Injected_crash _ -> true | _ -> false)
-      ~sleep:(fun ns ->
-        M.inc m_backoff_sleeps;
-        Supervisor.sleep_ns ~token:slot.s_token ns)
-      ~delay:(fun ~attempt ->
-        Backoff.delay_ns ~base_ns ~cap_ns ~seed:t.cfg.seed ~key ~attempt)
-      (fun ~attempt -> attempt_bench t slot b ~attempt ~cached)
+(* Run one dequeued request and answer it.  Its deadline is checked
+   here, once: a request still queued when its deadline passes is
+   answered [Timed_out] without being compiled; a started request runs
+   to completion.  Nothing a request raises escapes the worker. *)
+let run_slot t slot =
+  let status, origin =
+    match slot.s_req.Service.rq_op with
+    | Service.Bench _ when Int64.compare (now_ns ()) slot.s_deadline_ns > 0 ->
+        (Service.Timed_out, None)
+    | Service.Bench b -> (
+        let rid = string_of_int slot.s_req.Service.rq_id in
+        try
+          Bs_obs.Trace.with_context [ ("rid", rid) ] (fun () ->
+              run_bench t slot.s_req b)
+        with
+        | Service.Injected_crash ->
+            ( Service.Failed [ Service.diag_crash "injected worker crash" ],
+              None )
+        | e ->
+            ( Service.Failed [ Service.diag_internal (Printexc.to_string e) ],
+              None ))
+    | Service.Ping | Service.Stats | Service.Health | Service.Shutdown ->
+        (* control ops never reach the queue *)
+        (Service.Pong, None)
   in
-  (match outcome.Backoff.result with
-  | Ok _ | Error _ ->
-      if outcome.Backoff.attempts > 1 then begin
-        Mutex.lock t.lock;
-        t.retries_done <- t.retries_done + (outcome.Backoff.attempts - 1);
-        Mutex.unlock t.lock;
-        M.inc ~by:(outcome.Backoff.attempts - 1) m_retries
-      end);
-  match outcome.Backoff.result with
-  | Ok m -> respond t slot (Service.Done m) ~cached:!cached
-  | Error (Supervisor.Deadline_exceeded, _) ->
-      respond t slot Service.Timed_out ~cached:false
-  | Error (Service.Injected_crash _, _) ->
-      respond t slot
-        (Service.Failed
-           [ Service.diag_crash ~attempts:outcome.Backoff.attempts
-               "injected worker crash" ])
-        ~cached:false
-  | Error (Srv_fail ds, _) ->
-      respond t slot (Service.Failed ds) ~cached:false
-  | Error (e, _) ->
-      respond t slot
-        (Service.Failed [ Service.diag_internal (Printexc.to_string e) ])
-        ~cached:false
+  respond ?origin t slot status
 
 (* --- workers ----------------------------------------------------------- *)
 
-let rec worker_loop t gen =
+(* Block for the next slot; [None] once stopping and the queue is empty. *)
+let next_slot t worker =
   Mutex.lock t.lock;
-  let rec await () =
-    if Hashtbl.mem t.retired gen then begin
+  while Queue.is_empty t.queue && not t.stopping do
+    Condition.wait t.cond t.lock
+  done;
+  match Queue.take_opt t.queue with
+  | None ->
       Mutex.unlock t.lock;
       None
-    end
-    else if not (Queue.is_empty t.queue) then begin
-      let slot = Queue.pop t.queue in
-      slot.s_claim_ns <- Supervisor.now_ns ();
-      Hashtbl.replace t.inflight gen slot;
+  | Some slot ->
       let depth = Queue.length t.queue in
       Mutex.unlock t.lock;
       M.set_gauge m_queue_depth (float_of_int depth);
-      M.observe m_queue_wait
-        (ms_of_ns (Int64.sub slot.s_claim_ns slot.s_enq_ns));
-      M.add_gauge m_inflight 1.0;
+      M.observe m_queue_wait (ms_of_ns (Int64.sub (now_ns ()) slot.s_enq_ns));
       Bs_obs.Trace.flow_step ~id:slot.s_req.Service.rq_id
-        ~args:[ ("gen", string_of_int gen) ]
+        ~args:[ ("worker", string_of_int worker) ]
         flow_name;
       Some slot
-    end
-    else if t.stopping then begin
-      Mutex.unlock t.lock;
-      None
-    end
-    else begin
-      Condition.wait t.cond t.lock;
-      await ()
-    end
-  in
-  match await () with
+
+let rec worker_loop t worker =
+  match next_slot t worker with
   | None -> ()
   | Some slot ->
-      (match slot.s_req.Service.rq_op with
-      | Service.Bench b -> (
-          let rid = string_of_int slot.s_req.Service.rq_id in
-          try
-            Bs_obs.Trace.with_context [ ("rid", rid) ] (fun () ->
-                process_bench t slot b)
-          with e ->
-            (* never let anything escape a worker *)
-            respond t slot
-              (Service.Failed
-                 [ Service.diag_internal (Printexc.to_string e) ])
-              ~cached:false)
-      | Service.Ping | Service.Stats | Service.Health | Service.Shutdown ->
-          (* control ops never reach the queue *)
-          respond t slot Service.Pong ~cached:false);
+      M.add_gauge m_inflight 1.0;
+      run_slot t slot;
       M.add_gauge m_inflight (-1.0);
-      Mutex.lock t.lock;
-      Hashtbl.remove t.inflight gen;
-      let gone = Hashtbl.mem t.retired gen in
-      Mutex.unlock t.lock;
-      if not gone then worker_loop t gen
-
-let spawn_worker t =
-  (* call with [t.lock] held *)
-  let gen = t.next_gen in
-  t.next_gen <- gen + 1;
-  let d = Domain.spawn (fun () -> worker_loop t gen) in
-  t.workers <- (gen, d) :: t.workers
-
-(* --- watchdog ---------------------------------------------------------- *)
-
-let stall_grace_ns = 50_000_000L (* 50 ms past the deadline = stuck *)
-
-let watchdog_tick t =
-  let now = Supervisor.now_ns () in
-  let expired = ref [] in
-  let stuck = ref [] in
-  Mutex.lock t.lock;
-  let max_gens = (4 * t.cfg.jobs) + 2 in
-  Hashtbl.iter
-    (fun gen slot ->
-      if
-        Supervisor.cancelled slot.s_token
-        && not (Atomic.get slot.s_responded)
-      then expired := slot :: !expired;
-      match Supervisor.deadline_ns slot.s_token with
-      | Some d
-        when Int64.compare now (Int64.add d stall_grace_ns) > 0
-             && (not (Hashtbl.mem t.retired gen))
-             && (not t.stopping)
-             && t.next_gen < max_gens ->
-          (* the worker overshot its deadline by the grace period: it is
-             wedged (or close enough).  Retire it — it will exit when
-             its item finally finishes — and restore capacity. *)
-          Hashtbl.replace t.retired gen ();
-          t.replaced <- t.replaced + 1;
-          M.inc m_wd_retired;
-          stuck := gen :: !stuck;
-          spawn_worker t
-      | _ -> ())
-    t.inflight;
-  Mutex.unlock t.lock;
-  (* answer for the expired requests outside the lock; the CAS in
-     [respond] makes this race-free against a worker finishing late *)
-  List.iter
-    (fun slot ->
-      Supervisor.cancel slot.s_token;
-      M.inc m_wd_timeouts;
-      respond t slot Service.Timed_out ~cached:false)
-    !expired;
-  ignore !stuck
-
-let rec watchdog_loop t =
-  (try Unix.sleepf 0.002 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-  watchdog_tick t;
-  (* also wake queued-but-expired requests promptly: workers popping
-     them will observe the cancelled token on first check *)
-  let stop =
-    Mutex.lock t.lock;
-    let s = t.watchdog_stop in
-    Mutex.unlock t.lock;
-    s
-  in
-  if not stop then watchdog_loop t
+      worker_loop t worker
 
 (* --- lifecycle --------------------------------------------------------- *)
 
@@ -406,18 +260,12 @@ let start cfg =
   Compile_cache.set_persistent cfg.cache_dir;
   let t =
     { cfg; lock = Mutex.create (); cond = Condition.create ();
-      queue = Queue.create (); stopping = false; watchdog_stop = false;
-      workers = []; next_gen = 0; retired = Hashtbl.create 16;
-      inflight = Hashtbl.create 16; watchdog = None;
-      started_ns = Supervisor.now_ns (); served = 0; ok = 0; errors = 0;
-      timeouts = 0; shed = 0; retries_done = 0; replaced = 0 }
+      queue = Queue.create (); stopping = false; workers = [];
+      started_ns = now_ns (); served = 0; ok = 0; errors = 0; timeouts = 0;
+      shed = 0 }
   in
-  Mutex.lock t.lock;
-  for _ = 1 to cfg.jobs do
-    spawn_worker t
-  done;
-  Mutex.unlock t.lock;
-  t.watchdog <- Some (Domain.spawn (fun () -> watchdog_loop t));
+  t.workers <-
+    List.init cfg.jobs (fun i -> Domain.spawn (fun () -> worker_loop t i));
   t
 
 let draining t =
@@ -437,8 +285,7 @@ let stats t : Service.server_stats =
   let depth = Queue.length t.queue in
   let s =
     { Service.st_served = t.served; st_ok = t.ok; st_errors = t.errors;
-      st_timeouts = t.timeouts; st_shed = t.shed;
-      st_retries = t.retries_done; st_replaced = t.replaced;
+      st_timeouts = t.timeouts; st_shed = t.shed; st_retries = 0;
       st_depth = depth;
       st_mem_hits = Compile_cache.hits ();
       st_mem_misses = Compile_cache.misses ();
@@ -450,8 +297,7 @@ let stats t : Service.server_stats =
         (match dc with Some d -> Disk_cache.entries d | None -> 0);
       st_quarantined =
         (match dc with Some d -> Disk_cache.quarantine_count d | None -> 0);
-      st_uptime_ms =
-        ms_of_ns (Int64.sub (Supervisor.now_ns ()) t.started_ns);
+      st_uptime_ms = ms_of_ns (Int64.sub (now_ns ()) t.started_ns);
       st_metrics = metrics }
   in
   Mutex.unlock t.lock;
@@ -464,14 +310,6 @@ let health t : Service.health_report =
   Mutex.lock t.lock;
   let stopping = t.stopping in
   let served = t.served and shed = t.shed in
-  (* a retired generation still holding an in-flight slot is a wedged
-     worker: the watchdog answered for its request, but the domain has
-     not returned from the item it is stuck in *)
-  let wedged =
-    Hashtbl.fold
-      (fun gen _ acc -> if Hashtbl.mem t.retired gen then acc + 1 else acc)
-      t.inflight 0
-  in
   Mutex.unlock t.lock;
   let quarantined =
     match Compile_cache.persistent () with
@@ -484,7 +322,6 @@ let health t : Service.health_report =
   let denom = served + shed in
   flag (denom > 0 && float_of_int shed /. float_of_int denom > 0.10)
     "shed-rate";
-  flag (wedged > 0) "wedged-workers";
   flag (quarantined > 0) "quarantine";
   { Service.hr_ok = !reasons = []; hr_reasons = List.rev !reasons }
 
@@ -496,52 +333,34 @@ let initiate_stop t =
 
 let stop t =
   initiate_stop t;
-  (* join workers until the set is stable (the watchdog may have spawned
-     replacements while we were joining) *)
-  let rec drain_workers () =
-    Mutex.lock t.lock;
-    let ws = t.workers in
-    t.workers <- [];
-    Mutex.unlock t.lock;
-    if ws <> [] then begin
-      List.iter (fun (_, d) -> Domain.join d) ws;
-      drain_workers ()
-    end
-  in
-  drain_workers ();
   Mutex.lock t.lock;
-  t.watchdog_stop <- true;
+  let ws = t.workers in
+  t.workers <- [];
   Mutex.unlock t.lock;
-  (match t.watchdog with Some d -> Domain.join d | None -> ());
-  t.watchdog <- None
+  List.iter Domain.join ws
 
 (* --- submission -------------------------------------------------------- *)
 
 let mk_slot t rq cb =
   let deadline_ms =
-    match rq.Service.rq_deadline_ms with
-    | Some ms -> ms
-    | None -> t.cfg.deadline_ms
+    Option.value rq.Service.rq_deadline_ms ~default:t.cfg.deadline_ms
   in
-  let token =
-    if deadline_ms > 0 then Supervisor.of_timeout_ms deadline_ms
-    else Supervisor.create ()
-  in
-  { s_req = rq; s_cb = cb; s_token = token;
-    s_enq_ns = Supervisor.now_ns (); s_responded = Atomic.make false;
-    s_attempts = Atomic.make 1; s_claim_ns = 0L; s_origin = "fresh" }
+  let enq = now_ns () in
+  { s_req = rq; s_cb = cb; s_enq_ns = enq;
+    s_deadline_ns =
+      (if deadline_ms > 0 then
+         Int64.add enq (Int64.mul (Int64.of_int deadline_ms) 1_000_000L)
+       else Int64.max_int) }
 
 let submit t rq cb =
   let slot = mk_slot t rq cb in
   match rq.Service.rq_op with
-  | Service.Ping -> respond t slot Service.Pong ~cached:false
-  | Service.Stats ->
-      respond t slot (Service.Stats_reply (stats t)) ~cached:false
-  | Service.Health ->
-      respond t slot (Service.Health_reply (health t)) ~cached:false
+  | Service.Ping -> respond t slot Service.Pong
+  | Service.Stats -> respond t slot (Service.Stats_reply (stats t))
+  | Service.Health -> respond t slot (Service.Health_reply (health t))
   | Service.Shutdown ->
       initiate_stop t;
-      respond t slot Service.Bye ~cached:false
+      respond t slot Service.Bye
   | Service.Bench _ ->
       let verdict =
         Mutex.lock t.lock;
@@ -560,20 +379,18 @@ let submit t rq cb =
         Mutex.unlock t.lock;
         v
       in
-      (match verdict with
+      match verdict with
       | `Queued depth ->
           M.inc m_accepted;
           M.set_gauge m_queue_depth (float_of_int depth);
           Bs_obs.Trace.flow_start ~id:rq.Service.rq_id
             ~args:[ ("op", Service.op_label rq.Service.rq_op) ]
             flow_name
-      | `Shed depth ->
-          respond t slot (Service.Overloaded depth) ~cached:false
+      | `Shed depth -> respond t slot (Service.Overloaded depth)
       | `Draining ->
           respond t slot
             (Service.Failed
                [ Service.diag_internal "server is shutting down" ])
-            ~cached:false)
 
 let submit_wait t rq =
   let m = Mutex.create () in
@@ -619,7 +436,7 @@ let handle_conn t ~notify_shutdown fd =
             send_line oc wlock
               { Service.rs_id = -1;
                 rs_status = Service.Failed [ Service.diag_bad_request e ];
-                rs_attempts = 1; rs_cached = false; rs_ms = 0.0 };
+                rs_cached = false; rs_ms = 0.0 };
             loop ()
         | Ok rq ->
             submit t rq (send_line oc wlock);
@@ -697,7 +514,7 @@ let serve_stdio t () =
             send
               { Service.rs_id = -1;
                 rs_status = Service.Failed [ Service.diag_bad_request e ];
-                rs_attempts = 1; rs_cached = false; rs_ms = 0.0 };
+                rs_cached = false; rs_ms = 0.0 };
             loop ()
         | Ok rq ->
             submit t rq send;

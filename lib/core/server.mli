@@ -1,64 +1,54 @@
 (** The long-running compile+simulate server: a bounded admission
-    queue, a supervised pool of worker domains, a watchdog, and the
-    Unix-socket / stdio transports for `bitspecc serve`.
+    queue drained by worker domains, and the Unix-socket / stdio
+    transports for `bitspecc serve`.
 
-    Supervision follows the paper's own speculate/detect/recover shape
-    applied to the systems layer:
+    A bench request names one cell of the evaluation grid, and the
+    server answers it through {!Experiment.run_test}: the compile cache
+    plus the process-wide memo of test-input simulations, the same path
+    the bench harness takes.  Each cell has one deterministic answer,
+    so a repeated request is a lookup.
 
     - {b Admission / load shedding.}  A request is either admitted to
       the bounded queue or immediately answered [Overloaded] once the
       queue is at its high-water mark; nothing blocks, nothing is
-      silently dropped.  Control-plane ops (ping / stats / shutdown)
-      bypass the queue so the server stays observable under overload.
-    - {b Deadlines.}  Each request carries a wall-clock deadline token
-      from admission.  Workers poll it at phase boundaries, simulation
-      is fuel-bounded, and a watchdog domain answers [Timed_out] on
-      behalf of any request whose deadline passes — then retires the
-      worker if it is still stuck (a zombie exits when it eventually
-      finishes; a replacement is spawned so capacity is not lost).
-      The {e request} is therefore never lost to a hung worker.
-    - {b Retries.}  Failures classified transient
-      ({!Service.Injected_crash}) are re-executed up to [retries] times
-      with deterministic exponential backoff + jitter keyed by
-      (server seed, request id, attempt).  Everything else —
-      diagnostics, traps, fuel exhaustion, deadline — is answered
-      structurally on first occurrence.
-    - {b Crash isolation.}  A worker catches every per-request
-      exception and answers with structured diagnostics; the in-memory
-      compile cache bounds failure memoisation and the persistent
-      layer stores successes only, so one poisoned request never takes
-      the server down or poisons later identical requests. *)
+      silently dropped.  Control-plane ops (ping / stats / health /
+      shutdown) bypass the queue so the server stays observable under
+      overload.
+    - {b Deadlines and fuel.}  A request's deadline (an absolute
+      timestamp fixed at admission) is checked when a worker takes it
+      off the queue: if it has passed, the answer is [Timed_out] and
+      nothing is compiled.  A started request runs to completion,
+      bounded by fuel: the memoised simulation's instruction count is
+      checked against the request's budget.
+    - {b Crash isolation.}  Each request is answered exactly once, by
+      the worker that runs it.  The worker catches every per-request
+      exception and answers with structured diagnostics, then keeps
+      serving.  Compiles and simulations are deterministic, so a
+      failure is memoised like a success. *)
 
 type config = {
   jobs : int;            (** worker domains *)
   queue_depth : int;     (** admission high-water mark *)
   deadline_ms : int;     (** default per-request deadline; 0 = none *)
   fuel : int;            (** default simulation instruction budget *)
-  retries : int;         (** max re-executions of a transient failure *)
-  backoff_base_ms : float;
-  backoff_cap_ms : float;
-  seed : int64;          (** jitter seed; part of the determinism story *)
   cache_dir : string option;
       (** attach {!Compile_cache}'s persistent layer here *)
-  interp_engine : Bs_interp.Interp.engine;
-      (** engine for the profiling interpreter on cache-miss compiles *)
 }
 
 val default_config : config
-(** 4 workers, depth 64, 30 s deadline, 2×10{^8} fuel, 2 retries,
-    base 25 ms / cap 400 ms, seed 1, no cache dir, compiled interp. *)
+(** 4 workers, depth 64, 30 s deadline, 2×10{^8} fuel, no cache dir. *)
 
 type t
 
 val start : config -> t
-(** Spawn the worker pool and the watchdog.  If [cache_dir] is set,
-    opens (or reopens) the persistent cache first — a corrupt store
-    quarantines bad entries rather than failing startup. *)
+(** Spawn the workers.  If [cache_dir] is set, opens (or reopens) the
+    persistent cache first — a corrupt store quarantines bad entries
+    rather than failing startup. *)
 
 val submit : t -> Service.request -> (Service.response -> unit) -> unit
-(** Asynchronous submission.  The callback runs exactly once, on a
-    worker, watchdog, or the submitting thread (shed / control ops);
-    it must be thread-safe and quick. *)
+(** Asynchronous submission.  The callback runs exactly once, on the
+    worker that ran the request or on the submitting thread (shed /
+    draining / control ops); it must be thread-safe and quick. *)
 
 val submit_wait : t -> Service.request -> Service.response
 (** Synchronous submission (blocks the calling thread). *)
@@ -69,13 +59,11 @@ val stats : t -> Service.server_stats
 
 val health : t -> Service.health_report
 (** Degradation probe: ok unless draining, shedding more than 10% of
-    admissions, holding wedged (watchdog-retired but still running)
-    workers, or quarantining persistent-cache entries. *)
+    admissions, or quarantining persistent-cache entries. *)
 
 val stop : t -> unit
-(** Graceful shutdown: refuse new work, drain the queue, join workers
-    and watchdog.  Idempotent.  May wait for a straggling worker's
-    current item (bounded by fuel / chaos hang duration). *)
+(** Graceful shutdown: refuse new work, drain the queue, join the
+    workers.  Idempotent.  Waits for each worker's current request. *)
 
 val draining : t -> bool
 (** True once shutdown was initiated (via {!stop} or a [Shutdown]

@@ -4,7 +4,7 @@ open Bs_support
    is the codec plus the canonical-log rendering.  Everything here is
    pure — the server engine lives in Server. *)
 
-type chaos = Crash_before of int | Hang_ms of int
+type chaos = Crash | Hang_ms of int
 
 type bench_req = {
   b_workload : string;
@@ -39,7 +39,6 @@ type server_stats = {
   st_timeouts : int;
   st_shed : int;
   st_retries : int;
-  st_replaced : int;
   st_depth : int;
   st_mem_hits : int;
   st_mem_misses : int;
@@ -70,7 +69,6 @@ type status =
 type response = {
   rs_id : int;
   rs_status : status;
-  rs_attempts : int;
   rs_cached : bool;
   rs_ms : float;
 }
@@ -83,9 +81,8 @@ let diag_bad_request msg =
 let diag_unknown_workload name =
   Diag.error ~code:"BS-SRV-02" ~phase:Diag.Other ("unknown workload " ^ name)
 
-let diag_crash ~attempts msg =
-  Diag.error ~code:"BS-SRV-03" ~phase:Diag.Other
-    (Printf.sprintf "worker crashed on all %d attempts: %s" attempts msg)
+let diag_crash msg =
+  Diag.error ~code:"BS-SRV-03" ~phase:Diag.Other ("worker crashed: " ^ msg)
 
 let diag_fuel =
   Diag.error ~code:"BS-SRV-04" ~phase:Diag.Sim
@@ -98,7 +95,7 @@ let diag_trap trap =
 let diag_internal msg =
   Diag.error ~code:"BS-SRV-07" ~phase:Diag.Other ("internal: " ^ msg)
 
-exception Injected_crash of int
+exception Injected_crash
 
 (* --- small enums ------------------------------------------------------- *)
 
@@ -117,12 +114,12 @@ let of_name assoc n = List.assoc_opt n assoc
 
 let chaos_of_string s =
   match String.split_on_char ':' s with
-  | [ "crash"; n ] -> Option.map (fun n -> Crash_before n) (int_of_string_opt n)
+  | [ "crash" ] -> Some Crash
   | [ "hang"; ms ] -> Option.map (fun ms -> Hang_ms ms) (int_of_string_opt ms)
   | _ -> None
 
 let chaos_to_string = function
-  | Crash_before n -> Printf.sprintf "crash:%d" n
+  | Crash -> "crash"
   | Hang_ms ms -> Printf.sprintf "hang:%d" ms
 
 let status_name = function
@@ -187,7 +184,6 @@ let stats_to_json (s : server_stats) : Jsonx.t =
       ("timeouts", int s.st_timeouts);
       ("shed", int s.st_shed);
       ("retries", int s.st_retries);
-      ("replaced_workers", int s.st_replaced);
       ("queue_depth", int s.st_depth);
       ("cache_mem_hits", int s.st_mem_hits);
       ("cache_mem_misses", int s.st_mem_misses);
@@ -214,8 +210,7 @@ let response_to_json (r : response) : Jsonx.t =
   Obj
     ([ ("id", int r.rs_id); ("status", Str (status_name r.rs_status)) ]
     @ status_fields
-    @ [ ("attempts", int r.rs_attempts);
-        ("cached", Bool r.rs_cached);
+    @ [ ("cached", Bool r.rs_cached);
         ("ms", Num r.rs_ms) ])
 
 (* --- decoding ---------------------------------------------------------- *)
@@ -312,7 +307,7 @@ let stats_of_json (j : Jsonx.t) : server_stats =
   let geti k = Option.value ~default:0 (mem_int k j) in
   { st_served = geti "served"; st_ok = geti "ok"; st_errors = geti "errors";
     st_timeouts = geti "timeouts"; st_shed = geti "shed";
-    st_retries = geti "retries"; st_replaced = geti "replaced_workers";
+    st_retries = geti "retries";
     st_depth = geti "queue_depth";
     st_mem_hits = geti "cache_mem_hits";
     st_mem_misses = geti "cache_mem_misses";
@@ -359,7 +354,6 @@ let response_of_json (j : Jsonx.t) : (response, string) result =
   in
   Ok
     { rs_id = id; rs_status = status;
-      rs_attempts = Option.value ~default:1 (mem_int "attempts" j);
       rs_cached = Option.value ~default:false (mem_bool "cached" j);
       rs_ms = Option.value ~default:0.0 (mem_float "ms" j) }
 
@@ -393,5 +387,5 @@ let canonical_line (rq : request) (rs : response) =
     | Overloaded _ | Timed_out | Pong | Bye | Stats_reply _
     | Health_reply _ -> ""
   in
-  Printf.sprintf "id=%d op=%s status=%s attempts=%d%s" rq.rq_id
-    (op_label rq.rq_op) (status_name rs.rs_status) rs.rs_attempts tail
+  Printf.sprintf "id=%d op=%s status=%s%s" rq.rq_id (op_label rq.rq_op)
+    (status_name rs.rs_status) tail

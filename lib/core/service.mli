@@ -10,19 +10,18 @@
     built-in workload and a configuration, and the server compiles and
     simulates it — the shape every campaign client (autotuning sweeps,
     fuzz fleets, drift studies) consumes.  Chaos knobs ([chaos] field)
-    let tests and the load generator inject worker crashes and hangs
-    mid-request to exercise the supervision tree. *)
+    let tests and the load generator make a worker crash or stay busy,
+    to exercise exception isolation, load shedding and admission
+    deadlines. *)
 
-(** Injected worker misbehaviour, for fault campaigns against the
-    server itself. *)
+(** Injected worker misbehaviour, a test hook for the server itself. *)
 type chaos =
-  | Crash_before of int
-      (** raise (transiently) while the attempt number is below [n] —
-          [Crash_before 2] fails attempt 1 and succeeds on attempt 2 *)
+  | Crash
+      (** the worker raises {!Injected_crash} before compiling; the
+          request fails with BS-SRV-03 and the worker keeps serving *)
   | Hang_ms of int
-      (** sleep this long mid-attempt {e without} polling the deadline
-          token, simulating a wedged worker the watchdog must answer
-          for *)
+      (** the worker sleeps this long before compiling, holding its
+          slot busy (queued requests wait, and may shed or time out) *)
 
 type bench_req = {
   b_workload : string;             (** a {!Bs_workloads.Registry} name *)
@@ -61,8 +60,9 @@ type server_stats = {
   st_errors : int;
   st_timeouts : int;
   st_shed : int;
-  st_retries : int;     (** re-executions beyond first attempts *)
-  st_replaced : int;    (** workers retired by the watchdog *)
+  st_retries : int;
+      (** always 0: every request runs once (kept for the field's
+          existing readers) *)
   st_depth : int;       (** current queue depth *)
   st_mem_hits : int;    (** in-memory compile-cache hits *)
   st_mem_misses : int;
@@ -81,7 +81,7 @@ type health_report = {
   hr_ok : bool;  (** no degradation reasons *)
   hr_reasons : string list;
       (** machine-matchable degradation causes, e.g. ["draining"],
-          ["shed-rate"], ["wedged-workers"], ["quarantine"] *)
+          ["shed-rate"], ["quarantine"] *)
 }
 
 type status =
@@ -93,13 +93,14 @@ type status =
   | Failed of Bs_support.Diag.t list  (** structured, machine-matchable *)
   | Overloaded of int
       (** shed at admission: queue depth was at the high-water mark
-          (the payload); retry later with backoff *)
-  | Timed_out                         (** deadline passed before completion *)
+          (the payload); retry later *)
+  | Timed_out
+      (** the deadline had passed when a worker took the request off
+          the queue; it was not compiled or simulated *)
 
 type response = {
   rs_id : int;
   rs_status : status;
-  rs_attempts : int;  (** executions performed for this request (≥ 1) *)
   rs_cached : bool;   (** compile served from a cache layer (memory/disk) *)
   rs_ms : float;      (** server-side latency, admission to response *)
 }
@@ -108,17 +109,16 @@ type response = {
 
 val diag_bad_request : string -> Bs_support.Diag.t       (* BS-SRV-01 *)
 val diag_unknown_workload : string -> Bs_support.Diag.t  (* BS-SRV-02 *)
-val diag_crash : attempts:int -> string -> Bs_support.Diag.t (* BS-SRV-03 *)
+val diag_crash : string -> Bs_support.Diag.t              (* BS-SRV-03 *)
 val diag_fuel : Bs_support.Diag.t                        (* BS-SRV-04 *)
 val diag_trap : Bs_support.Outcome.trap -> Bs_support.Diag.t (* BS-SRV-05 *)
 val diag_internal : string -> Bs_support.Diag.t          (* BS-SRV-07 *)
 
-exception Injected_crash of int
-(** Raised by the chaos [Crash_before] knob (payload: the attempt); the
-    one exception the server classifies as transient. *)
+exception Injected_crash
+(** Raised by the chaos [Crash] knob. *)
 
 val chaos_of_string : string -> chaos option
-(** ["crash:N"] or ["hang:MS"]. *)
+(** ["crash"] or ["hang:MS"]. *)
 
 val chaos_to_string : chaos -> string
 
@@ -149,7 +149,7 @@ val op_label : op -> string
 
 val canonical_line : request -> response -> string
 (** One deterministic log line for a (request, response) pair: id, op
-    label, status, attempts, and the checksum or first diagnostic code —
+    label, status, and the checksum or first diagnostic code —
     everything except timing and cache origin, which legitimately vary
     across schedules.  Sorted over ids, these lines form the canonical
     server log that must be byte-identical at any [--jobs]. *)

@@ -1,26 +1,17 @@
 (* Single-flight memoisation.
 
    The table holds one of three states per key: a landed value, a landed
-   failure (with the number of executions that have failed so far), or an
-   in-flight marker.  Computations run outside the lock; a domain finding
-   the in-flight marker waits on the condition variable and retries when
-   the computation (any computation) lands.  A capacity overflow flushes
-   the whole table: because memoised computations are deterministic, a
-   flush can only cost time, never change a result.
-
-   Failures are NOT pinned forever.  A memoised failure poisons every
-   later identical request, which is wrong the moment failures can be
-   transient (an injected fault, a timed-out service request).  Each
-   negative entry therefore carries an attempt count: until it reaches
-   [max_failures], the next requester re-executes the thunk (still
-   single-flight — concurrent requesters wait, they don't pile on); once
-   the budget is spent the failure is served from the table like before.
-   A deterministic failure costs at most [max_failures] executions per
-   table lifetime; a transient one heals on the first retry. *)
+   failure, or an in-flight marker.  Computations run outside the lock; a
+   domain finding the in-flight marker waits on the condition variable
+   and retries when the computation (any computation) lands.  A capacity
+   overflow flushes the whole table: because memoised computations are
+   deterministic, a flush can only cost time, never change a result.
+   For the same reason a failure is memoised like a value the first time
+   it happens: re-running a deterministic computation fails again. *)
 
 type 'v state =
   | Done of 'v
-  | Failed of exn * Printexc.raw_backtrace * int  (* failed executions *)
+  | Failed of exn * Printexc.raw_backtrace
   | Running
 
 type ('k, 'v) t = {
@@ -28,7 +19,6 @@ type ('k, 'v) t = {
   lock : Mutex.t;
   landed : Condition.t;
   cap : int;
-  max_failures : int;
   mutable hits : int;
   mutable misses : int;
   mutable coalesced : int;
@@ -40,11 +30,9 @@ type ('k, 'v) t = {
 let coalesced_metric =
   Bs_obs.Metrics.counter ~volatile:true "memo_coalesced_total"
 
-let create ?(cap = max_int) ?(max_failures = 3) () =
-  if max_failures < 1 then invalid_arg "Memo.create: max_failures < 1";
+let create ?(cap = max_int) () =
   { tbl = Hashtbl.create 64; lock = Mutex.create ();
-    landed = Condition.create (); cap; max_failures; hits = 0; misses = 0;
-    coalesced = 0 }
+    landed = Condition.create (); cap; hits = 0; misses = 0; coalesced = 0 }
 
 (* [counted] distinguishes a requester's first encounter with the
    in-flight marker from its re-examinations after (possibly spurious)
@@ -56,12 +44,10 @@ let rec find_or_add_aux t k f ~counted =
       t.hits <- t.hits + 1;
       Mutex.unlock t.lock;
       v
-  | Some (Failed (e, bt, attempts)) when attempts >= t.max_failures ->
-      (* retry budget exhausted: the failure is as good as a value *)
+  | Some (Failed (e, bt)) ->
       t.hits <- t.hits + 1;
       Mutex.unlock t.lock;
       Printexc.raise_with_backtrace e bt
-  | Some (Failed (_, _, attempts)) -> run t k f ~attempts
   | Some Running ->
       (* someone else is computing this key: wait for any landing, then
          re-examine (spurious wakeups just loop) *)
@@ -74,20 +60,20 @@ let rec find_or_add_aux t k f ~counted =
       find_or_add_aux t k f ~counted:true
   | None ->
       if Hashtbl.length t.tbl >= t.cap then Hashtbl.reset t.tbl;
-      run t k f ~attempts:0
+      run t k f
 
 and find_or_add t k f = find_or_add_aux t k f ~counted:false
 
 (* Execute [f] for [k], holding the in-flight marker.  Called with
    [t.lock] held; releases it around the computation. *)
-and run t k f ~attempts =
+and run t k f =
   t.misses <- t.misses + 1;
   Hashtbl.replace t.tbl k Running;
   Mutex.unlock t.lock;
   let outcome =
     match f () with
     | v -> Done v
-    | exception e -> Failed (e, Printexc.get_raw_backtrace (), attempts + 1)
+    | exception e -> Failed (e, Printexc.get_raw_backtrace ())
   in
   Mutex.lock t.lock;
   Hashtbl.replace t.tbl k outcome;
@@ -95,7 +81,7 @@ and run t k f ~attempts =
   Mutex.unlock t.lock;
   match outcome with
   | Done v -> v
-  | Failed (e, bt, _) -> Printexc.raise_with_backtrace e bt
+  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Running -> assert false
 
 let mem t k =
@@ -104,16 +90,6 @@ let mem t k =
     match Hashtbl.find_opt t.tbl k with
     | Some (Done _ | Failed _) -> true
     | Some Running | None -> false
-  in
-  Mutex.unlock t.lock;
-  r
-
-let failure_attempts t k =
-  Mutex.lock t.lock;
-  let r =
-    match Hashtbl.find_opt t.tbl k with
-    | Some (Failed (_, _, n)) -> n
-    | _ -> 0
   in
   Mutex.unlock t.lock;
   r

@@ -5,43 +5,30 @@
     being computed block until the computation lands, then share its
     result.
 
-    Failures are memoised with a bounded retry budget.  Serving a
-    failure forever poisons every later identical request — wrong as
-    soon as failures can be transient (an injected fault, a service
-    deadline).  Until a key has failed [max_failures] times, the next
-    requester re-executes the thunk (still single-flight); after that
-    the failure is served from the table.  Deterministic failures
-    therefore cost at most [max_failures] executions, and transient
-    ones heal on the first retry.
+    Memoised computations are deterministic, so a failure is memoised
+    like a value the first time it happens: later requests for the key
+    rethrow it without running the thunk again.
 
     The table keeps hit/miss counters so callers (the bench harness,
-    the compile cache) can report cache effectiveness.  A re-execution
-    of a failed key counts as a miss. *)
+    the compile cache) can report cache effectiveness. *)
 
 type ('k, 'v) t
 
-val create : ?cap:int -> ?max_failures:int -> unit -> ('k, 'v) t
-(** [create ~cap ~max_failures ()] returns an empty table.  When the
-    number of memoised entries reaches [cap] (default: unbounded) the
-    table is flushed wholesale before admitting the next entry — crude,
-    but it bounds memory without introducing eviction-order
-    nondeterminism in the values returned (a re-computation is
-    identical by assumption).  [max_failures] (default 3, must be
-    ≥ 1) bounds how many times a failing key is re-executed before its
-    failure is pinned. *)
+val create : ?cap:int -> unit -> ('k, 'v) t
+(** [create ~cap ()] returns an empty table.  When the number of
+    memoised entries reaches [cap] (default: unbounded) the table is
+    flushed wholesale before admitting the next entry — crude, but it
+    bounds memory without introducing eviction-order nondeterminism in
+    the values returned (a re-computation is identical by
+    assumption). *)
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [find_or_add t k f] returns the memoised value for [k], computing
     it with [f] (outside the table lock) on first request.  Rethrows
-    the memoised exception if [f] failed [max_failures] times; before
-    that, a request for a failed key runs [f] again. *)
+    the memoised exception if [f] failed. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** [mem t k] is true when [k] is memoised (even as a failure). *)
-
-val failure_attempts : ('k, 'v) t -> 'k -> int
-(** Failed executions recorded for [k] (0 for absent, running or
-    succeeded keys). *)
 
 val clear : ('k, 'v) t -> unit
 (** Drop all entries and reset the hit/miss counters. *)
@@ -50,7 +37,7 @@ val hits : ('k, 'v) t -> int
 (** Requests served from the table. *)
 
 val misses : ('k, 'v) t -> int
-(** Requests that ran the computation (including failure retries). *)
+(** Requests that ran the computation. *)
 
 val coalesced : ('k, 'v) t -> int
 (** Requests that found their key in flight and waited for another

@@ -8,22 +8,18 @@
    the join in input order, so the first failure a caller observes does
    not depend on scheduling.
 
-   Cancellation is cooperative and checked between items only: a worker
-   never abandons the item it is computing, it just stops claiming new
-   ones.  Two things raise the stop flag — an item failing (a failed
-   batch drains promptly instead of running every remaining item to
-   completion) and the caller's [should_stop] (the serve deadline path).
-   Determinism of the rethrown failure survives cancellation: the cursor
-   claims indices in order, so the set of executed items is always a
-   prefix of the input, and the lowest failing index in any schedule is
-   the lowest index that fails at all. *)
-
-exception Cancelled
+   A failing item stops the batch early: workers finish the items they
+   are computing and stop claiming new ones, so a failed batch drains
+   promptly instead of running every remaining item to completion.
+   Determinism of the rethrown failure survives the early stop: the
+   cursor claims indices in order, so the set of executed items is
+   always a prefix of the input, and the lowest failing index in any
+   schedule is the lowest index that fails at all. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Pool visibility: items actually executed vs items a batch abandoned
-   (failure drain or cooperative stop).  Volatile — how many items are
+(* Pool visibility: items actually executed vs items a failed batch
+   abandoned.  Volatile — how many items are
    in flight when a batch ends early depends on scheduling — but the
    counts let reporting code observe pool behaviour without reaching
    into [map]'s internals.  Item latency feeds a histogram for the
@@ -46,9 +42,7 @@ type 'b cell =
   | Ok of 'b
   | Exn of exn * Printexc.raw_backtrace
 
-let never_stop () = false
-
-let map ?(should_stop = never_stop) ~jobs f a =
+let map ~jobs f a =
   let n = Array.length a in
   let jobs = min jobs n in
   (* When tracing, each work item is bracketed in a span; the events
@@ -68,24 +62,16 @@ let map ?(should_stop = never_stop) ~jobs f a =
   in
   if jobs <= 1 || n <= 1 then begin
     (* sequential path: the first failure propagates immediately, which
-       is exactly the lowest-index failure; external cancellation is
-       still honoured between items *)
-    let results = Array.make n Pending in
-    for i = 0 to n - 1 do
-      if should_stop () then begin
-        Bs_obs.Metrics.inc ~by:(n - i) items_cancelled;
-        raise Cancelled
-      end;
-      (match traced i (Array.unsafe_get a i) with
-      | v -> results.(i) <- Ok v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Bs_obs.Metrics.inc ~by:(n - i - 1) items_cancelled;
-          Printexc.raise_with_backtrace e bt)
-    done;
-    Array.map
-      (function Ok v -> v | Pending | Exn _ -> assert false)
-      results
+       is exactly the lowest-index failure *)
+    Array.mapi
+      (fun i x ->
+        match traced i x with
+        | v -> v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Bs_obs.Metrics.inc ~by:(n - i - 1) items_cancelled;
+            Printexc.raise_with_backtrace e bt)
+      a
   end
   else begin
     let results = Array.make n Pending in
@@ -93,7 +79,7 @@ let map ?(should_stop = never_stop) ~jobs f a =
     let failed = Atomic.make false in
     let worker () =
       let rec loop () =
-        if not (Atomic.get failed || should_stop ()) then begin
+        if not (Atomic.get failed) then begin
           let i = Atomic.fetch_and_add cursor 1 in
           if i < n then begin
             let r =
@@ -119,15 +105,13 @@ let map ?(should_stop = never_stop) ~jobs f a =
         0 results
     in
     if pending > 0 then Bs_obs.Metrics.inc ~by:pending items_cancelled;
-    (* rethrow the lowest-index failure; if only the caller's stop flag
-       fired, report the cancellation itself *)
+    (* rethrow the lowest-index failure; items are only left pending
+       when one failed *)
     Array.iter
       (function
         | Exn (e, bt) -> Printexc.raise_with_backtrace e bt
         | Ok _ | Pending -> ())
       results;
-    if Array.exists (function Pending -> true | _ -> false) results then
-      raise Cancelled;
     Array.map
       (function
         | Ok v -> v
@@ -135,8 +119,6 @@ let map ?(should_stop = never_stop) ~jobs f a =
       results
   end
 
-let map_list ?should_stop ~jobs f l =
-  Array.to_list (map ?should_stop ~jobs f (Array.of_list l))
+let map_list ~jobs f l = Array.to_list (map ~jobs f (Array.of_list l))
 
-let run_all ?should_stop ~jobs thunks =
-  ignore (map ?should_stop ~jobs (fun g -> g ()) thunks)
+let run_all ~jobs thunks = ignore (map ~jobs (fun g -> g ()) thunks)

@@ -8,11 +8,6 @@
     {e before} the fan-out (each job carries its own seed); the pool
     itself introduces no nondeterminism. *)
 
-exception Cancelled
-(** Raised by [map] when [should_stop] ended the batch early and no
-    item had failed.  (When an item failed, that failure is rethrown
-    instead — it is the more informative signal.) *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the CLI default for
     [--jobs]. *)
@@ -20,13 +15,11 @@ val default_jobs : unit -> int
 val stats : unit -> int * int
 (** [(items_run, items_cancelled)] accumulated process-wide across all
     [map] calls: items actually executed vs items abandoned when a
-    batch ended early (failure drain or [should_stop]).  Mirrored in
+    failed batch ended early.  Mirrored in
     the volatile [pool_items_total] metric, with per-item latency in
     the [pool_item_ms] histogram. *)
 
-val map :
-  ?should_stop:(unit -> bool) -> jobs:int -> ('a -> 'b) -> 'a array ->
-  'b array
+val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f a] applies [f] to every element of [a] on up to [jobs]
     domains (the calling domain included) and returns the results in
     input order.  With [jobs <= 1] (or fewer than two elements) it
@@ -40,21 +33,12 @@ val map :
     drained.  Because items are claimed in index order, the executed
     items always form a prefix of the input, so the rethrown failure is
     the same in every schedule — failure is as deterministic as
-    success.
+    success. *)
 
-    [should_stop] is polled between items (never during one); when it
-    returns true, workers stop claiming and [map] raises {!Cancelled}
-    once in-flight items have drained.  This is the cooperative hook
-    the compile service's deadline watchdog uses to abandon a batch
-    promptly. *)
-
-val map_list :
-  ?should_stop:(unit -> bool) -> jobs:int -> ('a -> 'b) -> 'a list ->
-  'b list
+val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over lists, preserving order. *)
 
-val run_all :
-  ?should_stop:(unit -> bool) -> jobs:int -> (unit -> unit) array -> unit
+val run_all : jobs:int -> (unit -> unit) array -> unit
 (** [run_all ~jobs thunks] executes every thunk, in parallel across the
     pool.  Used to prefill memo tables before a sequential
     (deterministically-ordered) reporting pass. *)

@@ -257,15 +257,9 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
           let expected = golden.Machine.r0 in
           let steps = golden.Machine.ctr.Counters.instrs in
           let fuel = Outcome.hang_fuel ~steps ~factor:8 in
-          let hot_pcs =
-            let acc = ref [] in
-            Array.iteri
-              (fun pc s -> if s <> None then acc := pc :: !acc)
-              c.Driver.program.Bs_backend.Asm.srcmap;
-            List.rev !acc
-          in
           let trace =
-            Powertrace.create ~seed:power.Corpus.pw_seed ~hot_pcs
+            Powertrace.create ~seed:power.Corpus.pw_seed
+              ~hot_pcs:(Campaign.hot_pcs_of c.Driver.program)
               power.Corpus.pw_dist
           in
           let pw =

@@ -18,21 +18,20 @@ open Superblock
    memory hierarchy (L1 hit 0, L2 8, DRAM 60 extra cycles).  Misspeculation
    costs the redirect plus the skeleton branch.
 
-   Three dispatch engines execute the same model (see [Superblock]):
+   Two dispatch engines execute the same model (see [Superblock]):
 
    - [Classic]: the reference fetch-decode-execute loop, one big match
-     per step.  The baseline the other engines are differenced against.
-   - [Threaded]: direct-threaded dispatch — per-PC pre-compiled closures,
-     one indirect call per step.
-   - [Jit]: threaded dispatch plus the superblock trace-JIT fusing hot
+     per step.  The baseline the other engine is differenced against.
+   - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
+     indirect call per step) plus the superblock trace-JIT fusing hot
      straight-line runs into single closures with guard exits.  Under
      power traces or fault injection every instruction is a potential
-     checkpoint/outage/fault boundary, so the JIT degenerates to
-     threaded dispatch.
+     checkpoint/outage/fault boundary, so the JIT degenerates to the
+     threaded closures driven by a hooked loop.
 
-   All three must produce byte-identical results — counters, outcome,
-   memory image, cache state.  CI and the engine-equivalence property
-   tests difference them across the fuzz corpus. *)
+   Both must produce byte-identical results — counters, outcome, memory
+   image, cache state.  CI and the engine-equivalence property tests
+   difference them across the fuzz corpus. *)
 
 exception Sim_trap = Superblock.Sim_trap
 
@@ -61,7 +60,7 @@ type power = {
   max_retries : int;
 }
 
-type engine = Classic | Threaded | Jit
+type engine = Classic | Jit
 
 type config = {
   mode : Isa.mode;
@@ -315,23 +314,19 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
         else false
   in
   (match config.engine with
-  | Threaded | Jit ->
-      (* --- closure-compiled engines (see [Superblock]) ----------------- *)
+  | Jit ->
+      (* --- the closure-compiled engine (see [Superblock]) -------------- *)
       let cx =
         { Superblock.st; ctr; mem; icache; dcache; l2;
           pc_counts = misspec_pc_counts; prog = p; fuel = config.fuel }
       in
       let bodies = compile_bodies cx in
-      let dispatch =
-        (* traces fuse multiple instructions into one closure, so they are
-           only sound when nothing can strike between two instructions *)
-        if config.engine = Jit && config.power = None && config.fault = None
-        then install_jit cx bodies
-        else bodies
-      in
       let ncode = Array.length code in
       let fuel = config.fuel in
-      if config.power = None && config.fault = None then
+      if config.power = None && config.fault = None then begin
+        (* traces fuse multiple instructions into one closure, so they are
+           only sound when nothing can strike between two instructions *)
+        let dispatch = install_jit cx bodies in
         (* fast loop: bounds, fetch, charge, fuel, one indirect call *)
         while not st.halted do
           let pc = st.pc in
@@ -346,6 +341,7 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
           end
           else st.pc <- (Array.unsafe_get dispatch pc) ()
         done
+      end
       else
         (* hooked loop: the classic step order with checkpoint/outage and
            fault hooks between the slice-mode check and the body *)
@@ -366,7 +362,7 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
             end
             else begin
               apply_fault ();
-              let nx = (Array.unsafe_get dispatch pc) () in
+              let nx = (Array.unsafe_get bodies pc) () in
               if not st.halted then st.pc <- nx
             end
           end

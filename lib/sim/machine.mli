@@ -45,20 +45,19 @@ type power = {
   max_retries : int;
 }
 
-(** Dispatch engine.  All three produce byte-identical results —
-    counters, outcome, memory image, cache state; they differ only in
-    host wall-clock speed ([Counters.wall_ns] / [simulated_mips]).
+(** Dispatch engine.  Both produce byte-identical results — counters,
+    outcome, memory image, cache state; they differ only in host
+    wall-clock speed ([Counters.wall_ns] / [simulated_mips]).
 
     - [Classic]: the reference fetch-decode-execute loop, one big match
-      per step.  The baseline the others are differenced against.
-    - [Threaded]: direct-threaded dispatch — per-PC pre-compiled
-      closures, one indirect call per step.
-    - [Jit]: threaded dispatch plus the superblock trace-JIT
+      per step.  The baseline [Jit] is differenced against.
+    - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
+      indirect call per step) plus the superblock trace-JIT
       ({!Superblock}) fusing hot straight-line runs into single closures
       with guard exits.  Under a power trace or fault injection the JIT
-      degenerates to threaded dispatch (every instruction is a potential
-      checkpoint/outage/fault boundary). *)
-type engine = Classic | Threaded | Jit
+      degenerates to the threaded closures, driven by a loop with a
+      checkpoint/outage/fault hook before every instruction. *)
+type engine = Classic | Jit
 
 type config = {
   mode : Bs_isa.Isa.mode;  (** Classic disables the slice extension (§3.4) *)

@@ -164,12 +164,7 @@ let compile_loop () =
   | Ok c -> c
   | Error _ -> Alcotest.fail "loop source failed to compile"
 
-let hot_pcs_of (c : Driver.compiled) =
-  let acc = ref [] in
-  Array.iteri
-    (fun pc s -> if s <> None then acc := pc :: !acc)
-    c.Driver.program.Bs_backend.Asm.srcmap;
-  List.rev !acc
+let hot_pcs_of (c : Driver.compiled) = Campaign.hot_pcs_of c.Driver.program
 
 let power_of c ~dist ~seed ~policy ~retries =
   { Bs_sim.Machine.trace =

@@ -3,9 +3,10 @@ open Bitspec
 
 (* Engine equivalence and the memory-image correctness sweep.
 
-   The direct-threaded and superblock trace-JIT engines exist for host
-   speed only: for any program, any input, and any injected power trace,
-   they must produce results byte-identical to the classic reference
+   The trace-JIT engine (direct-threaded closures plus superblock
+   fusion) exists for host speed only: for any program, any input, and
+   any injected power trace, it must produce results byte-identical to
+   the classic reference
    fetch-decode-execute loop — return value, outcome, every activity
    counter, misspeculation attribution, cache hit/miss state and the
    final memory image.  ([Counters.wall_ns] is deliberately excluded
@@ -16,8 +17,7 @@ open Bitspec
    allocated), duplicate-global rejection (BS-IMG-01), and the undo
    journal's snapshot/restore semantics. *)
 
-let other_engines =
-  [ ("threaded", Bs_sim.Machine.Threaded); ("jit", Bs_sim.Machine.Jit) ]
+let other_engines = [ ("jit", Bs_sim.Machine.Jit) ]
 
 (* One run's complete observable state. *)
 type obs = {
@@ -96,7 +96,7 @@ let first_diff a b =
         Some "final memory image"
     | _ -> None
 
-(* Difference [threaded] and [jit] against [classic] on one compiled
+(* Difference [jit] against [classic] on one compiled
    program; returns true or fail_reportf's with the first divergence. *)
 let check_compiled ?fuel ?power what (c : Driver.compiled) ~entry ~args =
   let reference =
@@ -148,7 +148,7 @@ let test_pinned_seeds () =
 
 (* --- under an injected power trace -------------------------------------- *)
 
-(* Under power failures the JIT degenerates to threaded dispatch (every
+(* Under power failures the JIT degenerates to its threaded closures (every
    instruction is a potential outage/checkpoint boundary), but the
    results must STILL be byte-identical — including restore counts,
    re-executed instructions and the journal-rolled memory image. *)
@@ -157,13 +157,7 @@ let check_power_seed seed =
   | None -> true
   | Some c ->
       let open Bs_sim in
-      let hot_pcs =
-        let acc = ref [] in
-        Array.iteri
-          (fun pc s -> if s <> None then acc := pc :: !acc)
-          c.Driver.program.Bs_backend.Asm.srcmap;
-        List.rev !acc
-      in
+      let hot_pcs = Campaign.hot_pcs_of c.Driver.program in
       let dist =
         match seed mod 3 with
         | 0 -> Powertrace.Periodic (50 + (seed mod 400))
@@ -206,9 +200,7 @@ let test_corpus_engine_invariant () =
   let files = Bs_fuzz.Corpus.list_dir "corpus" in
   Alcotest.(check bool) "corpus is not empty" true (files <> []);
   let engines =
-    [ ("classic", Bs_sim.Machine.Classic);
-      ("threaded", Bs_sim.Machine.Threaded);
-      ("jit", Bs_sim.Machine.Jit) ]
+    [ ("classic", Bs_sim.Machine.Classic); ("jit", Bs_sim.Machine.Jit) ]
   in
   List.iter
     (fun path ->

@@ -59,92 +59,25 @@ let test_memo_single_flight () =
   Alcotest.(check int) "the rest were hits" 15 (Bs_exec.Memo.hits m)
 
 let test_memo_failure_memoised () =
-  (* a deterministic failure is re-executed [max_failures] times, then
-     pinned: later requests rethrow without running the thunk again *)
-  let m : (string, int) Bs_exec.Memo.t =
-    Bs_exec.Memo.create ~max_failures:3 ()
-  in
+  (* computations are deterministic, so a failure is memoised on its
+     first run: later requests rethrow without running the thunk *)
+  let m : (string, int) Bs_exec.Memo.t = Bs_exec.Memo.create () in
   let runs = ref 0 in
   let get () =
     Bs_exec.Memo.find_or_add m "k" (fun () ->
         incr runs;
         failwith "deterministic failure")
   in
-  for _ = 1 to 6 do
+  for _ = 1 to 4 do
     match get () with
     | _ -> Alcotest.fail "expected failure"
     | exception Failure _ -> ()
   done;
-  Alcotest.(check int) "ran max_failures times, then pinned" 3 !runs;
-  Alcotest.(check int) "failure attempts recorded" 3
-    (Bs_exec.Memo.failure_attempts m "k");
+  Alcotest.(check int) "ran once" 1 !runs;
+  Alcotest.(check int) "one miss" 1 (Bs_exec.Memo.misses m);
+  Alcotest.(check int) "the rest were hits" 3 (Bs_exec.Memo.hits m);
   Alcotest.(check bool) "failed key is memoised" true
     (Bs_exec.Memo.mem m "k")
-
-let test_memo_transient_failure_heals () =
-  (* satellite 1: a transiently-failing key must not be poisoned — the
-     retry after the failure succeeds and the success is memoised *)
-  let m : (string, int) Bs_exec.Memo.t = Bs_exec.Memo.create () in
-  let runs = ref 0 in
-  let get () =
-    Bs_exec.Memo.find_or_add m "k" (fun () ->
-        incr runs;
-        if !runs = 1 then failwith "transient" else 42)
-  in
-  (match get () with
-  | _ -> Alcotest.fail "expected first-run failure"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "second request heals" 42 (get ());
-  Alcotest.(check int) "third request is a hit" 42 (get ());
-  Alcotest.(check int) "thunk ran twice" 2 !runs;
-  Alcotest.(check int) "healed key records no failure" 0
-    (Bs_exec.Memo.failure_attempts m "k")
-
-let test_pool_cancellation () =
-  (* satellite 2: should_stop is polled between items; a cancelled map
-     raises Cancelled after draining, and stops claiming new items *)
-  List.iter
-    (fun jobs ->
-      let ran = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let f i =
-        Atomic.incr ran;
-        if i = 5 then Atomic.set stop true;
-        i
-      in
-      match
-        Bs_exec.Pool.map ~jobs
-          ~should_stop:(fun () -> Atomic.get stop)
-          f
-          (Array.init 512 (fun i -> i))
-      with
-      | _ -> Alcotest.fail "expected Cancelled"
-      | exception Bs_exec.Pool.Cancelled ->
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs=%d stopped early" jobs)
-            true
-            (Atomic.get ran < 512))
-    [ 1; 4 ];
-  (* an item failure outranks cancellation: the exception wins *)
-  let stop = Atomic.make false in
-  (match
-     Bs_exec.Pool.map ~jobs:4
-       ~should_stop:(fun () -> Atomic.get stop)
-       (fun i ->
-         if i = 3 then begin
-           Atomic.set stop true;
-           raise (Boom 3)
-         end;
-         i)
-       (Array.init 64 (fun i -> i))
-   with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom n -> Alcotest.(check int) "failure wins" 3 n);
-  (* never-stopping should_stop changes nothing *)
-  Alcotest.(check (array int)) "no-op should_stop"
-    (Array.init 20 succ)
-    (Bs_exec.Pool.map ~jobs:4 ~should_stop:(fun () -> false) succ
-       (Array.init 20 (fun i -> i)))
 
 let test_compile_cache_hits () =
   (* every Experiment compile goes through the content-addressed cache:
@@ -183,12 +116,8 @@ let suite =
       test_pool_exception;
     Alcotest.test_case "run_all covers every thunk" `Quick test_pool_run_all;
     Alcotest.test_case "memo is single-flight" `Quick test_memo_single_flight;
-    Alcotest.test_case "memo caches failures boundedly" `Quick
+    Alcotest.test_case "memo caches a failure on its first run" `Quick
       test_memo_failure_memoised;
-    Alcotest.test_case "memo heals transient failures" `Quick
-      test_memo_transient_failure_heals;
-    Alcotest.test_case "pool cancellation is cooperative" `Quick
-      test_pool_cancellation;
     Alcotest.test_case "compile cache serves repeat compiles" `Quick
       test_compile_cache_hits;
     Alcotest.test_case "parallel inject is byte-identical" `Slow

@@ -15,7 +15,8 @@ open Bitspec
      bounded campaign detects it and the reducer shrinks the crasher to a
      handful of lines that still reproduce the same bucket;
    - equal seeds give bit-identical campaigns;
-   - every reproducer in test/corpus/ replays into its recorded bucket. *)
+   - every reproducer in test/corpus/ replays into its recorded bucket;
+   - fixed miscompiles stay fixed. *)
 
 let check_seed seed =
   let source = Bs_fuzz.Gen.program seed in
@@ -211,6 +212,40 @@ let test_corpus_replay () =
                 (Bs_fuzz.Oracle.describe v)))
     files
 
+(* Compare elimination once folded [a0 < 2754] to true in CFG_orig on
+   the strength of the truncate that had just misspeculated: h0's region
+   is entered at the function entry, so under the SIR predecessor
+   relation it dominates its own handler.  h0(131070) then added a0 on
+   the original path: 131226 against the reference's 156.  (Reduced
+   from fuzz seed 12, trial seed 774650633.) *)
+let compare_elim_orig_source =
+  {|u32 wide[8];
+u32 acc = 0;
+u32 gw = 65535;
+u32 h0(u32 a0) {
+  if (gw < ((a0 & 255) + 1)) {
+    for (u32 v1 = 0; v1 < 8; v1 += 1) {
+    }
+  }
+  if (a0 < 2754) acc += a0;
+}
+u32 f(u32 p) {
+  wide[(h0(140)) & 7] = 00;
+  p += h0((gw + gw));
+  for (u32 v2 = 0; v2 < 2; v2 += 1) {
+  }
+  return (acc + p ^ p) & 0xFFFFFF;
+}
+|}
+
+let test_compare_elim_orig () =
+  match
+    Bs_fuzz.Oracle.run ~source:compare_elim_orig_source ~entry:"f"
+      ~args:[ 777L ] ~train:[ ("f", [ 17L ]) ] ()
+  with
+  | Bs_fuzz.Oracle.Agree _ -> ()
+  | v -> Alcotest.fail (Bs_fuzz.Oracle.describe v)
+
 let suite =
   [ Alcotest.test_case "pinned fuzz seeds" `Quick test_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_fuzz;
@@ -222,4 +257,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_reduce_preserves_bucket;
     Alcotest.test_case "campaigns are seed-deterministic" `Quick
       test_campaign_deterministic;
-    Alcotest.test_case "corpus reproducers replay" `Quick test_corpus_replay ]
+    Alcotest.test_case "corpus reproducers replay" `Quick test_corpus_replay;
+    Alcotest.test_case "compare elim never folds in CFG_orig" `Quick
+      test_compare_elim_orig ]

@@ -145,11 +145,7 @@ let histogram_count_of snapshot name =
 let test_serve_stats_counts () =
   M.reset ();
   Compile_cache.reset ();
-  let cfg =
-    { Server.default_config with
-      Server.jobs = 2; backoff_base_ms = 1.0; backoff_cap_ms = 4.0 }
-  in
-  let t = Server.start cfg in
+  let t = Server.start { Server.default_config with Server.jobs = 2 } in
   Fun.protect
     ~finally:(fun () -> Server.stop t)
     (fun () ->

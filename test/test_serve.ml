@@ -1,12 +1,11 @@
 open Bitspec
 open Bs_support
 
-(* Tests for the compile service stack: the JSON codec, deterministic
-   backoff, the crash-safe disk cache (corruption -> quarantine, tmp
-   sweep, reopen), the persistent compile cache, and the server engine's
-   supervision behaviours — retry-on-transient, structured failure after
-   exhaustion, watchdog timeouts for wedged workers, load shedding, and
-   the jobs-independence of the canonical log. *)
+(* Tests for the compile service stack: the JSON codec, the crash-safe
+   disk cache (corruption -> quarantine, tmp sweep, reopen), the
+   persistent compile cache, and the server engine — exception
+   isolation, admission deadlines, memoised repeats, fuel, load
+   shedding, and the jobs-independence of the canonical log. *)
 
 let with_tmpdir f =
   let dir =
@@ -66,7 +65,7 @@ let test_protocol_roundtrip () =
           { Service.b_workload = "CRC32"; b_arch = Driver.Bitspec_arch;
             b_heuristic = Bs_interp.Profile.Havg; b_no_expander = true };
       rq_deadline_ms = Some 250; rq_fuel = Some 1_000_000;
-      rq_chaos = Some (Service.Crash_before 2) }
+      rq_chaos = Some Service.Crash }
   in
   (match Service.request_of_line (Service.request_line rq) with
   | Error e -> Alcotest.fail ("request reparse: " ^ e)
@@ -79,7 +78,7 @@ let test_protocol_roundtrip () =
         Service.Done
           { Service.m_checksum = -1L; m_instrs = 5; m_cycles = 9;
             m_misspecs = 1; m_energy = 12.5; m_epi = 2.5 };
-      rs_attempts = 2; rs_cached = true; rs_ms = 1.25 }
+      rs_cached = true; rs_ms = 1.25 }
   in
   (match
      Service.response_of_json
@@ -101,69 +100,6 @@ let test_protocol_roundtrip () =
   match Service.request_of_line "{\"id\":1}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "opless request should not parse"
-
-(* --- backoff ----------------------------------------------------------- *)
-
-let test_backoff_deterministic () =
-  let d = Bs_exec.Backoff.delay_ns ~base_ns:1_000_000L ~cap_ns:100_000_000L in
-  let a1 = d ~seed:7L ~key:"k" ~attempt:1 in
-  Alcotest.(check bool) "same inputs, same delay" true
-    (a1 = d ~seed:7L ~key:"k" ~attempt:1);
-  Alcotest.(check bool) "seed matters" true
-    (a1 <> d ~seed:8L ~key:"k" ~attempt:1);
-  Alcotest.(check bool) "key matters" true
-    (a1 <> d ~seed:7L ~key:"other" ~attempt:1);
-  (* equal jitter: delay in [envelope/2, envelope], envelope capped *)
-  for attempt = 1 to 12 do
-    let envelope =
-      min 100_000_000L
-        (Int64.mul 1_000_000L (Int64.shift_left 1L (attempt - 1)))
-    in
-    let v = d ~seed:3L ~key:"x" ~attempt in
-    Alcotest.(check bool)
-      (Printf.sprintf "attempt %d within the jitter window" attempt)
-      true
-      (v >= Int64.div envelope 2L && v <= envelope)
-  done
-
-let test_backoff_run () =
-  (* succeeds on attempt 2: one retry, sleeps once with the attempt-1
-     delay *)
-  let slept = ref [] in
-  let o =
-    Bs_exec.Backoff.run ~retries:3
-      ~is_transient:(fun _ -> true)
-      ~sleep:(fun ns -> slept := ns :: !slept)
-      ~delay:(fun ~attempt -> Int64.of_int (100 * attempt))
-      (fun ~attempt -> if attempt < 2 then failwith "flaky" else attempt)
-  in
-  Alcotest.(check int) "succeeded on attempt 2" 2 o.Bs_exec.Backoff.attempts;
-  (match o.Bs_exec.Backoff.result with
-  | Ok 2 -> ()
-  | _ -> Alcotest.fail "expected Ok 2");
-  Alcotest.(check (list int64)) "slept the attempt-1 delay" [ 100L ] !slept;
-  (* exhausts retries *)
-  let o =
-    Bs_exec.Backoff.run ~retries:2
-      ~is_transient:(fun _ -> true)
-      ~sleep:(fun _ -> ())
-      ~delay:(fun ~attempt:_ -> 0L)
-      (fun ~attempt:_ -> failwith "always")
-  in
-  Alcotest.(check int) "1 + retries executions" 3 o.Bs_exec.Backoff.attempts;
-  (match o.Bs_exec.Backoff.result with
-  | Error (Failure m, _) when m = "always" -> ()
-  | _ -> Alcotest.fail "expected the final failure");
-  (* a non-transient failure ends the loop immediately *)
-  let o =
-    Bs_exec.Backoff.run ~retries:5
-      ~is_transient:(fun _ -> false)
-      ~sleep:(fun _ -> Alcotest.fail "must not sleep")
-      ~delay:(fun ~attempt:_ -> 0L)
-      (fun ~attempt:_ -> raise Exit)
-  in
-  Alcotest.(check int) "no retry of a permanent failure" 1
-    o.Bs_exec.Backoff.attempts
 
 (* --- disk cache -------------------------------------------------------- *)
 
@@ -294,12 +230,24 @@ let with_server ?(cfg = Server.default_config) f =
   let t = Server.start cfg in
   Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f t)
 
-let fast_cfg =
-  { Server.default_config with
-    Server.jobs = 2; backoff_base_ms = 1.0; backoff_cap_ms = 4.0 }
+let one_worker = { Server.default_config with Server.jobs = 1 }
+
+let crc ?deadline_ms ?fuel ?chaos t id =
+  Server.submit_wait t
+    (rq ?deadline_ms ?fuel ?chaos id (Service.Bench bench_crc))
+
+let diag_code (rs : Service.response) =
+  match rs.Service.rs_status with
+  | Service.Failed (d :: _) -> d.Diag.code
+  | st -> Service.status_name st
+
+let done_metrics (rs : Service.response) =
+  match rs.Service.rs_status with
+  | Service.Done m -> m
+  | st -> Alcotest.fail ("expected ok, got " ^ Service.status_name st)
 
 let test_server_basics () =
-  with_server ~cfg:fast_cfg @@ fun t ->
+  with_server ~cfg:{ Server.default_config with Server.jobs = 2 } @@ fun t ->
   (match (Server.submit_wait t (rq 1 Service.Ping)).Service.rs_status with
   | Service.Pong -> ()
   | _ -> Alcotest.fail "expected pong");
@@ -327,59 +275,118 @@ let test_server_basics () =
   | Service.Done _ -> ()
   | _ -> Alcotest.fail "server still serves after a poisoned request"
 
-let test_server_retry_and_exhaustion () =
-  with_server ~cfg:fast_cfg @@ fun t ->
-  (* crash:2 fails attempt 1; the retry succeeds *)
-  let r =
-    Server.submit_wait t
-      (rq 1 (Service.Bench bench_crc) ~chaos:(Service.Crash_before 2))
-  in
-  (match r.Service.rs_status with
-  | Service.Done _ -> ()
-  | _ -> Alcotest.fail "expected success on attempt 2");
-  Alcotest.(check int) "two attempts" 2 r.Service.rs_attempts;
-  (* crash:99 exhausts the retry budget: BS-SRV-03 with the count *)
-  let r =
-    Server.submit_wait t
-      (rq 2 (Service.Bench bench_crc) ~chaos:(Service.Crash_before 99))
-  in
-  (match r.Service.rs_status with
-  | Service.Failed (d :: _) ->
-      Alcotest.(check string) "BS-SRV-03" "BS-SRV-03" d.Diag.code
-  | _ -> Alcotest.fail "expected exhaustion failure");
-  Alcotest.(check int) "1 + retries attempts"
-    (1 + fast_cfg.Server.retries)
-    r.Service.rs_attempts;
+let test_server_crash_isolation () =
+  (* one worker: the request after the crash runs on the same worker *)
+  with_server ~cfg:one_worker @@ fun t ->
+  Alcotest.(check string) "crash answers BS-SRV-03" "BS-SRV-03"
+    (diag_code (crc t 1 ~chaos:Service.Crash));
+  ignore (done_metrics (crc t 2));
   let s = Server.stats t in
-  Alcotest.(check bool) "retries counted" true (s.Service.st_retries >= 3)
+  Alcotest.(check int) "one error" 1 s.Service.st_errors;
+  Alcotest.(check int) "one ok" 1 s.Service.st_ok
 
-let test_server_watchdog_timeout () =
-  with_server ~cfg:fast_cfg @@ fun t ->
-  (* a wedged worker (hang without polling) must not lose the request:
-     the watchdog answers Timed_out at the deadline *)
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Server.submit_wait t
-      (rq 1 (Service.Bench bench_crc) ~deadline_ms:100
-         ~chaos:(Service.Hang_ms 1500))
+(* Begin-events named [name] in the trace buffer, of request [rid] when
+   given. *)
+let spans_named ?rid name =
+  List.length
+    (List.filter
+       (fun (e : Bs_obs.Trace.event) ->
+         e.Bs_obs.Trace.name = name
+         && e.Bs_obs.Trace.ph = Bs_obs.Trace.B
+         && (rid = None
+            || List.assoc_opt "rid" e.Bs_obs.Trace.args
+               = Option.map string_of_int rid))
+       (Bs_obs.Trace.events ()))
+
+let traced f =
+  Bs_obs.Trace.enable ();
+  Fun.protect ~finally:Bs_obs.Trace.reset f
+
+let test_server_admission_deadline () =
+  (* one worker held busy by a hang: a request queued behind it with a
+     short deadline is answered Timed_out when the worker takes it off
+     the queue, without being compiled *)
+  with_server ~cfg:one_worker @@ fun t ->
+  let got = Array.make 2 None in
+  let remaining = Atomic.make 2 in
+  let cb i rs =
+    got.(i) <- Some rs.Service.rs_status;
+    Atomic.decr remaining
   in
-  let waited = Unix.gettimeofday () -. t0 in
-  (match r.Service.rs_status with
-  | Service.Timed_out -> ()
-  | _ -> Alcotest.fail "expected timeout");
-  Alcotest.(check bool) "answered at the deadline, not the hang" true
-    (waited < 1.2);
-  (* the server still works afterwards (replacement capacity) *)
-  match (Server.submit_wait t (rq 2 (Service.Bench bench_crc))).Service.rs_status with
-  | Service.Done _ ->
-      let s = Server.stats t in
-      Alcotest.(check int) "timeout counted" 1 s.Service.st_timeouts
-  | _ -> Alcotest.fail "server wedged after a hung worker"
+  traced (fun () ->
+      Server.submit t
+        (rq 1 (Service.Bench bench_crc) ~chaos:(Service.Hang_ms 400))
+        (cb 0);
+      Server.submit t (rq 2 (Service.Bench bench_crc) ~deadline_ms:50) (cb 1);
+      while Atomic.get remaining > 0 do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check int) "the late request never compiled" 0
+        (spans_named ~rid:2 "experiment:compile"));
+  (match got with
+  | [| Some (Service.Done _); Some Service.Timed_out |] -> ()
+  | _ -> Alcotest.fail "expected ok for the hang, timeout for the late one");
+  ignore (done_metrics (crc t 3));
+  Alcotest.(check int) "timeout counted" 1 (Server.stats t).Service.st_timeouts
+
+let test_server_memoised_repeat () =
+  (* the simulation memo is process-wide, so this cell is one no other
+     test in the suite runs *)
+  let b =
+    { Service.b_workload = "bitcount"; b_arch = Driver.Baseline;
+      b_heuristic = Bs_interp.Profile.Hmin; b_no_expander = true }
+  in
+  with_server ~cfg:one_worker @@ fun t ->
+  let m1, m2 =
+    traced (fun () ->
+        let m1 = done_metrics (Server.submit_wait t (rq 1 (Service.Bench b))) in
+        let m2 = done_metrics (Server.submit_wait t (rq 2 (Service.Bench b))) in
+        Alcotest.(check int) "one simulation for two requests" 1
+          (spans_named "experiment:simulate");
+        (m1, m2))
+  in
+  Alcotest.(check bool) "identical replies" true (m1 = m2);
+  (* the reply is the experiment pipeline's own run of the cell *)
+  let _, r =
+    Experiment.run_test
+      (Driver.config_of ~arch:b.Service.b_arch ~heuristic:b.Service.b_heuristic
+         ~no_expander:b.Service.b_no_expander)
+      (Bs_workloads.Registry.find b.Service.b_workload)
+  in
+  let m = Experiment.metrics_of_run r in
+  Alcotest.(check int64) "checksum" m.Experiment.checksum m2.Service.m_checksum;
+  Alcotest.(check int) "instructions" m.Experiment.instrs m2.Service.m_instrs;
+  Alcotest.(check (float 0.0)) "energy" m.Experiment.total_energy
+    m2.Service.m_energy
+
+let test_server_fuel () =
+  (* a run of I instructions finishes under fuel F exactly when I <= F,
+     on the server's memoised path and on a fresh Driver.run_machine *)
+  with_server ~cfg:one_worker @@ fun t ->
+  let instrs = (done_metrics (crc t 1)).Service.m_instrs in
+  Alcotest.(check int) "fuel = I finishes the same run" instrs
+    (done_metrics (crc t 2 ~fuel:instrs)).Service.m_instrs;
+  Alcotest.(check string) "fuel = I - 1 is the fuel diagnostic" "BS-SRV-04"
+    (diag_code (crc t 3 ~fuel:(instrs - 1)));
+  let w = Bs_workloads.Registry.find "CRC32" in
+  let c = Experiment.compile_workload Driver.bitspec_config w in
+  let outcome fuel =
+    (Driver.run_machine ~fuel
+       ~setup:(w.Bs_workloads.Workload.test.Bs_workloads.Workload.setup
+                 c.Driver.ir)
+       c ~entry:w.Bs_workloads.Workload.entry
+       ~args:w.Bs_workloads.Workload.test.Bs_workloads.Workload.args)
+      .Bs_sim.Machine.outcome
+  in
+  Alcotest.(check bool) "Driver.run_machine finishes at fuel = I" true
+    (outcome instrs = Outcome.Finished);
+  Alcotest.(check bool) "Driver.run_machine runs out at I - 1" true
+    (outcome (instrs - 1) = Outcome.Out_of_fuel)
 
 let test_server_load_shedding () =
   (* one slow worker, queue depth 2: a burst must shed the overflow with
      a structured Overloaded, never block or drop *)
-  let cfg = { fast_cfg with Server.jobs = 1; queue_depth = 2 } in
+  let cfg = { one_worker with Server.queue_depth = 2 } in
   with_server ~cfg @@ fun t ->
   let n = 12 in
   let got = Array.make n None in
@@ -417,25 +424,27 @@ let test_server_jobs_identical_log () =
     { Loadgen.default_cfg with
       Loadgen.lg_requests = 40; lg_clients = 3; lg_crash_every = 7 }
   in
+  let crashes =
+    List.length
+      (List.filter
+         (fun r -> r.Service.rq_chaos = Some Service.Crash)
+         (Loadgen.plan lg))
+  in
   let log jobs =
-    Compile_cache.reset ();
-    let t = Server.start { fast_cfg with Server.jobs } in
-    Fun.protect
-      ~finally:(fun () -> Server.stop t)
-      (fun () ->
-        let pairs, s = Loadgen.run lg (Loadgen.In_process t) in
-        Alcotest.(check int)
-          (Printf.sprintf "jobs=%d: all requests answered" jobs)
-          lg.Loadgen.lg_requests s.Loadgen.sm_requests;
-        Alcotest.(check bool)
-          (Printf.sprintf "jobs=%d: retries exercised" jobs)
-          true (s.Loadgen.sm_retries > 0);
-        String.concat "\n" (Loadgen.canonical_log pairs))
+    with_server ~cfg:{ Server.default_config with Server.jobs } @@ fun t ->
+    let pairs, s = Loadgen.run lg (Loadgen.In_process t) in
+    Alcotest.(check int)
+      (Printf.sprintf "jobs=%d: all requests answered" jobs)
+      lg.Loadgen.lg_requests s.Loadgen.sm_requests;
+    Alcotest.(check int)
+      (Printf.sprintf "jobs=%d: failures are the injected crashes" jobs)
+      crashes s.Loadgen.sm_errors;
+    String.concat "\n" (Loadgen.canonical_log pairs)
   in
   Alcotest.(check string) "canonical log: jobs=1 == jobs=4" (log 1) (log 4)
 
 let test_server_draining_refuses () =
-  with_server ~cfg:fast_cfg @@ fun t ->
+  with_server @@ fun t ->
   (match (Server.submit_wait t (rq 1 Service.Shutdown)).Service.rs_status with
   | Service.Bye -> ()
   | _ -> Alcotest.fail "expected bye");
@@ -450,9 +459,6 @@ let suite =
       test_jsonx_errors;
     Alcotest.test_case "protocol codec roundtrips" `Quick
       test_protocol_roundtrip;
-    Alcotest.test_case "backoff is a pure function of its seed" `Quick
-      test_backoff_deterministic;
-    Alcotest.test_case "backoff retry loop" `Quick test_backoff_run;
     Alcotest.test_case "disk cache stores and reopens" `Quick
       test_disk_cache_basic;
     Alcotest.test_case "disk cache quarantines corruption" `Quick
@@ -463,10 +469,14 @@ let suite =
       test_persistent_compile_cache;
     Alcotest.test_case "server serves, caches and isolates" `Slow
       test_server_basics;
-    Alcotest.test_case "server retries transient crashes" `Slow
-      test_server_retry_and_exhaustion;
-    Alcotest.test_case "watchdog answers for wedged workers" `Slow
-      test_server_watchdog_timeout;
+    Alcotest.test_case "server isolates a crashing request" `Slow
+      test_server_crash_isolation;
+    Alcotest.test_case "admission deadline answers a queued request" `Slow
+      test_server_admission_deadline;
+    Alcotest.test_case "a repeated request simulates once" `Slow
+      test_server_memoised_repeat;
+    Alcotest.test_case "fuel is checked against the run's length" `Slow
+      test_server_fuel;
     Alcotest.test_case "bounded queue sheds structurally" `Slow
       test_server_load_shedding;
     Alcotest.test_case "canonical log is jobs-independent" `Slow
