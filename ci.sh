@@ -104,7 +104,22 @@ fi
 for f in test/corpus/*.mc; do
   dune exec bin/bitspecc.exe -- reduce --check --engine jit "$f" > /dev/null
 done
-echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays under jit)"
+# power runs: the jit fuses up to each interval checkpoint and possible
+# outage, and hooks every step under pre-store; both must match classic
+# (no --stats: its simulated_mips line is host noise)
+for setting in "exp:300 --policy interval:37" "hotpc:40 --policy pre-store"; do
+  for e in classic jit; do
+    dune exec bin/bitspecc.exe -- run test/corpus/power-restored-hotpc40-seed7.mc \
+      --entry f --args 200 --train 200 --power $setting --engine "$e" \
+      > "$eng/power-$e.out"
+  done
+  if ! cmp -s "$eng/power-classic.out" "$eng/power-jit.out"; then
+    echo "engine smoke: classic and jit differ under --power $setting" >&2
+    diff "$eng/power-classic.out" "$eng/power-jit.out" >&2 || true
+    exit 1
+  fi
+done
+echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays under jit, power runs engine-invariant)"
 
 # Interpreter-engine smoke: the closure-compiled interpreter must be
 # observably identical to the tree-walker through the whole fuzz

@@ -24,10 +24,11 @@ open Superblock
      per step.  The baseline the other engine is differenced against.
    - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
      indirect call per step) plus the superblock trace-JIT fusing hot
-     straight-line runs into single closures with guard exits.  Under
-     power traces or fault injection every instruction is a potential
-     checkpoint/outage/fault boundary, so the JIT degenerates to the
-     threaded closures driven by a hooked loop.
+     straight-line runs into single closures with guard exits.  Fuel,
+     a fault, a checkpoint or an outage can only strike at known
+     instruction counts, so one loop fuses up to the next of them (the
+     event horizon) and runs that step on its threaded closure with
+     the classic hooks.
 
    Both must produce byte-identical results — counters, outcome, memory
    image, cache state.  CI and the engine-equivalence property tests
@@ -290,9 +291,8 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
       Memimage.journal_start mem;
       take_checkpoint ()
   | None -> ());
-  (* decide once per step-kind, not once per step: checkpoint/outage
-     policy evaluation is shared verbatim between the classic and hooked
-     threaded loops *)
+  (* checkpoint/outage policy evaluation, shared verbatim between the
+     classic loop and the Jit loop's hooked step *)
   let power_step m =
     match config.power with
     | None -> false
@@ -318,37 +318,59 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
       (* --- the closure-compiled engine (see [Superblock]) -------------- *)
       let cx =
         { Superblock.st; ctr; mem; icache; dcache; l2;
-          pc_counts = misspec_pc_counts; prog = p; fuel = config.fuel }
+          pc_counts = misspec_pc_counts; prog = p; horizon = min_int }
       in
       let bodies = compile_bodies cx in
       let ncode = Array.length code in
       let fuel = config.fuel in
-      if config.power = None && config.fault = None then begin
-        (* traces fuse multiple instructions into one closure, so they are
-           only sound when nothing can strike between two instructions *)
-        let dispatch = install_jit cx bodies in
-        (* fast loop: bounds, fetch, charge, fuel, one indirect call *)
-        while not st.halted do
-          let pc = st.pc in
-          if pc < 0 || pc >= ncode then
-            raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+      (* The event horizon: the instruction count at which the next step
+         needs a hook.  That is the first of the fuel limit, the pending
+         fault ([apply_fault] fires once [at_instr] is charged), the next
+         [Interval] checkpoint and the trace's next possible outage.
+         Pre-store and pre-speculation checkpoints, and a livelock-
+         degraded run, may hook any step: their horizon is [min_int] for
+         the rest of the run and is never recomputed. *)
+      let fault_horizon =
+        match config.fault with
+        | Some f -> max f.at_instr 1 - 1
+        | None -> max_int
+      in
+      let next_horizon () =
+        let h =
+          if !fault_applied then fuel else Int.min fuel fault_horizon
+        in
+        match config.power with
+        | None -> h
+        | Some _ when !degraded -> min_int
+        | Some { policy = Checkpoint.(Pre_store | Pre_speculation); _ } ->
+            min_int
+        | Some { policy = Checkpoint.Interval n; trace; _ } ->
+            Int.min h
+              (Int.min (saved.Checkpoint.s_at_instrs + n)
+                 (Powertrace.next_at trace))
+      in
+      cx.horizon <- next_horizon ();
+      (* a run hooked at every step never dispatches fused: skip the
+         trace detection *)
+      let dispatch =
+        if cx.horizon = min_int then bodies else install_jit cx bodies
+      in
+      while not st.halted do
+        let pc = st.pc in
+        if pc < 0 || pc >= ncode then
+          raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+        if ctr.Counters.instrs < cx.horizon then begin
+          (* below the horizon no hook can fire, and fused traces stop
+             short of it: fetch, charge, one indirect call *)
           Superblock.fetch cx pc;
           ctr.Counters.instrs <- ctr.Counters.instrs + 1;
           ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-          if ctr.Counters.instrs > fuel then begin
-            outcome := Bs_support.Outcome.Out_of_fuel;
-            st.halted <- true
-          end
-          else st.pc <- (Array.unsafe_get dispatch pc) ()
-        done
-      end
-      else
-        (* hooked loop: the classic step order with checkpoint/outage and
-           fault hooks between the slice-mode check and the body *)
-        while not st.halted do
-          let pc = st.pc in
-          if pc < 0 || pc >= ncode then
-            raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+          st.pc <- (Array.unsafe_get dispatch pc) ()
+        end
+        else begin
+          (* at the horizon: the classic step order, with the
+             checkpoint/outage and fault hooks between the slice-mode
+             check and the threaded body *)
           let m = Array.unsafe_get meta pc in
           if m land meta_slice <> 0 && st.mode = Isa.Classic then
             raise (Sim_trap Bs_support.Outcome.Classic_mode_slice);
@@ -361,12 +383,14 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
               st.halted <- true
             end
             else begin
-              apply_fault ();
+              if ctr.Counters.instrs > fault_horizon then apply_fault ();
               let nx = (Array.unsafe_get bodies pc) () in
               if not st.halted then st.pc <- nx
             end
-          end
-        done
+          end;
+          if cx.horizon <> min_int then cx.horizon <- next_horizon ()
+        end
+      done
   | Classic ->
   while not st.halted do
     if st.pc < 0 || st.pc >= Array.length code then

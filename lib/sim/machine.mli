@@ -54,9 +54,12 @@ type power = {
     - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
       indirect call per step) plus the superblock trace-JIT
       ({!Superblock}) fusing hot straight-line runs into single closures
-      with guard exits.  Under a power trace or fault injection the JIT
-      degenerates to the threaded closures, driven by a loop with a
-      checkpoint/outage/fault hook before every instruction. *)
+      with guard exits.  Power traces and fault injection keep the
+      fusion: traces run up to the next step at which the fuel limit,
+      the fault, an [Interval] checkpoint or an outage can strike, and
+      that step runs on its threaded closure with the classic hooks.
+      [Pre_store] and [Pre_speculation] policies, and livelock-degraded
+      runs, hook every step. *)
 type engine = Classic | Jit
 
 type config = {

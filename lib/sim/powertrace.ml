@@ -76,6 +76,8 @@ let fires t ~instrs ~pc =
         end
         else false
 
+let next_at t = t.next_at
+
 (* --- rendering (CLI and reproducer headers) ----------------------------- *)
 
 let dist_to_string = function

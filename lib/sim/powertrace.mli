@@ -31,6 +31,12 @@ val fires : t -> instrs:int -> pc:int -> bool
     the trace's internal schedule when it returns [true].  [instrs]
     must be non-decreasing across calls. *)
 
+val next_at : t -> int
+(** The smallest [instrs] at which {!fires} can return [true] next: it
+    returns [false], and leaves the trace untouched, for every smaller
+    count.  An [Adversarial] trace past its recharge reports a count
+    already reached, since it may strike at the next hot PC. *)
+
 val dist_to_string : dist -> string
 (** ["periodic:N"], ["exp:N"], ["hotpc:N"] — the CLI / reproducer-header
     syntax. *)

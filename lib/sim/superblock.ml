@@ -28,12 +28,13 @@ open Bs_interp
    Guard exits mirror the hardware's own Δ fallback: a misspeculating
    instruction ends the trace early, flushes the counters and batched
    fetches accumulated so far, and returns [pc + Δ] to the threaded loop.
-   Fuel and CLASSIC-mode entry guards fall back to the plain head body, so
-   the exact single-step semantics decide boundary cases.  Traces are only
-   installed when the run has no power trace and no fault injection — an
-   outage or checkpoint can strike between any two instructions, so under
-   those configs every instruction is a superblock boundary and the JIT
-   degenerates to threaded dispatch.
+   Event-horizon and CLASSIC-mode entry guards fall back to the plain
+   head body, so the exact single-step semantics decide boundary cases.
+   The horizon ([ctx.horizon]) is the instruction count of the next step
+   that needs a hook — the fuel limit, a pending fault, an interval
+   checkpoint or a possible outage — so the same fused traces serve runs
+   under power traces and fault injection: they stop short of the
+   horizon, and [Machine.run] executes the step at it with its hooks.
 
    Every path here must be byte-identical in observable effect (counters,
    outcome, memory image, cache hit/miss/LRU state) to the classic
@@ -130,7 +131,8 @@ type ctx = {
   l2 : Cache.t;
   pc_counts : (int, int) Hashtbl.t;   (* misspeculation attribution *)
   prog : Bs_backend.Asm.program;
-  fuel : int;
+  mutable horizon : int;   (* instr count of the next step that needs a
+                              hook; fused code never executes past it *)
 }
 
 (* D$ -> L2 -> DRAM *)
@@ -164,7 +166,7 @@ let classic_slice_trap st =
 
 (* --- the threaded body compiler ----------------------------------------- *)
 
-(* One closure per PC.  Contract with the dispatch loops: when the body is
+(* One closure per PC.  Contract with the dispatch loop: when the body is
    called, the loop has already bounds-checked the pc, fetched it through
    the I$, charged 1 instruction + 1 cycle, and checked fuel.  The body
    performs load-use hazard checks against [st.last_load_dest], the
@@ -1382,8 +1384,9 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
       assert false
 
 (* Fuse one trace into a single closure with the same contract as a body:
-   called after the loop has fetched/charged/fuel-checked the head, it
-   executes the whole straight line and returns the successor pc.
+   called after the loop has fetched/charged the head below the event
+   horizon, it executes the whole straight line and returns the
+   successor pc.
 
    What the fusion removes relative to the threaded loop:
 
@@ -1394,8 +1397,9 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
      {!Cache.bump_hits} at the next crossing or exit;
    - every static counter bump and statically-resolved hazard stall,
      flushed as one precomputed {!delta} at the exit that fires;
-   - fuel is checked once at entry (if the budget could expire mid-trace,
-     fall back to single-step dispatch, which finds the exact boundary).
+   - the event horizon is checked once at entry (if the fuel limit, a
+     fault, a checkpoint or an outage could fall mid-trace, fall back to
+     single-step dispatch, which finds the exact boundary).
 
    Guard exits: a misspeculating instruction branches to its dedicated
    exit closure, which flushes the prefix ledger (its own execute side
@@ -1424,7 +1428,6 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   let head = tr.t_head and len = Array.length tr.t_pcs in
   let code = cx.prog.Bs_backend.Asm.code in
   let prov = cx.prog.Bs_backend.Asm.prov in
-  let fuel = cx.fuel in
   (* patched to the first chained step once it exists; the looping tail
      tail-calls through it to start the next iteration without bouncing
      through the dispatch loop *)
@@ -1558,17 +1561,17 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
         if looping then
           (* The taken path replays the dispatch loop's per-instruction
              work inline — fetch the head, defer its pre-charge into [k],
-             re-check the fuel budget — and tail-calls back into the
+             re-check the event horizon — and tail-calls back into the
              chain.  The entry-time guards hold statically on this path:
              the dynamic position-0 hazard cannot fire because a branch
              leaves [last_load_dest] = -1, and the CLASSIC-mode slice
              check cannot change inside the trace (SETMODE is not
              fusible and every misspeculation exits).  When the next
-             iteration might cross the fuel limit, settle and return to
+             iteration might reach the horizon, settle and return to
              the dispatch loop, which re-enters through the guarded
              entry and single-steps up to the exact boundary. *)
           let taken_continue () =
-            if ctr.Counters.instrs + ((!k + 1) * lenp1) + len > fuel
+            if ctr.Counters.instrs + ((!k + 1) * lenp1) + len > cx.horizon
             then begin
               stall_branch ctr;
               flush d_tail len;
@@ -1747,10 +1750,11 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   in
   let budget = match term with None -> len - 1 | Some _ -> len in
   fun () ->
-    (* entry guards: if fuel can expire inside the trace, or a CLASSIC-mode
-       slice trap must fire at its exact instruction, fall back to the
-       single-step head body and let the threaded loop decide *)
-    if ctr.Counters.instrs + budget > fuel then fallback ()
+    (* entry guards: if the event horizon falls inside the trace, or a
+       CLASSIC-mode slice trap must fire at its exact instruction, fall
+       back to the single-step head body and let the threaded loop
+       decide *)
+    if ctr.Counters.instrs + budget > cx.horizon then fallback ()
     else if has_slice && st.mode = Isa.Classic then fallback ()
     else entry ()
 

@@ -19,18 +19,19 @@
       constants flushed in one shot, instruction fetches are batched per
       cache line via {!Cache.bump_hits}, and a loop trace defers even the
       per-iteration flush until the loop finally exits.  Guard exits
-      (misspeculation, a conditional going the unpredicted way, fuel
-      expiry, classic-mode slice use) flush their ledger and fall back to
-      the threaded loop.
+      (misspeculation, a conditional going the unpredicted way, the
+      event horizon, classic-mode slice use) flush their ledger and fall
+      back to the threaded loop.
 
     Both engines are byte-identical in observable effect (counters,
     outcome, memory image, cache state) to the classic interpreter loop
     in {!Machine}; the only sanctioned divergence is counter state at the
-    moment an exception escapes, which no caller can observe.  Traces
-    must only be installed when the run has no power trace and no fault
-    injection — under those configs every instruction is a potential
-    checkpoint/outage/fault boundary, so the JIT degenerates to threaded
-    dispatch. *)
+    moment an exception escapes, which no caller can observe.  Faults and
+    power traces do not turn the JIT off: a fused trace runs only if all
+    its steps lie below the event horizon ([ctx.horizon]), the next step
+    at which the fuel limit, a fault, a checkpoint or an outage can
+    strike, and the dispatch loop runs that step on its threaded body
+    with the hooks. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 (** The machine's structured trap.  {!Machine.Sim_trap} rebinds this
@@ -86,7 +87,12 @@ type ctx = {
       (** misspeculation counts per faulting pc, shared with the
           machine's attribution table *)
   prog : Bs_backend.Asm.program;
-  fuel : int;
+  mutable horizon : int;
+      (** the event horizon: the [ctr.instrs] value at which the next
+          step needs a hook (fuel limit, fault, checkpoint, outage).  The
+          dispatch loop runs a step fused only while [ctr.instrs] is
+          below it, and a fused trace runs only if it ends at or before
+          it.  [Machine.run] moves it after each hooked step. *)
 }
 
 val mem_access : ctx -> int -> unit
@@ -147,5 +153,6 @@ val detect : Bs_backend.Asm.program -> trace list
 
 val install_jit : ctx -> (unit -> int) array -> (unit -> int) array
 (** A dispatch table over [bodies] with a lazily-promoting profiling
-    closure at every trace head.  Only valid for runs with no power trace
-    and no fault injection. *)
+    closure at every trace head.  A fused trace reads [cx.horizon] at
+    entry and at each loop-back, and hands control back to the dispatch
+    loop rather than execute the step at the horizon. *)

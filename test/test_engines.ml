@@ -36,18 +36,23 @@ let no_obs =
 
 (* Run [c] on a fresh memory image under [engine].  [power] builds the
    power configuration per run — a Powertrace is stateful, so every
-   engine must get its own (identically seeded) trace. *)
-let observe ?(fuel = 2_000_000) ?power (c : Driver.compiled) engine ~entry
-    ~args =
+   engine must get its own (identically seeded) trace.  [setup] fills
+   the image before the run; [mode] overrides the build's own. *)
+let observe ?(fuel = 2_000_000) ?power ?fault ?mode ?(setup = ignore)
+    (c : Driver.compiled) engine ~entry ~args =
   let open Bs_sim in
   let mem = Bs_interp.Memimage.create c.Driver.ir in
+  setup mem;
   let mode =
-    if c.Driver.config.Driver.arch = Driver.Bitspec_arch then
-      Bs_isa.Isa.Bitspec
-    else Bs_isa.Isa.Classic
+    match mode with
+    | Some m -> m
+    | None ->
+        if c.Driver.config.Driver.arch = Driver.Bitspec_arch then
+          Bs_isa.Isa.Bitspec
+        else Bs_isa.Isa.Classic
   in
   let power = Option.map (fun mk -> mk c) power in
-  let config = { Machine.mode; fuel; fault = None; power; engine } in
+  let config = { Machine.mode; fuel; fault; power; engine } in
   match Machine.run ~config c.Driver.program mem ~entry ~args with
   | exception Machine.Sim_trap t ->
       { no_obs with o_exn = Some ("trap:" ^ Outcome.trap_name t) }
@@ -98,13 +103,14 @@ let first_diff a b =
 
 (* Difference [jit] against [classic] on one compiled
    program; returns true or fail_reportf's with the first divergence. *)
-let check_compiled ?fuel ?power what (c : Driver.compiled) ~entry ~args =
+let check_compiled ?fuel ?power ?fault ?setup what (c : Driver.compiled)
+    ~entry ~args =
   let reference =
-    observe ?fuel ?power c Bs_sim.Machine.Classic ~entry ~args
+    observe ?fuel ?power ?fault ?setup c Bs_sim.Machine.Classic ~entry ~args
   in
   List.iter
     (fun (name, engine) ->
-      let o = observe ?fuel ?power c engine ~entry ~args in
+      let o = observe ?fuel ?power ?fault ?setup c engine ~entry ~args in
       match first_diff reference o with
       | None -> ()
       | Some d ->
@@ -148,10 +154,10 @@ let test_pinned_seeds () =
 
 (* --- under an injected power trace -------------------------------------- *)
 
-(* Under power failures the JIT degenerates to its threaded closures (every
-   instruction is a potential outage/checkpoint boundary), but the
-   results must STILL be byte-identical — including restore counts,
-   re-executed instructions and the journal-rolled memory image. *)
+(* Under power failures the JIT fuses only up to the next possible
+   outage or checkpoint and runs that step with its hooks; the results
+   must still be byte-identical — including restore counts, re-executed
+   instructions and the journal-rolled memory image. *)
 let check_power_seed seed =
   match compile_seed ~size:8 seed with
   | None -> true
@@ -189,6 +195,148 @@ let prop_engines_agree_power =
     ~count:40
     QCheck.(int_bound 1_000_000)
     check_power_seed
+
+(* --- under fault injection and short fuel --------------------------------- *)
+
+(* The other events that set the JIT's horizon: a bit flip (register,
+   memory or Δ, due at any instruction of the fault-free run), a fuel
+   budget that runs out mid-run, and a flip under [Interval] power,
+   where the fault, the checkpoints and the outages all bound the fused
+   traces. *)
+let check_fault_seed seed =
+  match compile_seed seed with
+  | None -> true
+  | Some c -> (
+      let open Bs_sim in
+      let entry = Bs_fuzz.Gen.entry
+      and args = [ Bs_fuzz.Gen.entry_arg seed ] in
+      let golden = observe c Machine.Classic ~entry ~args in
+      match List.assoc_opt "instrs" golden.o_ctr with
+      | Some g when golden.o_outcome = Outcome.to_string Outcome.Finished ->
+          let what = Printf.sprintf "seed %d (%d instrs)" seed g in
+          let rng = Rng.create (Int64.of_int (seed + 7)) in
+          let mem_hi =
+            Bs_interp.Memimage.size (Bs_interp.Memimage.create c.Driver.ir)
+            - 1
+          in
+          let gen () =
+            Faultinject.gen_fault rng ~max_instr:g
+              ~mem_lo:Bs_interp.Memimage.globals_base ~mem_hi
+          in
+          let faults = List.init 3 (fun _ -> gen ()) in
+          List.for_all
+            (fun fault ->
+              check_compiled ~fuel:(4 * g) ~fault
+                (what ^ ": " ^ Faultinject.describe_fault fault)
+                c ~entry ~args)
+            faults
+          && List.for_all
+               (fun fuel ->
+                 check_compiled ~fuel
+                   (Printf.sprintf "%s: fuel %d" what fuel)
+                   c ~entry ~args)
+               [ 1; g / 3; g - 1 ]
+          &&
+          let fault = gen () in
+          let hot_pcs = Campaign.hot_pcs_of c.Driver.program in
+          let policy = Checkpoint.Interval (25 + (seed mod 200)) in
+          let dist =
+            Powertrace.Exponential (float_of_int (100 + (seed mod 900)))
+          in
+          let power _ =
+            { Machine.trace =
+                Powertrace.create ~seed:(Int64.of_int (seed + 3)) ~hot_pcs
+                  dist;
+              policy;
+              max_retries = 6 }
+          in
+          check_compiled ~fuel:(40 * g) ~fault ~power
+            (Printf.sprintf "%s: %s under %s power" what
+               (Faultinject.describe_fault fault)
+               (Checkpoint.policy_name policy))
+            c ~entry ~args
+      | _ -> true (* the fault-free run does not finish: vacuous *))
+
+let prop_engines_agree_fault =
+  QCheck.Test.make
+    ~name:"engines are byte-identical under faults and short fuel" ~count:40
+    QCheck.(int_bound 1_000_000)
+    check_fault_seed
+
+(* The BITSPEC build of a workload and its test input. *)
+let kernel name =
+  let w = Bs_workloads.Registry.find name in
+  let c = Experiment.compile_workload Driver.bitspec_config w in
+  let input = w.Bs_workloads.Workload.test in
+  ( c,
+    input.Bs_workloads.Workload.setup c.Driver.ir,
+    w.Bs_workloads.Workload.entry,
+    input.Bs_workloads.Workload.args )
+
+(* Real kernels spend their time in long fused loop traces, so every
+   event lands inside one at some iteration: the traces must hand back
+   exactly at the horizon, from their entry guard and their loop-back
+   guard alike. *)
+let test_pinned_kernel_events () =
+  let open Bs_sim in
+  List.iter
+    (fun name ->
+      let c, setup, entry, args = kernel name in
+      let g =
+        match
+          List.assoc_opt "instrs"
+            (observe ~setup c Machine.Jit ~entry ~args).o_ctr
+        with
+        | Some g -> g
+        | None -> Alcotest.failf "%s: the fault-free run traps" name
+      in
+      let power _ =
+        { Machine.trace =
+            Powertrace.create ~seed:5L (Powertrace.Exponential 3000.0);
+          policy = Checkpoint.Interval 500;
+          max_retries = 8 }
+      in
+      let fault =
+        { Machine.at_instr = g / 2; target = Machine.Flip_reg (4, 3) }
+      in
+      let check ?fuel ?fault ?power what =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" name what)
+          true
+          (check_compiled ?fuel ?fault ?power ~setup what c ~entry ~args)
+      in
+      List.iter
+        (fun fuel -> check ~fuel (Printf.sprintf "fuel %d" fuel))
+        [ g / 3; (g / 3) + 1; (g / 3) + 2; g - 1 ];
+      check ~fuel:(4 * g) ~fault "register flip at g/2";
+      check ~fuel:(40 * g) ~power "interval:500 under exp:3000";
+      check ~fuel:(40 * g) ~fault ~power "flip under interval:500 power")
+    [ "CRC32"; "bitcount" ]
+
+(* A step that uses the slice extension in CLASSIC mode traps before it
+   is fetched or charged, so when such a step is also the first past the
+   fuel budget, the trap wins.  On the CRC32 BITSPEC build run in
+   CLASSIC mode the 26th instruction is the first slice operation:
+   fuel 24 runs out first, 25 and 26 trap, under either engine. *)
+let test_classic_slice_at_fuel_limit () =
+  let c, setup, entry, args = kernel "CRC32" in
+  let run fuel engine =
+    let o =
+      observe ~fuel ~mode:Bs_isa.Isa.Classic ~setup c engine ~entry ~args
+    in
+    match o.o_exn with Some e -> e | None -> o.o_outcome
+  in
+  List.iter
+    (fun (fuel, expected) ->
+      List.iter
+        (fun (name, engine) ->
+          Alcotest.(check string)
+            (Printf.sprintf "fuel %d under %s" fuel name)
+            expected (run fuel engine))
+        [ ("classic", Bs_sim.Machine.Classic); ("jit", Bs_sim.Machine.Jit) ])
+    [ (24, Outcome.to_string Outcome.Out_of_fuel);
+      (25, "trap:" ^ Outcome.trap_name Outcome.Classic_mode_slice);
+      (26, "trap:" ^ Outcome.trap_name Outcome.Classic_mode_slice) ]
 
 (* --- corpus reproducers are engine-invariant ---------------------------- *)
 
@@ -354,6 +502,11 @@ let suite =
       test_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_engines_agree;
     QCheck_alcotest.to_alcotest prop_engines_agree_power;
+    QCheck_alcotest.to_alcotest prop_engines_agree_fault;
+    Alcotest.test_case "pinned kernels agree under faults, power and fuel"
+      `Quick test_pinned_kernel_events;
+    Alcotest.test_case "a classic-mode slice trap wins at the fuel limit"
+      `Quick test_classic_slice_at_fuel_limit;
     Alcotest.test_case "corpus verdicts are engine-invariant" `Quick
       test_corpus_engine_invariant;
     Alcotest.test_case "simulated_mips is reported" `Quick
