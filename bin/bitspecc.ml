@@ -19,13 +19,13 @@
      bitspecc run kernel.mc --entry f --args 10,20 --arch bitspec
      bitspecc run kernel.mc --entry f --args 10 --power exp:2000
      bitspecc bench rijndael --arch bitspec --heuristic max
-     bitspecc inject crc32 --trials 200 --seed 42
-     bitspecc inject crc32 --model power --dist periodic:1000
-     bitspecc harvest crc32 --trials 100 --dist exp:2000 --jobs 4
+     bitspecc inject CRC32 --trials 200 --seed 42
+     bitspecc inject CRC32 --model power --dist periodic:1000
+     bitspecc harvest CRC32 --trials 100 --dist exp:2000 --jobs 4
      bitspecc fuzz --seed 1 --trials 500 --budget 60
      bitspecc reduce --check test/corpus/crash.mc
      bitspecc serve --socket /tmp/bs.sock --cache-dir /tmp/bs-cache -j 4
-     bitspecc client --socket /tmp/bs.sock bench crc32 --arch bitspec
+     bitspecc client --socket /tmp/bs.sock bench CRC32 --arch bitspec
      bitspecc loadgen --socket /tmp/bs.sock --requests 200 --clients 8
 
    Compilation degrades gracefully by default: a function a pass cannot

@@ -85,13 +85,36 @@ dune exec bin/bitspecc.exe -- reduce --check \
   test/corpus/power-reexec-livelock-hotpc40-seed7.mc > /dev/null
 echo "intermittent-power smoke: OK (harvest jobs-invariant, inject deterministic)"
 
+# Bit-flip smoke: README's injection campaign keeps its pinned tally and
+# is byte-identical at --jobs 1 and --jobs 4, where trial domains share
+# the golden-run records.
+bf="$(mktemp -d)"
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf"' EXIT
+dune exec bin/bitspecc.exe -- inject stringsearch --trials 100 --seed 42 \
+  --jobs 1 > "$bf/i1.out"
+dune exec bin/bitspecc.exe -- inject stringsearch --trials 100 --seed 42 \
+  --jobs 4 > "$bf/i4.out"
+if ! cmp -s "$bf/i1.out" "$bf/i4.out"; then
+  echo "inject smoke: --jobs 1 and --jobs 4 output differ" >&2
+  diff "$bf/i1.out" "$bf/i4.out" >&2 || true
+  exit 1
+fi
+for row in 'masked  *79 ' 'detected  *4 ' 'trapped  *5 ' 'sdc  *5 ' 'hang  *7 '; do
+  if ! grep -q "^$row" "$bf/i1.out"; then
+    echo "inject smoke: no row matching '$row'" >&2
+    cat "$bf/i1.out" >&2
+    exit 1
+  fi
+done
+echo "bit-flip smoke: OK (pinned tally, jobs-invariant)"
+
 # Engine-differencing smoke: the two dispatch engines (classic / jit)
 # must be observably identical, so a fixed-seed fuzz campaign run under
 # classic at --jobs 1 and under jit at --jobs 4 must produce
 # byte-identical reports, and every corpus reproducer must replay into
 # its recorded bucket under the trace-JIT.
 eng="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng"' EXIT
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng"' EXIT
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
   --jobs 1 --engine classic > "$eng/classic.out"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
@@ -128,7 +151,7 @@ echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays u
 # and every corpus reproducer must replay into its recorded bucket with
 # the compiled engine serving as the differential reference.
 ieng="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$ieng"' EXIT
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng"' EXIT
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
   --jobs 1 --interp-engine tree > "$ieng/tree.out"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
@@ -156,7 +179,7 @@ echo "interp-engine smoke: OK (fuzz report interp-engine-invariant, corpus repla
 # invocations run.
 srv="$(mktemp -d)"
 serve_pid=
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$srv"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$srv"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
 BS=./_build/default/bin/bitspecc.exe
 sock="$srv/bs.sock"
 "$BS" serve --socket "$sock" --cache-dir "$srv/cache" --jobs 4 \
@@ -267,7 +290,7 @@ echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery reopened $written en
 # produce byte-identical deterministic counter/gauge snapshot sections
 # for the same seeded mix at --jobs 1 and --jobs 4.
 tel="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$ieng" "$srv" "$tel"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
 tsock="$tel/bs.sock"
 "$BS" serve --socket "$tsock" --cache-dir "$tel/cache" --jobs 4 \
   --metrics-out "$tel/metrics.prom" > "$tel/serve.log" 2>&1 &

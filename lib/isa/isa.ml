@@ -104,6 +104,33 @@ let can_misspeculate = function
   | BTRN _ -> true
   | _ -> false
 
+(** The register bytes an instruction reads, as [(reg, bytes)] pairs: bit
+    k of [bytes] stands for byte k.  A slice operand reads its own byte;
+    a 32-bit operand all four, except where only its low bytes can reach
+    the result (a narrow store or extension, MOVT's kept low half).
+    Writes are not reads: a slice write keeps the other bytes unseen. *)
+let read_bytes (i : insn) : (reg * int) list =
+  let full r = (r, 0xF) and byte s = (s.sl_reg, 1 lsl s.sl_byte) in
+  let low w r = (r, match w with W8 -> 0x1 | W16 -> 0x3 | W32 -> 0xF) in
+  let op2 = function Reg m -> [ full m ] | Imm _ -> [] in
+  let bop2 = function Sl s -> [ byte s ] | BImm _ -> [] in
+  let bidx = function BIdx s -> [ byte s ] | BOff _ -> [] in
+  match i with
+  | MOV (_, s) | BTRN (_, s) -> [ full s ]
+  | MOVT (d, _) -> [ (d, 0x3) ]
+  | ALU (_, _, n, o) | CMP (n, o) -> full n :: op2 o
+  | MUL (_, n, m) | DIV (_, _, n, m) -> [ full n; full m ]
+  | BX_LR -> [ full lr ]
+  | LDR (_, _, _, n, _) -> [ full n ]
+  | STR (w, s, n, _) -> [ low w s; full n ]
+  | SXT (w, _, s) | UXT (w, _, s) -> [ low w s ]
+  | BALU (_, _, n, o) | BCMPS (n, o) -> byte n :: bop2 o
+  | BLDRS (_, n, x) | BLDRB (_, n, x) -> full n :: bidx x
+  | BSTRB (s, n, x) -> byte s :: full n :: bidx x
+  | BEXT (_, _, s) | BMOV (_, s) -> [ byte s ]
+  | MOVW _ | CSET _ | B _ | BC _ | BL _ | BMOVI _ | SETDELTA _ | SETMODE _
+  | NOP | HALT -> []
+
 let cond_name = function
   | CEq -> "eq" | CNe -> "ne"
   | CUlt -> "lo" | CUle -> "ls" | CUgt -> "hi" | CUge -> "hs"

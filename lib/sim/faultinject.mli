@@ -50,9 +50,32 @@ val run_trial :
   Machine.fault ->
   trial
 (** Run the program once with the fault injected ([mem] must build a fresh
-    image per call) and classify the outcome against [expected] (the
-    reference checksum) and [golden_misspecs] (the fault-free
-    misspeculation count).  Never raises: traps become [Trapped]. *)
+    image per call; it is called once) and classify the outcome against
+    [expected] (the reference checksum) and [golden_misspecs] (the
+    fault-free misspeculation count).  Never raises: traps become
+    [Trapped].
+
+    The verdict is the one a run from the entry would give, but it comes
+    from a record of the fault-free ("golden") run, made once per
+    program, entry, args, mode and fuel, and used only on images that
+    equal the recorded one wherever the golden run reads.  A trial whose
+    state differs from the golden's only where the golden never reads
+    again has {e rejoined} it and ends exactly like it.  A flip that
+    rejoins at once settles with no simulation; any other trial forks
+    from the last snapshot before its flip and stops at the first later
+    snapshot where it rejoins.  Thread-safe. *)
+
+(** How {!run_trial} answered a trial. *)
+type path =
+  | Settled   (** rejoined at the flip: no simulation *)
+  | Rejoined  (** forked from a snapshot, stopped where it rejoined *)
+  | Ran       (** forked from a snapshot, ran to its end *)
+
+val path_count : path -> int
+(** Trials answered by [path] so far in this process. *)
+
+val records_built : unit -> int
+(** Golden records made so far in this process. *)
 
 type summary = {
   trials : int;

@@ -25,10 +25,10 @@ open Superblock
    - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
      indirect call per step) plus the superblock trace-JIT fusing hot
      straight-line runs into single closures with guard exits.  Fuel,
-     a fault, a checkpoint or an outage can only strike at known
-     instruction counts, so one loop fuses up to the next of them (the
-     event horizon) and runs that step on its threaded closure with
-     the classic hooks.
+     a fault, a checkpoint, an outage or a caller's stop can only
+     strike at known instruction counts, so one loop fuses up to the
+     next of them (the event horizon) and runs that step on its
+     threaded closure with the classic hooks.
 
    Both must produce byte-identical results — counters, outcome, memory
    image, cache state.  CI and the engine-equivalence property tests
@@ -139,35 +139,71 @@ let predecode (p : Bs_backend.Asm.program) : int array =
   done;
   meta
 
-let run ?(config = default_config) (p : Bs_backend.Asm.program)
-    (mem : Memimage.t) ~entry ~(args : int64 list) : result =
-  let t_start = Unix.gettimeofday () in
-  let ctr = Counters.create () in
-  let misspec_pc_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let icache = Cache.l1i () and dcache = Cache.l1d () and l2 = Cache.l2 () in
-  let st =
-    { Superblock.regs = Array.make num_regs 0; pc = 0; next = 0;
-      delta = p.Bs_backend.Asm.delta;
-      mode = config.mode; halted = false; cmp_a = 0; cmp_b = 0;
-      cmp_width8 = false; last_load_dest = -1; loaded = -1 }
-  in
-  let code = p.Bs_backend.Asm.code in
-  let meta = predecode p in
+(* Architectural state between two steps: everything the next step can
+   read but memory and the timing-only load-use latch.  [start] builds
+   the entry state, [capture] takes one mid-run, and [resume] starts the
+   Jit loop from one. *)
+type arch = {
+  a_instrs : int;          (* instructions executed so far *)
+  a_misspecs : int;
+  a_regs : int array;
+  a_pc : int;              (* the next instruction *)
+  a_delta : int;
+  a_mode : Isa.mode;
+  a_cmp_a : int;
+  a_cmp_b : int;
+  a_cmp_width8 : bool;
+}
+
+let capture (st : state) (ctr : Counters.t) =
+  { a_instrs = ctr.Counters.instrs; a_misspecs = ctr.Counters.misspecs;
+    a_regs = Array.copy st.regs; a_pc = st.pc; a_delta = st.delta;
+    a_mode = st.mode; a_cmp_a = st.cmp_a; a_cmp_b = st.cmp_b;
+    a_cmp_width8 = st.cmp_width8 }
+
+(* The entry state: arguments pushed onto the image's stack (stack-args
+   convention), SP below them, LR at the bootstrap HALT. *)
+let start ~mode (p : Bs_backend.Asm.program) (mem : Memimage.t) ~entry
+    ~(args : int64 list) =
   let entry_pc =
     match Hashtbl.find_opt p.Bs_backend.Asm.entries entry with
     | Some e -> e
     | None -> raise (Sim_trap (Bs_support.Outcome.Unknown_entry entry))
   in
-  (* stack and arguments (stack-args convention) *)
   let sp_top = Memimage.size mem - 64 in
   let n = List.length args in
   let sp0 = sp_top - (4 * n) in
   List.iteri
     (fun k a -> Memimage.write mem ~width:32 (sp0 + (4 * k)) a)
     args;
-  st.regs.(sp) <- sp0;
-  st.regs.(lr) <- p.Bs_backend.Asm.halt_pc;
-  st.pc <- entry_pc;
+  let regs = Array.make num_regs 0 in
+  regs.(sp) <- sp0;
+  regs.(lr) <- p.Bs_backend.Asm.halt_pc;
+  { a_instrs = 0; a_misspecs = 0; a_regs = regs; a_pc = entry_pc;
+    a_delta = p.Bs_backend.Asm.delta; a_mode = mode; a_cmp_a = 0;
+    a_cmp_b = 0; a_cmp_width8 = false }
+
+(* Run from [a] to the end, or until [at_stop] says stop.  The Jit loop
+   calls [at_stop] between two steps once [ctr.instrs] reaches
+   [stop_at], and it returns the next stop count ([Some]) or ends the
+   run ([None]; the flag in the result pair).  The Classic loop has no
+   stops.  [on_dmiss] sees every D$ miss of the Jit engine. *)
+let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
+    (mem : Memimage.t) (a : arch) : result * bool =
+  let t_start = Unix.gettimeofday () in
+  let ctr = Counters.create () in
+  ctr.Counters.instrs <- a.a_instrs;
+  ctr.Counters.misspecs <- a.a_misspecs;
+  let misspec_pc_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let icache = Cache.l1i () and dcache = Cache.l1d () and l2 = Cache.l2 () in
+  let st =
+    { Superblock.regs = Array.copy a.a_regs; pc = a.a_pc; next = 0;
+      delta = a.a_delta; mode = a.a_mode; halted = false;
+      cmp_a = a.a_cmp_a; cmp_b = a.a_cmp_b; cmp_width8 = a.a_cmp_width8;
+      last_load_dest = -1; loaded = -1 }
+  in
+  let code = p.Bs_backend.Asm.code in
+  let meta = predecode p in
   let stall n kind =
     ctr.Counters.cycles <- ctr.Counters.cycles + n;
     ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + n;
@@ -198,6 +234,7 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
     if st.last_load_dest = a || st.last_load_dest = b then stall 1 `LoadUse
   in
   let outcome = ref Bs_support.Outcome.Finished in
+  let stopped = ref false in
   let fault_applied = ref false in
   let apply_fault () =
     match config.fault with
@@ -318,7 +355,8 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
       (* --- the closure-compiled engine (see [Superblock]) -------------- *)
       let cx =
         { Superblock.st; ctr; mem; icache; dcache; l2;
-          pc_counts = misspec_pc_counts; prog = p; horizon = min_int }
+          pc_counts = misspec_pc_counts; prog = p; horizon = min_int;
+          on_dmiss }
       in
       let bodies = compile_bodies cx in
       let ncode = Array.length code in
@@ -326,18 +364,20 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
       (* The event horizon: the instruction count at which the next step
          needs a hook.  That is the first of the fuel limit, the pending
          fault ([apply_fault] fires once [at_instr] is charged), the next
-         [Interval] checkpoint and the trace's next possible outage.
-         Pre-store and pre-speculation checkpoints, and a livelock-
-         degraded run, may hook any step: their horizon is [min_int] for
-         the rest of the run and is never recomputed. *)
+         stop, the next [Interval] checkpoint and the trace's next
+         possible outage.  Pre-store and pre-speculation checkpoints,
+         and a livelock-degraded run, may hook any step: their horizon
+         is [min_int] for the rest of the run and is never recomputed. *)
       let fault_horizon =
         match config.fault with
         | Some f -> max f.at_instr 1 - 1
         | None -> max_int
       in
+      let next_stop = ref stop_at in
       let next_horizon () =
         let h =
-          if !fault_applied then fuel else Int.min fuel fault_horizon
+          Int.min !next_stop
+            (if !fault_applied then fuel else Int.min fuel fault_horizon)
         in
         match config.power with
         | None -> h
@@ -368,13 +408,22 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
           st.pc <- (Array.unsafe_get dispatch pc) ()
         end
         else begin
-          (* at the horizon: the classic step order, with the
-             checkpoint/outage and fault hooks between the slice-mode
-             check and the threaded body *)
+          (* at the horizon: a stop sees the state between two steps;
+             then the classic step order, with the checkpoint/outage and
+             fault hooks between the slice-mode check and the threaded
+             body *)
+          if ctr.Counters.instrs = !next_stop then begin
+            match at_stop st ctr with
+            | Some n -> next_stop := n
+            | None ->
+                stopped := true;
+                st.halted <- true
+          end;
           let m = Array.unsafe_get meta pc in
-          if m land meta_slice <> 0 && st.mode = Isa.Classic then
-            raise (Sim_trap Bs_support.Outcome.Classic_mode_slice);
-          if not (power_step m) then begin
+          if st.halted then ()
+          else if m land meta_slice <> 0 && st.mode = Isa.Classic then
+            raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
+          else if not (power_step m) then begin
             Superblock.fetch cx pc;
             ctr.Counters.instrs <- ctr.Counters.instrs + 1;
             ctr.Counters.cycles <- ctr.Counters.cycles + 1;
@@ -620,5 +669,19 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
   in
   ctr.Counters.wall_ns <-
     int_of_float ((Unix.gettimeofday () -. t_start) *. 1e9);
-  { r0 = Int64.of_int (st.regs.(0) land 0xFFFFFFFF); outcome = !outcome;
-    fault_applied = !fault_applied; ctr; icache; dcache; l2; misspec_pcs }
+  ( { r0 = Int64.of_int (st.regs.(0) land 0xFFFFFFFF); outcome = !outcome;
+      fault_applied = !fault_applied; ctr; icache; dcache; l2; misspec_pcs },
+    !stopped )
+
+let run ?(config = default_config) p mem ~entry ~args =
+  let a = start ~mode:config.mode p mem ~entry ~args in
+  fst
+    (exec ~config ~on_dmiss:None ~stop_at:max_int
+       ~at_stop:(fun _ _ -> None)
+       p mem a)
+
+let resume ~fuel ~fault ?on_dmiss ~stop_at at_stop p mem a =
+  let config = { mode = a.a_mode; fuel; fault; power = None; engine = Jit } in
+  match exec ~config ~on_dmiss ~stop_at ~at_stop p mem a with
+  | _, true -> None
+  | r, false -> Some r

@@ -104,3 +104,56 @@ val run :
     @raise Sim_trap on division by zero, PC escapes, unknown entries, or
     classic-mode slice use.
     @raise Bs_interp.Memimage.Fault when an access leaves the image. *)
+
+(** {1 Runs that start mid-way and stop early}
+
+    The exact fault trials of {!Faultinject} fork from snapshots of the
+    fault-free run and stop once they rejoin it. *)
+
+(** Architectural state between two steps: everything the next step can
+    read except memory and the load-use latch, which only times. *)
+type arch = {
+  a_instrs : int;  (** instructions executed so far *)
+  a_misspecs : int;
+  a_regs : int array;
+  a_pc : int;  (** the next instruction *)
+  a_delta : int;
+  a_mode : Bs_isa.Isa.mode;
+  a_cmp_a : int;
+  a_cmp_b : int;
+  a_cmp_width8 : bool;
+}
+
+val start :
+  mode:Bs_isa.Isa.mode ->
+  Bs_backend.Asm.program ->
+  Bs_interp.Memimage.t ->
+  entry:string ->
+  args:int64 list ->
+  arch
+(** The state {!run} starts from: writes the arguments onto the image's
+    stack.  @raise Sim_trap for an unknown entry. *)
+
+val capture : Superblock.state -> Counters.t -> arch
+(** A copy of the state a stop sees. *)
+
+val resume :
+  fuel:int ->
+  fault:fault option ->
+  ?on_dmiss:(int -> unit) ->
+  stop_at:int ->
+  (Superblock.state -> Counters.t -> int option) ->
+  Bs_backend.Asm.program ->
+  Bs_interp.Memimage.t ->
+  arch ->
+  result option
+(** [resume ~fuel ~fault ~stop_at at_stop p mem a] runs the [Jit] loop
+    from [a] on [mem], which must hold the memory of that point.  The
+    instruction and misspeculation counts carry on from [a]; every other
+    counter, the caches and [misspec_pcs] start empty.  Stop counts are
+    a source of the event horizon: once [ctr.instrs] reaches [stop_at],
+    between two steps, [at_stop] sees the state and returns the next
+    stop count (above the current one), or [None] to end the run there,
+    which then returns [None].  Without a stop it returns {!run}'s
+    result, and raises as {!run} does.  [on_dmiss] is called with the
+    address of every D$ miss. *)

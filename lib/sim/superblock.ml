@@ -31,10 +31,11 @@ open Bs_interp
    Event-horizon and CLASSIC-mode entry guards fall back to the plain
    head body, so the exact single-step semantics decide boundary cases.
    The horizon ([ctx.horizon]) is the instruction count of the next step
-   that needs a hook — the fuel limit, a pending fault, an interval
-   checkpoint or a possible outage — so the same fused traces serve runs
-   under power traces and fault injection: they stop short of the
-   horizon, and [Machine.run] executes the step at it with its hooks.
+   that needs a hook — the fuel limit, a pending fault, a stop, an
+   interval checkpoint or a possible outage — so the same fused traces
+   serve runs under power traces and fault injection: they stop short of
+   the horizon, and [Machine.run] executes the step at it with its
+   hooks.
 
    Every path here must be byte-identical in observable effect (counters,
    outcome, memory image, cache hit/miss/LRU state) to the classic
@@ -133,13 +134,18 @@ type ctx = {
   prog : Bs_backend.Asm.program;
   mutable horizon : int;   (* instr count of the next step that needs a
                               hook; fused code never executes past it *)
+  on_dmiss : (int -> unit) option;
+      (* told the address of every D$ miss; the caches start cold, so
+         the first touch of every line reaches it *)
 }
 
 (* D$ -> L2 -> DRAM *)
 let mem_access cx addr =
-  if not (Cache.access cx.dcache addr) then
+  if not (Cache.access cx.dcache addr) then begin
+    (match cx.on_dmiss with Some f -> f addr | None -> ());
     if Cache.access cx.l2 addr then stall_other cx.ctr l2_latency
     else stall_other cx.ctr (l2_latency + dram_latency)
+  end
 
 (* I$ -> L2 -> DRAM; code lives at 0x40_0000 in the L2's address space *)
 let fetch cx pcv =

@@ -89,10 +89,15 @@ type ctx = {
   prog : Bs_backend.Asm.program;
   mutable horizon : int;
       (** the event horizon: the [ctr.instrs] value at which the next
-          step needs a hook (fuel limit, fault, checkpoint, outage).  The
+          step needs a hook (fuel limit, fault, stop, checkpoint,
+          outage).  The
           dispatch loop runs a step fused only while [ctr.instrs] is
           below it, and a fused trace runs only if it ends at or before
           it.  [Machine.run] moves it after each hooked step. *)
+  on_dmiss : (int -> unit) option;
+      (** called with the address of every D$ miss.  The caches start
+          cold, so every line a run touches reaches it at least once:
+          the run's data footprint. *)
 }
 
 val mem_access : ctx -> int -> unit

@@ -16,9 +16,21 @@ let all : Workload.t list =
     Susan.corners;
     Susan.smoothing ]
 
+let names = List.map (fun (w : Workload.t) -> w.name) all
+
 let find name =
   match List.find_opt (fun (w : Workload.t) -> w.name = name) all with
   | Some w -> w
-  | None -> invalid_arg ("unknown workload " ^ name)
-
-let names = List.map (fun (w : Workload.t) -> w.name) all
+  | None ->
+      let hint =
+        match
+          List.find_opt
+            (fun n -> String.lowercase_ascii n = String.lowercase_ascii name)
+            names
+        with
+        | Some n -> Printf.sprintf " (did you mean %s?)" n
+        | None -> ""
+      in
+      invalid_arg
+        (Printf.sprintf "unknown workload %s%s; known workloads: %s" name hint
+           (String.concat ", " names))

@@ -19,6 +19,7 @@ let () =
       ("workloads", Test_workloads.suite);
       ("known-answers", Test_known_answers.suite);
       ("resilience", Test_resilience.suite);
+      ("faultinject", Test_faultinject.suite);
       ("fuzz", Test_fuzz.suite);
       ("exec", Test_exec.suite);
       ("serve", Test_serve.suite);

@@ -35,8 +35,30 @@ let check_heuristics (w : Workload.t) () =
         expect m.Experiment.checksum)
     [ Bs_interp.Profile.Hmax; Bs_interp.Profile.Havg; Bs_interp.Profile.Hmin ]
 
+(* Names are case-sensitive; the error lists the known names and
+   suggests the one that matches ignoring case. *)
+let test_unknown_name () =
+  let message name =
+    match Registry.find name with
+    | _ -> Alcotest.failf "%s resolved" name
+    | exception Invalid_argument m -> m
+  in
+  let m = message "crc32" in
+  Alcotest.(check bool) "names the workload" true
+    (Str_exists.contains m "unknown workload crc32");
+  Alcotest.(check bool) "suggests CRC32" true
+    (Str_exists.contains m "(did you mean CRC32?)");
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) ("lists " ^ n) true (Str_exists.contains m n))
+    Registry.names;
+  Alcotest.(check bool) "no suggestion without a match" false
+    (Str_exists.contains (message "nope") "did you mean")
+
 let suite =
-  List.map
+  Alcotest.test_case "unknown names list the known ones" `Quick
+    test_unknown_name
+  :: List.map
     (fun (w : Workload.t) ->
       Alcotest.test_case w.name `Slow (check_workload w))
     Registry.all
