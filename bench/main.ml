@@ -854,12 +854,11 @@ let interp_mips () =
   List.iter
     (fun (w : Workload.t) ->
       let c = Experiment.compile_workload Driver.bitspec_config w in
-      let r, mem =
+      let r, _ =
         Interp.run_fresh
           ~setup:(w.test.Workload.setup c.Driver.ir)
           c.Driver.ir ~entry:w.entry ~args:w.test.Workload.args
       in
-      Memimage.recycle mem;
       steps := !steps + r.Interp.steps)
     benches;
   let dt = Unix.gettimeofday () -. t0 in

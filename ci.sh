@@ -108,6 +108,31 @@ for row in 'masked  *79 ' 'detected  *4 ' 'trapped  *5 ' 'sdc  *5 ' 'hang  *7 ';
 done
 echo "bit-flip smoke: OK (pinned tally, jobs-invariant)"
 
+# Memory smoke: a memory image costs only the pages its trial touches,
+# so a 400-trial CRC32 campaign on 4 domains stays small (zero-filling
+# 8 MiB per trial would take it near 200 MB) and prints what it prints
+# at --jobs 1.  Runs the built binary: under `dune exec` the peak would
+# be dune's.
+./_build/default/bin/bitspecc.exe inject CRC32 --trials 400 --seed 11 \
+  --jobs 1 > "$bf/m1.out"
+rss_mb=$(python3 -c '
+import resource, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    subprocess.run(sys.argv[2:], stdout=out, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+' "$bf/m4.out" ./_build/default/bin/bitspecc.exe inject CRC32 --trials 400 \
+  --seed 11 --jobs 4)
+if ! cmp -s "$bf/m1.out" "$bf/m4.out"; then
+  echo "memory smoke: --jobs 1 and --jobs 4 output differ" >&2
+  diff "$bf/m1.out" "$bf/m4.out" >&2 || true
+  exit 1
+fi
+echo "memory smoke: inject CRC32 --jobs 4 peak RSS ${rss_mb} MB (limit 64 MB)"
+if [ "$rss_mb" -gt 64 ]; then
+  echo "memory smoke: peak RSS ${rss_mb} MB > 64 MB" >&2
+  exit 1
+fi
+
 # Engine-differencing smoke: the two dispatch engines (classic / jit)
 # must be observably identical, so a fixed-seed fuzz campaign run under
 # classic at --jobs 1 and under jit at --jobs 4 must produce

@@ -192,10 +192,8 @@ let profile_module (m : Ir.modul) ?setup ?(interp_engine = Interp.Compiled)
   List.iter
     (fun (entry, args) ->
       let s = Option.map (fun f -> f m) setup in
-      let r, mem = Interp.run_fresh ~opts ?setup:s m ~entry ~args in
-      steps := !steps + r.Interp.steps;
-      (* the training run's image is dead; park its buffer for the next *)
-      Memimage.recycle mem)
+      let r, _ = Interp.run_fresh ~opts ?setup:s m ~entry ~args in
+      steps := !steps + r.Interp.steps)
     train;
   set_interp_mips ~steps:!steps ~wall_s:(Unix.gettimeofday () -. t0);
   profile
@@ -482,9 +480,6 @@ let run_machine ?setup ?(fuel = 1_000_000_000) ?fault ?power
     Machine.run ~config:{ Machine.mode; fuel; fault; power; engine }
       c.program mem ~entry ~args
   in
-  (* the result captures everything observable; the image is dead, so its
-     buffer can serve the next run *)
-  Memimage.recycle mem;
   let mips = Bs_sim.Counters.simulated_mips r.Machine.ctr in
   if mips > 0.0 then Bs_obs.Metrics.set_gauge machine_mips_gauge mips;
   r
@@ -495,7 +490,6 @@ let run_reference ?setup ?(interp_engine = Interp.Compiled) (c : compiled)
     ~entry ~args =
   let opts = { Interp.default_opts with engine = interp_engine } in
   let t0 = Unix.gettimeofday () in
-  let r, mem = Interp.run_fresh ~opts ?setup c.ir ~entry ~args in
+  let r, _ = Interp.run_fresh ~opts ?setup c.ir ~entry ~args in
   set_interp_mips ~steps:r.Interp.steps ~wall_s:(Unix.gettimeofday () -. t0);
-  Memimage.recycle mem;
   r

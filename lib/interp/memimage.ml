@@ -8,8 +8,11 @@ exception Fault of string
 
 exception Layout_error of Bs_support.Diag.t
 
+type buf =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  bytes : Bytes.t;
+  bytes : buf;
   layout : (string, int) Hashtbl.t;   (* global name -> address *)
   globals_end : int;
   (* Undo journal for checkpoint/restore (intermittent execution): when
@@ -27,35 +30,35 @@ let globals_base = 0x1000
 
 let align a n = (n + a - 1) / a * a
 
-(* Buffer pool: a fresh multi-megabyte [Bytes.make] pays page faults on
-   first touch and major-heap churn on every simulation.  Recycled
-   buffers are re-zeroed with one [Bytes.fill] over warm pages instead.
-   Guarded by a mutex — simulations run concurrently under
-   {!Bs_exec.Pool}'s domains. *)
-let pool : Bytes.t list ref = ref []
-let pool_mutex = Mutex.create ()
-let pool_cap = 8
+(* Native-order unaligned accesses; every caller has bounds-checked. *)
+external get16u : buf -> int -> int = "%caml_bigstring_get16u"
+external set16u : buf -> int -> int -> unit = "%caml_bigstring_set16u"
+external get64u : buf -> int -> int64 = "%caml_bigstring_get64u"
+external swap16 : int -> int = "%bswap16"
 
-let pool_take size =
-  Mutex.lock pool_mutex;
-  let found =
-    match !pool with
-    | b :: rest when Bytes.length b = size ->
-        pool := rest;
-        Some b
-    | _ -> None
-  in
-  Mutex.unlock pool_mutex;
-  match found with
-  | Some b ->
-      Bytes.fill b 0 size '\000';
-      b
-  | None -> Bytes.make size '\000'
+let get_u16le b i = if Sys.big_endian then swap16 (get16u b i) else get16u b i
 
-let recycle t =
-  Mutex.lock pool_mutex;
-  if List.length !pool < pool_cap then pool := t.bytes :: !pool;
-  Mutex.unlock pool_mutex
+let set_u16le b i v =
+  set16u b i (if Sys.big_endian then swap16 v else v)
+
+(* A private mapping of /dev/zero: the kernel hands out a zero page on
+   first touch, so an image costs only the pages its run touches, and
+   the mapping's finaliser unmaps it when the image is collected.  The
+   device is opened read-write because [map_file] extends a file shorter
+   than the mapping by writing its last byte, which /dev/zero discards. *)
+let map_zeroed size =
+  match
+    let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+  with
+  | g -> Bigarray.array1_of_genarray g
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Fault ("cannot map a memory image: " ^ Unix.error_message e))
+
+let recycle (_ : t) = ()
 
 (* The pure layout computation shared by [create] and [layout_table]:
    global name -> address, plus the end of the globals region. *)
@@ -99,7 +102,7 @@ let create ?(size = 8 * 1024 * 1024) (m : Ir.modul) =
      initialising anything. *)
   if !cursor > size then raise (Fault "memory too small for globals");
   let t =
-    { bytes = pool_take size; layout; globals_end = !cursor;
+    { bytes = map_zeroed size; layout; globals_end = !cursor;
       j_on = false; j_addr = [||]; j_old = Bytes.empty; j_len = 0 }
   in
   (* Apply initialisers.  This runs once per simulation, and large
@@ -119,7 +122,7 @@ let create ?(size = 8 * 1024 * 1024) (m : Ir.modul) =
           let x = Int64.to_int (Array.unsafe_get g.ginit i) in
           let addr = base + (i * esz) in
           for b = 0 to esz - 1 do
-            Bytes.unsafe_set bytes (addr + b)
+            Bigarray.Array1.unsafe_set bytes (addr + b)
               (Char.unsafe_chr ((x lsr (8 * b)) land 0xFF))
           done
         done
@@ -128,7 +131,7 @@ let create ?(size = 8 * 1024 * 1024) (m : Ir.modul) =
           (fun i v ->
             let addr = base + (i * esz) in
             for b = 0 to esz - 1 do
-              Bytes.set bytes (addr + b)
+              Bigarray.Array1.set bytes (addr + b)
                 (Char.chr
                    (Int64.to_int
                       (Int64.logand
@@ -139,23 +142,26 @@ let create ?(size = 8 * 1024 * 1024) (m : Ir.modul) =
     m.globals;
   t
 
-let size t = Bytes.length t.bytes
+let size t = Bigarray.Array1.dim t.bytes
 
 let addr_of t name =
-  match Hashtbl.find_opt t.layout name with
-  | Some a -> a
-  | None -> raise (Fault ("unknown global " ^ name))
+  match Hashtbl.find t.layout name with
+  | a -> a
+  | exception Not_found -> raise (Fault ("unknown global " ^ name))
 
 let check t addr width =
   let bytes = max 1 (width / 8) in
-  if addr < 0 || addr + bytes > Bytes.length t.bytes then
+  if addr < 0 || addr + bytes > Bigarray.Array1.dim t.bytes then
     raise (Fault (Printf.sprintf "out-of-bounds access at 0x%x (i%d)" addr width))
 
 (* --- snapshots and the undo journal ------------------------------------ *)
 
-type snapshot = Bytes.t
+type snapshot = buf
 
-let snapshot t = Bytes.copy t.bytes
+let snapshot t =
+  let s = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (size t) in
+  Bigarray.Array1.blit t.bytes s;
+  s
 
 (* Restoring a snapshot replaces the whole image, so any recorded undo
    entries describe contents that no longer exist — and an armed journal
@@ -164,14 +170,26 @@ let snapshot t = Bytes.copy t.bytes
    clears the journal; callers that want journalling across a restore
    re-arm with [journal_start]. *)
 let restore t s =
-  if Bytes.length s <> Bytes.length t.bytes then
+  if Bigarray.Array1.dim s <> size t then
     raise (Fault "snapshot size does not match the image");
-  Bytes.blit s 0 t.bytes 0 (Bytes.length s);
+  Bigarray.Array1.blit s t.bytes;
   t.j_on <- false;
   t.j_len <- 0
 
-let snapshot_equal = Bytes.equal
-let snapshot_size = Bytes.length
+(* Eight bytes per comparison: polymorphic [=] on bigarrays compares
+   element by element. *)
+let snapshot_equal a b =
+  let n = Bigarray.Array1.dim a in
+  let rec from i =
+    if i + 8 <= n then get64u a i = get64u b i && from (i + 8)
+    else
+      i >= n
+      || Bigarray.Array1.unsafe_get a i = Bigarray.Array1.unsafe_get b i
+         && from (i + 1)
+  in
+  n = Bigarray.Array1.dim b && from 0
+
+let snapshot_size = Bigarray.Array1.dim
 
 (* Record the [n] bytes at [addr] about to be overwritten.  The address
    was already bounds-checked by the caller. *)
@@ -188,7 +206,8 @@ let journal_record t addr n =
   end;
   for k = 0 to n - 1 do
     t.j_addr.(t.j_len + k) <- addr + k;
-    Bytes.unsafe_set t.j_old (t.j_len + k) (Bytes.unsafe_get t.bytes (addr + k))
+    Bytes.unsafe_set t.j_old (t.j_len + k)
+      (Bigarray.Array1.unsafe_get t.bytes (addr + k))
   done;
   t.j_len <- t.j_len + n
 
@@ -208,7 +227,8 @@ let journal_commit t = t.j_len <- 0
    same byte resolve to the value live at the last commit point. *)
 let journal_undo t =
   for k = t.j_len - 1 downto 0 do
-    Bytes.unsafe_set t.bytes t.j_addr.(k) (Bytes.unsafe_get t.j_old k)
+    Bigarray.Array1.unsafe_set t.bytes t.j_addr.(k)
+      (Bytes.unsafe_get t.j_old k)
   done;
   t.j_len <- 0
 
@@ -221,7 +241,7 @@ let read t ~width addr =
     v :=
       Int64.logor
         (Int64.shift_left !v 8)
-        (Int64.of_int (Char.code (Bytes.get t.bytes (addr + b))))
+        (Int64.of_int (Char.code (Bigarray.Array1.get t.bytes (addr + b))))
   done;
   Width.trunc width !v
 
@@ -231,7 +251,7 @@ let write t ~width addr v =
   let n = max 1 (width / 8) in
   if t.j_on then journal_record t addr n;
   for b = 0 to n - 1 do
-    Bytes.set t.bytes (addr + b)
+    Bigarray.Array1.set t.bytes (addr + b)
       (Char.chr
          (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * b)) 0xFFL)))
   done
@@ -244,11 +264,9 @@ let write t ~width addr v =
 let read_int t ~width addr =
   check t addr width;
   match width with
-  | 8 -> Bytes.get_uint8 t.bytes addr
-  | 16 -> Bytes.get_uint16_le t.bytes addr
-  | 32 ->
-      Bytes.get_uint16_le t.bytes addr
-      lor (Bytes.get_uint16_le t.bytes (addr + 2) lsl 16)
+  | 8 -> Char.code (Bigarray.Array1.unsafe_get t.bytes addr)
+  | 16 -> get_u16le t.bytes addr
+  | 32 -> get_u16le t.bytes addr lor (get_u16le t.bytes (addr + 2) lsl 16)
   | _ -> Int64.to_int (read t ~width addr)
 
 let write_int t ~width addr v =
@@ -256,28 +274,31 @@ let write_int t ~width addr v =
   match width with
   | 8 ->
       if t.j_on then journal_record t addr 1;
-      Bytes.set_uint8 t.bytes addr (v land 0xFF)
+      Bigarray.Array1.unsafe_set t.bytes addr (Char.unsafe_chr (v land 0xFF))
   | 16 ->
       if t.j_on then journal_record t addr 2;
-      Bytes.set_uint16_le t.bytes addr (v land 0xFFFF)
+      set_u16le t.bytes addr (v land 0xFFFF)
   | 32 ->
       if t.j_on then journal_record t addr 4;
-      Bytes.set_uint16_le t.bytes addr (v land 0xFFFF);
-      Bytes.set_uint16_le t.bytes (addr + 2) ((v lsr 16) land 0xFFFF)
+      set_u16le t.bytes addr (v land 0xFFFF);
+      set_u16le t.bytes (addr + 2) ((v lsr 16) land 0xFFFF)
   | _ -> write t ~width addr (Int64.of_int v) (* [write] journals *)
 
-(** Convenience accessors used by workload input generators. *)
+(** Convenience accessors used by workload input generators, which call
+    them once per element: the lookups allocate nothing. *)
 
-let set_global t m ~name ~index v =
-  match Ir.find_global m name with
-  | Some g ->
-      let esz = max 1 (g.elem_width / 8) in
-      write t ~width:g.elem_width (addr_of t name + (index * esz)) v
-  | None -> raise (Fault ("unknown global " ^ name))
+let rec global_named name = function
+  | [] -> raise (Fault ("unknown global " ^ name))
+  | (g : Ir.global) :: rest ->
+      if String.equal g.gname name then g else global_named name rest
 
-let get_global t m ~name ~index =
-  match Ir.find_global m name with
-  | Some g ->
-      let esz = max 1 (g.elem_width / 8) in
-      read t ~width:g.elem_width (addr_of t name + (index * esz))
-  | None -> raise (Fault ("unknown global " ^ name))
+let set_global t (m : Ir.modul) ~name ~index v =
+  let width = (global_named name m.globals).elem_width in
+  let addr = addr_of t name + (index * max 1 (width / 8)) in
+  (* up to 32 bits, the low bits of a plain int carry the element *)
+  if width <= 32 then write_int t ~width addr (Int64.to_int v)
+  else write t ~width addr v
+
+let get_global t (m : Ir.modul) ~name ~index =
+  let width = (global_named name m.globals).elem_width in
+  read t ~width (addr_of t name + (index * max 1 (width / 8)))

@@ -1,6 +1,12 @@
 (** Flat little-endian memory image shared by the IR interpreter and the
     machine simulator: globals laid out from {!globals_base} upward, the
-    simulated stack growing down from the top. *)
+    simulated stack growing down from the top.
+
+    An image is a private mapping of [/dev/zero]: the kernel supplies a
+    zero page the first time a page is touched, so creating one costs a
+    few system calls whatever its size, and it holds memory only for the
+    pages its run touches.  The mapping is released when the garbage
+    collector reclaims the image. *)
 
 exception Fault of string
 (** Out-of-bounds access or unknown global. *)
@@ -12,7 +18,8 @@ exception Layout_error of Bs_support.Diag.t
     string so drivers can report it like any other pipeline failure. *)
 
 type t = {
-  bytes : Bytes.t;
+  bytes :
+    (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
   layout : (string, int) Hashtbl.t;  (** global name -> base address *)
   globals_end : int;                 (** first address above the globals *)
   mutable j_on : bool;               (** undo journal armed (see below) *)
@@ -27,16 +34,17 @@ val create : ?size:int -> Bs_ir.Ir.modul -> t
 (** [create m] lays the module's globals out and applies their
     initialisers.  Default size 8 MiB.  A layout that ends exactly at
     [size] fits; one byte more raises.
-    @raise Fault when the globals do not fit in [size].
+    @raise Fault when the globals do not fit in [size], or when the
+    image cannot be mapped (the message carries the system's reason).
     @raise Layout_error on duplicate global names. *)
 
 val size : t -> int
 
 val recycle : t -> unit
-(** Return the image's buffer to a process-wide pool, where the next
-    {!create} of the same size reuses it (re-zeroed) instead of paying a
-    fresh multi-megabyte allocation.  Only call when nothing can touch
-    the image again — the caller is declaring it dead.  Thread-safe. *)
+(** Does nothing: an image's mapping is released when the image is
+    collected, and a new image starts zeroed at no cost, so there is no
+    buffer to hand back.  Kept only for callers that still declare an
+    image dead. *)
 
 val addr_of : t -> string -> int
 (** Base address of a global. *)
@@ -64,7 +72,8 @@ val write_int : t -> width:int -> int -> int -> unit
 
     Two restoration mechanisms for checkpointed (intermittent-power)
     execution.  A {!snapshot} is a full copy of the image — O(size) to
-    take, O(size) to restore, independent of anything else.  The journal
+    take, O(size) to restore, independent of anything else — held in
+    ordinary memory, so it pays for every page, touched or not.  The journal
     is the cheap path the machine model uses: arm it once, and every
     subsequent store records the bytes it overwrites; {!journal_undo}
     rolls the image back to the last {!journal_commit} in O(bytes

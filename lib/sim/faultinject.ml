@@ -236,7 +236,8 @@ let record ~mode ~fuel ~program ~entry ~args (m : Memimage.t) : golden =
       end;
       let n = Buffer.length w_init in
       let vals =
-        Bytes.init n (fun i -> Bytes.get m.Memimage.bytes !w_addr.(i))
+        Bytes.init n (fun i ->
+            Bigarray.Array1.get m.Memimage.bytes !w_addr.(i))
       in
       snaps := { arch = Machine.capture st ctr; written = n; vals } :: !snaps
     end;
@@ -257,7 +258,7 @@ let record ~mode ~fuel ~program ~entry ~args (m : Memimage.t) : golden =
   Memimage.journal_stop m;
   let w_addr = Array.sub !w_addr 0 (Buffer.length w_init) in
   Array.iteri
-    (fun i a -> Bytes.set m.Memimage.bytes a (Buffer.nth w_init i))
+    (fun i a -> Bigarray.Array1.set m.Memimage.bytes a (Buffer.nth w_init i))
     w_addr;
   (* F: the touched lines, widened and merged, within the image *)
   let size = Memimage.size m in
@@ -286,7 +287,10 @@ let record ~mode ~fuel ~program ~entry ~args (m : Memimage.t) : golden =
   let f_init = Bytes.create total in
   Array.iteri
     (fun i (lo, hi) ->
-      Bytes.blit m.Memimage.bytes lo f_init f_off.(i) (hi - lo))
+      for k = 0 to hi - lo - 1 do
+        Bytes.set f_init (f_off.(i) + k)
+          (Bigarray.Array1.get m.Memimage.bytes (lo + k))
+      done)
     spans;
   { size; f_lo = Array.map fst spans; f_hi = Array.map snd spans; f_off;
     f_init; w_addr; w_pos; snaps = Array.of_list (List.rev !snaps); ending;
@@ -297,7 +301,8 @@ let applies g (m : Memimage.t) =
   let bytes = m.Memimage.bytes in
   let rec same lo off k =
     k < 0
-    || Bytes.unsafe_get bytes (lo + k) = Bytes.unsafe_get g.f_init (off + k)
+    || Bigarray.Array1.unsafe_get bytes (lo + k)
+       = Bytes.unsafe_get g.f_init (off + k)
        && same lo off (k - 1)
   in
   let rec spans i =
@@ -333,7 +338,8 @@ let rejoins g s (st : Superblock.state) (m : Memimage.t) written =
     let ok = ref true and i = ref 0 in
     while !ok && !i < s.written do
       let addr = g.w_addr.(!i) in
-      if Bytes.get bytes addr <> Bytes.get s.vals !i && f_find g addr >= 0
+      if Bigarray.Array1.get bytes addr <> Bytes.get s.vals !i
+         && f_find g addr >= 0
       then ok := false;
       incr i
     done;
@@ -349,7 +355,7 @@ let rejoins g s (st : Superblock.state) (m : Memimage.t) written =
         | _ ->
             let k = f_find g addr in
             k < 0
-            || Bytes.get bytes addr
+            || Bigarray.Array1.get bytes addr
                = Bytes.get g.f_init (g.f_off.(k) + addr - g.f_lo.(k)))
       written true
   in
@@ -397,7 +403,7 @@ let fork g ~fuel ~program (m : Memimage.t) (f : Machine.fault) =
   let k = snap_index g (max f.Machine.at_instr 1 - 1) in
   let s = g.snaps.(k) in
   for i = 0 to s.written - 1 do
-    Bytes.set m.Memimage.bytes g.w_addr.(i) (Bytes.get s.vals i)
+    Bigarray.Array1.set m.Memimage.bytes g.w_addr.(i) (Bytes.get s.vals i)
   done;
   let n = Array.length g.snaps in
   let next = ref (k + 1) in

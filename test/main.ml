@@ -6,6 +6,7 @@ let () =
       ("frontend-2", Test_frontend2.suite);
       ("interp", Test_interp.suite);
       ("interp-engines", Test_interp_engines.suite);
+      ("memimage", Test_memimage.suite);
       ("opt", Test_opt.suite);
       ("analysis", Test_analysis.suite);
       ("squeezer", Test_squeezer.suite);

@@ -57,7 +57,6 @@ let observe ?setup ~engine ~profiled (m : Bs_ir.Ir.modul) ~entry ~args =
   | exception Memimage.Fault f -> { no_obs with o_trap = Some ("fault:" ^ f) }
   | r, mem ->
       let snap = Memimage.snapshot mem in
-      Memimage.recycle mem;
       { o_trap = None;
         o_ret = r.Interp.ret;
         o_outcome = Outcome.to_string r.Interp.outcome;
