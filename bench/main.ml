@@ -672,61 +672,6 @@ let fig18 () =
     (!sum /. float_of_int !n)
 
 (* ---------------------------------------------------------------------- *)
-(* Bechamel: host-side throughput of the toolchain                          *)
-(* ---------------------------------------------------------------------- *)
-
-let bechamel_section () =
-  header "Bechamel: host-side throughput of the pipeline stages";
-  let open Bechamel in
-  let open Toolkit in
-  let w = Registry.find "bitcount" in
-  let c = Experiment.compile_workload Driver.bitspec_config w in
-  (* the compile tests measure the compiler, so they bypass the compile
-     cache and call the driver directly *)
-  let compile_direct config () =
-    ignore
-      (Driver.compile ~config ~source:w.Workload.source
-         ~setup:w.Workload.train.Workload.setup
-         ~train:[ (w.Workload.entry, w.Workload.train.Workload.args) ] ())
-  in
-  let tests =
-    Test.make_grouped ~name:"pipeline"
-      [ Test.make ~name:"compile-baseline"
-          (Staged.stage (compile_direct Driver.baseline_config));
-        Test.make ~name:"compile-bitspec"
-          (Staged.stage (compile_direct Driver.bitspec_config));
-        Test.make ~name:"simulate-bitspec"
-          (Staged.stage (fun () ->
-               ignore
-                 (Driver.run_machine
-                    ~setup:(w.train.Workload.setup c.Driver.ir)
-                    c ~entry:w.entry ~args:w.train.Workload.args)));
-        Test.make ~name:"interpret-ir"
-          (Staged.stage (fun () ->
-               ignore
-                 (Interp.run_fresh
-                    ~setup:(w.train.Workload.setup c.Driver.ir)
-                    c.Driver.ir ~entry:w.entry ~args:w.train.Workload.args)))
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-          Printf.printf "%-28s %12.3f ms/run\n%!" name (est /. 1e6)
-      | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
-    results
-
-(* ---------------------------------------------------------------------- *)
 (* Intermittent power: re-execution energy vs outage rate                   *)
 (* ---------------------------------------------------------------------- *)
 
@@ -815,8 +760,7 @@ let sections =
     ("rq3", rq3); ("fig13", fig13); ("fig14", fig14); ("table2", table2);
     ("rq5", rq5); ("tune", tune);
     ("fig15", fig15); ("fig16", fig16); ("rq7", rq7); ("fig17", fig17);
-    ("fig18", fig18); ("harvest", harvest); ("vuln", vuln);
-    ("bechamel", bechamel_section) ]
+    ("fig18", fig18); ("harvest", harvest); ("vuln", vuln) ]
 
 (* Machine-readable run summary: per-section wall-clock and compile-cache
    deltas, the whole run's phase-time breakdown, and misspeculation

@@ -7,7 +7,8 @@
 # exercises the domain pool.  A longer fixed-seed campaign (seed 12,
 # 360 trials) pins the compare-elimination fix for CFG_orig.  Finally a
 # timed bench subset guards the evaluation harness against performance
-# regressions, and the benchmark's own smoke runs every workload.
+# regressions, every section is compared with the checked-in transcript,
+# and the benchmark's own smoke runs every workload.
 set -eu
 cd "$(dirname "$0")"
 dune build @all
@@ -443,6 +444,21 @@ if [ -z "$profile_ms" ] || [ "$profile_ms" -gt $((2 * profile_baseline_ms)) ]; t
   echo "bench guard: profile span ${profile_ms:-missing} ms > 2x baseline" >&2
   exit 1
 fi
+
+# The transcript: bench/transcript.txt is every section's stdout at
+# --jobs 1; at --jobs 4 it must come out byte for byte the same.  (This
+# run rewrites BENCH_pr9.json, so it follows the guards above that read
+# the fig8+table2 run.)  A change that moves a figure on purpose
+# regenerates the transcript in the same commit.
+ts="$(mktemp -d)"
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel" "$ts"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+dune exec bench/main.exe -- --jobs 4 > "$ts/all.out"
+if ! cmp -s bench/transcript.txt "$ts/all.out"; then
+  echo "transcript: bench/main.exe --jobs 4 differs from bench/transcript.txt" >&2
+  diff bench/transcript.txt "$ts/all.out" | head -20 >&2 || true
+  exit 1
+fi
+echo "transcript: every section matches bench/transcript.txt at --jobs 4"
 
 # The benchmark's smoke: every workload through the benchmark harness,
 # untraced and traced, with no failed item — so a library change that

@@ -14,6 +14,7 @@ let () =
       ("isa", Test_isa.suite);
       ("machine", Test_machine.suite);
       ("engines", Test_engines.suite);
+      ("transcript", Test_transcript.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("vulnerability", Test_vulnerability.suite);
       ("backend", Test_backend.suite);

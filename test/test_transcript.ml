@@ -1,0 +1,84 @@
+(* The reproduction's figures, pinned.
+
+   bench/transcript.txt is the stdout of `bench/main.exe --jobs 1` over
+   every section.  Here the Figure 8, Figure 9 and Table 2 sections are
+   recomputed and must match it byte for byte; ci.sh compares every
+   section at --jobs 4.  A change that moves a figure on purpose
+   regenerates the transcript in the same commit:
+
+     dune exec bench/main.exe -- --jobs 1 > bench/transcript.txt *)
+
+let pinned = [ "fig8"; "fig9"; "table2" ]
+
+(* [(header, body)] per section: a section starts at its "=== title ==="
+   line and runs to the next one, minus the blank lines that separate
+   it from the next header. *)
+let sections text =
+  let rec trim = function "" :: rest -> trim rest | l -> l in
+  let close cur acc =
+    match cur with
+    | None -> acc
+    | Some (h, body) -> (h, String.concat "\n" (List.rev (trim body))) :: acc
+  in
+  let cur, acc =
+    List.fold_left
+      (fun (cur, acc) line ->
+        if String.starts_with ~prefix:"=== " line then
+          (Some (line, []), close cur acc)
+        else
+          match cur with
+          | Some (h, body) -> (Some (h, line :: body), acc)
+          | None -> (None, acc))
+      (None, [])
+      (String.split_on_char '\n' text)
+  in
+  List.rev (close cur acc)
+
+let first_diff a b =
+  let rec go n = function
+    | x :: xs, y :: ys ->
+        if x = y then go (n + 1) (xs, ys)
+        else Printf.sprintf "line %d: %S vs %S" n x y
+    | x :: _, [] -> Printf.sprintf "line %d: %S vs (end)" n x
+    | [], y :: _ -> Printf.sprintf "line %d: (end) vs %S" n y
+    | [], [] -> "identical"
+  in
+  go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
+
+let test_pinned_sections () =
+  let expected =
+    sections
+      (In_channel.with_open_bin "../bench/transcript.txt" In_channel.input_all)
+  in
+  (* run in a scratch directory: the harness writes its JSON summary to
+     the working directory *)
+  let dir = Filename.temp_dir "bitspec-transcript" "" in
+  let exe = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
+  let ic =
+    Unix.open_process_args_in "/bin/sh"
+      (Array.of_list
+         ([ "/bin/sh"; "-c"; "cd \"$1\" && shift && exec \"$@\""; "sh"; dir;
+            exe; "--jobs"; "1" ]
+         @ pinned))
+  in
+  let out = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  (try Sys.remove (Filename.concat dir "BENCH_pr9.json") with _ -> ());
+  (try Sys.rmdir dir with _ -> ());
+  Alcotest.(check bool) "bench/main.exe exits 0" true (status = Unix.WEXITED 0);
+  let got = sections out in
+  Alcotest.(check int) "one section per name" (List.length pinned)
+    (List.length got);
+  List.iter
+    (fun (h, body) ->
+      match List.assoc_opt h expected with
+      | None -> Alcotest.failf "%s is not in bench/transcript.txt" h
+      | Some want ->
+          if want <> body then
+            Alcotest.failf "%s differs from bench/transcript.txt at %s" h
+              (first_diff want body))
+    got
+
+let suite =
+  [ Alcotest.test_case "fig8, fig9 and table2 match bench/transcript.txt"
+      `Quick test_pinned_sections ]
