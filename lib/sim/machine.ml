@@ -18,21 +18,22 @@ open Superblock
    memory hierarchy (L1 hit 0, L2 8, DRAM 60 extra cycles).  Misspeculation
    costs the redirect plus the skeleton branch.
 
-   Two dispatch engines execute the same model (see [Superblock]):
+   One loop runs the model ([exec]).  Each step goes through the
+   reference step ([Superblock.step], one closure per PC) or, below the
+   event horizon, through a fused trace of the trace-JIT.  The horizon
+   is the next instruction count at which fuel, a fault, a stop, a
+   checkpoint or an outage needs a hook; the step at it runs with the
+   hooks.  The two engines are that loop with two horizons:
 
-   - [Classic]: the reference fetch-decode-execute loop, one big match
-     per step.  The baseline the other engine is differenced against.
-   - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
-     indirect call per step) plus the superblock trace-JIT fusing hot
-     straight-line runs into single closures with guard exits.  Fuel,
-     a fault, a checkpoint, an outage or a caller's stop can only
-     strike at known instruction counts, so one loop fuses up to the
-     next of them (the event horizon) and runs that step on its
-     threaded closure with the classic hooks.
+   - [Jit]: fuses hot straight-line runs up to the horizon and steps
+     the rest;
+   - [Classic]: the horizon pinned at [min_int], so every step is hooked
+     and nothing is fused.
 
    Both must produce byte-identical results — counters, outcome, memory
-   image, cache state.  CI and the engine-equivalence property tests
-   difference them across the fuzz corpus. *)
+   image, cache state — so CI and the engine-equivalence property tests
+   difference the machine's two definitions: the reference step and
+   the fused traces with their static counter ledgers. *)
 
 exception Sim_trap = Superblock.Sim_trap
 
@@ -89,55 +90,18 @@ type result = {
          through [Asm.program.srcmap]. *)
 }
 
-(* Misspeculation: redirect the in-flight PC ([st.next]) by Δ.
-   [pc_counts] charges the event to the faulting pc for attribution.
-   (Classic loop only — the threaded bodies use [Superblock.misspec],
-   which returns the displaced successor instead.) *)
-let misspeculate ctr pc_counts (st : state) =
-  ctr.Counters.misspecs <- ctr.Counters.misspecs + 1;
-  (match Hashtbl.find_opt pc_counts st.pc with
-  | Some n -> Hashtbl.replace pc_counts st.pc (n + 1)
-  | None -> Hashtbl.add pc_counts st.pc 1);
-  st.next <- st.pc + st.delta;
-  ctr.Counters.cycles <- ctr.Counters.cycles + branch_penalty;
-  ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + branch_penalty;
-  ctr.Counters.branch_stalls <- ctr.Counters.branch_stalls + branch_penalty
-
-(* Pre-decoded per-PC metadata, computed once per run (O(static code),
-   amortised over millions of dynamic steps): the provenance counter tag
-   and the slice-extension flag, packed in one int so the fetch-execute
-   loop reads a single flat array instead of re-inspecting the encoded
-   stream every step. *)
-let meta_none = 0
-let meta_spill_load = 1
-let meta_spill_store = 2
-let meta_copy = 3
-let meta_prov_mask = 3
-let meta_slice = 4
-let meta_store = 8
+(* Pre-decoded per-PC flags, computed once per run, that the hooks read:
+   a slice instruction traps in CLASSIC mode and is a pre-speculation
+   checkpoint site; a store is a pre-store checkpoint site. *)
+let meta_slice = 1
+let meta_store = 2
 
 let predecode (p : Bs_backend.Asm.program) : int array =
-  let n = Array.length p.Bs_backend.Asm.code in
-  let meta = Array.make n 0 in
-  for pc = 0 to n - 1 do
-    let prov_tag =
-      match p.Bs_backend.Asm.prov.(pc) with
-      | PSpillLoad -> meta_spill_load
-      | PSpillStore -> meta_spill_store
-      | PCopy -> meta_copy
-      | _ -> meta_none
-    in
-    let slice =
-      if is_slice_insn p.Bs_backend.Asm.code.(pc) then meta_slice else 0
-    in
-    let store =
-      match p.Bs_backend.Asm.code.(pc) with
-      | STR _ | BSTRB _ -> meta_store
-      | _ -> 0
-    in
-    meta.(pc) <- prov_tag lor slice lor store
-  done;
-  meta
+  Array.map
+    (fun insn ->
+      (if is_slice_insn insn then meta_slice else 0)
+      lor match insn with STR _ | BSTRB _ -> meta_store | _ -> 0)
+    p.Bs_backend.Asm.code
 
 (* Architectural state between two steps: everything the next step can
    read but memory and the timing-only load-use latch.  [start] builds
@@ -183,11 +147,11 @@ let start ~mode (p : Bs_backend.Asm.program) (mem : Memimage.t) ~entry
     a_delta = p.Bs_backend.Asm.delta; a_mode = mode; a_cmp_a = 0;
     a_cmp_b = 0; a_cmp_width8 = false }
 
-(* Run from [a] to the end, or until [at_stop] says stop.  The Jit loop
+(* Run from [a] to the end, or until [at_stop] says stop.  The loop
    calls [at_stop] between two steps once [ctr.instrs] reaches
    [stop_at], and it returns the next stop count ([Some]) or ends the
-   run ([None]; the flag in the result pair).  The Classic loop has no
-   stops.  [on_dmiss] sees every D$ miss of the Jit engine. *)
+   run ([None]; the flag in the result pair).  [on_dmiss] sees every D$
+   miss. *)
 let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
     (mem : Memimage.t) (a : arch) : result * bool =
   let t_start = Unix.gettimeofday () in
@@ -197,42 +161,15 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
   let misspec_pc_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let icache = Cache.l1i () and dcache = Cache.l1d () and l2 = Cache.l2 () in
   let st =
-    { Superblock.regs = Array.copy a.a_regs; pc = a.a_pc; next = 0;
-      delta = a.a_delta; mode = a.a_mode; halted = false;
-      cmp_a = a.a_cmp_a; cmp_b = a.a_cmp_b; cmp_width8 = a.a_cmp_width8;
-      last_load_dest = -1; loaded = -1 }
+    { Superblock.regs = Array.copy a.a_regs; pc = a.a_pc; delta = a.a_delta;
+      mode = a.a_mode; halted = false; cmp_a = a.a_cmp_a; cmp_b = a.a_cmp_b;
+      cmp_width8 = a.a_cmp_width8; last_load_dest = -1 }
   in
-  let code = p.Bs_backend.Asm.code in
+  let cx =
+    { Superblock.st; ctr; mem; icache; dcache; l2;
+      pc_counts = misspec_pc_counts; prog = p; horizon = min_int; on_dmiss }
+  in
   let meta = predecode p in
-  let stall n kind =
-    ctr.Counters.cycles <- ctr.Counters.cycles + n;
-    ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + n;
-    match kind with
-    | `Branch -> ctr.Counters.branch_stalls <- ctr.Counters.branch_stalls + n
-    | `LoadUse -> ctr.Counters.load_use_stalls <- ctr.Counters.load_use_stalls + n
-    | `Other -> ()
-  in
-  let mem_access addr =
-    (* D$ -> L2 -> DRAM *)
-    ctr.Counters.cycles <- ctr.Counters.cycles + 0;
-    if not (Cache.access dcache addr) then
-      if Cache.access l2 addr then stall l2_latency `Other
-      else stall (l2_latency + dram_latency) `Other
-  in
-  let fetch pcv =
-    if not (Cache.access icache (pcv * 4)) then
-      if Cache.access l2 (0x40_0000 + (pcv * 4)) then stall l2_latency `Other
-      else stall (l2_latency + dram_latency) `Other
-  in
-  let alu32_count () = ctr.Counters.alu32 <- ctr.Counters.alu32 + 1 in
-  let alu8_count () = ctr.Counters.alu8 <- ctr.Counters.alu8 + 1 in
-  (* load-use hazard checks, register operands passed directly (the hot
-     loop allocates no per-step lists; [last_load_dest] is -1 when the
-     previous instruction was not a load, and registers are >= 0) *)
-  let check1 a = if st.last_load_dest = a then stall 1 `LoadUse in
-  let check2 a b =
-    if st.last_load_dest = a || st.last_load_dest = b then stall 1 `LoadUse
-  in
   let outcome = ref Bs_support.Outcome.Finished in
   let stopped = ref false in
   let fault_applied = ref false in
@@ -287,7 +224,7 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
        restores_since_ckpt := 0
      end);
     ctr.Counters.checkpoints <- ctr.Counters.checkpoints + 1;
-    stall Checkpoint.checkpoint_cycles `Other
+    stall_other ctr Checkpoint.checkpoint_cycles
   in
   let restore_checkpoint max_retries =
     ctr.Counters.restores <- ctr.Counters.restores + 1;
@@ -303,8 +240,7 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
     st.cmp_b <- saved.Checkpoint.s_cmp_b;
     st.cmp_width8 <- saved.Checkpoint.s_cmp_width8;
     st.last_load_dest <- saved.Checkpoint.s_last_load_dest;
-    st.loaded <- -1;
-    stall Checkpoint.restore_cycles `Other;
+    stall_other ctr Checkpoint.restore_cycles;
     incr restores_since_ckpt;
     (* Livelock detection: repeated restores with no forward-progress
        checkpoint in between mean every outage precedes the next commit
@@ -328,8 +264,7 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
       Memimage.journal_start mem;
       take_checkpoint ()
   | None -> ());
-  (* checkpoint/outage policy evaluation, shared verbatim between the
-     classic loop and the Jit loop's hooked step *)
+  (* checkpoint/outage policy evaluation for a hooked step *)
   let power_step m =
     match config.power with
     | None -> false
@@ -350,318 +285,87 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
         end
         else false
   in
-  (match config.engine with
-  | Jit ->
-      (* --- the closure-compiled engine (see [Superblock]) -------------- *)
-      let cx =
-        { Superblock.st; ctr; mem; icache; dcache; l2;
-          pc_counts = misspec_pc_counts; prog = p; horizon = min_int;
-          on_dmiss }
-      in
-      let bodies = compile_bodies cx in
-      let ncode = Array.length code in
-      let fuel = config.fuel in
-      (* The event horizon: the instruction count at which the next step
-         needs a hook.  That is the first of the fuel limit, the pending
-         fault ([apply_fault] fires once [at_instr] is charged), the next
-         stop, the next [Interval] checkpoint and the trace's next
-         possible outage.  Pre-store and pre-speculation checkpoints,
-         and a livelock-degraded run, may hook any step: their horizon
-         is [min_int] for the rest of the run and is never recomputed. *)
-      let fault_horizon =
-        match config.fault with
-        | Some f -> max f.at_instr 1 - 1
-        | None -> max_int
-      in
-      let next_stop = ref stop_at in
-      let next_horizon () =
-        let h =
-          Int.min !next_stop
-            (if !fault_applied then fuel else Int.min fuel fault_horizon)
-        in
-        match config.power with
-        | None -> h
-        | Some _ when !degraded -> min_int
-        | Some { policy = Checkpoint.(Pre_store | Pre_speculation); _ } ->
-            min_int
-        | Some { policy = Checkpoint.Interval n; trace; _ } ->
-            Int.min h
-              (Int.min (saved.Checkpoint.s_at_instrs + n)
-                 (Powertrace.next_at trace))
-      in
-      cx.horizon <- next_horizon ();
-      (* a run hooked at every step never dispatches fused: skip the
-         trace detection *)
-      let dispatch =
-        if cx.horizon = min_int then bodies else install_jit cx bodies
-      in
-      while not st.halted do
-        let pc = st.pc in
-        if pc < 0 || pc >= ncode then
-          raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
-        if ctr.Counters.instrs < cx.horizon then begin
-          (* below the horizon no hook can fire, and fused traces stop
-             short of it: fetch, charge, one indirect call *)
-          Superblock.fetch cx pc;
-          ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-          ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-          st.pc <- (Array.unsafe_get dispatch pc) ()
-        end
-        else begin
-          (* at the horizon: a stop sees the state between two steps;
-             then the classic step order, with the checkpoint/outage and
-             fault hooks between the slice-mode check and the threaded
-             body *)
-          if ctr.Counters.instrs = !next_stop then begin
-            match at_stop st ctr with
-            | Some n -> next_stop := n
-            | None ->
-                stopped := true;
-                st.halted <- true
-          end;
-          let m = Array.unsafe_get meta pc in
-          if st.halted then ()
-          else if m land meta_slice <> 0 && st.mode = Isa.Classic then
-            raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
-          else if not (power_step m) then begin
-            Superblock.fetch cx pc;
-            ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-            ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-            if ctr.Counters.instrs > fuel then begin
-              outcome := Bs_support.Outcome.Out_of_fuel;
-              st.halted <- true
-            end
-            else begin
-              if ctr.Counters.instrs > fault_horizon then apply_fault ();
-              let nx = (Array.unsafe_get bodies pc) () in
-              if not st.halted then st.pc <- nx
-            end
-          end;
-          if cx.horizon <> min_int then cx.horizon <- next_horizon ()
-        end
-      done
-  | Classic ->
+  let bodies = Superblock.bodies cx in
+  let ncode = Array.length bodies in
+  let fuel = config.fuel in
+  (* The event horizon: the instruction count at which the next step
+     needs a hook.  That is the first of the fuel limit, the pending
+     fault ([apply_fault] fires once [at_instr] is charged), the next
+     stop, the next [Interval] checkpoint and the trace's next possible
+     outage.  The Classic engine, pre-store and pre-speculation
+     checkpoints, and a livelock-degraded run hook every step: their
+     horizon is [min_int] for the rest of the run and is never
+     recomputed. *)
+  let fault_horizon =
+    match config.fault with
+    | Some f -> Int.max f.at_instr 1 - 1
+    | None -> max_int
+  in
+  let next_stop = ref stop_at in
+  let next_horizon () =
+    let h =
+      Int.min !next_stop
+        (if !fault_applied then fuel else Int.min fuel fault_horizon)
+    in
+    match config.power with
+    | None -> h
+    | Some _ when !degraded -> min_int
+    | Some { policy = Checkpoint.(Pre_store | Pre_speculation); _ } -> min_int
+    | Some { policy = Checkpoint.Interval n; trace; _ } ->
+        Int.min h
+          (Int.min (saved.Checkpoint.s_at_instrs + n)
+             (Powertrace.next_at trace))
+  in
+  cx.horizon <- (match config.engine with Jit -> next_horizon () | Classic -> min_int);
+  (* a run hooked at every step never dispatches fused: skip the trace
+     detection *)
+  let dispatch =
+    if cx.horizon = min_int then bodies else Superblock.install_jit cx bodies
+  in
   while not st.halted do
-    if st.pc < 0 || st.pc >= Array.length code then
-      raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range st.pc));
-    let insn = Array.unsafe_get code st.pc in
-    let m = Array.unsafe_get meta st.pc in
-    if m land meta_slice <> 0 && st.mode = Isa.Classic then
-      raise (Sim_trap Bs_support.Outcome.Classic_mode_slice);
-    let outage = power_step m in
-    if not outage then begin
-    fetch st.pc;
-    ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-    ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-    if ctr.Counters.instrs > config.fuel then begin
-      outcome := Bs_support.Outcome.Out_of_fuel;
-      st.halted <- true
+    let pc = st.pc in
+    if pc < 0 || pc >= ncode then
+      raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+    if ctr.Counters.instrs < cx.horizon then begin
+      (* below the horizon no hook can fire, and fused traces stop short
+         of it: fetch, charge, one indirect call *)
+      Superblock.fetch cx pc;
+      ctr.Counters.instrs <- ctr.Counters.instrs + 1;
+      ctr.Counters.cycles <- ctr.Counters.cycles + 1;
+      st.pc <- (Array.unsafe_get dispatch pc) ()
     end
     else begin
-    apply_fault ();
-    (match m land meta_prov_mask with
-    | 1 -> ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1
-    | 2 -> ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1
-    | 3 -> ctr.Counters.copies <- ctr.Counters.copies + 1
-    | _ -> ());
-    st.next <- st.pc + 1;
-    st.loaded <- -1;
-    (match insn with
-    | MOV (d, s) ->
-        check1 s;
-        write_reg st ctr d (read_reg st ctr s)
-    | MOVW (d, v) -> write_reg st ctr d v
-    | MOVT (d, v) ->
-        check1 d;
-        write_reg st ctr d ((st.regs.(d) land 0xFFFF) lor (v lsl 16))
-    | ALU (op, d, n, o) ->
-        (match o with Reg m -> check2 n m | Imm _ -> check1 n);
-        alu32_count ();
-        let a = read_reg st ctr n in
-        let b = match o with Reg m -> read_reg st ctr m | Imm v -> v in
-        let r =
-          match op with
-          | OpAdd -> a + b
-          | OpSub -> a - b
-          | OpAnd -> a land b
-          | OpOrr -> a lor b
-          | OpEor -> a lxor b
-          | OpLsl -> a lsl (b land 31)
-          | OpLsr -> (a land 0xFFFFFFFF) lsr (b land 31)
-          | OpAsr ->
-              let sa = if a land 0x80000000 <> 0 then a - 0x100000000 else a in
-              sa asr (b land 31)
-        in
-        write_reg st ctr d r
-    | MUL (d, n, m) ->
-        check2 n m;
-        ctr.Counters.mul_ops <- ctr.Counters.mul_ops + 1;
-        stall mul_penalty `Other;
-        write_reg st ctr d (read_reg st ctr n * read_reg st ctr m)
-    | DIV (sg, d, n, m) ->
-        check2 n m;
-        ctr.Counters.div_ops <- ctr.Counters.div_ops + 1;
-        stall div_penalty `Other;
-        let a = read_reg st ctr n and b = read_reg st ctr m in
-        if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
-        let r =
-          match sg with
-          | Unsigned -> a / b
-          | Signed ->
-              let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v in
-              s a / s b
-        in
-        write_reg st ctr d r
-    | CMP (n, o) ->
-        (match o with Reg m -> check2 n m | Imm _ -> check1 n);
-        alu32_count ();
-        st.cmp_a <- read_reg st ctr n;
-        st.cmp_b <- (match o with Reg m -> read_reg st ctr m | Imm v -> v);
-        st.cmp_width8 <- false
-    | CSET (c, d) ->
-        alu32_count ();
-        write_reg st ctr d (if eval_cond st c then 1 else 0)
-    | B t ->
-        st.next <- t;
-        stall branch_penalty `Branch
-    | BC (c, t) ->
-        alu32_count ();
-        if eval_cond st c then begin
-          st.next <- t;
-          stall branch_penalty `Branch
+      (* at the horizon: a stop sees the state between two steps; then
+         the slice-mode check, the checkpoint/outage hook, fetch, charge
+         and fuel, the fault hook, and the reference step *)
+      if ctr.Counters.instrs = !next_stop then begin
+        match at_stop st ctr with
+        | Some n -> next_stop := n
+        | None ->
+            stopped := true;
+            st.halted <- true
+      end;
+      let m = Array.unsafe_get meta pc in
+      if st.halted then ()
+      else if m land meta_slice <> 0 && st.mode = Isa.Classic then
+        raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
+      else if not (power_step m) then begin
+        Superblock.fetch cx pc;
+        ctr.Counters.instrs <- ctr.Counters.instrs + 1;
+        ctr.Counters.cycles <- ctr.Counters.cycles + 1;
+        if ctr.Counters.instrs > fuel then begin
+          outcome := Bs_support.Outcome.Out_of_fuel;
+          st.halted <- true
         end
-    | BL t ->
-        write_reg st ctr lr (st.pc + 1);
-        st.next <- t;
-        stall branch_penalty `Branch
-    | BX_LR ->
-        st.next <- read_reg st ctr lr;
-        stall branch_penalty `Branch
-    | LDR (w, sg, d, n, off) ->
-        check1 n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access addr;
-        let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-        let v = Memimage.read_int mem ~width addr in
-        let v =
-          match (sg, w) with
-          | Signed, W8 -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v
-          | Signed, W16 -> if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v
-          | _ -> v
-        in
-        write_reg st ctr d v;
-        st.loaded <- d
-    | STR (w, s, n, off) ->
-        check2 s n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access addr;
-        let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-        Memimage.write_int mem ~width addr (read_reg st ctr s)
-    | SXT (w, d, s) ->
-        check1 s;
-        alu32_count ();
-        let v = read_reg st ctr s in
-        let r =
-          match w with
-          | W8 -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v land 0xFF
-          | W16 -> if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v land 0xFFFF
-          | W32 -> v
-        in
-        write_reg st ctr d r
-    | UXT (w, d, s) ->
-        check1 s;
-        alu32_count ();
-        let v = read_reg st ctr s in
-        let r = match w with W8 -> v land 0xFF | W16 -> v land 0xFFFF | W32 -> v in
-        write_reg st ctr d r
-    | BALU (op, d, n, o) -> (
-        check1 n.sl_reg;
-        alu8_count ();
-        let a = read_slice st ctr n in
-        let b =
-          match o with Sl s -> read_slice st ctr s | BImm v -> v land 0xFF
-        in
-        match op with
-        | BAdd ->
-            let r = a + b in
-            if r > 0xFF then misspeculate ctr misspec_pc_counts st
-            else write_slice st ctr d r
-        | BSub ->
-            let r = a - b in
-            if r < 0 then misspeculate ctr misspec_pc_counts st
-            else write_slice st ctr d r
-        | BAnd -> write_slice st ctr d (a land b)
-        | BOrr -> write_slice st ctr d (a lor b)
-        | BEor -> write_slice st ctr d (a lxor b))
-    | BCMPS (n, o) ->
-        alu8_count ();
-        st.cmp_a <- read_slice st ctr n;
-        st.cmp_b <- (match o with Sl s -> read_slice st ctr s | BImm v -> v land 0xFF);
-        st.cmp_width8 <- true
-    | BLDRS (d, n, x) ->
-        check1 n;
-        let off =
-          match x with BOff o -> o | BIdx i -> read_slice st ctr i
-        in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access addr;
-        let v = Memimage.read_int mem ~width:32 addr in
-        if v land 0xFFFFFF00 <> 0 then misspeculate ctr misspec_pc_counts st
         else begin
-          write_slice st ctr d v;
-          st.loaded <- d.sl_reg
+          if ctr.Counters.instrs > fault_horizon then apply_fault ();
+          let nx = (Array.unsafe_get bodies pc) () in
+          if not st.halted then st.pc <- nx
         end
-    | BLDRB (d, n, x) ->
-        check1 n;
-        let off =
-          match x with BOff o -> o | BIdx i -> read_slice st ctr i
-        in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access addr;
-        write_slice st ctr d (Memimage.read_int mem ~width:8 addr);
-        st.loaded <- d.sl_reg
-    | BSTRB (s, n, x) ->
-        check2 s.sl_reg n;
-        let off =
-          match x with BOff o -> o | BIdx i -> read_slice st ctr i
-        in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access addr;
-        Memimage.write_int mem ~width:8 addr (read_slice st ctr s)
-    | BEXT (sg, d, s) ->
-        check1 s.sl_reg;
-        alu8_count ();
-        let v = read_slice st ctr s in
-        let r =
-          match sg with
-          | Unsigned -> v
-          | Signed -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v
-        in
-        write_reg st ctr d r
-    | BTRN (d, s) ->
-        check1 s;
-        alu8_count ();
-        let v = read_reg st ctr s in
-        if v land 0xFFFFFF00 <> 0 then misspeculate ctr misspec_pc_counts st
-        else write_slice st ctr d v
-    | BMOV (d, s) ->
-        check1 s.sl_reg;
-        write_slice st ctr d (read_slice st ctr s)
-    | BMOVI (d, v) -> write_slice st ctr d v
-    | SETDELTA v -> st.delta <- v
-    | SETMODE m -> st.mode <- m
-    | NOP -> ()
-    | HALT -> st.halted <- true);
-    st.last_load_dest <- st.loaded;
-    if not st.halted then st.pc <- st.next
+      end;
+      if cx.horizon <> min_int then cx.horizon <- next_horizon ()
     end
-    end
-  done);
+  done;
   if config.power <> None then Memimage.journal_stop mem;
   let misspec_pcs =
     List.sort compare

@@ -2,47 +2,48 @@ open Bs_isa
 open Isa
 open Bs_interp
 
-(* Closure-compiled dispatch engines for the BSARM machine model.
+(* The BSARM machine's per-step semantics, and the trace-JIT that fuses
+   hot paths of them.
 
-   Two layers, both built once per run and amortised over millions of
-   dynamic steps:
+   The machine is defined twice, once per execution level:
 
-   - Direct-threaded dispatch ([compile_bodies]): every PC is pre-decoded
-     into a closure of type [unit -> int] that performs the instruction's
-     semantics — hazard checks, counter increments, the operation itself —
-     and returns the successor PC.  The hot loop becomes one indirect call
-     per step instead of a constructor match plus operand decode.
+   - the reference step ({!step}): one instruction's full semantics —
+     hazard checks, counter bumps, the operation — as one [match].  The
+     dispatch table holds a closure per PC over it ({!bodies}); every
+     step the trace-JIT does not fuse runs there, and so does every step
+     of the [Classic] engine;
 
-   - The superblock trace-JIT ([detect] + [install_jit]): maximal
-     straight-line runs of fusible instructions are found statically at
-     block leaders (entries, branch targets, fall-throughs, static
-     misspeculation targets); a profiling closure at each head counts
-     executions, and past [promote_threshold] it replaces itself with a
-     single fused closure chaining the run's bodies with direct calls.
-     Inside a fused trace the per-step loop overhead disappears:
-     instruction and cycle counts are flushed as per-exit constants, and
-     instruction fetches are batched per cache line (within a straight
-     line, only the first access of each I$ line can miss — the rest are
-     replayed with {!Cache.bump_hits}).
+   - the fused level ([detect] + [install_jit]): maximal straight-line
+     runs of fusible instructions are found statically at block leaders
+     (entries, branch targets, fall-throughs, static misspeculation
+     targets); a profiling closure at each head counts executions, and
+     past [promote_threshold] it replaces itself with a single fused
+     closure chaining counter-free steps ({!fused_step}).  Inside a
+     fused trace the per-step loop overhead disappears: instruction and
+     cycle counts and every static counter are flushed from per-exit
+     ledgers, and instruction fetches are batched per cache line (within
+     a straight line, only the first access of each I$ line can miss —
+     the rest are replayed with {!Cache.bump_hits}).
 
    Guard exits mirror the hardware's own Δ fallback: a misspeculating
    instruction ends the trace early, flushes the counters and batched
-   fetches accumulated so far, and returns [pc + Δ] to the threaded loop.
-   Event-horizon and CLASSIC-mode entry guards fall back to the plain
-   head body, so the exact single-step semantics decide boundary cases.
-   The horizon ([ctx.horizon]) is the instruction count of the next step
-   that needs a hook — the fuel limit, a pending fault, a stop, an
-   interval checkpoint or a possible outage — so the same fused traces
-   serve runs under power traces and fault injection: they stop short of
-   the horizon, and [Machine.run] executes the step at it with its
+   fetches accumulated so far, and returns [pc + Δ] to the dispatch
+   loop.  Event-horizon and CLASSIC-mode entry guards fall back to the
+   head's reference step, so the exact single-step semantics decide
+   boundary cases.  The horizon ([ctx.horizon]) is the instruction count
+   of the next step that needs a hook — the fuel limit, a pending fault,
+   a stop, an interval checkpoint or a possible outage — so the same
+   fused traces serve runs under power traces and fault injection: they
+   stop short of the horizon, and [Machine] runs the step at it with its
    hooks.
 
-   Every path here must be byte-identical in observable effect (counters,
-   outcome, memory image, cache hit/miss/LRU state) to the classic
-   interpreter loop in [Machine].  The one sanctioned divergence: when an
-   instruction raises (division by zero, memory fault, classic-mode slice
-   use), counters and run-local cache state may be part-updated — the
-   exception escapes [Machine.run], so no caller can observe them. *)
+   A fused trace must be byte-identical in observable effect (counters,
+   outcome, memory image, cache hit/miss/LRU state) to the same steps
+   run one by one through {!step}; the engine tests difference the two.
+   The one sanctioned divergence: when an instruction raises (division
+   by zero, memory fault, classic-mode slice use), counters and
+   run-local cache state may be part-updated — the exception escapes
+   [Machine.run], so no caller can observe them. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 
@@ -56,7 +57,6 @@ let div_penalty = 10
 type state = {
   regs : int array;            (* 32-bit values *)
   mutable pc : int;
-  mutable next : int;          (* in-flight successor PC (classic loop only) *)
   mutable delta : int;
   mutable mode : Isa.mode;
   mutable halted : bool;
@@ -65,26 +65,25 @@ type state = {
   mutable cmp_b : int;
   mutable cmp_width8 : bool;
   mutable last_load_dest : int; (* reg written by the previous load, -1 none *)
-  mutable loaded : int;         (* load destination of the current step, -1;
-                                   classic loop only — bodies write
-                                   [last_load_dest] directly *)
 }
 
 let mask32 v = v land 0xFFFFFFFF
 
-let read_reg st ctr r =
+(* The counter helpers run on nearly every reference step; ocamlopt
+   without flambda inlines only the tiniest functions unless asked. *)
+let[@inline] read_reg st ctr r =
   ctr.Counters.reg_read32 <- ctr.Counters.reg_read32 + 1;
   st.regs.(r)
 
-let write_reg st ctr r v =
+let[@inline] write_reg st ctr r v =
   ctr.Counters.reg_write32 <- ctr.Counters.reg_write32 + 1;
   st.regs.(r) <- mask32 v
 
-let read_slice st ctr (s : slice) =
+let[@inline] read_slice st ctr (s : slice) =
   ctr.Counters.reg_read8 <- ctr.Counters.reg_read8 + 1;
   (st.regs.(s.sl_reg) lsr (8 * s.sl_byte)) land 0xFF
 
-let write_slice st ctr (s : slice) v =
+let[@inline] write_slice st ctr (s : slice) v =
   ctr.Counters.reg_write8 <- ctr.Counters.reg_write8 + 1;
   let shift = 8 * s.sl_byte in
   let keep = lnot (0xFF lsl shift) land 0xFFFFFFFF in
@@ -108,16 +107,16 @@ let eval_cond st (c : cond) =
   | CSge -> sa >= sb
 
 (* stall helpers: every stall burns cycles and is attributed to a kind *)
-let stall_other ctr n =
+let[@inline] stall_other ctr n =
   ctr.Counters.cycles <- ctr.Counters.cycles + n;
   ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + n
 
-let stall_branch ctr =
+let[@inline] stall_branch ctr =
   ctr.Counters.cycles <- ctr.Counters.cycles + branch_penalty;
   ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + branch_penalty;
   ctr.Counters.branch_stalls <- ctr.Counters.branch_stalls + branch_penalty
 
-let stall_load_use ctr =
+let[@inline] stall_load_use ctr =
   ctr.Counters.cycles <- ctr.Counters.cycles + 1;
   ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + 1;
   ctr.Counters.load_use_stalls <- ctr.Counters.load_use_stalls + 1
@@ -155,8 +154,7 @@ let fetch cx pcv =
     else stall_other cx.ctr (l2_latency + dram_latency)
 
 (* Misspeculation at [pc]: count, attribute, pay the redirect, and return
-   the displaced successor.  Identical arithmetic to the classic loop's
-   [misspeculate], with the faulting pc passed statically. *)
+   the displaced successor. *)
 let misspec cx pc =
   let ctr = cx.ctr in
   ctr.Counters.misspecs <- ctr.Counters.misspecs + 1;
@@ -166,443 +164,293 @@ let misspec cx pc =
   stall_branch ctr;
   pc + cx.st.delta
 
-let classic_slice_trap st =
+let[@inline] classic_slice_trap st =
   if st.mode = Isa.Classic then
     raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
 
-(* --- the threaded body compiler ----------------------------------------- *)
+(* --- the reference step --------------------------------------------------- *)
 
-(* One closure per PC.  Contract with the dispatch loop: when the body is
-   called, the loop has already bounds-checked the pc, fetched it through
-   the I$, charged 1 instruction + 1 cycle, and checked fuel.  The body
-   performs load-use hazard checks against [st.last_load_dest], the
-   operation (counters included), writes [st.last_load_dest] for the next
-   step, and returns the successor pc.  All operands are decoded at
-   compile time, so the only per-step work left is the semantics. *)
-let compile_op (cx : ctx) pcv (insn : insn) : unit -> int =
+(* load-use hazard checks against the previous step's load destination
+   ([lld] is -1 when the previous instruction was not a load, and
+   registers are >= 0) *)
+let[@inline] check1 ctr (lld : int) a = if lld = a then stall_load_use ctr
+
+let[@inline] check2 ctr (lld : int) a b = if lld = a || lld = b then stall_load_use ctr
+
+let[@inline] alu32 ctr = ctr.Counters.alu32 <- ctr.Counters.alu32 + 1
+let[@inline] alu8 ctr = ctr.Counters.alu8 <- ctr.Counters.alu8 + 1
+
+(* One instruction at [pc], with every counter it bumps; returns the
+   successor pc.  Contract with the dispatch loop: it has already
+   bounds-checked [pc], fetched it through the I$, charged one
+   instruction and one cycle, checked fuel and counted the pc's
+   spill/copy provenance.  The step leaves [st.last_load_dest] for the
+   next one.  Slice operations trap here in CLASSIC mode (a hooked step
+   has checked that already, a step below the horizon has not). *)
+let step (cx : ctx) pc (insn : insn) : int =
   let st = cx.st and ctr = cx.ctr and mem = cx.mem in
-  let nx = pcv + 1 in
-  let check1 a = if st.last_load_dest = a then stall_load_use ctr in
-  let check2 a b =
-    if st.last_load_dest = a || st.last_load_dest = b then stall_load_use ctr
-  in
-  let alu32 () = ctr.Counters.alu32 <- ctr.Counters.alu32 + 1 in
-  let alu8 () = ctr.Counters.alu8 <- ctr.Counters.alu8 + 1 in
+  let lld = st.last_load_dest in
+  st.last_load_dest <- -1;
+  let nx = pc + 1 in
   match insn with
   | MOV (d, s) ->
-      fun () ->
-        check1 s;
-        write_reg st ctr d (read_reg st ctr s);
-        st.last_load_dest <- -1;
-        nx
+      check1 ctr lld s;
+      write_reg st ctr d (read_reg st ctr s);
+      nx
   | MOVW (d, v) ->
-      fun () ->
-        write_reg st ctr d v;
-        st.last_load_dest <- -1;
-        nx
+      write_reg st ctr d v;
+      nx
   | MOVT (d, v) ->
-      let hi = v lsl 16 in
-      fun () ->
-        check1 d;
-        write_reg st ctr d ((st.regs.(d) land 0xFFFF) lor hi);
-        st.last_load_dest <- -1;
-        nx
-  | ALU (op, d, n, o) -> (
-      (* fully specialised per (operation, operand shape): the hot ALU
-         path must not pay a dispatch on either *)
-      match o with
-      | Reg m -> (
-          let rr f =
-            fun () ->
-              check2 n m;
-              alu32 ();
-              write_reg st ctr d (f (read_reg st ctr n) (read_reg st ctr m));
-              st.last_load_dest <- -1;
-              nx
-          in
-          match op with
-          | OpAdd -> rr ( + )
-          | OpSub -> rr ( - )
-          | OpAnd -> rr ( land )
-          | OpOrr -> rr ( lor )
-          | OpEor -> rr ( lxor )
-          | OpLsl -> rr (fun a b -> a lsl (b land 31))
-          | OpLsr -> rr (fun a b -> (a land 0xFFFFFFFF) lsr (b land 31))
-          | OpAsr ->
-              rr (fun a b ->
-                  let sa =
-                    if a land 0x80000000 <> 0 then a - 0x100000000 else a
-                  in
-                  sa asr (b land 31)))
-      | Imm v -> (
-          let ri f =
-            fun () ->
-              check1 n;
-              alu32 ();
-              write_reg st ctr d (f (read_reg st ctr n));
-              st.last_load_dest <- -1;
-              nx
-          in
-          match op with
-          | OpAdd -> ri (fun a -> a + v)
-          | OpSub -> ri (fun a -> a - v)
-          | OpAnd -> ri (fun a -> a land v)
-          | OpOrr -> ri (fun a -> a lor v)
-          | OpEor -> ri (fun a -> a lxor v)
-          | OpLsl ->
-              let sh = v land 31 in
-              ri (fun a -> a lsl sh)
-          | OpLsr ->
-              let sh = v land 31 in
-              ri (fun a -> (a land 0xFFFFFFFF) lsr sh)
-          | OpAsr ->
-              let sh = v land 31 in
-              ri (fun a ->
-                  let sa =
-                    if a land 0x80000000 <> 0 then a - 0x100000000 else a
-                  in
-                  sa asr sh)))
+      check1 ctr lld d;
+      write_reg st ctr d ((st.regs.(d) land 0xFFFF) lor (v lsl 16));
+      nx
+  | ALU (op, d, n, o) ->
+      (match o with Reg m -> check2 ctr lld n m | Imm _ -> check1 ctr lld n);
+      alu32 ctr;
+      let a = read_reg st ctr n in
+      let b = match o with Reg m -> read_reg st ctr m | Imm v -> v in
+      let r =
+        match op with
+        | OpAdd -> a + b
+        | OpSub -> a - b
+        | OpAnd -> a land b
+        | OpOrr -> a lor b
+        | OpEor -> a lxor b
+        | OpLsl -> a lsl (b land 31)
+        | OpLsr -> (a land 0xFFFFFFFF) lsr (b land 31)
+        | OpAsr ->
+            let sa = if a land 0x80000000 <> 0 then a - 0x100000000 else a in
+            sa asr (b land 31)
+      in
+      write_reg st ctr d r;
+      nx
   | MUL (d, n, m) ->
-      fun () ->
-        check2 n m;
-        ctr.Counters.mul_ops <- ctr.Counters.mul_ops + 1;
-        stall_other ctr mul_penalty;
-        write_reg st ctr d (read_reg st ctr n * read_reg st ctr m);
-        st.last_load_dest <- -1;
-        nx
+      check2 ctr lld n m;
+      ctr.Counters.mul_ops <- ctr.Counters.mul_ops + 1;
+      stall_other ctr mul_penalty;
+      write_reg st ctr d (read_reg st ctr n * read_reg st ctr m);
+      nx
   | DIV (sg, d, n, m) ->
-      let signed = sg = Signed in
-      fun () ->
-        check2 n m;
-        ctr.Counters.div_ops <- ctr.Counters.div_ops + 1;
-        stall_other ctr div_penalty;
-        let a = read_reg st ctr n and b = read_reg st ctr m in
-        if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
-        let r =
-          if signed then
+      check2 ctr lld n m;
+      ctr.Counters.div_ops <- ctr.Counters.div_ops + 1;
+      stall_other ctr div_penalty;
+      let a = read_reg st ctr n and b = read_reg st ctr m in
+      if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
+      let r =
+        match sg with
+        | Unsigned -> a / b
+        | Signed ->
             let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v in
             s a / s b
-          else a / b
-        in
-        write_reg st ctr d r;
-        st.last_load_dest <- -1;
-        nx
-  | CMP (n, o) -> (
-      match o with
-      | Reg m ->
-          fun () ->
-            check2 n m;
-            alu32 ();
-            st.cmp_a <- read_reg st ctr n;
-            st.cmp_b <- read_reg st ctr m;
-            st.cmp_width8 <- false;
-            st.last_load_dest <- -1;
-            nx
-      | Imm v ->
-          fun () ->
-            check1 n;
-            alu32 ();
-            st.cmp_a <- read_reg st ctr n;
-            st.cmp_b <- v;
-            st.cmp_width8 <- false;
-            st.last_load_dest <- -1;
-            nx)
+      in
+      write_reg st ctr d r;
+      nx
+  | CMP (n, o) ->
+      (match o with Reg m -> check2 ctr lld n m | Imm _ -> check1 ctr lld n);
+      alu32 ctr;
+      st.cmp_a <- read_reg st ctr n;
+      st.cmp_b <- (match o with Reg m -> read_reg st ctr m | Imm v -> v);
+      st.cmp_width8 <- false;
+      nx
   | CSET (c, d) ->
-      fun () ->
-        alu32 ();
-        write_reg st ctr d (if eval_cond st c then 1 else 0);
-        st.last_load_dest <- -1;
-        nx
+      alu32 ctr;
+      write_reg st ctr d (if eval_cond st c then 1 else 0);
+      nx
   | B t ->
-      fun () ->
-        stall_branch ctr;
-        st.last_load_dest <- -1;
-        t
+      stall_branch ctr;
+      t
   | BC (c, t) ->
-      fun () ->
-        alu32 ();
-        st.last_load_dest <- -1;
-        if eval_cond st c then begin
-          stall_branch ctr;
-          t
-        end
-        else nx
+      alu32 ctr;
+      if eval_cond st c then begin
+        stall_branch ctr;
+        t
+      end
+      else nx
   | BL t ->
-      fun () ->
-        write_reg st ctr lr nx;
-        stall_branch ctr;
-        st.last_load_dest <- -1;
-        t
+      write_reg st ctr lr nx;
+      stall_branch ctr;
+      t
   | BX_LR ->
-      fun () ->
-        let t = read_reg st ctr lr in
-        stall_branch ctr;
-        st.last_load_dest <- -1;
-        t
-  | LDR (w, sg, d, n, off) -> (
+      let t = read_reg st ctr lr in
+      stall_branch ctr;
+      t
+  | LDR (w, sg, d, n, off) ->
+      check1 ctr lld n;
+      let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
+      ctr.Counters.loads <- ctr.Counters.loads + 1;
+      mem_access cx addr;
       let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-      let finish v =
-        write_reg st ctr d v;
-        st.last_load_dest <- d;
-        nx
+      let v = Memimage.read_int mem ~width addr in
+      let v =
+        match (sg, w) with
+        | Signed, W8 -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v
+        | Signed, W16 -> if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v
+        | _ -> v
       in
-      let start () =
-        check1 n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access cx addr;
-        Memimage.read_int mem ~width addr
-      in
-      match (sg, w) with
-      | Signed, W8 ->
-          fun () ->
-            let v = start () in
-            finish (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v)
-      | Signed, W16 ->
-          fun () ->
-            let v = start () in
-            finish (if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v)
-      | _ -> fun () -> finish (start ()))
+      write_reg st ctr d v;
+      st.last_load_dest <- d;
+      nx
   | STR (w, s, n, off) ->
+      check2 ctr lld s n;
+      let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
+      ctr.Counters.stores <- ctr.Counters.stores + 1;
+      mem_access cx addr;
       let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-      fun () ->
-        check2 s n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access cx addr;
-        Memimage.write_int mem ~width addr (read_reg st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | SXT (w, d, s) -> (
-      let fin r =
-        write_reg st ctr d r;
-        st.last_load_dest <- -1;
-        nx
+      Memimage.write_int mem ~width addr (read_reg st ctr s);
+      nx
+  | SXT (w, d, s) ->
+      check1 ctr lld s;
+      alu32 ctr;
+      let v = read_reg st ctr s in
+      let r =
+        match w with
+        | W8 -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v land 0xFF
+        | W16 -> if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v land 0xFFFF
+        | W32 -> v
       in
-      match w with
-      | W8 ->
-          fun () ->
-            check1 s;
-            alu32 ();
-            let v = read_reg st ctr s in
-            fin (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v land 0xFF)
-      | W16 ->
-          fun () ->
-            check1 s;
-            alu32 ();
-            let v = read_reg st ctr s in
-            fin
-              (if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v land 0xFFFF)
-      | W32 ->
-          fun () ->
-            check1 s;
-            alu32 ();
-            fin (read_reg st ctr s))
+      write_reg st ctr d r;
+      nx
   | UXT (w, d, s) ->
-      let m = match w with W8 -> 0xFF | W16 -> 0xFFFF | W32 -> 0xFFFFFFFF in
-      fun () ->
-        check1 s;
-        alu32 ();
-        write_reg st ctr d (read_reg st ctr s land m);
-        st.last_load_dest <- -1;
-        nx
+      check1 ctr lld s;
+      alu32 ctr;
+      let v = read_reg st ctr s in
+      let r = match w with W8 -> v land 0xFF | W16 -> v land 0xFFFF | W32 -> v in
+      write_reg st ctr d r;
+      nx
   | BALU (op, d, n, o) -> (
-      let operand () =
-        match o with Sl s -> read_slice cx.st cx.ctr s | BImm v -> v land 0xFF
-      in
+      classic_slice_trap st;
+      check1 ctr lld n.sl_reg;
+      alu8 ctr;
+      let a = read_slice st ctr n in
+      let b = match o with Sl s -> read_slice st ctr s | BImm v -> v land 0xFF in
       match op with
       | BAdd ->
-          fun () ->
-            classic_slice_trap st;
-            check1 n.sl_reg;
-            alu8 ();
-            let a = read_slice st ctr n in
-            let b = operand () in
-            let r = a + b in
-            st.last_load_dest <- -1;
-            if r > 0xFF then misspec cx pcv
-            else begin
-              write_slice st ctr d r;
-              nx
-            end
+          let r = a + b in
+          if r > 0xFF then misspec cx pc
+          else begin
+            write_slice st ctr d r;
+            nx
+          end
       | BSub ->
-          fun () ->
-            classic_slice_trap st;
-            check1 n.sl_reg;
-            alu8 ();
-            let a = read_slice st ctr n in
-            let b = operand () in
-            let r = a - b in
-            st.last_load_dest <- -1;
-            if r < 0 then misspec cx pcv
-            else begin
-              write_slice st ctr d r;
-              nx
-            end
-      | BAnd | BOrr | BEor ->
-          let f =
-            match op with
-            | BAnd -> ( land )
-            | BOrr -> ( lor )
-            | _ -> ( lxor )
-          in
-          fun () ->
-            classic_slice_trap st;
-            check1 n.sl_reg;
-            alu8 ();
-            let a = read_slice st ctr n in
-            let b = operand () in
-            write_slice st ctr d (f a b);
-            st.last_load_dest <- -1;
-            nx)
-  | BCMPS (n, o) ->
-      let operand () =
-        match o with Sl s -> read_slice cx.st cx.ctr s | BImm v -> v land 0xFF
-      in
-      fun () ->
-        classic_slice_trap st;
-        alu8 ();
-        st.cmp_a <- read_slice st ctr n;
-        st.cmp_b <- operand ();
-        st.cmp_width8 <- true;
-        st.last_load_dest <- -1;
-        nx
-  | BLDRS (d, n, x) ->
-      let offset () =
-        match x with BOff o -> o | BIdx i -> read_slice cx.st cx.ctr i
-      in
-      fun () ->
-        classic_slice_trap st;
-        check1 n;
-        let off = offset () in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access cx addr;
-        let v = Memimage.read_int mem ~width:32 addr in
-        if v land 0xFFFFFF00 <> 0 then begin
-          st.last_load_dest <- -1;
-          misspec cx pcv
-        end
-        else begin
-          write_slice st ctr d v;
-          st.last_load_dest <- d.sl_reg;
+          let r = a - b in
+          if r < 0 then misspec cx pc
+          else begin
+            write_slice st ctr d r;
+            nx
+          end
+      | BAnd ->
+          write_slice st ctr d (a land b);
           nx
-        end
-  | BLDRB (d, n, x) ->
-      let offset () =
-        match x with BOff o -> o | BIdx i -> read_slice cx.st cx.ctr i
-      in
-      fun () ->
-        classic_slice_trap st;
-        check1 n;
-        let off = offset () in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access cx addr;
-        write_slice st ctr d (Memimage.read_int mem ~width:8 addr);
+      | BOrr ->
+          write_slice st ctr d (a lor b);
+          nx
+      | BEor ->
+          write_slice st ctr d (a lxor b);
+          nx)
+  | BCMPS (n, o) ->
+      classic_slice_trap st;
+      alu8 ctr;
+      st.cmp_a <- read_slice st ctr n;
+      st.cmp_b <- (match o with Sl s -> read_slice st ctr s | BImm v -> v land 0xFF);
+      st.cmp_width8 <- true;
+      nx
+  | BLDRS (d, n, x) ->
+      classic_slice_trap st;
+      check1 ctr lld n;
+      let off = match x with BOff o -> o | BIdx i -> read_slice st ctr i in
+      let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
+      ctr.Counters.loads <- ctr.Counters.loads + 1;
+      mem_access cx addr;
+      let v = Memimage.read_int mem ~width:32 addr in
+      if v land 0xFFFFFF00 <> 0 then misspec cx pc
+      else begin
+        write_slice st ctr d v;
         st.last_load_dest <- d.sl_reg;
         nx
+      end
+  | BLDRB (d, n, x) ->
+      classic_slice_trap st;
+      check1 ctr lld n;
+      let off = match x with BOff o -> o | BIdx i -> read_slice st ctr i in
+      let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
+      ctr.Counters.loads <- ctr.Counters.loads + 1;
+      mem_access cx addr;
+      write_slice st ctr d (Memimage.read_int mem ~width:8 addr);
+      st.last_load_dest <- d.sl_reg;
+      nx
   | BSTRB (s, n, x) ->
-      let offset () =
-        match x with BOff o -> o | BIdx i -> read_slice cx.st cx.ctr i
+      classic_slice_trap st;
+      check2 ctr lld s.sl_reg n;
+      let off = match x with BOff o -> o | BIdx i -> read_slice st ctr i in
+      let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
+      ctr.Counters.stores <- ctr.Counters.stores + 1;
+      mem_access cx addr;
+      Memimage.write_int mem ~width:8 addr (read_slice st ctr s);
+      nx
+  | BEXT (sg, d, s) ->
+      classic_slice_trap st;
+      check1 ctr lld s.sl_reg;
+      alu8 ctr;
+      let v = read_slice st ctr s in
+      let r =
+        match sg with
+        | Unsigned -> v
+        | Signed -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v
       in
-      fun () ->
-        classic_slice_trap st;
-        check2 s.sl_reg n;
-        let off = offset () in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access cx addr;
-        Memimage.write_int mem ~width:8 addr (read_slice st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | BEXT (sg, d, s) -> (
-      match sg with
-      | Unsigned ->
-          fun () ->
-            classic_slice_trap st;
-            check1 s.sl_reg;
-            alu8 ();
-            write_reg st ctr d (read_slice st ctr s);
-            st.last_load_dest <- -1;
-            nx
-      | Signed ->
-          fun () ->
-            classic_slice_trap st;
-            check1 s.sl_reg;
-            alu8 ();
-            let v = read_slice st ctr s in
-            write_reg st ctr d
-              (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v);
-            st.last_load_dest <- -1;
-            nx)
+      write_reg st ctr d r;
+      nx
   | BTRN (d, s) ->
-      fun () ->
-        classic_slice_trap st;
-        check1 s;
-        alu8 ();
-        let v = read_reg st ctr s in
-        st.last_load_dest <- -1;
-        if v land 0xFFFFFF00 <> 0 then misspec cx pcv
-        else begin
-          write_slice st ctr d v;
-          nx
-        end
-  | BMOV (d, s) ->
-      fun () ->
-        classic_slice_trap st;
-        check1 s.sl_reg;
-        write_slice st ctr d (read_slice st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | BMOVI (d, v) ->
-      fun () ->
-        classic_slice_trap st;
+      classic_slice_trap st;
+      check1 ctr lld s;
+      alu8 ctr;
+      let v = read_reg st ctr s in
+      if v land 0xFFFFFF00 <> 0 then misspec cx pc
+      else begin
         write_slice st ctr d v;
-        st.last_load_dest <- -1;
         nx
+      end
+  | BMOV (d, s) ->
+      classic_slice_trap st;
+      check1 ctr lld s.sl_reg;
+      write_slice st ctr d (read_slice st ctr s);
+      nx
+  | BMOVI (d, v) ->
+      classic_slice_trap st;
+      write_slice st ctr d v;
+      nx
   | SETDELTA v ->
-      fun () ->
-        st.delta <- v;
-        st.last_load_dest <- -1;
-        nx
+      st.delta <- v;
+      nx
   | SETMODE m ->
-      fun () ->
-        st.mode <- m;
-        st.last_load_dest <- -1;
-        nx
-  | NOP ->
-      fun () ->
-        st.last_load_dest <- -1;
-        nx
+      st.mode <- m;
+      nx
+  | NOP -> nx
   | HALT ->
-      fun () ->
-        st.halted <- true;
-        st.last_load_dest <- -1;
-        nx
+      st.halted <- true;
+      nx
 
-let compile_body (cx : ctx) pcv : unit -> int =
-  let body = compile_op cx pcv cx.prog.Bs_backend.Asm.code.(pcv) in
+(* The dispatch table's closure per PC over {!step}: the instruction is
+   decoded once, and only PCs tagged as spill or copy traffic pay for
+   counting it. *)
+let bodies (cx : ctx) : (unit -> int) array =
   let ctr = cx.ctr in
-  (* provenance counting is baked into the body, so untagged instructions
-     (the overwhelming majority) pay nothing *)
-  match cx.prog.Bs_backend.Asm.prov.(pcv) with
-  | PSpillLoad ->
-      fun () ->
-        ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1;
-        body ()
-  | PSpillStore ->
-      fun () ->
-        ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1;
-        body ()
-  | PCopy ->
-      fun () ->
-        ctr.Counters.copies <- ctr.Counters.copies + 1;
-        body ()
-  | _ -> body
-
-let compile_bodies (cx : ctx) : (unit -> int) array =
-  Array.init (Array.length cx.prog.Bs_backend.Asm.code) (compile_body cx)
+  Array.mapi
+    (fun pc insn ->
+      match cx.prog.Bs_backend.Asm.prov.(pc) with
+      | PSpillLoad ->
+          fun () ->
+            ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1;
+            step cx pc insn
+      | PSpillStore ->
+          fun () ->
+            ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1;
+            step cx pc insn
+      | PCopy ->
+          fun () ->
+            ctr.Counters.copies <- ctr.Counters.copies + 1;
+            step cx pc insn
+      | _ -> fun () -> step cx pc insn)
+    cx.prog.Bs_backend.Asm.code
 
 (* --- superblock detection ------------------------------------------------ *)
 
@@ -744,7 +592,7 @@ let detect (p : Bs_backend.Asm.program) : trace list =
 
 (* Inside a straight-line trace, almost all bookkeeping is static:
 
-   - every counter a threaded body bumps (register-file reads/writes, ALU
+   - every counter a reference step bumps (register-file reads/writes, ALU
      activity, MUL/DIV penalties, load/store counts, spill provenance) is
      a constant of the opcode;
    - every load-use hazard except the first instruction's is resolved at
@@ -764,7 +612,7 @@ let detect (p : Bs_backend.Asm.program) : trace list =
    runtime as they occur, and a DIV-by-zero raise escapes [run] before
    any result is observable, so deferred flushing is exact. *)
 
-(* Static per-instruction counter ledger: everything a threaded body
+(* Static per-instruction counter ledger: everything a reference step
    would bump, minus the loop's 1 instr + 1 cycle (charged separately at
    exits) and minus dynamic memory stalls. *)
 type delta = {
@@ -875,10 +723,9 @@ let slice_operand_reads = function Sl _ -> 1 | BImm _ -> 0
 let boff_reads = function BOff _ -> 0 | BIdx _ -> 1
 
 (* The counters an instruction bumps before (or regardless of) its
-   write-back — paid even when it misspeculates.  Must mirror
-   {!compile_op} bump for bump; note the asymmetries it inherits from the
-   classic loop: MOVT reads its register directly (no read counter), and
-   CSET/BCMPS do not hazard-check. *)
+   write-back — paid even when it misspeculates.  Must mirror {!step}
+   bump for bump; note its asymmetries: MOVT reads its register directly
+   (no read counter), and CSET/BCMPS do not hazard-check. *)
 let exec_side (insn : insn) =
   match insn with
   | MOV _ -> { dzero with x_rr32 = 1 }
@@ -938,8 +785,8 @@ let prov_delta = function
   | _ -> dzero
 
 (* The registers an instruction's load-use hazard check watches — exactly
-   the check1/check2 arguments in {!compile_op} (empty where the classic
-   loop performs no check). *)
+   the check1/check2 arguments in {!step} (empty where the step performs
+   no check). *)
 let hazard_regs (insn : insn) =
   match insn with
   | MOV (_, s) -> [ s ]
@@ -972,7 +819,7 @@ let static_load_dest (insn : insn) =
 (* Every register-file index an instruction touches.  Fused steps use
    unchecked array accesses, so {!fuse} refuses to fuse any trace whose
    indices are not proven in range here (the assembler never emits such a
-   program, but a malformed one must keep the classic engine's
+   program, but a malformed one must keep the reference step's
    out-of-bounds exception rather than read garbage). *)
 let regs_of_insn (insn : insn) =
   let op = function Sl s -> [ s.sl_reg ] | BImm _ -> [] in
@@ -1394,7 +1241,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
    horizon, it executes the whole straight line and returns the
    successor pc.
 
-   What the fusion removes relative to the threaded loop:
+   What the fusion removes relative to stepping one by one:
 
    - the per-instruction loop itself (fetch, charge, fuel check,
      dispatch): fetches are batched per I$ line — the first access of
@@ -1415,7 +1262,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
 (* Precondition for {!fuse}: every register-file index in the trace is in
    range, so the unchecked accesses in {!fused_step} are sound.  Any
    program the assembler emits passes; a malformed one stays on the
-   threaded bodies and raises exactly where the classic engine would. *)
+   reference step and raises exactly where a step-by-step run would. *)
 let trace_regs_ok (cx : ctx) (tr : trace) =
   let code = cx.prog.Bs_backend.Asm.code in
   let nregs = Array.length cx.st.regs in
@@ -1758,7 +1605,7 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   fun () ->
     (* entry guards: if the event horizon falls inside the trace, or a
        CLASSIC-mode slice trap must fire at its exact instruction, fall
-       back to the single-step head body and let the threaded loop
+       back to the head's reference step and let the dispatch loop
        decide *)
     if ctr.Counters.instrs + budget > cx.horizon then fallback ()
     else if has_slice && st.mode = Isa.Classic then fallback ()

@@ -1,37 +1,37 @@
-(** Closure-compiled dispatch engines for the BSARM machine model.
+(** The BSARM machine's per-step semantics, and the superblock
+    trace-JIT that fuses hot paths of them.
 
-    Two layers, both built once per run:
+    The machine is defined twice, once per execution level:
 
-    - {b Direct-threaded dispatch} ({!compile_bodies}): every PC is
-      pre-decoded into a closure of type [unit -> int] performing the
-      instruction's full semantics — hazard checks, counters, operation —
-      and returning the successor PC.  The hot loop becomes one indirect
-      call per step instead of a constructor match plus operand decode.
+    - {b The reference step} ({!step}): one instruction's full semantics —
+      hazard checks, counter bumps, operation, successor PC — as one
+      [match].  The dispatch table holds a closure per PC over it
+      ({!bodies}).  Every step the trace-JIT does not fuse runs there,
+      and so does every step of the [Classic] engine.
 
-    - {b Superblock trace-JIT} ({!detect} + {!install_jit}): hot paths
-      are fused — lazily, past {!promote_threshold} executions — into
-      single closures.  A trace is a {e path}, not a contiguous range: it
-      stitches straight-line runs together through unconditional jumps
-      and calls, and through conditional branches predicted by a
-      taken-direction heuristic that is kept only when it closes a loop
-      back to the trace head.  Fused steps run counter-free: each exit
-      carries a pre-computed {e delta ledger} of cycle/stall/energy
-      constants flushed in one shot, instruction fetches are batched per
-      cache line via {!Cache.bump_hits}, and a loop trace defers even the
-      per-iteration flush until the loop finally exits.  Guard exits
-      (misspeculation, a conditional going the unpredicted way, the
-      event horizon, classic-mode slice use) flush their ledger and fall
-      back to the threaded loop.
+    - {b The superblock trace-JIT} ({!detect} + {!install_jit}): hot
+      paths are fused — lazily, past {!promote_threshold} executions —
+      into single closures.  A trace is a {e path}, not a contiguous
+      range: it stitches straight-line runs together through
+      unconditional jumps and calls, and through conditional branches
+      predicted by a taken-direction heuristic that is kept only when it
+      closes a loop back to the trace head.  Fused steps run
+      counter-free: each exit carries a pre-computed {e delta ledger} of
+      cycle/stall/energy constants flushed in one shot, instruction
+      fetches are batched per cache line via {!Cache.bump_hits}, and a
+      loop trace defers even the per-iteration flush until the loop
+      finally exits.  Guard exits (misspeculation, a conditional going
+      the unpredicted way, the event horizon, classic-mode slice use)
+      flush their ledger and fall back to the dispatch loop.
 
-    Both engines are byte-identical in observable effect (counters,
-    outcome, memory image, cache state) to the classic interpreter loop
-    in {!Machine}; the only sanctioned divergence is counter state at the
-    moment an exception escapes, which no caller can observe.  Faults and
-    power traces do not turn the JIT off: a fused trace runs only if all
-    its steps lie below the event horizon ([ctx.horizon]), the next step
-    at which the fuel limit, a fault, a checkpoint or an outage can
-    strike, and the dispatch loop runs that step on its threaded body
-    with the hooks. *)
+    A fused trace is byte-identical in observable effect (counters,
+    outcome, memory image, cache state) to the same steps run one by one
+    through {!step}; the only sanctioned divergence is counter state at
+    the moment an exception escapes, which no caller can observe.  A
+    fused trace runs only if all its steps lie below the event horizon
+    ([ctx.horizon]), the next step at which the fuel limit, a fault, a
+    stop, a checkpoint or an outage can strike; [Machine] runs that step
+    through {!step} with the hooks. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 (** The machine's structured trap.  {!Machine.Sim_trap} rebinds this
@@ -50,9 +50,6 @@ val div_penalty : int
 type state = {
   regs : int array;  (** 32-bit values *)
   mutable pc : int;
-  mutable next : int;
-      (** in-flight successor PC; used by the classic loop only — bodies
-          return the successor instead *)
   mutable delta : int;
   mutable mode : Bs_isa.Isa.mode;
   mutable halted : bool;
@@ -61,9 +58,6 @@ type state = {
   mutable cmp_width8 : bool;
   mutable last_load_dest : int;
       (** register written by the previous load, [-1] if none *)
-  mutable loaded : int;
-      (** load destination of the current step; classic loop only —
-          bodies write [last_load_dest] directly *)
 }
 
 val mask32 : int -> int
@@ -110,14 +104,27 @@ val misspec : ctx -> int -> int
 (** Misspeculation at [pc]: count, attribute, pay the redirect penalty,
     return [pc + Δ]. *)
 
-(** {1 Direct-threaded dispatch} *)
+val stall_other : Counters.t -> int -> unit
+(** Charge [n] stall cycles of no particular kind (memory latency,
+    MUL/DIV penalties, checkpoint and restore). *)
 
-val compile_bodies : ctx -> (unit -> int) array
-(** One closure per PC.  Contract: the dispatch loop has already
-    bounds-checked the pc, fetched it through the I$, charged one
-    instruction and one cycle, and checked fuel; the body performs the
-    instruction (hazards, counters, semantics, [last_load_dest]) and
-    returns the successor pc. *)
+(** {1 The reference step} *)
+
+val step : ctx -> int -> Bs_isa.Isa.insn -> int
+(** [step cx pc insn] executes [insn], the instruction at [pc], with
+    every counter it bumps — hazard stalls, register-file and ALU
+    activity, MUL/DIV penalties, loads and stores through the cache
+    model, misspeculation through {!misspec} — leaves
+    [st.last_load_dest] for the next step and returns the successor pc.
+    Contract: the caller has already bounds-checked [pc], fetched it
+    through the I$, charged one instruction and one cycle, checked fuel
+    and counted the pc's spill/copy provenance.  A slice operation
+    raises [Sim_trap Classic_mode_slice] in CLASSIC mode. *)
+
+val bodies : ctx -> (unit -> int) array
+(** The dispatch table: one closure per PC over {!step}, with the
+    instruction decoded once and the spill/copy provenance counted on
+    the PCs tagged with it.  A trace's fallback is its head's closure. *)
 
 (** {1 Superblock trace-JIT} *)
 

@@ -34,26 +34,10 @@ let no_obs =
   { o_exn = None; o_r0 = 0L; o_outcome = ""; o_ctr = []; o_misspec = [];
     o_caches = []; o_mem = None }
 
-(* Run [c] on a fresh memory image under [engine].  [power] builds the
-   power configuration per run — a Powertrace is stateful, so every
-   engine must get its own (identically seeded) trace.  [setup] fills
-   the image before the run; [mode] overrides the build's own. *)
-let observe ?(fuel = 2_000_000) ?power ?fault ?mode ?(setup = ignore)
-    (c : Driver.compiled) engine ~entry ~args =
+(* Run [program] on [mem] and record everything observable. *)
+let observe_run ~config program mem ~entry ~args =
   let open Bs_sim in
-  let mem = Bs_interp.Memimage.create c.Driver.ir in
-  setup mem;
-  let mode =
-    match mode with
-    | Some m -> m
-    | None ->
-        if c.Driver.config.Driver.arch = Driver.Bitspec_arch then
-          Bs_isa.Isa.Bitspec
-        else Bs_isa.Isa.Classic
-  in
-  let power = Option.map (fun mk -> mk c) power in
-  let config = { Machine.mode; fuel; fault; power; engine } in
-  match Machine.run ~config c.Driver.program mem ~entry ~args with
+  match Machine.run ~config program mem ~entry ~args with
   | exception Machine.Sim_trap t ->
       { no_obs with o_exn = Some ("trap:" ^ Outcome.trap_name t) }
   | exception Bs_interp.Memimage.Fault _ ->
@@ -69,6 +53,27 @@ let observe ?(fuel = 2_000_000) ?power ?fault ?mode ?(setup = ignore)
             (fun (c : Cache.t) -> (c.Cache.name, c.Cache.hits, c.Cache.misses))
             [ r.Machine.icache; r.Machine.dcache; r.Machine.l2 ];
         o_mem = Some (Bs_interp.Memimage.snapshot mem) }
+
+(* Run [c] on a fresh memory image under [engine].  [power] builds the
+   power configuration per run — a Powertrace is stateful, so every
+   engine must get its own (identically seeded) trace.  [setup] fills
+   the image before the run; [mode] overrides the build's own. *)
+let observe ?(fuel = 2_000_000) ?power ?fault ?mode ?(setup = ignore)
+    (c : Driver.compiled) engine ~entry ~args =
+  let mem = Bs_interp.Memimage.create c.Driver.ir in
+  setup mem;
+  let mode =
+    match mode with
+    | Some m -> m
+    | None ->
+        if c.Driver.config.Driver.arch = Driver.Bitspec_arch then
+          Bs_isa.Isa.Bitspec
+        else Bs_isa.Isa.Classic
+  in
+  let power = Option.map (fun mk -> mk c) power in
+  observe_run
+    ~config:{ Bs_sim.Machine.mode; fuel; fault; power; engine }
+    c.Driver.program mem ~entry ~args
 
 let rec pair_diff xs ys =
   match (xs, ys) with
@@ -338,6 +343,252 @@ let test_classic_slice_at_fuel_limit () =
       (25, "trap:" ^ Outcome.trap_name Outcome.Classic_mode_slice);
       (26, "trap:" ^ Outcome.trap_name Outcome.Classic_mode_slice) ]
 
+(* --- every instruction form, fused vs stepped ---------------------------- *)
+
+(* A hand-assembled loop whose body holds every form a trace can fuse,
+   so the fused ledgers are differenced against the reference step form
+   by form: each ALU op with a register and an immediate operand, MUL,
+   both DIVs, CMP, CSET, every LDR width and sign, every STR width,
+   SXT/UXT of every width, each slice ALU op with a slice and an
+   immediate operand, BCMPS, BLDRS/BLDRB/BSTRB with an offset and a
+   slice index, BEXT, BTRN, BMOV, BMOVI and NOP.  Besides: a load used at
+   once, spill/copy provenance tags, an interior B, a forward BC on its
+   fall-through direction and a loop-closing BC followed on its taken
+   direction.  With k = i land 7, the slice forms misspeculate at
+   k = 0, 3, 4, 5, 6 and 7, and each Δ slot jumps back to the
+   instruction after its misspeculating one; at k = 1 and 2 the whole
+   iteration runs fused, and the last two iterations are those, so the
+   loop leaves with deferred iterations to settle. *)
+
+let every_form_iterations = 43
+
+let every_form_program () : Bs_backend.Asm.program =
+  let open Bs_isa.Isa in
+  let sl r b = { sl_reg = r; sl_byte = b } in
+  let i ?(prov = PNormal) insn = `I (prov, fun _ -> insn) in
+  let jump mk = `I (PNormal, mk) in
+  let label l = `L l in
+  let items =
+    [ i (MOVW (7, 0x1000));                   (* r7: data base *)
+      i (MOVW (1, 0));                        (* r1: iteration i *)
+      i (MOVW (2, 0));                        (* r2: accumulator *)
+      i (MOVW (12, 0x5A5A));
+      i (MOVT (12, 0xA5A5));                  (* r12: a negative word *)
+      label "head";
+      i (ALU (OpAnd, 8, 1, Imm 7));           (* r8: k *)
+      i (ALU (OpLsl, 9, 8, Imm 2));
+      i (ALU (OpAdd, 9, 9, Reg 7));           (* r9: base + 4k *)
+      i ~prov:PSpillLoad (LDR (W32, Unsigned, 3, 9, 0));
+      i (ALU (OpAdd, 2, 2, Reg 3));           (* load-use stall *)
+      i (LDR (W32, Signed, 3, 9, 0));
+      i (LDR (W16, Signed, 4, 9, 0x40));
+      i (LDR (W16, Unsigned, 5, 9, 0x40));
+      i (LDR (W8, Signed, 6, 9, 0x80));
+      i (LDR (W8, Unsigned, 10, 9, 0x81));
+      i (ALU (OpSub, 3, 3, Reg 4));
+      i (ALU (OpAnd, 4, 12, Reg 5));
+      i (ALU (OpOrr, 5, 6, Reg 10));
+      i (ALU (OpEor, 2, 2, Reg 3));
+      i (ALU (OpLsl, 3, 12, Reg 8));
+      i (ALU (OpLsr, 6, 12, Reg 8));
+      i (ALU (OpAsr, 10, 12, Reg 8));
+      i (ALU (OpAdd, 2, 2, Reg 4));
+      i (ALU (OpEor, 2, 2, Reg 5));
+      i (ALU (OpAdd, 2, 2, Reg 3));
+      i (ALU (OpEor, 2, 2, Reg 6));
+      i (ALU (OpAdd, 2, 2, Reg 10));
+      i (ALU (OpAdd, 3, 1, Imm 3));
+      i (ALU (OpSub, 3, 3, Imm 1));
+      i (ALU (OpAnd, 3, 3, Imm 0xFF));
+      i (ALU (OpOrr, 3, 3, Imm 0x100));
+      i (ALU (OpEor, 3, 3, Imm 0x55));
+      i (ALU (OpLsl, 4, 3, Imm 3));
+      i (ALU (OpLsr, 4, 4, Imm 1));
+      i (ALU (OpAsr, 5, 12, Imm 4));
+      i (ALU (OpAdd, 2, 2, Reg 4));
+      i (ALU (OpEor, 2, 2, Reg 5));
+      i (MUL (3, 2, 12));
+      i (ALU (OpAdd, 4, 8, Imm 1));
+      i (DIV (Unsigned, 5, 3, 4));
+      i (DIV (Signed, 6, 12, 4));
+      i (ALU (OpAdd, 2, 2, Reg 5));
+      i (ALU (OpAdd, 2, 2, Reg 6));
+      i (CMP (8, Imm 3));
+      i (CSET (CUlt, 3));
+      i (CMP (4, Reg 8));
+      i (CSET (CSgt, 4));
+      i (ALU (OpAdd, 2, 2, Reg 3));
+      i (ALU (OpAdd, 2, 2, Reg 4));
+      i (SXT (W8, 3, 6));
+      i (SXT (W16, 4, 12));
+      i (SXT (W32, 5, 2));
+      i (UXT (W8, 6, 12));
+      i (UXT (W16, 10, 12));
+      i ~prov:PCopy (MOV (11, 2));
+      i (UXT (W32, 0, 11));
+      i ~prov:PSpillStore (STR (W32, 2, 9, 0x100));
+      i (STR (W16, 3, 9, 0x120));
+      i (STR (W8, 4, 9, 0x140));
+      i (ALU (OpEor, 2, 2, Reg 5));
+      i (ALU (OpAdd, 2, 2, Reg 6));
+      i (ALU (OpEor, 2, 2, Reg 10));
+      i (ALU (OpAdd, 2, 2, Reg 0));
+      (* an interior jump over a poisoned slot *)
+      jump (fun at -> B (at "skip"));
+      i (MOVW (2, 0xDEAD));
+      label "skip";
+      (* a forward conditional, taken at k = 7 *)
+      i (CMP (8, Imm 7));
+      jump (fun at -> BC (CEq, at "fwd"));
+      i (ALU (OpEor, 2, 2, Imm 0x77));
+      i NOP;
+      label "fwd";
+      (* the slice extension *)
+      i (ALU (OpLsl, 4, 8, Imm 5));           (* slice (4,0) = 32k *)
+      i (ALU (OpLsl, 6, 8, Imm 6));           (* slice (6,0) = 64k mod 256 *)
+      i (BMOVI (sl 5 0, 0x50));
+      i (BMOVI (sl 5 1, 0x10));
+      i (BALU (BAdd, sl 10 0, sl 4 0, BImm 0x30));     (* Δ at k = 7 *)
+      i ~prov:PCopy (BALU (BAdd, sl 10 1, sl 6 0, Sl (sl 5 0)));
+                                                       (* Δ at k = 3, 7 *)
+      i (BALU (BSub, sl 11 0, sl 4 0, BImm 0x10));     (* Δ at k = 0 *)
+      i (BALU (BSub, sl 11 1, sl 6 0, Sl (sl 5 1)));   (* Δ at k = 0, 4 *)
+      i (BALU (BAnd, sl 3 0, sl 12 0, Sl (sl 4 0)));
+      i (BALU (BAnd, sl 3 1, sl 12 1, BImm 0x3C));
+      i (BALU (BOrr, sl 3 2, sl 4 0, Sl (sl 5 1)));
+      i (BALU (BOrr, sl 3 3, sl 6 0, BImm 0x81));
+      i (BALU (BEor, sl 0 0, sl 12 2, Sl (sl 4 0)));
+      i (BALU (BEor, sl 0 1, sl 12 3, BImm 0xFF));
+      i (ALU (OpEor, 2, 2, Reg 3));
+      i (ALU (OpAdd, 2, 2, Reg 0));
+      i (ALU (OpEor, 2, 2, Reg 10));
+      i (ALU (OpAdd, 2, 2, Reg 11));
+      i (BCMPS (sl 4 0, BImm 0x60));
+      i (CSET (CUgt, 3));
+      i (BCMPS (sl 6 0, Sl (sl 5 0)));
+      i (CSET (CSlt, 10));
+      i (BEXT (Signed, 5, sl 12 0));
+      i (BEXT (Unsigned, 6, sl 12 1));
+      i (ALU (OpAdd, 2, 2, Reg 3));
+      i (ALU (OpAdd, 2, 2, Reg 10));
+      i (ALU (OpEor, 2, 2, Reg 5));
+      i (ALU (OpAdd, 2, 2, Reg 6));
+      i (BLDRS (sl 11 0, 9, BOff 0x20));               (* Δ at k = 5 *)
+      i (MOVW (0, 0x1200));
+      i (BLDRS (sl 11 1, 0, BIdx (sl 4 0)));           (* Δ at k = 5 *)
+      i ~prov:PSpillLoad (BLDRB (sl 10 2, 9, BOff 0x80));
+      i (BEXT (Unsigned, 3, sl 10 2));                 (* load-use stall *)
+      i (BLDRB (sl 10 3, 0, BIdx (sl 8 0)));
+      i (CMP (8, Imm 6));
+      i (CSET (CEq, 5));
+      i (ALU (OpLsl, 5, 5, Imm 8));
+      i (ALU (OpAdd, 5, 5, Reg 4));
+      i ~prov:PCopy (BTRN (sl 11 2, 5));               (* Δ at k = 6 *)
+      i (BMOV (sl 11 3, sl 10 3));
+      i (ALU (OpAdd, 2, 2, Reg 3));
+      i (ALU (OpEor, 2, 2, Reg 10));
+      i (ALU (OpAdd, 2, 2, Reg 11));
+      i ~prov:PSpillStore (BSTRB (sl 2 0, 9, BOff 0x160));
+      i (MOVW (0, 0x1300));
+      i (BSTRB (sl 2 1, 0, BIdx (sl 8 0)));
+      (* i += 1, and the backend's loop-continue idiom *)
+      i (ALU (OpAdd, 1, 1, Imm 1));
+      i (CMP (1, Imm every_form_iterations));
+      jump (fun at -> BC (CUlt, at "cont"));
+      jump (fun at -> B (at "exit"));
+      label "cont";
+      i NOP;
+      jump (fun at -> B (at "head"));
+      label "exit";
+      i (MOV (0, 2));
+      i HALT ]
+  in
+  let labels = Hashtbl.create 8 in
+  let n =
+    List.fold_left
+      (fun pc -> function
+        | `L l ->
+            Hashtbl.replace labels l pc;
+            pc
+        | `I _ -> pc + 1)
+      0 items
+  in
+  (* the Δ slots follow the code; unused ones halt *)
+  let delta = n in
+  let code = Array.make (2 * n) HALT and prov = Array.make (2 * n) PNormal in
+  ignore
+    (List.fold_left
+       (fun pc -> function
+         | `L _ -> pc
+         | `I (p, mk) ->
+             code.(pc) <- mk (Hashtbl.find labels);
+             prov.(pc) <- p;
+             if can_misspeculate code.(pc) then code.(pc + delta) <- B (pc + 1);
+             pc + 1)
+       0 items);
+  { Bs_backend.Asm.code;
+    prov;
+    srcmap = Array.make (2 * n) None;
+    entries =
+      (let t = Hashtbl.create 1 in
+       Hashtbl.replace t "main" 0;
+       t);
+    delta;
+    halt_pc = n - 1;
+    handler_pcs = Hashtbl.create 1 }
+
+(* The tables the loop reads, indexed by k: the two BLDRS sources hold a
+   word wider than a byte at k = 5 only. *)
+let every_form_data mem =
+  let w = Bs_interp.Memimage.write_int mem in
+  for k = 0 to 7 do
+    w ~width:32 (0x1000 + (4 * k)) ((0x01020304 * (k + 1)) land 0xFFFFFFFF);
+    w ~width:32 (0x1020 + (4 * k)) (if k = 5 then 0x180 else (17 * k) + 3);
+    w ~width:16 (0x1040 + (4 * k)) ((0x2345 * (k + 1)) land 0xFFFF);
+    w ~width:8 (0x1080 + (4 * k)) (((0x37 * k) + 0x41) land 0xFF);
+    w ~width:8 (0x1081 + (4 * k)) (((0x59 * k) + 0x93) land 0xFF);
+    w ~width:32 (0x1200 + (32 * k)) (if k = 5 then 0x2A5 else k + 1)
+  done
+
+let test_every_form_fused_vs_stepped () =
+  let open Bs_sim in
+  let p = every_form_program () in
+  let run ?(fuel = 1_000_000) engine =
+    let mem =
+      Bs_interp.Memimage.create ~size:65536
+        { Bs_ir.Ir.funcs = []; globals = [] }
+    in
+    every_form_data mem;
+    observe_run
+      ~config:
+        { Machine.mode = Bs_isa.Isa.Bitspec; fuel; fault = None; power = None;
+          engine }
+      p mem ~entry:"main" ~args:[]
+  in
+  let reference = run Machine.Classic in
+  (* the loop keeps its coverage: it finishes, and every misspeculating
+     form fires on some iterations but not all *)
+  Alcotest.(check (option string)) "no exception" None reference.o_exn;
+  Alcotest.(check string) "finishes"
+    (Outcome.to_string Outcome.Finished)
+    reference.o_outcome;
+  Array.iteri
+    (fun pc insn ->
+      if Bs_isa.Isa.can_misspeculate insn then
+        let n = Option.value ~default:0 (List.assoc_opt pc reference.o_misspec) in
+        if n = 0 || n >= every_form_iterations then
+          Alcotest.failf "pc %d misspeculates on %d of %d iterations" pc n
+            every_form_iterations)
+    p.Bs_backend.Asm.code;
+  let g = List.assoc "instrs" reference.o_ctr in
+  List.iter
+    (fun fuel ->
+      let reference = if fuel = 1_000_000 then reference else run ~fuel Machine.Classic in
+      match first_diff reference (run ~fuel Machine.Jit) with
+      | None -> ()
+      | Some d -> Alcotest.failf "fuel %d: jit diverges from classic on %s" fuel d)
+    [ 1_000_000; g / 2; (g / 2) + 1; g - 1 ]
+
 (* --- corpus reproducers are engine-invariant ---------------------------- *)
 
 (* Every reproducer in test/corpus/ gets the full oracle treatment under
@@ -507,6 +758,8 @@ let suite =
       `Quick test_pinned_kernel_events;
     Alcotest.test_case "a classic-mode slice trap wins at the fuel limit"
       `Quick test_classic_slice_at_fuel_limit;
+    Alcotest.test_case "every instruction form agrees fused and stepped"
+      `Quick test_every_form_fused_vs_stepped;
     Alcotest.test_case "corpus verdicts are engine-invariant" `Quick
       test_corpus_engine_invariant;
     Alcotest.test_case "simulated_mips is reported" `Quick
