@@ -67,7 +67,7 @@ let compute_layout (m : Ir.modul) =
   let cursor = ref globals_base in
   List.iter
     (fun (g : Ir.global) ->
-      let esz = max 1 (g.elem_width / 8) in
+      let esz = Int.max 1 (g.elem_width / 8) in
       cursor := align esz !cursor;
       (* Two globals with one name would silently alias the same storage
          (and the second layout would win), turning every store through
@@ -113,7 +113,7 @@ let create ?(size = 8 * 1024 * 1024) (m : Ir.modul) =
   List.iter
     (fun (g : Ir.global) ->
       let base = Hashtbl.find layout g.gname in
-      let esz = max 1 (g.elem_width / 8) in
+      let esz = Int.max 1 (g.elem_width / 8) in
       let n_init = Array.length g.ginit in
       if esz <= 4 && base >= 0 && base + (esz * n_init) <= size then
         for i = 0 to n_init - 1 do
@@ -150,7 +150,7 @@ let addr_of t name =
   | exception Not_found -> raise (Fault ("unknown global " ^ name))
 
 let check t addr width =
-  let bytes = max 1 (width / 8) in
+  let bytes = Int.max 1 (width / 8) in
   if addr < 0 || addr + bytes > Bigarray.Array1.dim t.bytes then
     raise (Fault (Printf.sprintf "out-of-bounds access at 0x%x (i%d)" addr width))
 
@@ -196,7 +196,7 @@ let snapshot_size = Bigarray.Array1.dim
 let journal_record t addr n =
   let need = t.j_len + n in
   if need > Array.length t.j_addr then begin
-    let cap = max 256 (max need (2 * Array.length t.j_addr)) in
+    let cap = Int.max 256 (Int.max need (2 * Array.length t.j_addr)) in
     let a = Array.make cap 0 in
     Array.blit t.j_addr 0 a 0 t.j_len;
     t.j_addr <- a;
@@ -235,7 +235,7 @@ let journal_undo t =
 (** [read t ~width addr] loads a [width]-bit little-endian value. *)
 let read t ~width addr =
   check t addr width;
-  let n = max 1 (width / 8) in
+  let n = Int.max 1 (width / 8) in
   let v = ref 0L in
   for b = n - 1 downto 0 do
     v :=
@@ -248,7 +248,7 @@ let read t ~width addr =
 (** [write t ~width addr v] stores a [width]-bit little-endian value. *)
 let write t ~width addr v =
   check t addr width;
-  let n = max 1 (width / 8) in
+  let n = Int.max 1 (width / 8) in
   if t.j_on then journal_record t addr n;
   for b = 0 to n - 1 do
     Bigarray.Array1.set t.bytes (addr + b)
@@ -294,11 +294,11 @@ let rec global_named name = function
 
 let set_global t (m : Ir.modul) ~name ~index v =
   let width = (global_named name m.globals).elem_width in
-  let addr = addr_of t name + (index * max 1 (width / 8)) in
+  let addr = addr_of t name + (index * Int.max 1 (width / 8)) in
   (* up to 32 bits, the low bits of a plain int carry the element *)
   if width <= 32 then write_int t ~width addr (Int64.to_int v)
   else write t ~width addr v
 
 let get_global t (m : Ir.modul) ~name ~index =
   let width = (global_named name m.globals).elem_width in
-  read t ~width (addr_of t name + (index * max 1 (width / 8)))
+  read t ~width (addr_of t name + (index * Int.max 1 (width / 8)))
