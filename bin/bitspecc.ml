@@ -210,11 +210,11 @@ let engine_conv =
 let engine_arg =
   Arg.(value & opt engine_conv Bs_sim.Machine.Jit
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Machine dispatch engine: $(b,classic) (the reference \
-                 fetch-decode-execute loop) or $(b,jit) (direct-threaded \
-                 per-PC closures plus superblock trace fusion; the \
-                 default).  Both produce identical results — only host \
-                 speed differs.")
+           ~doc:"Machine dispatch engine: $(b,classic) (every step \
+                 through the reference step, with the hooks) or $(b,jit) \
+                 (the default: hot paths fused into superblock traces, \
+                 every other step through the reference step).  Both \
+                 produce identical results — only host speed differs.")
 
 let interp_engine_conv =
   Arg.enum [ ("tree", Interp.Tree); ("compiled", Interp.Compiled) ]

@@ -9,7 +9,12 @@
 
     Timing: 1 cycle per instruction, +2 for taken branches, +1 for
     load-use hazards, +2 MUL, +10 DIV, plus the memory hierarchy (L1 hit
-    0, L2 8, DRAM 60 extra cycles). *)
+    0, L2 8, DRAM 60 extra cycles).
+
+    The model is written twice, once per execution level: the reference
+    step ({!Superblock.step}) and the trace-JIT's fused traces with their
+    static counter ledgers.  One loop runs both; the two {!engine}s
+    differ only in which steps it may fuse. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 (** Structured trap: division by zero, unknown entry, PC escape,
@@ -47,19 +52,21 @@ type power = {
 
 (** Dispatch engine.  Both produce byte-identical results — counters,
     outcome, memory image, cache state; they differ only in host
-    wall-clock speed ([Counters.wall_ns] / [simulated_mips]).
+    wall-clock speed ([Counters.wall_ns] / [simulated_mips]).  Both are
+    one loop over the same per-PC closures around the reference step
+    ({!Superblock.step}), with different event horizons.
 
-    - [Classic]: the reference fetch-decode-execute loop, one big match
-      per step.  The baseline [Jit] is differenced against.
-    - [Jit]: direct-threaded dispatch (per-PC pre-compiled closures, one
-      indirect call per step) plus the superblock trace-JIT
-      ({!Superblock}) fusing hot straight-line runs into single closures
-      with guard exits.  Power traces and fault injection keep the
-      fusion: traces run up to the next step at which the fuel limit,
-      the fault, an [Interval] checkpoint or an outage can strike, and
-      that step runs on its threaded closure with the classic hooks.
-      [Pre_store] and [Pre_speculation] policies, and livelock-degraded
-      runs, hook every step. *)
+    - [Classic]: the horizon pinned at [min_int], so every step runs
+      through the reference step with the hooks and nothing is fused.
+      The baseline [Jit] is differenced against.
+    - [Jit]: the superblock trace-JIT ({!Superblock}) fuses hot
+      straight-line runs into single closures with guard exits and runs
+      every other step through the reference step.  Power traces and
+      fault injection keep the fusion: traces run up to the next step at
+      which the fuel limit, the fault, an [Interval] checkpoint or an
+      outage can strike, and that step runs with the hooks.  [Pre_store]
+      and [Pre_speculation] policies, and livelock-degraded runs, hook
+      every step. *)
 type engine = Classic | Jit
 
 type config = {

@@ -172,10 +172,12 @@ let[@inline] classic_slice_trap st =
 
 (* load-use hazard checks against the previous step's load destination
    ([lld] is -1 when the previous instruction was not a load, and
-   registers are >= 0) *)
+   registers are >= 0; annotated [int] so [=] is not the polymorphic
+   compare, a C call) *)
 let[@inline] check1 ctr (lld : int) a = if lld = a then stall_load_use ctr
 
-let[@inline] check2 ctr (lld : int) a b = if lld = a || lld = b then stall_load_use ctr
+let[@inline] check2 ctr (lld : int) a b =
+  if lld = a || lld = b then stall_load_use ctr
 
 let[@inline] alu32 ctr = ctr.Counters.alu32 <- ctr.Counters.alu32 + 1
 let[@inline] alu8 ctr = ctr.Counters.alu8 <- ctr.Counters.alu8 + 1

@@ -61,11 +61,6 @@ type state = {
 }
 
 val mask32 : int -> int
-val read_reg : state -> Counters.t -> int -> int
-val write_reg : state -> Counters.t -> int -> int -> unit
-val read_slice : state -> Counters.t -> Bs_isa.Isa.slice -> int
-val write_slice : state -> Counters.t -> Bs_isa.Isa.slice -> int -> unit
-val eval_cond : state -> Bs_isa.Isa.cond -> bool
 
 (** {1 Dispatch context} *)
 
@@ -94,15 +89,8 @@ type ctx = {
           the run's data footprint. *)
 }
 
-val mem_access : ctx -> int -> unit
-(** Data access: D$ → L2 → DRAM, charging latency stalls. *)
-
 val fetch : ctx -> int -> unit
 (** Instruction fetch for [pc]: I$ → L2 → DRAM. *)
-
-val misspec : ctx -> int -> int
-(** Misspeculation at [pc]: count, attribute, pay the redirect penalty,
-    return [pc + Δ]. *)
 
 val stall_other : Counters.t -> int -> unit
 (** Charge [n] stall cycles of no particular kind (memory latency,
@@ -114,8 +102,9 @@ val step : ctx -> int -> Bs_isa.Isa.insn -> int
 (** [step cx pc insn] executes [insn], the instruction at [pc], with
     every counter it bumps — hazard stalls, register-file and ALU
     activity, MUL/DIV penalties, loads and stores through the cache
-    model, misspeculation through {!misspec} — leaves
-    [st.last_load_dest] for the next step and returns the successor pc.
+    model, misspeculation (counted, attributed to [pc], redirected to
+    [pc + Δ]) — leaves [st.last_load_dest] for the next step and
+    returns the successor pc.
     Contract: the caller has already bounds-checked [pc], fetched it
     through the I$, charged one instruction and one cycle, checked fuel
     and counted the pc's spill/copy provenance.  A slice operation
