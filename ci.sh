@@ -12,6 +12,19 @@
 set -eu
 cd "$(dirname "$0")"
 dune build @all
+# The build mode: dune-workspace selects the release profile, so no
+# module is compiled -opaque and the simulator's calls into Memimage and
+# Cache are direct calls; the root dune file keeps the dev profile's
+# warning set (-strict-sequence among it) fatal.
+sb_rule=$(dune rules lib/sim/.bs_sim.objs/native/bs_sim__Superblock.cmx)
+if printf '%s\n' "$sb_rule" | grep -q -- '-opaque'; then
+  echo "build mode: lib/sim/superblock.ml is compiled -opaque" >&2
+  exit 1
+fi
+if ! printf '%s\n' "$sb_rule" | grep -q -- '-strict-sequence'; then
+  echo "build mode: lib/sim/superblock.ml is compiled without the dev warning set" >&2
+  exit 1
+fi
 dune runtest
 corpus="$(mktemp -d)"
 trap 'rm -rf "$corpus"' EXIT
@@ -459,6 +472,50 @@ if ! cmp -s bench/transcript.txt "$ts/all.out"; then
   exit 1
 fi
 echo "transcript: every section matches bench/transcript.txt at --jobs 4"
+
+# The fused path, guarded by a speed ratio rather than a wall time: a
+# MiniC loop kernel of 6.9 M simulated instructions, nearly all of them
+# on one fused loop trace, runs under the trace-JIT and under the
+# reference step (--engine classic), best of 5 each.  A fused step does
+# a fraction of a reference step's work: over ten runs the ratio read
+# 3.7-4.8 with int-typed fused steps in a build without -opaque, and
+# 1.9-2.5 with fused steps that wrote registers through caml_modify and
+# called their operators through caml_apply in an -opaque build — a
+# regression the wall-time bounds above cannot tell from host noise.
+fp="$(mktemp -d)"
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel" "$ts" "$fp"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+cat > "$fp/loop.mc" <<'EOF'
+u32 run(u32 n) {
+  u32 acc = 7;
+  u8 s = 1;
+  for (u32 i = 0; i < n; i += 1) {
+    u8 x = i & 15;
+    s = (s + x) & 255;
+    acc = (acc ^ (i << 3)) + s;
+    acc = acc + (acc >> 5);
+  }
+  return acc;
+}
+EOF
+best_mips() {
+  best=0
+  for _ in 1 2 3 4 5; do
+    m=$(./_build/default/bin/bitspecc.exe run "$fp/loop.mc" --entry run \
+      --args 400000 --train 1000 --stats --engine "$1" \
+      | awk '/^simulated_mips/ { print $3 }')
+    best=$(awk -v a="$best" -v b="$m" 'BEGIN { print (b > a) ? b : a }')
+  done
+  echo "$best"
+}
+min_ratio=3.0
+jit_mips=$(best_mips jit)
+classic_mips=$(best_mips classic)
+ratio=$(awk -v j="$jit_mips" -v c="$classic_mips" 'BEGIN { printf "%.2f", j / c }')
+echo "fused-path ratio: jit ${jit_mips} / classic ${classic_mips} simulated MIPS = ${ratio} (limit ${min_ratio})"
+if awk -v r="$ratio" -v m="$min_ratio" 'BEGIN { exit !(r < m) }'; then
+  echo "fused-path ratio: ${ratio} < ${min_ratio}: the fused path lost its edge over the reference step" >&2
+  exit 1
+fi
 
 # The benchmark's smoke: every workload through the benchmark harness,
 # untraced and traced, with no failed item — so a library change that

@@ -28,14 +28,14 @@ open Bs_interp
    Guard exits mirror the hardware's own Δ fallback: a misspeculating
    instruction ends the trace early, flushes the counters and batched
    fetches accumulated so far, and returns [pc + Δ] to the dispatch
-   loop.  Event-horizon and CLASSIC-mode entry guards fall back to the
-   head's reference step, so the exact single-step semantics decide
-   boundary cases.  The horizon ([ctx.horizon]) is the instruction count
-   of the next step that needs a hook — the fuel limit, a pending fault,
-   a stop, an interval checkpoint or a possible outage — so the same
-   fused traces serve runs under power traces and fault injection: they
-   stop short of the horizon, and [Machine] runs the step at it with its
-   hooks.
+   loop.  The CLASSIC-mode entry guard falls back to the head's
+   reference step, so the slice trap fires at its exact instruction.
+   The event horizon ([ctx.horizon]) is the instruction count of the
+   next step that needs a hook — the fuel limit, a pending fault, a
+   stop, an interval checkpoint or a possible outage — so the same fused
+   traces serve runs under power traces and fault injection: a trace
+   runs fused every step below the horizon, leaves through a cut exit
+   at the step at it, and [Machine] runs that step with its hooks.
 
    A fused trace must be byte-identical in observable effect (counters,
    outcome, memory image, cache hit/miss/LRU state) to the same steps
@@ -67,7 +67,7 @@ type state = {
   mutable last_load_dest : int; (* reg written by the previous load, -1 none *)
 }
 
-let mask32 v = v land 0xFFFFFFFF
+let[@inline] mask32 v = v land 0xFFFFFFFF
 
 (* The counter helpers run on nearly every reference step; ocamlopt
    without flambda inlines only the tiniest functions unless asked. *)
@@ -849,22 +849,33 @@ let regs_of_insn (insn : insn) =
   | B _ | BC _ | HALT | SETDELTA _ | SETMODE _ -> []
   | BL _ | BX_LR -> [ lr ]
 
+(* Register-file accesses of the fused steps: unchecked ({!fuse} has
+   proved every index in range via {!regs_of_insn}) and typed [int
+   array].  At the polymorphic type of [Array.unsafe_get] every read
+   would test for a float array and every write would go through
+   [caml_modify]; at [int array] both are one machine instruction. *)
+let[@inline] ( .%() ) (regs : int array) r = Array.unsafe_get regs r
+
+let[@inline] ( .%()<- ) (regs : int array) r (v : int) =
+  Array.unsafe_set regs r v
+
+let[@inline] sext32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
+
 (* One fused position: pure semantics.  No counters, no hazard checks, no
    [last_load_dest] writes, no CLASSIC-mode trap (the trace entry guard
    falls back when the mode is wrong, and SETMODE is not fusible, so the
    mode cannot change mid-trace).  [next] continues the chain; [mis] is
-   the counted guard exit for instructions that can misspeculate. *)
+   the counted guard exit for instructions that can misspeculate.
+
+   Each closure makes direct calls only, besides the tail call of
+   [next] (or [mis]): operands are decoded here to ints, and every
+   operator × operand shape has its own closure with the operator
+   written inline — a shared higher-order helper would call its
+   operator through [caml_apply2] on every execution. *)
 let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
     ~(mis : (unit -> int) option) : unit -> int =
   let st = cx.st and mem = cx.mem in
   let regs = st.regs in
-  (* unchecked register-file accesses — {!fuse} proved every index in
-     range via {!regs_of_insn} before building any step *)
-  let ( .%() ) = Array.unsafe_get in
-  let ( .%()<- ) = Array.unsafe_set in
-  (* slice operands are decoded to (index, shift, keep-mask) ints here, and
-     every arm below inlines the reads/writes — a fused step is exactly one
-     closure call, not a chain of operand thunks *)
   match insn with
   | MOV (d, s) ->
       fun () ->
@@ -880,69 +891,93 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
       fun () ->
         regs.%(d) <- regs.%(d) land 0xFFFF lor hi;
         next ()
-  | ALU (op, d, n, o) -> (
-      match o with
-      | Reg m -> (
-          let rr f =
-            fun () ->
-              regs.%(d) <- mask32 (f regs.%(n) regs.%(m));
-              next ()
-          in
-          match op with
-          | OpAdd -> rr ( + )
-          | OpSub -> rr ( - )
-          | OpAnd -> rr ( land )
-          | OpOrr -> rr ( lor )
-          | OpEor -> rr ( lxor )
-          | OpLsl -> rr (fun a b -> a lsl (b land 31))
-          | OpLsr -> rr (fun a b -> (a land 0xFFFFFFFF) lsr (b land 31))
-          | OpAsr ->
-              rr (fun a b ->
-                  let sa =
-                    if a land 0x80000000 <> 0 then a - 0x100000000 else a
-                  in
-                  sa asr (b land 31)))
-      | Imm v -> (
-          let ri f =
-            fun () ->
-              regs.%(d) <- mask32 (f regs.%(n));
-              next ()
-          in
-          match op with
-          | OpAdd -> ri (fun a -> a + v)
-          | OpSub -> ri (fun a -> a - v)
-          | OpAnd -> ri (fun a -> a land v)
-          | OpOrr -> ri (fun a -> a lor v)
-          | OpEor -> ri (fun a -> a lxor v)
-          | OpLsl ->
-              let sh = v land 31 in
-              ri (fun a -> a lsl sh)
-          | OpLsr ->
-              let sh = v land 31 in
-              ri (fun a -> (a land 0xFFFFFFFF) lsr sh)
-          | OpAsr ->
-              let sh = v land 31 in
-              ri (fun a ->
-                  let sa =
-                    if a land 0x80000000 <> 0 then a - 0x100000000 else a
-                  in
-                  sa asr sh)))
+  | ALU (op, d, n, Reg m) -> (
+      match op with
+      | OpAdd ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) + regs.%(m));
+            next ()
+      | OpSub ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) - regs.%(m));
+            next ()
+      | OpAnd ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) land regs.%(m));
+            next ()
+      | OpOrr ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) lor regs.%(m));
+            next ()
+      | OpEor ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) lxor regs.%(m));
+            next ()
+      | OpLsl ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) lsl (regs.%(m) land 31));
+            next ()
+      | OpLsr ->
+          fun () ->
+            regs.%(d) <-
+              mask32 ((regs.%(n) land 0xFFFFFFFF) lsr (regs.%(m) land 31));
+            next ()
+      | OpAsr ->
+          fun () ->
+            regs.%(d) <- mask32 (sext32 regs.%(n) asr (regs.%(m) land 31));
+            next ())
+  | ALU (op, d, n, Imm v) -> (
+      match op with
+      | OpAdd ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) + v);
+            next ()
+      | OpSub ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) - v);
+            next ()
+      | OpAnd ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) land v);
+            next ()
+      | OpOrr ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) lor v);
+            next ()
+      | OpEor ->
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) lxor v);
+            next ()
+      | OpLsl ->
+          let sh = v land 31 in
+          fun () ->
+            regs.%(d) <- mask32 (regs.%(n) lsl sh);
+            next ()
+      | OpLsr ->
+          let sh = v land 31 in
+          fun () ->
+            regs.%(d) <- mask32 ((regs.%(n) land 0xFFFFFFFF) lsr sh);
+            next ()
+      | OpAsr ->
+          let sh = v land 31 in
+          fun () ->
+            regs.%(d) <- mask32 (sext32 regs.%(n) asr sh);
+            next ())
   | MUL (d, n, m) ->
       fun () ->
         regs.%(d) <- mask32 (regs.%(n) * regs.%(m));
         next ()
-  | DIV (sg, d, n, m) ->
-      let signed = sg = Signed in
+  | DIV (Unsigned, d, n, m) ->
       fun () ->
-        let a = regs.%(n) and b = regs.%(m) in
+        let b = regs.%(m) in
         if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
-        let r =
-          if signed then
-            let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v in
-            s a / s b
-          else a / b
-        in
-        regs.%(d) <- mask32 r;
+        regs.%(d) <- mask32 (regs.%(n) / b);
+        next ()
+  | DIV (Signed, d, n, m) ->
+      fun () ->
+        let b = regs.%(m) in
+        if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
+        regs.%(d) <- mask32 (sext32 regs.%(n) / sext32 b);
         next ()
   | CMP (n, o) -> (
       match o with
@@ -1238,29 +1273,6 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
   | B _ | BC _ | BL _ | BX_LR | HALT | SETDELTA _ | SETMODE _ ->
       assert false
 
-(* Fuse one trace into a single closure with the same contract as a body:
-   called after the loop has fetched/charged the head below the event
-   horizon, it executes the whole straight line and returns the
-   successor pc.
-
-   What the fusion removes relative to stepping one by one:
-
-   - the per-instruction loop itself (fetch, charge, fuel check,
-     dispatch): fetches are batched per I$ line — the first access of
-     each line goes through {!fetch} at the crossing (it alone can miss),
-     the rest are replayed as guaranteed same-line hits with
-     {!Cache.bump_hits} at the next crossing or exit;
-   - every static counter bump and statically-resolved hazard stall,
-     flushed as one precomputed {!delta} at the exit that fires;
-   - the event horizon is checked once at entry (if the fuel limit, a
-     fault, a checkpoint or an outage could fall mid-trace, fall back to
-     single-step dispatch, which finds the exact boundary).
-
-   Guard exits: a misspeculating instruction branches to its dedicated
-   exit closure, which flushes the prefix ledger (its own execute side
-   included, its write-back suppressed), restores [last_load_dest], pays
-   the redirect through {!misspec} and returns the displaced pc — the
-   software mirror of the hardware's PC := PC + Δ fallback. *)
 (* Precondition for {!fuse}: every register-file index in the trace is in
    range, so the unchecked accesses in {!fused_step} are sound.  Any
    program the assembler emits passes; a malformed one stays on the
@@ -1277,33 +1289,49 @@ let trace_regs_ok (cx : ctx) (tr : trace) =
     tr.t_pcs;
   !ok
 
+(* Fuse one trace into a single closure with the same contract as a body:
+   called after the loop has fetched/charged the head below the event
+   horizon, it executes the straight line up to the horizon and returns
+   the successor pc.
+
+   What the fusion removes relative to stepping one by one:
+
+   - the per-instruction loop itself (fetch, charge, fuel check,
+     dispatch): fetches are batched per I$ line — the first access of
+     each line goes through {!fetch} at the crossing (it alone can miss),
+     the rest are replayed as guaranteed same-line hits with
+     {!Cache.bump_hits} at the next crossing or exit;
+   - every static counter bump and statically-resolved hazard stall,
+     flushed as one precomputed {!delta} at the exit that fires;
+   - the per-step event-horizon check: the trace compares its budget
+     with the horizon once at entry, and a loop trace once per
+     loop-back.
+
+   Guard exits: a misspeculating instruction branches to its dedicated
+   exit closure, which flushes the prefix ledger (its own execute side
+   included, its write-back suppressed), restores [last_load_dest], pays
+   the redirect through {!misspec} and returns the displaced pc — the
+   software mirror of the hardware's PC := PC + Δ fallback.
+
+   Cut exits: when the horizon (the fuel limit, a fault, a stop, a
+   checkpoint or an outage) falls inside the trace, positions 0..j-1 —
+   the ones a step below the horizon would run — still run fused, and
+   the trace leaves at position j, the first step that needs a hook.
+   The cut exit flushes the prefix ledger [pre.(j)], replays the
+   deferred same-line fetch hits, leaves position j-1's static
+   [last_load_dest] and returns [pcs.(j)] (the terminal branch, for
+   j = len), so the dispatch loop's hooked step lands exactly where
+   stepping would have put it.  The cut runs on a second chain, built on
+   the trace's first cut, whose every position checks whether it is the
+   cut; the uncut chain carries no such check. *)
 let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   let ctr = cx.ctr and icache = cx.icache and st = cx.st in
   let pcs = tr.t_pcs and stop = tr.t_stop in
   let head = tr.t_head and len = Array.length tr.t_pcs in
   let code = cx.prog.Bs_backend.Asm.code in
   let prov = cx.prog.Bs_backend.Asm.prov in
-  (* patched to the first chained step once it exists; the looping tail
-     tail-calls through it to start the next iteration without bouncing
-     through the dispatch loop *)
-  let first_ref = ref fallback in
-  let has_slice = ref false in
-  for j = 0 to len - 1 do
-    if is_slice_insn code.(pcs.(j)) then has_slice := true
-  done;
-  let has_slice = !has_slice in
-  (* pend.(j): same-line fetch hits deferred up to and including position
-     j's fetch (position 0 was fetched by the loop, so pend.(0) = 0) *)
+  let has_slice = Array.exists (fun pcv -> is_slice_insn code.(pcv)) pcs in
   let line pcv = pcv lsr 3 in          (* 32-byte lines, 4-byte slots *)
-  let pend = Array.make len 0 in
-  for j = 1 to len - 1 do
-    pend.(j) <-
-      (if line pcs.(j) <> line pcs.(j - 1) then 0 else pend.(j - 1) + 1)
-  done;
-  (* the static ledger: exec.(j) is position j's execute side (operand
-     reads, ALU activity, penalties, provenance, and — statically
-     resolved for j >= 1 — its load-use stall); pre.(j) accumulates the
-     full fall-through ledger of positions 0..j-1 *)
   (* the path position after j: the next element, or the trace's stop *)
   let succ j = if j + 1 < len then pcs.(j + 1) else stop in
   (* a conditional on the path followed its taken direction (the
@@ -1311,29 +1339,6 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   let followed_taken j =
     match code.(pcs.(j)) with BC (_, t) -> succ j = t | _ -> false
   in
-  let exec =
-    Array.init len (fun j ->
-        let insn = code.(pcs.(j)) in
-        let d = dadd (exec_side insn) (prov_delta prov.(pcs.(j))) in
-        let d =
-          if followed_taken j then
-            { d with x_cycles = d.x_cycles + branch_penalty;
-              x_stall = d.x_stall + branch_penalty;
-              x_br = d.x_br + branch_penalty }
-          else d
-        in
-        if j = 0 then d (* the entry hazard is dynamic; checked at runtime *)
-        else
-          let prev = static_load_dest code.(pcs.(j - 1)) in
-          if prev >= 0 && List.mem prev (hazard_regs insn) then
-            { d with x_cycles = d.x_cycles + 1; x_stall = d.x_stall + 1;
-              x_lu = d.x_lu + 1 }
-          else d)
-  in
-  let pre = Array.make (len + 1) dzero in
-  for j = 0 to len - 1 do
-    pre.(j + 1) <- dadd pre.(j) (dadd exec.(j) (write_side code.(pcs.(j))))
-  done;
   (* terminal detection comes first: a terminal branch back to the trace
      head makes this a LOOP trace, whose taken path defers its ledger *)
   let term =
@@ -1343,22 +1348,14 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
       | _ -> None
     else None
   in
-  let d_tail =
-    match term with
-    | None -> pre.(len)
-    | Some br -> (
-        let d = dadd pre.(len) (prov_delta prov.(stop)) in
-        match br with
-        | BC _ -> { d with x_alu32 = d.x_alu32 + 1 }
-        | BL _ -> { d with x_rw32 = d.x_rw32 + 1 }
-        | BX_LR -> { d with x_rr32 = d.x_rr32 + 1 }
-        | _ -> d)
-  in
   let looping =
     match term with
     | Some (B t) | Some (BC (_, t)) -> t = head
     | _ -> false
   in
+  (* the instructions a whole pass runs past its head's pre-charge: the
+     positions after the head, and the absorbed terminal branch *)
+  let budget = match term with None -> len - 1 | Some _ -> len in
   (* A loop trace defers whole iterations: its taken loop-back branch
      only counts the finished iteration in [k] and tail-calls back into
      the chain; every real exit settles the [k] outstanding iterations in
@@ -1372,224 +1369,321 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
      again. *)
   let k = ref 0 in
   let lenp1 = len + 1 in
-  let d_iter =
-    dadd d_tail
-      { dzero with x_cycles = branch_penalty; x_stall = branch_penalty;
-        x_br = branch_penalty }
-  in
-  let flush d base =
-    let kk = !k in
-    if kk = 0 then apply_delta ctr d base
-    else begin
-      k := 0;
-      apply_delta ctr (dadd (dscale d_iter kk) d) ((kk * lenp1) + base)
-    end
-  in
-  (* guard exit at position j: 0..j-1 completed, j misspeculated *)
-  let mis_exit j =
-    let d = dadd pre.(j) exec.(j) and p = pend.(j) and pc = pcs.(j) in
-    fun () ->
-      Cache.bump_hits icache p;
-      flush d j;
-      st.last_load_dest <- -1;
-      misspec cx pc
-  in
-  (* the normal exit charges the full trace; if the straight line ends at
-     a branch, absorb it — the branch's fetch is either one more batched
-     same-line hit or the first access of its line, its instr/cycle joins
-     the flush, and the exit returns the branch target directly instead
-     of bouncing the branch through the dispatch loop *)
-  let tail =
-    match term with
-    | None ->
-        let d = pre.(len) and p = pend.(len - 1) in
-        let lld = static_load_dest code.(pcs.(len - 1)) in
-        let nx = stop in
-        fun () ->
-          Cache.bump_hits icache p;
-          apply_delta ctr d (len - 1);
-          st.last_load_dest <- lld;
-          nx
-    | Some br -> (
-        let same_line = line stop = line pcs.(len - 1) in
-        let p = if same_line then pend.(len - 1) + 1 else pend.(len - 1) in
-        if looping then
-          (* The taken path replays the dispatch loop's per-instruction
-             work inline — fetch the head, defer its pre-charge into [k],
-             re-check the event horizon — and tail-calls back into the
-             chain.  The entry-time guards hold statically on this path:
-             the dynamic position-0 hazard cannot fire because a branch
-             leaves [last_load_dest] = -1, and the CLASSIC-mode slice
-             check cannot change inside the trace (SETMODE is not
-             fusible and every misspeculation exits).  When the next
-             iteration might reach the horizon, settle and return to
-             the dispatch loop, which re-enters through the guarded
-             entry and single-steps up to the exact boundary. *)
-          let taken_continue () =
-            if ctr.Counters.instrs + ((!k + 1) * lenp1) + len > cx.horizon
-            then begin
-              stall_branch ctr;
-              flush d_tail len;
-              st.last_load_dest <- -1;
-              head
-            end
-            else begin
-              incr k;
-              fetch cx head;
-              !first_ref ()
-            end
+  (* the cut position of the current pass; the uncut chain's first step,
+     through which the looping tail starts the next iteration without
+     bouncing through the dispatch loop; and the cut chain's first step,
+     a builder until the trace's first cut *)
+  let cut = ref 0 in
+  let first_ref = ref fallback and cut_first = ref fallback in
+  (* [build ~cuts] computes the static ledgers and builds one chain back
+     to front, returning its first step.  With [cuts], every position
+     j >= 1 that a pass can be cut at first checks whether it is the
+     cut.  Nothing but the exits' own ledgers outlives the build, so a
+     trace that is never cut holds no more than its uncut chain. *)
+  let build ~cuts =
+    (* pend.(j): same-line fetch hits deferred up to and including
+       position j's fetch (position 0 was fetched by the loop, so
+       pend.(0) = 0) *)
+    let pend = Array.make len 0 in
+    for j = 1 to len - 1 do
+      pend.(j) <-
+        (if line pcs.(j) <> line pcs.(j - 1) then 0 else pend.(j - 1) + 1)
+    done;
+    (* the static ledger: exec.(j) is position j's execute side (operand
+       reads, ALU activity, penalties, provenance, and — statically
+       resolved for j >= 1 — its load-use stall); pre.(j) accumulates
+       the full fall-through ledger of positions 0..j-1 *)
+    let exec =
+      Array.init len (fun j ->
+          let insn = code.(pcs.(j)) in
+          let d = dadd (exec_side insn) (prov_delta prov.(pcs.(j))) in
+          let d =
+            if followed_taken j then
+              { d with x_cycles = d.x_cycles + branch_penalty;
+                x_stall = d.x_stall + branch_penalty;
+                x_br = d.x_br + branch_penalty }
+            else d
           in
+          if j = 0 then d (* the entry hazard is dynamic; checked at runtime *)
+          else
+            let prev = static_load_dest code.(pcs.(j - 1)) in
+            if prev >= 0 && List.mem prev (hazard_regs insn) then
+              { d with x_cycles = d.x_cycles + 1; x_stall = d.x_stall + 1;
+                x_lu = d.x_lu + 1 }
+            else d)
+    in
+    let pre = Array.make (len + 1) dzero in
+    for j = 0 to len - 1 do
+      pre.(j + 1) <- dadd pre.(j) (dadd exec.(j) (write_side code.(pcs.(j))))
+    done;
+    let d_tail =
+      match term with
+      | None -> pre.(len)
+      | Some br -> (
+          let d = dadd pre.(len) (prov_delta prov.(stop)) in
           match br with
-          | B _ ->
-              if same_line then
-                fun () ->
-                  Cache.bump_hits icache p;
-                  taken_continue ()
-              else
-                fun () ->
-                  Cache.bump_hits icache p;
-                  fetch cx stop;
-                  taken_continue ()
-          | BC (c, _) ->
-              let nx = stop + 1 in
-              let exit_nx () =
+          | BC _ -> { d with x_alu32 = d.x_alu32 + 1 }
+          | BL _ -> { d with x_rw32 = d.x_rw32 + 1 }
+          | BX_LR -> { d with x_rr32 = d.x_rr32 + 1 }
+          | _ -> d)
+    in
+    let d_iter =
+      dadd d_tail
+        { dzero with x_cycles = branch_penalty; x_stall = branch_penalty;
+          x_br = branch_penalty }
+    in
+    let flush d base =
+      let kk = !k in
+      if kk = 0 then apply_delta ctr d base
+      else begin
+        k := 0;
+        apply_delta ctr (dadd (dscale d_iter kk) d) ((kk * lenp1) + base)
+      end
+    in
+    (* guard exit at position j: 0..j-1 completed, j misspeculated *)
+    let mis_exit j =
+      let d = dadd pre.(j) exec.(j) and p = pend.(j) and pc = pcs.(j) in
+      fun () ->
+        Cache.bump_hits icache p;
+        flush d j;
+        st.last_load_dest <- -1;
+        misspec cx pc
+    in
+    (* position j of the cut chain: the cut exit if this pass is cut at
+       j (0..j-1 completed, j is the step at the horizon), else [c] *)
+    let guard j c =
+      if (not cuts) || j > budget then c
+      else
+        let d = pre.(j) and p = pend.(j - 1) and nx = succ (j - 1) in
+        let lld = static_load_dest code.(pcs.(j - 1)) in
+        fun () ->
+          if !cut = j then begin
+            Cache.bump_hits icache p;
+            flush d (j - 1);
+            st.last_load_dest <- lld;
+            nx
+          end
+          else c ()
+    in
+    (* the normal exit charges the full trace; if the straight line ends
+       at a branch, absorb it — the branch's fetch is either one more
+       batched same-line hit or the first access of its line, its
+       instr/cycle joins the flush, and the exit returns the branch
+       target directly instead of bouncing the branch through the
+       dispatch loop *)
+    let tail =
+      match term with
+      | None ->
+          let d = pre.(len) and p = pend.(len - 1) in
+          let lld = static_load_dest code.(pcs.(len - 1)) in
+          let nx = stop in
+          fun () ->
+            Cache.bump_hits icache p;
+            apply_delta ctr d (len - 1);
+            st.last_load_dest <- lld;
+            nx
+      | Some br -> (
+          let same_line = line stop = line pcs.(len - 1) in
+          let p = if same_line then pend.(len - 1) + 1 else pend.(len - 1) in
+          if looping then
+            (* The taken path replays the dispatch loop's per-instruction
+               work inline — fetch the head, defer its pre-charge into
+               [k], re-check the event horizon — and tail-calls back into
+               the chain.  The entry-time guards hold statically on this
+               path: the dynamic position-0 hazard cannot fire because a
+               branch leaves [last_load_dest] = -1, and the CLASSIC-mode
+               slice check cannot change inside the trace (SETMODE is not
+               fusible and every misspeculation exits).  When the next
+               iteration would reach the horizon, it runs on the cut
+               chain up to it; when even its head is at the horizon,
+               settle and return to the dispatch loop, which hooks the
+               head. *)
+            let taken_continue () =
+              (* how far the next iteration's last step lies past the
+                 horizon *)
+              let over =
+                ctr.Counters.instrs + ((!k + 1) * lenp1) + len - cx.horizon
+              in
+              if over <= 0 then begin
+                incr k;
+                fetch cx head;
+                !first_ref ()
+              end
+              else if over <= len then begin
+                incr k;
+                fetch cx head;
+                cut := lenp1 - over;
+                !cut_first ()
+              end
+              else begin
+                stall_branch ctr;
                 flush d_tail len;
                 st.last_load_dest <- -1;
-                nx
-              in
-              if same_line then
-                fun () ->
-                  Cache.bump_hits icache p;
-                  if eval_cond st c then taken_continue () else exit_nx ()
-              else
-                fun () ->
-                  Cache.bump_hits icache p;
-                  fetch cx stop;
-                  if eval_cond st c then taken_continue () else exit_nx ()
-          | _ -> assert false
-        else
-          let fin =
+                head
+              end
+            in
             match br with
-            | B t ->
-                fun () ->
-                  stall_branch ctr;
-                  t
-            | BC (c, t) ->
+            | B _ ->
+                if same_line then
+                  fun () ->
+                    Cache.bump_hits icache p;
+                    taken_continue ()
+                else
+                  fun () ->
+                    Cache.bump_hits icache p;
+                    fetch cx stop;
+                    taken_continue ()
+            | BC (c, _) ->
                 let nx = stop + 1 in
-                fun () ->
-                  if eval_cond st c then begin
+                let exit_nx () =
+                  flush d_tail len;
+                  st.last_load_dest <- -1;
+                  nx
+                in
+                if same_line then
+                  fun () ->
+                    Cache.bump_hits icache p;
+                    if eval_cond st c then taken_continue () else exit_nx ()
+                else
+                  fun () ->
+                    Cache.bump_hits icache p;
+                    fetch cx stop;
+                    if eval_cond st c then taken_continue () else exit_nx ()
+            | _ -> assert false
+          else
+            let fin =
+              match br with
+              | B t ->
+                  fun () ->
                     stall_branch ctr;
                     t
-                  end
-                  else nx
-            | BL t ->
-                let link = stop + 1 in
-                fun () ->
-                  st.regs.(lr) <- link;
-                  stall_branch ctr;
-                  t
-            | BX_LR ->
-                fun () ->
-                  stall_branch ctr;
-                  st.regs.(lr)
-            | _ -> assert false
-          in
-          if same_line then
-            fun () ->
-              Cache.bump_hits icache p;
-              apply_delta ctr d_tail len;
-              st.last_load_dest <- -1;
-              fin ()
-          else
-            fun () ->
-              Cache.bump_hits icache p;
-              fetch cx stop;
-              apply_delta ctr d_tail len;
-              st.last_load_dest <- -1;
-              fin ())
-  in
-  (* build the chain back to front *)
-  let chain = ref tail in
-  for j = len - 1 downto 0 do
-    let pcv = pcs.(j) in
-    let insn = code.(pcv) in
-    let step =
-      match insn with
-      | B _ ->
-          (* interior unconditional jump: control always transfers, so
-             there is nothing to do at runtime — its ledger (always-taken
-             penalty, provenance) is static in [exec.(j)], and the
-             target's fetch is the next position's line-crossing
-             wrapper *)
-          !chain
-      | BL _ ->
-          (* interior call: like a jump, but the link write is
-             semantic — only the register store happens at runtime (its
-             counter is static, in [exec.(j)]) *)
-          let link = pcv + 1 in
-          let nx = !chain in
-          fun () ->
-            st.regs.(lr) <- link;
-            nx ()
-      | BC (c, _) when followed_taken j ->
-          (* interior conditional followed on its taken direction: the
-             chain continues at the target (the taken penalty is static,
-             in [exec.(j)]); the not-taken direction is a counted guard
-             exit — positions 0..j complete, minus the unpaid penalty *)
-          let d =
-            dadd pre.(j)
-              { exec.(j) with
-                x_cycles = exec.(j).x_cycles - branch_penalty;
-                x_stall = exec.(j).x_stall - branch_penalty;
-                x_br = exec.(j).x_br - branch_penalty }
-          and p = pend.(j) in
-          let nx = !chain in
-          let ft = pcv + 1 in
-          fun () ->
-            if eval_cond st c then nx ()
-            else begin
-              Cache.bump_hits icache p;
-              flush d j;
-              st.last_load_dest <- -1;
-              ft
-            end
-      | BC (c, t) ->
-          (* interior forward conditional on its fall-through direction:
-             the taken direction is a counted guard exit — positions 0..j
-             (the branch included) complete, plus the taken-branch
-             penalty *)
-          let d = dadd pre.(j) exec.(j) and p = pend.(j) in
-          let nx = !chain in
-          fun () ->
-            if eval_cond st c then begin
-              Cache.bump_hits icache p;
-              flush d j;
-              st.last_load_dest <- -1;
-              stall_branch ctr;
-              t
-            end
-            else nx ()
-      | _ ->
-          let mis =
-            if can_misspeculate insn then Some (mis_exit j) else None
-          in
-          fused_step cx insn ~next:!chain ~mis
+              | BC (c, t) ->
+                  let nx = stop + 1 in
+                  fun () ->
+                    if eval_cond st c then begin
+                      stall_branch ctr;
+                      t
+                    end
+                    else nx
+              | BL t ->
+                  let link = stop + 1 in
+                  fun () ->
+                    st.regs.(lr) <- link;
+                    stall_branch ctr;
+                    t
+              | BX_LR ->
+                  fun () ->
+                    stall_branch ctr;
+                    st.regs.(lr)
+              | _ -> assert false
+            in
+            if same_line then
+              fun () ->
+                Cache.bump_hits icache p;
+                apply_delta ctr d_tail len;
+                st.last_load_dest <- -1;
+                fin ()
+            else
+              fun () ->
+                Cache.bump_hits icache p;
+                fetch cx stop;
+                apply_delta ctr d_tail len;
+                st.last_load_dest <- -1;
+                fin ())
     in
-    chain :=
-      if j > 0 && line pcv <> line pcs.(j - 1) then begin
-        let p = pend.(j - 1) in
-        fun () ->
-          Cache.bump_hits icache p;
-          fetch cx pcv;
-          step ()
-      end
-      else step
-  done;
+    (* build the chain back to front; a position's cut check comes
+       before its line-crossing fetch *)
+    let chain = ref (guard len tail) in
+    for j = len - 1 downto 0 do
+      let pcv = pcs.(j) in
+      let insn = code.(pcv) in
+      let step =
+        match insn with
+        | B _ ->
+            (* interior unconditional jump: control always transfers, so
+               there is nothing to do at runtime — its ledger
+               (always-taken penalty, provenance) is static in
+               [exec.(j)], and the target's fetch is the next position's
+               line-crossing wrapper *)
+            !chain
+        | BL _ ->
+            (* interior call: like a jump, but the link write is
+               semantic — only the register store happens at runtime (its
+               counter is static, in [exec.(j)]) *)
+            let link = pcv + 1 in
+            let nx = !chain in
+            fun () ->
+              st.regs.(lr) <- link;
+              nx ()
+        | BC (c, _) when followed_taken j ->
+            (* interior conditional followed on its taken direction: the
+               chain continues at the target (the taken penalty is
+               static, in [exec.(j)]); the not-taken direction is a
+               counted guard exit — positions 0..j complete, minus the
+               unpaid penalty *)
+            let d =
+              dadd pre.(j)
+                { exec.(j) with
+                  x_cycles = exec.(j).x_cycles - branch_penalty;
+                  x_stall = exec.(j).x_stall - branch_penalty;
+                  x_br = exec.(j).x_br - branch_penalty }
+            and p = pend.(j) in
+            let nx = !chain in
+            let ft = pcv + 1 in
+            fun () ->
+              if eval_cond st c then nx ()
+              else begin
+                Cache.bump_hits icache p;
+                flush d j;
+                st.last_load_dest <- -1;
+                ft
+              end
+        | BC (c, t) ->
+            (* interior forward conditional on its fall-through
+               direction: the taken direction is a counted guard exit —
+               positions 0..j (the branch included) complete, plus the
+               taken-branch penalty *)
+            let d = dadd pre.(j) exec.(j) and p = pend.(j) in
+            let nx = !chain in
+            fun () ->
+              if eval_cond st c then begin
+                Cache.bump_hits icache p;
+                flush d j;
+                st.last_load_dest <- -1;
+                stall_branch ctr;
+                t
+              end
+              else nx ()
+        | _ ->
+            let mis =
+              if can_misspeculate insn then Some (mis_exit j) else None
+            in
+            fused_step cx insn ~next:!chain ~mis
+      in
+      let fetched =
+        if j > 0 && line pcv <> line pcs.(j - 1) then begin
+          let p = pend.(j - 1) in
+          fun () ->
+            Cache.bump_hits icache p;
+            fetch cx pcv;
+            step ()
+        end
+        else step
+      in
+      chain := if j > 0 then guard j fetched else fetched
+    done;
+    !chain
+  in
+  let first = build ~cuts:false in
+  first_ref := first;
+  cut_first :=
+    (fun () ->
+      let f = build ~cuts:true in
+      cut_first := f;
+      f ());
   (* position 0: already fetched and charged by the loop, but its hazard
      depends on whatever loaded before the trace — keep it dynamic *)
-  let first = !chain in
-  first_ref := first;
-  let entry =
+  let with_entry_hazard first =
     match hazard_regs code.(head) with
     | [] -> first
     | [ a ] ->
@@ -1603,15 +1697,21 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
           first ()
     | _ -> assert false
   in
-  let budget = match term with None -> len - 1 | Some _ -> len in
+  let entry = with_entry_hazard first in
+  let cut_entry = with_entry_hazard (fun () -> !cut_first ()) in
   fun () ->
-    (* entry guards: if the event horizon falls inside the trace, or a
-       CLASSIC-mode slice trap must fire at its exact instruction, fall
-       back to the head's reference step and let the dispatch loop
-       decide *)
-    if ctr.Counters.instrs + budget > cx.horizon then fallback ()
-    else if has_slice && st.mode = Isa.Classic then fallback ()
-    else entry ()
+    (* entry guards: a CLASSIC-mode slice trap must fire at its exact
+       instruction, so it falls back to the head's reference step; a
+       horizon inside the trace cuts it at the horizon's position (the
+       loop ran the head below the horizon, so that position is >= 1) *)
+    if has_slice && st.mode = Isa.Classic then fallback ()
+    else
+      let over = ctr.Counters.instrs + budget - cx.horizon in
+      if over <= 0 then entry ()
+      else begin
+        cut := budget + 1 - over;
+        cut_entry ()
+      end
 
 (* Lazy promotion: each trace head starts as a profiling closure counting
    executions; at [promote_threshold] it fuses the trace once and replaces

@@ -21,17 +21,18 @@
       fetches are batched per cache line via {!Cache.bump_hits}, and a
       loop trace defers even the per-iteration flush until the loop
       finally exits.  Guard exits (misspeculation, a conditional going
-      the unpredicted way, the event horizon, classic-mode slice use)
-      flush their ledger and fall back to the dispatch loop.
+      the unpredicted way, classic-mode slice use) flush their ledger
+      and fall back to the dispatch loop.
 
     A fused trace is byte-identical in observable effect (counters,
     outcome, memory image, cache state) to the same steps run one by one
     through {!step}; the only sanctioned divergence is counter state at
     the moment an exception escapes, which no caller can observe.  A
-    fused trace runs only if all its steps lie below the event horizon
+    fused trace runs fused every step below the event horizon
     ([ctx.horizon]), the next step at which the fuel limit, a fault, a
-    stop, a checkpoint or an outage can strike; [Machine] runs that step
-    through {!step} with the hooks. *)
+    stop, a checkpoint or an outage can strike, and leaves through a
+    cut exit there; [Machine] runs that step through {!step} with the
+    hooks. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 (** The machine's structured trap.  {!Machine.Sim_trap} rebinds this
@@ -81,8 +82,9 @@ type ctx = {
           step needs a hook (fuel limit, fault, stop, checkpoint,
           outage).  The
           dispatch loop runs a step fused only while [ctr.instrs] is
-          below it, and a fused trace runs only if it ends at or before
-          it.  [Machine.run] moves it after each hooked step. *)
+          below it, and a fused trace runs up to it and leaves through a
+          cut exit at the step that reaches it.  [Machine.run] moves it
+          after each hooked step. *)
   on_dmiss : (int -> unit) option;
       (** called with the address of every D$ miss.  The caches start
           cold, so every line a run touches reaches it at least once:
@@ -155,5 +157,7 @@ val detect : Bs_backend.Asm.program -> trace list
 val install_jit : ctx -> (unit -> int) array -> (unit -> int) array
 (** A dispatch table over [bodies] with a lazily-promoting profiling
     closure at every trace head.  A fused trace reads [cx.horizon] at
-    entry and at each loop-back, and hands control back to the dispatch
-    loop rather than execute the step at the horizon. *)
+    entry and at each loop-back; when the horizon falls inside the pass,
+    it runs fused up to it and hands the step at the horizon back to the
+    dispatch loop, with every counter, the deferred I$ hits and
+    [last_load_dest] as stepping would leave them. *)

@@ -556,21 +556,22 @@ let every_form_data mem =
     w ~width:32 (0x1200 + (32 * k)) (if k = 5 then 0x2A5 else k + 1)
   done
 
+let every_form_mem () =
+  let mem =
+    Bs_interp.Memimage.create ~size:65536 { Bs_ir.Ir.funcs = []; globals = [] }
+  in
+  every_form_data mem;
+  mem
+
+let run_every_form ?(fuel = 1_000_000) ?fault ?power p engine =
+  observe_run
+    ~config:{ Bs_sim.Machine.mode = Bs_isa.Isa.Bitspec; fuel; fault; power; engine }
+    p (every_form_mem ()) ~entry:"main" ~args:[]
+
 let test_every_form_fused_vs_stepped () =
   let open Bs_sim in
   let p = every_form_program () in
-  let run ?(fuel = 1_000_000) engine =
-    let mem =
-      Bs_interp.Memimage.create ~size:65536
-        { Bs_ir.Ir.funcs = []; globals = [] }
-    in
-    every_form_data mem;
-    observe_run
-      ~config:
-        { Machine.mode = Bs_isa.Isa.Bitspec; fuel; fault = None; power = None;
-          engine }
-      p mem ~entry:"main" ~args:[]
-  in
+  let run ?fuel engine = run_every_form ?fuel p engine in
   let reference = run Machine.Classic in
   (* the loop keeps its coverage: it finishes, and every misspeculating
      form fires on some iterations but not all *)
@@ -595,6 +596,76 @@ let test_every_form_fused_vs_stepped () =
       | None -> ()
       | Some d -> Alcotest.failf "fuel %d: jit diverges from classic on %s" fuel d)
     [ g; g / 2; (g / 2) + 1; g - 1 ]
+
+(* A hook at every position of the every-form loop's trace.  The fused
+   trace runs up to the event horizon and leaves through a cut exit at
+   the step that needs the hook, so the hooked step must find exactly
+   the state stepping leaves: every counter flushed, the deferred
+   same-line fetch hits replayed, the load-use latch of the step before.
+   The last two iterations (k = 1, 2) run whole on the loop's trace: one
+   pass entered from the dispatch loop, and one reached through its
+   loop-back with an iteration deferred.  A fuel limit, a register flip
+   and an interval checkpoint each land on every step of both
+   iterations, so each hook cuts the trace at every position of both
+   kinds of pass, and the two engines must agree.  (A fuel limit ends
+   the run before the hooked step executes; the flip and the checkpoint
+   run it, so its load-use hazard reads the latch the cut left.) *)
+let test_every_form_hook_at_every_position () =
+  let open Bs_sim in
+  let p = every_form_program () in
+  let code = p.Bs_backend.Asm.code in
+  (* the loop closes with [B head] two slots before the HALT *)
+  let head =
+    match code.(p.Bs_backend.Asm.halt_pc - 2) with
+    | Bs_isa.Isa.B t -> t
+    | _ -> Alcotest.fail "every-form loop: no closing jump"
+  in
+  (* the instruction count at which each iteration starts, from a run
+     stopped before every step *)
+  let starts = ref [] in
+  let mem = every_form_mem () in
+  let a =
+    Machine.start ~mode:Bs_isa.Isa.Bitspec p mem ~entry:"main" ~args:[]
+  in
+  let final =
+    Machine.resume ~fuel:1_000_000 ~fault:None ~stop_at:0
+      (fun st ctr ->
+        let n = ctr.Counters.instrs in
+        if st.Superblock.pc = head then starts := n :: !starts;
+        Some (n + 1))
+      p mem a
+  in
+  let g =
+    match final with
+    | Some r -> r.Machine.ctr.Counters.instrs
+    | None -> Alcotest.fail "every-form loop: the stepped run stopped"
+  in
+  let starts = Array.of_list (List.rev !starts) in
+  Alcotest.(check int) "iterations" every_form_iterations (Array.length starts);
+  let from = starts.(every_form_iterations - 2) in
+  (* an outage trace whose first outage lies far past the run: the
+     interval checkpoint is the only power hook (built per run: a trace
+     is stateful) *)
+  let power n =
+    { Machine.trace = Powertrace.create ~seed:1L (Powertrace.Exponential 1e12);
+      policy = Checkpoint.Interval n; max_retries = 8 }
+  in
+  let agree what mk =
+    match first_diff (mk Machine.Classic) (mk Machine.Jit) with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s: jit diverges from classic on %s" what d
+  in
+  for c = from to g - 1 do
+    agree (Printf.sprintf "fuel %d" c) (fun e -> run_every_form ~fuel:c p e);
+    agree
+      (Printf.sprintf "register flip before instruction %d" (c + 1))
+      (fun e ->
+        run_every_form
+          ~fault:{ Machine.at_instr = c + 1; target = Flip_reg (2, c land 31) }
+          p e);
+    agree (Printf.sprintf "checkpoint at instruction %d" c) (fun e ->
+        run_every_form ~power:(power c) p e)
+  done
 
 (* --- corpus reproducers are engine-invariant ---------------------------- *)
 
@@ -767,6 +838,8 @@ let suite =
       `Quick test_classic_slice_at_fuel_limit;
     Alcotest.test_case "every instruction form agrees fused and stepped"
       `Quick test_every_form_fused_vs_stepped;
+    Alcotest.test_case "a hook at every position of a fused loop trace"
+      `Quick test_every_form_hook_at_every_position;
     Alcotest.test_case "corpus verdicts are engine-invariant" `Quick
       test_corpus_engine_invariant;
     Alcotest.test_case "simulated_mips is reported" `Quick

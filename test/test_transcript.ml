@@ -6,7 +6,10 @@
    section at --jobs 4.  A change that moves a figure on purpose
    regenerates the transcript in the same commit:
 
-     dune exec bench/main.exe -- --jobs 1 > bench/transcript.txt *)
+     dune exec bench/main.exe -- --jobs 1 > bench/transcript.txt
+
+   EXPERIMENTS.md's Figure 8 table quotes the transcript, and must
+   agree with it cell for cell. *)
 
 let pinned = [ "fig8"; "fig9"; "table2" ]
 
@@ -79,6 +82,77 @@ let test_pinned_sections () =
               (first_diff want body))
     got
 
+(* EXPERIMENTS.md quotes the Figure 8 section as a Markdown table: its
+   benchmark rows (energy, dynamic instructions, EPI) and its geomean
+   must be the transcript's, row for row. *)
+let words line = List.filter (( <> ) "") (String.split_on_char ' ' line)
+
+let test_experiments_fig8 () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let want_rows, want_mean =
+    match
+      List.assoc_opt "=== Figure 8: BITSPEC relative to BASELINE ==="
+        (sections (read "../bench/transcript.txt"))
+    with
+    | None -> Alcotest.fail "bench/transcript.txt has no Figure 8 section"
+    | Some body ->
+        List.fold_left
+          (fun (rows, mean) line ->
+            match words line with
+            | "benchmark" :: _ -> (rows, mean)
+            | "MEAN" :: "energy" :: g :: _ -> (rows, g)
+            | [ b; e; d; epi ] -> (rows @ [ (b, [ e; d; epi ]) ], mean)
+            | _ -> Alcotest.failf "transcript Figure 8 line %S" line)
+          ([], "") (String.split_on_char '\n' body)
+  in
+  (* the table rows between the "## Figure 8" heading and the next
+     heading, header and separator rows skipped *)
+  let cells line =
+    let strip c =
+      let c = String.trim c in
+      let n = String.length c in
+      if n >= 4 && String.starts_with ~prefix:"**" c
+         && String.ends_with ~suffix:"**" c
+      then String.sub c 2 (n - 4)
+      else c
+    in
+    match List.map strip (String.split_on_char '|' line) with
+    | "" :: rest -> List.filter (( <> ) "") rest
+    | l -> l
+  in
+  let rec table in_fig8 acc = function
+    | [] -> List.rev acc
+    | line :: rest ->
+        if String.starts_with ~prefix:"## " line then
+          if in_fig8 then List.rev acc
+          else
+            table (String.starts_with ~prefix:"## Figure 8 " line) acc rest
+        else if in_fig8 && String.starts_with ~prefix:"|" line then
+          match cells line with
+          | "benchmark" :: _ -> table in_fig8 acc rest
+          | c :: _ when String.starts_with ~prefix:"---" c ->
+              table in_fig8 acc rest
+          | row -> table in_fig8 (row :: acc) rest
+        else table in_fig8 acc rest
+  in
+  let rows =
+    table false [] (String.split_on_char '\n' (read "../EXPERIMENTS.md"))
+  in
+  let got_rows, got_mean =
+    List.fold_left
+      (fun (rows, mean) row ->
+        match row with
+        | [ "geomean"; g ] -> (rows, g)
+        | b :: vals -> (rows @ [ (b, vals) ], mean)
+        | [] -> (rows, mean))
+      ([], "") rows
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "EXPERIMENTS.md Figure 8 rows" want_rows got_rows;
+  Alcotest.(check string) "EXPERIMENTS.md Figure 8 geomean" want_mean got_mean
+
 let suite =
   [ Alcotest.test_case "fig8, fig9 and table2 match bench/transcript.txt"
-      `Quick test_pinned_sections ]
+      `Quick test_pinned_sections;
+    Alcotest.test_case "EXPERIMENTS.md's Figure 8 table matches the transcript"
+      `Quick test_experiments_fig8 ]
