@@ -8,7 +8,8 @@
 # 360 trials) pins the compare-elimination fix for CFG_orig.  Finally a
 # timed bench subset guards the evaluation harness against performance
 # regressions, every section is compared with the checked-in transcript,
-# and the benchmark's own smoke runs every workload.
+# two speed ratios guard the fused simulator path and compile-time
+# scaling, and the benchmark's own smoke runs every workload.
 set -eu
 cd "$(dirname "$0")"
 dune build @all
@@ -514,6 +515,49 @@ ratio=$(awk -v j="$jit_mips" -v c="$classic_mips" 'BEGIN { printf "%.2f", j / c 
 echo "fused-path ratio: jit ${jit_mips} / classic ${classic_mips} simulated MIPS = ${ratio} (limit ${min_ratio})"
 if awk -v r="$ratio" -v m="$min_ratio" 'BEGIN { exit !(r < m) }'; then
   echo "fused-path ratio: ${ratio} < ${min_ratio}: the fused path lost its edge over the reference step" >&2
+  exit 1
+fi
+
+# Compile time linear in function size, guarded by a ratio: a
+# straight-line kernel of N statement pairs (one block of 4N+ SIR
+# instructions; BITSPEC clones it into CFG_spec and CFG_orig and
+# verifies it after every pass) compiles at N = 250 and N = 1000, best of
+# 3 each.  Linear compilation reads about 4.  With the verifier's
+# quadratic same-block scan and the list appends of the builder, the
+# squeezer and instruction selection, the ratio read 17.4-17.7 (5.0 s
+# against 0.29 s) and 2000 pairs took 29.4 s; without them it reads
+# 3.1-5.0 over eight runs and 2000 pairs take 0.7-0.8 s.
+cs="$(mktemp -d)"
+trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel" "$ts" "$fp" "$cs"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+scaling_kernel() {
+  echo 'u32 run(u32 x) {'
+  echo '  u32 a = x;'
+  echo '  u32 s = 0;'
+  awk -v n="$1" 'BEGIN { for (k = 1; k <= n; k++)
+    printf "  a = (a ^ (a << 3)) + %d;\n  s = (s + (a & 15)) & 255;\n", k }'
+  echo '  return a + s;'
+  echo '}'
+}
+best_compile_ms() {
+  scaling_kernel "$1" > "$cs/k$1.mc"
+  best=0
+  for _ in 1 2 3; do
+    t0=$(date +%s%3N)
+    ./_build/default/bin/bitspecc.exe compile "$cs/k$1.mc" --entry run \
+      --train 7 > /dev/null
+    t1=$(date +%s%3N)
+    ms=$((t1 - t0))
+    if [ "$best" -eq 0 ] || [ "$ms" -lt "$best" ]; then best=$ms; fi
+  done
+  echo "$best"
+}
+max_scaling=8
+small_ms=$(best_compile_ms 250)
+large_ms=$(best_compile_ms 1000)
+scaling=$(awk -v l="$large_ms" -v s="$small_ms" 'BEGIN { printf "%.2f", l / (s > 0 ? s : 1) }')
+echo "compile scaling: 1000 pairs ${large_ms} ms / 250 pairs ${small_ms} ms = ${scaling} (limit ${max_scaling})"
+if awk -v r="$scaling" -v m="$max_scaling" 'BEGIN { exit !(r > m) }'; then
+  echo "compile scaling: ${scaling} > ${max_scaling}: compile time grows faster than the function" >&2
   exit 1
 fi
 

@@ -36,10 +36,13 @@ type ctx = {
   fused_zexts : (int, unit) Hashtbl.t;
   salloc_slot : (int, int) Hashtbl.t;    (* salloc iid -> frame slot id *)
   mutable cur : mblock;
+  mutable out : minstr list;  (* [cur]'s instructions, newest first *)
 }
 
+let push ctx i = ctx.out <- i :: ctx.out
+
 let emit ctx ?(spec = false) ?(prov = Isa.PNormal) mop =
-  ctx.cur.mins <- ctx.cur.mins @ [ mk_instr ~spec ~prov mop ]
+  push ctx (mk_instr ~spec ~prov mop)
 
 (* Attribution for speculative ops: the squeezed IR variable behind
    this instruction, with its source line (see Mir.site). *)
@@ -194,13 +197,11 @@ let emit_compare ctx (i : Ir.instr) op a b : Isa.cond =
     in
     (match rhs with
     | `Imm v ->
-        ctx.cur.mins <- ctx.cur.mins @ [ { mop = Mcmp (ra, Vi (Int64.of_int v));
-                                           speculative = true; prov = PNormal;
-                                           msite = site_of ctx i } ]
+        push ctx { mop = Mcmp (ra, Vi (Int64.of_int v)); speculative = true;
+                   prov = PNormal; msite = site_of ctx i }
     | `Reg rb ->
-        ctx.cur.mins <- ctx.cur.mins @ [ { mop = Mcmp (ra, Vr rb);
-                                           speculative = true; prov = PNormal;
-                                           msite = site_of ctx i } ]);
+        push ctx { mop = Mcmp (ra, Vr rb); speculative = true;
+                   prov = PNormal; msite = site_of ctx i });
     cond_of_cmpop false op
   end
   else begin
@@ -248,10 +249,9 @@ let lower_instr ctx (_b : Ir.block) (i : Ir.instr) =
         | _ -> unsupported "speculative %s" (Bs_ir.Printer.binop_name op)
       in
       let spec = match op with Ir.Add | Ir.Sub -> true | _ -> false in
-      ctx.cur.mins <-
-        ctx.cur.mins @ [ { mop = Malu (bop, d, ra, rhs); speculative = spec;
-                           prov = PNormal;
-                           msite = (if spec then site_of ctx i else None) } ])
+      push ctx { mop = Malu (bop, d, ra, rhs); speculative = spec;
+                 prov = PNormal;
+                 msite = (if spec then site_of ctx i else None) })
   | Ir.Bin (op, a, c) -> (
       if i.width > 32 then unsupported "64-bit arithmetic in back-end";
       let d = vreg_of ctx i in
@@ -358,22 +358,16 @@ let lower_instr ctx (_b : Ir.block) (i : Ir.instr) =
                 | Some (base, sv) ->
                     let br = val32 ctx base in
                     let xs = vreg_of ctx (Ir.instr ir sv) in
-                    ctx.cur.mins <-
-                      ctx.cur.mins
-                      @ [ { mop = Mloadspecx (d, br, xs); speculative = true;
-                            prov = PNormal; msite = site_of ctx i } ]
+                    push ctx { mop = Mloadspecx (d, br, xs); speculative = true;
+                               prov = PNormal; msite = site_of ctx i }
                 | None ->
                     let addr = val32 ctx addr_op in
-                    ctx.cur.mins <-
-                      ctx.cur.mins
-                      @ [ { mop = Mloadspec (d, addr, 0); speculative = true;
-                            prov = PNormal; msite = site_of ctx i } ])
+                    push ctx { mop = Mloadspec (d, addr, 0); speculative = true;
+                               prov = PNormal; msite = site_of ctx i })
             | None ->
                 let src = val32 ctx a in
-                ctx.cur.mins <-
-                  ctx.cur.mins
-                  @ [ { mop = Mtrunc_spec (d, src); speculative = true;
-                        prov = PNormal; msite = site_of ctx i } ]
+                push ctx { mop = Mtrunc_spec (d, src); speculative = true;
+                           prov = PNormal; msite = site_of ctx i }
           end
           else if width_of ctx.mf d = 8 then
             emit ctx (Mtrunc_exact (d, val32 ctx a))
@@ -491,7 +485,8 @@ let lower_func ~slices (ir : Ir.func) : mfunc =
       fused_zexts = Hashtbl.create 8;
       salloc_slot = Hashtbl.create 8;
       cur = { mbid = -1; mphis = []; mins = []; in_region = None;
-              handler_of = None; is_orig = false } }
+              handler_of = None; is_orig = false };
+      out = [] }
   in
   (* block ids *)
   List.iteri
@@ -500,6 +495,14 @@ let lower_func ~slices (ir : Ir.func) : mfunc =
   (* fusion prepass: spec-load pairs and compare/branch pairs *)
   List.iter
     (fun (b : Ir.block) ->
+      (* the block's ids, tabulated the first time a pair asks *)
+      let members =
+        lazy
+          (let t = Ir.IntTbl.create 16 in
+           List.iter (fun (j : Ir.instr) -> Ir.IntTbl.replace t j.Ir.iid ()) b.instrs;
+           t)
+      in
+      let in_block iid = Ir.IntTbl.mem (Lazy.force members) iid in
       List.iter
         (fun (i : Ir.instr) ->
           match i.op with
@@ -511,7 +514,7 @@ let lower_func ~slices (ir : Ir.func) : mfunc =
                      && (match Hashtbl.find_opt ctx.uses l with
                         | Some [ u ] -> u.Ir.iid = i.iid
                         | _ -> false)
-                     && List.exists (fun (j : Ir.instr) -> j.Ir.iid = l) b.instrs ->
+                     && in_block l ->
                   Hashtbl.replace ctx.fused_loads l ();
                   Hashtbl.replace ctx.fused_truncs i.iid ld.l_addr
               | _ -> ())
@@ -520,10 +523,7 @@ let lower_func ~slices (ir : Ir.func) : mfunc =
               | Some [ user ] -> (
                   match user.Ir.op with
                   | Ir.Cbr (Ir.Var c, _, _)
-                    when c = i.iid
-                         && List.exists
-                              (fun (j : Ir.instr) -> j.Ir.iid = user.Ir.iid)
-                              b.instrs ->
+                    when c = i.iid && in_block user.Ir.iid ->
                       Hashtbl.replace ctx.fused_cmps i.iid ()
                   | _ -> ())
               | _ -> ())
@@ -626,13 +626,15 @@ let lower_func ~slices (ir : Ir.func) : mfunc =
       List.iter
         (fun bid -> Hashtbl.replace region_of_bid bid r.Ir.rid)
         r.Ir.rblocks;
-      Hashtbl.replace handler_of_bid r.Ir.rhandler r.Ir.rid;
-      mf.mregions <-
-        mf.mregions
-        @ [ (r.Ir.rid,
-             List.map (fun b -> Hashtbl.find ctx.bmap b) r.Ir.rblocks,
-             Hashtbl.find ctx.bmap r.Ir.rhandler) ])
+      Hashtbl.replace handler_of_bid r.Ir.rhandler r.Ir.rid)
     ir.regions;
+  mf.mregions <-
+    List.map
+      (fun (r : Ir.region) ->
+        ( r.Ir.rid,
+          List.map (fun b -> Hashtbl.find ctx.bmap b) r.Ir.rblocks,
+          Hashtbl.find ctx.bmap r.Ir.rhandler ))
+      ir.regions;
   (* lower blocks *)
   let mblocks =
     List.map
@@ -686,6 +688,8 @@ let lower_func ~slices (ir : Ir.func) : mfunc =
               | _ -> None)
             b.instrs;
         List.iter (fun i -> lower_instr ctx b i) b.instrs;
+        mb.mins <- List.rev ctx.out;
+        ctx.out <- [];
         mb)
       ir.blocks
   in

@@ -83,8 +83,6 @@ let fresh_vreg (f : mfunc) ~width =
 let width_of (f : mfunc) v =
   match Hashtbl.find_opt f.vwidth v with Some w -> w | None -> 32
 
-let block (f : mfunc) bid = List.find (fun b -> b.mbid = bid) f.mblocks
-
 let terminator (b : mblock) =
   match List.rev b.mins with
   | t :: _ -> t

@@ -53,9 +53,17 @@ let retarget (b : mblock) ~from_ ~to_ =
         Mbc (c, (if x = from_ then to_ else x), if y = from_ then to_ else y)
     | other -> other)
 
+let block_table (f : mfunc) =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun b -> Hashtbl.replace tbl b.mbid b) f.mblocks;
+  fun bid ->
+    match Hashtbl.find_opt tbl bid with Some b -> b | None -> raise Not_found
+
 let split_critical_edges (f : mfunc) =
   let next_bid = ref (List.fold_left (fun m b -> max m b.mbid) 0 f.mblocks + 1) in
   let preds = preds_map f in
+  let block = block_table f in
+  let created = ref [] in
   List.iter
     (fun s ->
       if s.mphis <> [] then
@@ -63,7 +71,7 @@ let split_critical_edges (f : mfunc) =
         if List.length ps > 1 then
           List.iter
             (fun pbid ->
-              let p = block f pbid in
+              let p = block pbid in
               if List.length (succs p) > 1 then begin
                 (* critical edge p -> s: interpose a block *)
                 let nb =
@@ -83,10 +91,11 @@ let split_critical_edges (f : mfunc) =
                           (fun (q, v) -> ((if q = pbid then nb.mbid else q), v))
                           incoming ))
                     s.mphis;
-                f.mblocks <- f.mblocks @ [ nb ]
+                created := nb :: !created
               end)
             ps)
-    f.mblocks
+    f.mblocks;
+  f.mblocks <- f.mblocks @ List.rev !created
 
 (* Emit one width-aware copy. *)
 let copy_instr (f : mfunc) dst (src : vop2) =
@@ -136,6 +145,7 @@ let sequentialize (f : mfunc) (copies : (vreg * vop2) list) : minstr list =
 
 let eliminate_phis (f : mfunc) =
   split_critical_edges f;
+  let block = block_table f in
   List.iter
     (fun s ->
       if s.mphis <> [] then begin
@@ -151,7 +161,7 @@ let eliminate_phis (f : mfunc) =
           s.mphis;
         Hashtbl.iter
           (fun pbid copies ->
-            let p = block f pbid in
+            let p = block pbid in
             let seq = sequentialize f copies in
             (* insert before the terminator *)
             let rec place = function
@@ -246,18 +256,15 @@ type result = {
 
 let interval_start iv = match iv.ranges with (s, _) :: _ -> s | [] -> 0
 
-let add_range iv s e =
-  (* ranges are built in increasing order; merge with the last one *)
-  let rec insert = function
-    | [] -> [ (s, e) ]
-    | (s0, e0) :: rest when e < s0 -> (s, e) :: (s0, e0) :: rest
-    | (s0, e0) :: rest when s > e0 -> (s0, e0) :: insert rest
-    | (s0, e0) :: rest -> insert2 (min s s0) (max e e0) rest
-  and insert2 s e = function
-    | (s0, e0) :: rest when s0 <= e -> insert2 s (max e e0) rest
-    | rest -> (s, e) :: rest
-  in
-  iv.ranges <- insert iv.ranges
+(* Ranges are built block by block in layout order, so a new range never
+   starts before an earlier one: while the intervals are being built their
+   [ranges] are kept newest first, and a new range merges with the head
+   when it touches it. *)
+let add_range_rev iv s e =
+  iv.ranges <-
+    (match iv.ranges with
+    | (s0, e0) :: rest when s <= e0 -> (s0, max e e0) :: rest
+    | rs -> (s, e) :: rs)
 
 (* Claimed ranges on one (reg, slice), keyed by start.  Claims only ever
    follow a successful free-probe, so the stored ranges are pairwise
@@ -274,18 +281,20 @@ let occ_clashes (m : int Occ.t) (s, e) =
 let occ_claim (m : int Occ.t) ranges =
   List.fold_left (fun m (s, e) -> Occ.add s e m) m ranges
 
+module VTbl = Bs_ir.Ir.IntTbl
+
 let build_intervals (f : mfunc) =
   let live_in, live_out = liveness f in
   let pos = ref 0 in
-  let tbl : (vreg, interval) Hashtbl.t = Hashtbl.create 64 in
+  let tbl : interval VTbl.t = VTbl.create 64 in
   let call_positions = ref [] in
   let get v =
-    match Hashtbl.find_opt tbl v with
+    match VTbl.find_opt tbl v with
     | Some iv -> iv
     | None ->
         let iv = { ivreg = v; iwidth = width_of f v; ranges = [];
                    icrosses_call = false } in
-        Hashtbl.replace tbl v iv;
+        VTbl.replace tbl v iv;
         iv
   in
   List.iter
@@ -294,57 +303,67 @@ let build_intervals (f : mfunc) =
       let bend = bstart + List.length b.mins in
       let lin = Hashtbl.find live_in b.mbid in
       let lout = Hashtbl.find live_out b.mbid in
-      (* per-block last use / first def positions *)
-      let first_def = Hashtbl.create 8 and last_use = Hashtbl.create 8 in
+      (* per-block last use / first def positions; [vars] lists the
+         block's variables (live in, live out, or touched here) once *)
+      let first_def = VTbl.create 8 and last_use = VTbl.create 8 in
+      let listed = VTbl.create 16 and vars = ref [] in
+      let touch v =
+        if not (VTbl.mem listed v) then begin
+          VTbl.replace listed v ();
+          vars := v :: !vars
+        end
+      in
+      VSet.iter touch lin;
+      VSet.iter touch lout;
       List.iteri
         (fun k i ->
           let defs, uses = defs_uses i in
           List.iter
-            (fun u -> Hashtbl.replace last_use u (bstart + k)) uses;
+            (fun u ->
+              VTbl.replace last_use u (bstart + k);
+              touch u)
+            uses;
           List.iter
             (fun d ->
-              if not (Hashtbl.mem first_def d) then
-                Hashtbl.replace first_def d (bstart + k))
-            defs)
-        b.mins;
-      let vars = Hashtbl.create 16 in
-      VSet.iter (fun v -> Hashtbl.replace vars v ()) lin;
-      VSet.iter (fun v -> Hashtbl.replace vars v ()) lout;
-      Hashtbl.iter (fun v _ -> Hashtbl.replace vars v ()) first_def;
-      Hashtbl.iter (fun v _ -> Hashtbl.replace vars v ()) last_use;
-      Hashtbl.iter
-        (fun v () ->
-          let s =
-            if VSet.mem v lin then bstart
-            else
-              match Hashtbl.find_opt first_def v with
-              | Some p -> p
-              | None -> ( (* used before any def here: upward exposed *)
-                  match Hashtbl.find_opt last_use v with
-                  | Some _ -> bstart
-                  | None -> bstart)
-          in
-          let e =
-            if VSet.mem v lout then bend
-            else
-              match Hashtbl.find_opt last_use v with
-              | Some p -> p + 1
-              | None -> (
-                  match Hashtbl.find_opt first_def v with
-                  | Some p -> p + 1
-                  | None -> bstart)
-          in
-          if e > s then add_range (get v) s e
-          else add_range (get v) s (s + 1))
-        vars;
-      List.iteri
-        (fun k i ->
+              if not (VTbl.mem first_def d) then
+                VTbl.replace first_def d (bstart + k);
+              touch d)
+            defs;
           match i.mop with
           | Mcall _ -> call_positions := (bstart + k) :: !call_positions
           | _ -> ())
         b.mins;
+      List.iter
+        (fun v ->
+          (* a value used before any def here is upward exposed: it
+             starts at the block's start like a live-in one *)
+          let s =
+            if VSet.mem v lin then bstart
+            else
+              match VTbl.find_opt first_def v with Some p -> p | None -> bstart
+          in
+          let e =
+            if VSet.mem v lout then bend
+            else
+              match VTbl.find_opt last_use v with
+              | Some p -> p + 1
+              | None -> (
+                  match VTbl.find_opt first_def v with
+                  | Some p -> p + 1
+                  | None -> bstart)
+          in
+          if e > s then add_range_rev (get v) s e
+          else add_range_rev (get v) s (s + 1))
+        !vars;
       pos := bend)
     f.mblocks;
+  let intervals =
+    VTbl.fold
+      (fun _ iv acc ->
+        iv.ranges <- List.rev iv.ranges;
+        iv :: acc)
+      tbl []
+  in
   (* call positions, sorted for a binary-search probe per range (the
      pairwise calls × ranges scan was quadratic on call-heavy code) *)
   let calls = Array.of_list (List.sort Int.compare !call_positions) in
@@ -358,14 +377,16 @@ let build_intervals (f : mfunc) =
     done;
     !lo < ncalls && calls.(!lo) < e
   in
-  Hashtbl.iter
-    (fun _ iv ->
+  List.iter
+    (fun iv ->
       iv.icrosses_call <-
         List.exists (fun (s, e) -> call_in s (e - 1)) iv.ranges)
-    tbl;
-  let intervals = Hashtbl.fold (fun _ iv acc -> iv :: acc) tbl [] in
+    intervals;
   List.sort
-    (fun a b -> compare (interval_start a, a.ivreg) (interval_start b, b.ivreg))
+    (fun a b ->
+      match Int.compare (interval_start a) (interval_start b) with
+      | 0 -> Int.compare a.ivreg b.ivreg
+      | c -> c)
     intervals
 
 (** [run ?regs f] allocates every virtual register of [f] to a register, a
@@ -384,17 +405,24 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
        code in layout order, so block spans classify positions *)
     let pos = ref 0 in
     let orig_spans =
-      List.filter_map
-        (fun b ->
-          let s = !pos in
-          pos := !pos + List.length b.mins;
-          if b.is_orig then Some (s, !pos) else None)
-        f.mblocks
+      Array.of_list
+        (List.filter_map
+           (fun b ->
+             let s = !pos in
+             pos := !pos + List.length b.mins;
+             if b.is_orig then Some (s, !pos) else None)
+           f.mblocks)
     in
+    (* the spans lie in layout order: binary-search the last one starting
+       at or before the interval's start *)
     let starts_in_orig iv =
-      List.exists
-        (fun (s, e) -> interval_start iv >= s && interval_start iv < e)
-        orig_spans
+      let x = interval_start iv in
+      let lo = ref 0 and hi = ref (Array.length orig_spans) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if fst orig_spans.(mid) <= x then lo := mid + 1 else hi := mid
+      done;
+      !lo > 0 && x < snd orig_spans.(!lo - 1)
     in
     let o, sp = List.partition starts_in_orig intervals in
     if orig_first then o @ sp else sp @ o
@@ -418,18 +446,10 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
           | _ -> ())
         b.mins)
     f.mblocks;
-  (* occupancy per (reg, slice) *)
-  let occ : (int * int, int Occ.t ref) Hashtbl.t = Hashtbl.create 64 in
-  let occ_of r s =
-    match Hashtbl.find_opt occ (r, s) with
-    | Some l -> l
-    | None ->
-        let l = ref Occ.empty in
-        Hashtbl.replace occ (r, s) l;
-        l
-  in
+  (* occupancy per (reg, slice), at [4 * reg + slice] *)
+  let occ = Array.make (4 * (1 + List.fold_left Int.max 0 allocatable)) Occ.empty in
   let slice_free r s iv =
-    let m = !(occ_of r s) in
+    let m = occ.((4 * r) + s) in
     not (List.exists (occ_clashes m) iv.ranges)
   in
   let reg_free r iv =
@@ -439,17 +459,14 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
   let assignment = Hashtbl.create 64 in
   let spill_slots = ref 0 in
   let used = Hashtbl.create 16 in
-  let claim_reg r iv =
-    for s = 0 to 3 do
-      let l = occ_of r s in
-      l := occ_claim !l iv.ranges
-    done;
+  let claim_slice r s iv =
+    occ.((4 * r) + s) <- occ_claim occ.((4 * r) + s) iv.ranges;
     Hashtbl.replace used r ()
   in
-  let claim_slice r s iv =
-    let l = occ_of r s in
-    l := occ_claim !l iv.ranges;
-    Hashtbl.replace used r ()
+  let claim_reg r iv =
+    for s = 0 to 3 do
+      claim_slice r s iv
+    done
   in
   let candidates iv =
     if iv.icrosses_call then List.filter (fun r -> r <> 0) allocatable
@@ -485,31 +502,34 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
               (Lslice { sl_reg = r; sl_byte = sl })
         | None ->
         (* packing: prefer a slice of a register already hosting other
-           slice values (most occupied slices first) *)
-        let score r =
-          List.length
-            (List.filter (fun s -> not (slice_free r s iv)) [ 0; 1; 2; 3 ])
+           slice values (most occupied slices first).  Each candidate's
+           free slices are probed once; its score is how many are taken. *)
+        let scored =
+          List.map
+            (fun r ->
+              let free = List.filter (fun s -> slice_free r s iv) [ 0; 1; 2; 3 ] in
+              (4 - List.length free, r, free))
+            (candidates iv)
         in
         let ranked =
-          List.sort
-            (fun a b -> compare (score b, a) (score a, b))
-            (candidates iv)
+          List.sort (fun (sa, a, _) (sb, b, _) -> compare (sb, a) (sa, b)) scored
         in
         let found =
           List.find_map
-            (fun r ->
-              List.find_map
-                (fun s -> if slice_free r s iv then Some (r, s) else None)
-                [ 0; 1; 2; 3 ])
-            (List.filter (fun r -> score r > 0 && score r < 4) ranked)
+            (fun (sc, r, free) ->
+              match free with
+              | s :: _ when sc > 0 -> Some (r, s)
+              | _ -> None)
+            ranked
         in
+        (* else the first candidate with all four slices free *)
         let found =
           match found with
           | Some _ -> found
           | None ->
               List.find_map
-                (fun r -> if reg_free r iv then Some (r, 0) else None)
-                (candidates iv)
+                (fun (sc, r, _) -> if sc = 0 then Some (r, 0) else None)
+                scored
         in
         match found with
         | Some (r, s) ->

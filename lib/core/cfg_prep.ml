@@ -53,24 +53,25 @@ let split_point (b : Ir.block) =
         if phis < n then Some phis else None
       else scan 0 ~seen_load:false ~seen_store:false ~seen_nonphi:true body
 
+(* Splits always go to the first block in layout order that needs one.
+   A split only moves instructions into the new block, placed right after
+   the one split, and retargets phi edges (which [split_point] ignores), so
+   the blocks before it never need a split again: one walk down the layout,
+   splitting each block until it is clean, makes the same splits in the
+   same order as rescanning from the entry after every split. *)
 let run_func (f : Ir.func) =
   let splits = ref 0 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let target =
-      List.find_map
-        (fun (b : Ir.block) ->
-          match split_point b with Some at -> Some (b, at) | None -> None)
-        f.blocks
-    in
-    match target with
-    | Some (b, at) ->
-        ignore (Ir.split_block f b ~at);
-        incr splits;
-        progress := true
-    | None -> ()
-  done;
+  let rec walk = function
+    | [] -> ()
+    | (b : Ir.block) :: rest -> (
+        match split_point b with
+        | Some at ->
+            let nb = Ir.split_block f b ~at in
+            incr splits;
+            walk (b :: nb :: rest)
+        | None -> walk rest)
+  in
+  walk f.blocks;
   !splits
 
 let run (m : Ir.modul) = List.fold_left (fun n f -> n + run_func f) 0 m.funcs

@@ -232,9 +232,6 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
       Hashtbl.iter (fun k v -> Hashtbl.replace inv v k) cm.Ir.cm_instr;
       fun v -> Hashtbl.find_opt inv v
     in
-    (* Liveness snapshot before handlers exist: live-in of each CFG_orig
-       block, in terms of CFG_orig variables. *)
-    let live = Liveness.compute ~preds:(Ir.preds_map f) f in
     (* ② step 2a: retype S members. *)
     IntSet.iter
       (fun iid ->
@@ -270,21 +267,46 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
        cast must never satisfy a Before-placed request, which would produce
        a use before its definition *)
     let trunc_cache : (int * bool * int, Ir.operand) Hashtbl.t = Hashtbl.create 32 in
+    (* A cast goes immediately before its anchor instruction (a block's
+       terminator, for a cast placed at the block's end), after the casts
+       requested earlier for the same anchor.  Requests are queued per
+       anchor and [place b] rebuilds [b]'s list once; it runs before a
+       step walks a block, so the walk sees the casts that blocks walked
+       earlier placed at its end. *)
+    let queued : (int, Ir.instr list) Hashtbl.t = Hashtbl.create 64 in
+    let dirty : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let terminators : (int, Ir.instr) Hashtbl.t = Hashtbl.create 16 in
     let insert_before (b : Ir.block) (anchor : Ir.instr) (ni : Ir.instr) =
-      let rec place = function
-        | [] -> [ ni ]
-        | x :: rest when x.Ir.iid = anchor.Ir.iid -> ni :: x :: rest
-        | x :: rest -> x :: place rest
+      let earlier =
+        Option.value (Hashtbl.find_opt queued anchor.Ir.iid) ~default:[]
       in
-      b.instrs <- place b.instrs
+      Hashtbl.replace queued anchor.Ir.iid (ni :: earlier);
+      Hashtbl.replace dirty b.Ir.bid ()
     in
     let insert_at_end (b : Ir.block) (ni : Ir.instr) =
-      let rec place = function
-        | [] -> [ ni ]
-        | [ t ] when Ir.is_terminator t -> [ ni; t ]
-        | x :: rest -> x :: place rest
+      let t =
+        match Hashtbl.find_opt terminators b.Ir.bid with
+        | Some t -> t
+        | None ->
+            let t = Ir.terminator b in
+            Hashtbl.replace terminators b.Ir.bid t;
+            t
       in
-      b.instrs <- place b.instrs
+      insert_before b t ni
+    in
+    let place (b : Ir.block) =
+      if Hashtbl.mem dirty b.Ir.bid then begin
+        Hashtbl.remove dirty b.Ir.bid;
+        b.instrs <-
+          List.concat_map
+            (fun (x : Ir.instr) ->
+              match Hashtbl.find_opt queued x.Ir.iid with
+              | None -> [ x ]
+              | Some casts ->
+                  Hashtbl.remove queued x.Ir.iid;
+                  List.rev (x :: casts))
+            b.instrs
+      end
     in
     let get8 ~(where : [ `Before of Ir.block * Ir.instr | `End of Ir.block ])
         (o : Ir.operand) =
@@ -325,6 +347,7 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
     in
     List.iter
       (fun (b : Ir.block) ->
+        place b;
         List.iter
           (fun (i : Ir.instr) ->
             if IntSet.mem i.iid !s_set then
@@ -340,6 +363,7 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
                   Ir.map_operands (fun o -> get8 ~where:(`Before (b, i)) o) i)
           b.instrs)
       spec_blocks;
+    List.iter place spec_blocks;
     (* ② step 2c: widen squeezed values feeding full-width consumers. *)
     let ext_cache : (int * bool * int, Ir.operand) Hashtbl.t = Hashtbl.create 32 in
     let get_wide ~where (v : int) =
@@ -367,6 +391,7 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
     in
     List.iter
       (fun (b : Ir.block) ->
+        place b;
         List.iter
           (fun (i : Ir.instr) ->
             if not (IntSet.mem i.iid !s_set) then
@@ -395,9 +420,16 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
                     i)
           b.instrs)
       spec_blocks;
+    List.iter place spec_blocks;
+    (* Liveness snapshot before handlers exist: live-in of each CFG_orig
+       block, in terms of CFG_orig variables.  Steps 2a-2c edited only
+       CFG_spec, which no CFG_orig block reaches. *)
+    let live = Liveness.compute ~preds:(Ir.preds_map f) f in
     (* ③ regions and handlers: one region per spec block that can actually
        misspeculate. *)
     let extra_defs : (int * Ir.operand) list IntMap.t ref = ref IntMap.empty in
+    (* handlers and regions, newest first: placed with one append each *)
+    let handlers = ref [] and regions = ref [] in
     List.iter
       (fun (b : Ir.block) ->
         let can_misspec =
@@ -405,9 +437,13 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
         in
         if can_misspec then begin
           let orig_bid = orig_of_block b.bid in
-          let handler = Ir.add_block f (b.bname ^ ".h") in
-          ignore (Ir.add_region f ~blocks:[ b.bid ] ~handler:handler.Ir.bid);
+          let handler = Ir.new_block f (b.bname ^ ".h") in
+          handlers := handler :: !handlers;
+          regions :=
+            Ir.new_region f ~blocks:[ b.bid ] ~handler:handler.Ir.bid
+            :: !regions;
           st.regions <- st.regions + 1;
+          let body = ref [] in
           (* live state at the entry of the re-executed original block *)
           let li = Liveness.live_in live orig_bid in
           Liveness.IntSet.iter
@@ -428,7 +464,7 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
                         ~width:wo
                         (Ir.Cast (Ir.Zext, Ir.Var v_spec))
                     in
-                    Ir.append_instr handler e;
+                    body := e :: !body;
                     st.exts <- st.exts + 1;
                     Ir.Var e.iid
                   end
@@ -441,16 +477,17 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
                     !extra_defs
               end)
             li;
-          Ir.append_instr handler (Ir.mk_instr f ~width:0 (Ir.Br orig_bid))
+          handler.Ir.instrs <-
+            List.rev (Ir.mk_instr f ~width:0 (Ir.Br orig_bid) :: !body)
         end)
       spec_blocks;
+    f.blocks <- f.blocks @ List.rev !handlers;
+    f.regions <- f.regions @ List.rev !regions;
     (* ③ SSA repair: make every CFG_orig use observe the right definition
        (the φ of equation (8) appears at each join). *)
     let preds_final = Ir.preds_map f in
-    IntMap.iter
-      (fun v_orig defs ->
-        Ssa_repair.repair f ~var:v_orig ~extra_defs:defs ~preds:preds_final)
-      !extra_defs;
+    Ssa_repair.repair_all f ~vars:(IntMap.bindings !extra_defs)
+      ~preds:preds_final;
     (* Prune CFG_orig blocks no handler can reach (dead fallback code). *)
     let reachable = Hashtbl.create 16 in
     List.iter (fun bid -> Hashtbl.replace reachable bid ()) (Ir.reverse_postorder f);

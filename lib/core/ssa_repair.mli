@@ -17,3 +17,12 @@ val repair :
     definitions (block id, value).  [preds] must be the final CFG's
     relation, including handler branch edges.  Trivial phis are removed
     with forwarding so nested removals stay consistent. *)
+
+val repair_all :
+  Bs_ir.Ir.func ->
+  vars:(int * (int * Bs_ir.Ir.operand) list) list ->
+  preds:(int, int list) Hashtbl.t ->
+  unit
+(** [repair] for each [(var, extra_defs)] in order, with every variable's
+    definition and uses found in one pass over the function rather than
+    one pass per variable. *)

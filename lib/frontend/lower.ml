@@ -32,8 +32,12 @@ type st = {
   mutable entry_allocs : (int * Ir.instr) list;  (* sym id, salloc instr *)
   (* Forwarding of removed trivial phis: a removed phi's replacement can
      itself be removed while recursing over its users, so every value read
-     out of the definition tables is chased through this map first. *)
+     out of the definition tables is chased through this map first.  The
+     operands that name a removed phi are rewritten, and the phi deleted,
+     once, when the function is complete. *)
   forward : (int, Ir.operand) Hashtbl.t;
+  (* phi id -> the phis reading it, revisited when it is removed *)
+  phi_users : (int, Ir.instr list) Hashtbl.t;
 }
 
 let rec resolve st (o : Ir.operand) =
@@ -104,41 +108,52 @@ and add_phi_operands st bid sid ty phi =
     List.map (fun p -> (p, read_var st p sid ty)) (block_preds st bid)
   in
   phi.Ir.op <- Ir.Phi incoming;
+  note_phi_user st phi;
   try_remove_trivial_phi st phi
+
+(* Record [phi] as a user of the phis among its incoming values. *)
+and note_phi_user st (phi : Ir.instr) =
+  match phi.Ir.op with
+  | Ir.Phi incoming ->
+      List.iter
+        (fun (_, (v : Ir.operand)) ->
+          match v with
+          | Ir.Var x when x <> phi.Ir.iid && Ir.is_phi (Ir.instr st.func x) ->
+              let cur = Option.value (Hashtbl.find_opt st.phi_users x) ~default:[] in
+              Hashtbl.replace st.phi_users x (phi :: cur)
+          | _ -> ())
+        incoming
+  | _ -> ()
 
 and try_remove_trivial_phi st phi =
   match phi.Ir.op with
   | Ir.Phi incoming ->
       let self = Ir.Var phi.Ir.iid in
+      (* an incoming that names a removed phi stands for its replacement *)
       let distinct =
         List.sort_uniq compare
           (List.filter (fun (v : Ir.operand) -> v <> self)
-             (List.map snd incoming))
+             (List.map (fun (_, v) -> resolve st v) incoming))
       in
       (match distinct with
       | [ unique ] ->
-          (* The phi merges a single value: replace it everywhere. *)
+          (* The phi merges a single value: it stands for that value from
+             now on (see [forward]). *)
           Hashtbl.replace st.forward phi.Ir.iid unique;
           let users =
-            match Hashtbl.find_opt (Ir.uses st.func) phi.Ir.iid with
-            | Some us -> us
-            | None -> []
+            Option.value (Hashtbl.find_opt st.phi_users phi.Ir.iid) ~default:[]
           in
-          Ir.replace_all_uses st.func ~old_id:phi.Ir.iid ~by:unique;
-          (* Also rewrite definition-table entries referring to the phi. *)
-          DefTbl.iter
-            (fun k v -> if v = self then DefTbl.replace st.defs k unique)
-            st.defs;
-          List.iter
-            (fun (b : Ir.block) ->
-              b.Ir.instrs <-
-                List.filter (fun (i : Ir.instr) -> i.Ir.iid <> phi.Ir.iid) b.Ir.instrs)
-            st.func.Ir.blocks;
+          (* its phi users now read [unique] *)
+          (match unique with
+          | Ir.Var u when Ir.is_phi (Ir.instr st.func u) ->
+              let cur = Option.value (Hashtbl.find_opt st.phi_users u) ~default:[] in
+              Hashtbl.replace st.phi_users u (users @ cur)
+          | _ -> ());
           (* Removing this phi may make phi users trivial in turn. *)
           List.iter
             (fun (u : Ir.instr) ->
-              if Ir.is_phi u && u.Ir.iid <> phi.Ir.iid then
-                ignore (try_remove_trivial_phi st u))
+              if u.Ir.iid <> phi.Ir.iid && not (Hashtbl.mem st.forward u.Ir.iid)
+              then ignore (try_remove_trivial_phi st u))
             users;
           (* the replacement may have been removed by the recursion above *)
           resolve st unique
@@ -274,6 +289,7 @@ let rec lower_expr st (e : Tast.texpr) : Ir.operand =
         Builder.phi st.bld ~width:e.tty.Ast.w
           [ (then_end.Ir.bid, va); (else_end.Ir.bid, vb) ]
       in
+      note_phi_user st phi;
       Builder.value phi
 
 and lower_shortcircuit st ~is_and a b =
@@ -295,6 +311,7 @@ and lower_shortcircuit st ~is_and a b =
     Builder.phi st.bld ~width:1
       [ (from.Ir.bid, short_val); (rhs_end.Ir.bid, vb) ]
   in
+  note_phi_user st phi;
   Builder.value phi
 
 and lower_base_addr st (arr : Tast.arr_ref) : Ir.operand =
@@ -449,7 +466,8 @@ let lower_func (tf : Tast.tfunc) : Ir.func =
     { func; bld = Builder.create func; defs = DefTbl.create 64;
       sealed = Hashtbl.create 16; incomplete = Hashtbl.create 8;
       preds = Hashtbl.create 16; cur = entry; terminated = false;
-      loops = []; entry_allocs = []; forward = Hashtbl.create 16 }
+      loops = []; entry_allocs = []; forward = Hashtbl.create 16;
+      phi_users = Hashtbl.create 16 }
   in
   Hashtbl.replace st.sealed entry.Ir.bid ();
   Builder.position_at_end st.bld entry;
@@ -463,6 +481,18 @@ let lower_func (tf : Tast.tfunc) : Ir.func =
   (* Implicit return at fall-through. *)
   if not st.terminated then
     emit_ret st (if ret_width = 0 then None else Some (Ir.const ~width:ret_width 0L));
+  Builder.flush st.bld;
+  (* Removed trivial phis: delete them and rewrite every operand that
+     names one to its replacement. *)
+  if Hashtbl.length st.forward > 0 then
+    List.iter
+      (fun (b : Ir.block) ->
+        b.Ir.instrs <-
+          List.filter
+            (fun (i : Ir.instr) -> not (Hashtbl.mem st.forward i.Ir.iid))
+            b.Ir.instrs;
+        List.iter (Ir.map_operands (resolve st)) b.Ir.instrs)
+      func.Ir.blocks;
   (* Static stack allocations live at the top of the entry block. *)
   List.iter
     (fun (_, i) -> Ir.prepend_instr entry i)

@@ -1,18 +1,36 @@
 (* A positional builder over {!Ir}, in the style of LLVM's IRBuilder.
-   It keeps an insertion block and appends instructions before that block's
-   terminator (or at the end while the block is still open). *)
+   It keeps an insertion block and appends instructions at its end.
+
+   Appends are buffered: the insertion block's new instructions collect
+   newest first and reach [b.instrs] in one append when a terminator is
+   inserted, when the cursor moves, or on {!flush}.  Filling a block of n
+   instructions one [Ir.append_instr] at a time would copy its list n
+   times.  Phis are placed directly, ahead of every buffered (non-phi)
+   instruction. *)
 
 type t = {
   func : Ir.func;
   mutable cursor : Ir.block option;
+  mutable pending : Ir.instr list;  (* the cursor block's unplaced tail, newest first *)
   mutable line : int;  (* current source line stamped onto new instrs *)
 }
 
-let create func = { func; cursor = None; line = 0 }
+let create func = { func; cursor = None; pending = []; line = 0 }
 
 let set_line t n = t.line <- n
 
-let position_at_end t b = t.cursor <- Some b
+(** Place the buffered instructions: after it, every block's [instrs]
+    holds everything inserted into it. *)
+let flush t =
+  match (t.cursor, t.pending) with
+  | Some b, (_ :: _ as p) ->
+      b.Ir.instrs <- b.Ir.instrs @ List.rev p;
+      t.pending <- []
+  | _ -> ()
+
+let position_at_end t b =
+  flush t;
+  t.cursor <- Some b
 
 let current_block t =
   match t.cursor with
@@ -22,9 +40,10 @@ let current_block t =
 let func t = t.func
 
 let insert t i =
-  let b = current_block t in
+  ignore (current_block t);
   if i.Ir.line = 0 then i.Ir.line <- t.line;
-  Ir.append_instr b i;
+  t.pending <- i :: t.pending;
+  if Ir.is_terminator i then flush t;
   i
 
 let value i = Ir.Var i.Ir.iid

@@ -101,6 +101,15 @@ type modul = {
   mutable globals : global list;
 }
 
+(** Hash tables keyed by ids, hashed by value: no call into the generic
+    hash or compare per lookup. *)
+module IntTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x land max_int
+end)
+
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -127,9 +136,17 @@ let create_func ~name ~params ~ret_width =
   in
   { f with param_instrs }
 
-let add_block f name =
+(** [new_block f name] creates a block registered in [f] but not yet
+    placed in its layout.  A pass that creates many blocks places them
+    with one append ([f.blocks <- f.blocks @ created]) rather than one
+    {!add_block} each, whose append copies the whole layout. *)
+let new_block f name =
   let b = { bid = fresh_id f; bname = name; instrs = [] } in
   Hashtbl.replace f.btbl b.bid b;
+  b
+
+let add_block f name =
+  let b = new_block f name in
   f.blocks <- f.blocks @ [ b ];
   b
 
@@ -153,6 +170,9 @@ let mk_instr f ?(name = "") ?(line = 0) ~width op =
   Hashtbl.replace f.itbl i.iid i;
   i
 
+(** [append_instr b i] places [i] last in [b].  It copies the block's
+    list, so code that fills a block instruction by instruction builds
+    the list itself (as {!Builder} and the squeezer's handlers do). *)
 let append_instr b i = b.instrs <- b.instrs @ [ i ]
 
 let prepend_instr b i = b.instrs <- i :: b.instrs
@@ -223,9 +243,13 @@ let is_terminator i =
   match i.op with Br _ | Cbr _ | Ret _ | Unreachable -> true | _ -> false
 
 let terminator b =
-  match List.rev b.instrs with
-  | t :: _ when is_terminator t -> t
-  | _ -> invalid_arg (Printf.sprintf "Ir.terminator: block %s lacks one" b.bname)
+  let rec last = function
+    | [ t ] when is_terminator t -> t
+    | [] | [ _ ] ->
+        invalid_arg (Printf.sprintf "Ir.terminator: block %s lacks one" b.bname)
+    | _ :: rest -> last rest
+  in
+  last b.instrs
 
 let body_instrs b =
   List.filter (fun i -> not (is_terminator i)) b.instrs
@@ -255,6 +279,19 @@ let operands i =
   | Cbr (c, _, _) -> [ c ]
   | Ret (Some v) -> [ v ]
   | Ret None -> []
+
+(** [iter_operands fn i] applies [fn] to each operand of [i] in
+    {!operands}' order, without building the list. *)
+let iter_operands fn i =
+  match i.op with
+  | Param _ | Gaddr _ | Salloc _ | Br _ | Unreachable | Ret None -> ()
+  | Bin (_, a, b) | Cmp (_, a, b) -> fn a; fn b
+  | Cast (_, a) | Cbr (a, _, _) | Ret (Some a) -> fn a
+  | Select (c, a, b) -> fn c; fn a; fn b
+  | Phi incoming -> List.iter (fun (_, v) -> fn v) incoming
+  | Load l -> fn l.l_addr
+  | Store s -> fn s.s_addr; fn s.s_value
+  | Call c -> List.iter fn c.args
 
 (** [map_operands fn i] rewrites each operand of [i] through [fn],
     mutating the instruction in place. *)
@@ -306,13 +343,31 @@ let preds f bid =
 (* Speculative regions                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(** [new_region f ~blocks ~handler] creates a region without adding it to
+    [f.regions]; like {!new_block}, for passes that add many. *)
+let new_region f ~blocks ~handler =
+  { rid = fresh_id f; rblocks = blocks; rhandler = handler }
+
 let add_region f ~blocks ~handler =
-  let r = { rid = fresh_id f; rblocks = blocks; rhandler = handler } in
+  let r = new_region f ~blocks ~handler in
   f.regions <- f.regions @ [ r ];
   r
 
 let region_of_block f bid =
   List.find_opt (fun r -> List.mem bid r.rblocks) f.regions
+
+(** [region_table f] maps each block listed by some region to the first
+    region listing it, the answer {!region_of_block} gives, for passes
+    that ask about every block. *)
+let region_table f =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun bid -> if not (Hashtbl.mem tbl bid) then Hashtbl.replace tbl bid r)
+        r.rblocks)
+    f.regions;
+  tbl
 
 let region_entry r =
   match r.rblocks with
@@ -369,7 +424,7 @@ let uses f =
     | Const _ -> ()
   in
   List.iter
-    (fun b -> List.iter (fun i -> List.iter (record i) (operands i)) b.instrs)
+    (fun b -> List.iter (fun i -> iter_operands (record i) i) b.instrs)
     f.blocks;
   tbl
 
@@ -503,13 +558,14 @@ let operand_width f = function
 let reverse_postorder f =
   let visited = Hashtbl.create 16 in
   let order = ref [] in
+  let region_at = region_table f in
   let rec dfs bid =
     if not (Hashtbl.mem visited bid) then begin
       Hashtbl.replace visited bid ();
       let b = block f bid in
       let extra =
-        match region_of_block f bid with
-        | Some r when (region_entry r) = bid -> [ r.rhandler ]
+        match Hashtbl.find_opt region_at bid with
+        | Some r when region_entry r = bid -> [ r.rhandler ]
         | _ -> []
       in
       List.iter dfs (succs b @ extra);

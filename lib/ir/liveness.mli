@@ -8,13 +8,17 @@
 
 module IntSet : Set.S with type elt = int
 
-type t = {
-  live_in : (int, IntSet.t) Hashtbl.t;
-  live_out : (int, IntSet.t) Hashtbl.t;
-}
+type t
 
-val compute : ?preds:(int, int list) Hashtbl.t -> Ir.func -> t
-(** Fixed-point dataflow; [preds] defaults to {!Ir.preds_sir}. *)
+val compute :
+  ?preds:(int, int list) Hashtbl.t -> ?vars:IntSet.t -> Ir.func -> t
+(** The least solution of the backward dataflow equations, found one
+    variable at a time by walking predecessors from its uses: linear in
+    the code plus the size of the answer.  [preds] defaults to
+    {!Ir.preds_sir}.  With [vars], only those variables are tracked:
+    every set is the full answer intersected with [vars]. *)
 
 val live_in : t -> int -> IntSet.t
 val live_out : t -> int -> IntSet.t
+(** A block's set is built on its first query; an unknown block's is
+    empty. *)

@@ -68,16 +68,22 @@ let check_structure (f : Ir.func) =
   if f.blocks = [] then fail "function %s has no blocks" f.fname;
   List.iter
     (fun (b : Ir.block) ->
-      (match List.rev b.instrs with
-      | [] -> fail "block %s is empty" b.bname
-      | t :: rest ->
-          if not (Ir.is_terminator t) then
-            fail "block %s does not end with a terminator" b.bname;
-          List.iter
-            (fun i ->
-              if Ir.is_terminator i then
-                fail "block %s has a terminator mid-block" b.bname)
-            rest);
+      (* the last instruction first, then the ones before it *)
+      let rec last = function
+        | [] -> fail "block %s is empty" b.bname
+        | [ t ] -> t
+        | _ :: rest -> last rest
+      in
+      if not (Ir.is_terminator (last b.instrs)) then
+        fail "block %s does not end with a terminator" b.bname;
+      let rec before_last = function
+        | [] | [ _ ] -> ()
+        | i :: rest ->
+            if Ir.is_terminator i then
+              fail "block %s has a terminator mid-block" b.bname;
+            before_last rest
+      in
+      before_last b.instrs;
       (* Phis must be a prefix of the block. *)
       let seen_nonphi = ref false in
       List.iter
@@ -89,43 +95,46 @@ let check_structure (f : Ir.func) =
         b.instrs)
     f.blocks
 
+(* Returns the SIR predecessor relation it computed, which the region
+   checks reuse. *)
 let check_ssa (f : Ir.func) =
-  (* Each id defined at most once; uses are dominated by definitions. *)
-  let def_block = Hashtbl.create 64 in
+  (* Each id defined at most once; uses are dominated by definitions.
+     [def_at] holds a definition's block and its position there, packed
+     as [block lsl 32 lor position] (-1 for a parameter), so a use in the
+     defining block is checked with one comparison. *)
+  let def_at = Ir.IntTbl.create 64 in
   List.iter
-    (fun (i : Ir.instr) -> Hashtbl.replace def_block i.Ir.iid (-1))
+    (fun (i : Ir.instr) -> Ir.IntTbl.replace def_at i.Ir.iid (-1))
     f.param_instrs;
   List.iter
     (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
+      List.iteri
+        (fun k (i : Ir.instr) ->
           if Ir.has_result i then begin
-            if Hashtbl.mem def_block i.iid then
-              fail "%%%d defined twice" i.iid;
-            Hashtbl.replace def_block i.iid b.bid
+            if Ir.IntTbl.mem def_at i.iid then fail "%%%d defined twice" i.iid;
+            Ir.IntTbl.replace def_at i.iid ((b.bid lsl 32) lor k)
           end)
         b.instrs)
     f.blocks;
-  let dom = Dom.compute f in
   let preds = Ir.preds_sir f in
+  let order = Ir.reverse_postorder f in
+  let dom = Dom.compute ~preds ~order f in
   (* Unreachable blocks are exempt from dominance checks, as in LLVM:
      passes may leave dead code behind and clean it up later. *)
   let reachable = Hashtbl.create 16 in
-  List.iter (fun bid -> Hashtbl.replace reachable bid ()) (Ir.reverse_postorder f);
-  let check_use (b : Ir.block) pos_before (o : Ir.operand) user =
+  List.iter (fun bid -> Hashtbl.replace reachable bid ()) order;
+  let check_use (b : Ir.block) pos (o : Ir.operand) user =
     match o with
     | Const _ -> ()
     | Var v -> (
-        match Hashtbl.find_opt def_block v with
+        match Ir.IntTbl.find_opt def_at v with
         | None -> fail "use of undefined %%%d in %s" v (Printer.instr_str f user)
         | Some -1 -> () (* parameter: dominates everything *)
-        | Some db ->
+        | Some at ->
+            let db = at lsr 32 in
             if db = b.bid then begin
               (* must appear earlier in the block *)
-              let ok =
-                List.exists (fun (j : Ir.instr) -> j.iid = v) pos_before
-              in
-              if not ok then
+              if at land 0xFFFF_FFFF >= pos then
                 fail "%%%d used before definition in block %s" v b.bname
             end
             else if not (Dom.dominates dom db b.bid) then
@@ -136,10 +145,9 @@ let check_ssa (f : Ir.func) =
     (fun (b : Ir.block) ->
       if not (Hashtbl.mem reachable b.bid) then ()
       else
-      let before = ref [] in
-      List.iter
-        (fun (i : Ir.instr) ->
-          (match i.op with
+      List.iteri
+        (fun pos (i : Ir.instr) ->
+          match i.op with
           | Phi incoming ->
               (* Phi operands are checked against the corresponding edge. *)
               let ps =
@@ -153,33 +161,54 @@ let check_ssa (f : Ir.func) =
                   match v with
                   | Ir.Const _ -> ()
                   | Ir.Var x -> (
-                      match Hashtbl.find_opt def_block x with
+                      match Ir.IntTbl.find_opt def_at x with
                       | None -> fail "phi uses undefined %%%d" x
                       | Some -1 -> ()
-                      | Some db ->
+                      | Some at ->
+                          let db = at lsr 32 in
                           if not (Dom.dominates dom db p) then
                             fail
                               "phi operand %%%d does not dominate edge %d->%d"
                               x p b.bid))
                 incoming;
               let missing =
-                List.filter
-                  (fun p -> not (List.mem_assoc p incoming))
-                  (match Hashtbl.find_opt preds b.bid with
-                  | Some l -> l
-                  | None -> [])
+                List.filter (fun p -> not (List.mem_assoc p incoming)) ps
               in
               if missing <> [] then
                 fail "phi %s misses incoming for predecessor(s) %s"
                   (Printer.instr_str f i)
                   (String.concat "," (List.map string_of_int missing))
-          | _ ->
-              List.iter (fun o -> check_use b !before o i) (Ir.operands i));
-          before := !before @ [ i ])
+          | _ -> Ir.iter_operands (fun o -> check_use b pos o i) i)
         b.instrs)
-    f.blocks
+    f.blocks;
+  preds
 
-let check_regions (f : Ir.func) =
+let region_defs (f : Ir.func) (r : Ir.region) =
+  List.concat_map
+    (fun bid ->
+      List.filter_map
+        (fun (i : Ir.instr) -> if Ir.has_result i then Some i.iid else None)
+        (Ir.block f bid).instrs)
+    r.rblocks
+
+(* Liveness is separable per variable, so Theorem 3.1's verdict needs the
+   region definitions only: a function without regions tracks nothing. *)
+let region_liveness ?preds (f : Ir.func) =
+  let preds = match preds with Some p -> p | None -> Ir.preds_sir f in
+  let vars =
+    List.fold_left
+      (fun acc r ->
+        List.fold_left
+          (fun acc v -> Liveness.IntSet.add v acc)
+          acc (region_defs f r))
+      Liveness.IntSet.empty f.regions
+  in
+  Liveness.compute ~preds ~vars f
+
+let check_regions ~preds (f : Ir.func) =
+  let region_at = Ir.region_table f in
+  let handlers = Hashtbl.create 8 in
+  List.iter (fun (r : Ir.region) -> Hashtbl.replace handlers r.rhandler ()) f.regions;
   let handler_count = Hashtbl.create 8 in
   List.iter
     (fun (r : Ir.region) ->
@@ -193,7 +222,7 @@ let check_regions (f : Ir.func) =
         fail "region %d has missing handler %d" r.rid r.rhandler;
       if List.mem r.rhandler r.rblocks then
         fail "handler %d contained in its own region" r.rhandler;
-      if Ir.region_of_block f r.rhandler <> None then
+      if Hashtbl.mem region_at r.rhandler then
         fail "handler %d contained in a region" r.rhandler;
       let n = try Hashtbl.find handler_count r.rhandler with Not_found -> 0 in
       Hashtbl.replace handler_count r.rhandler (n + 1))
@@ -206,7 +235,7 @@ let check_regions (f : Ir.func) =
     (fun (b : Ir.block) ->
       List.iter
         (fun s ->
-          if Ir.is_handler f s then
+          if Hashtbl.mem handlers s then
             fail "handler %d is a branch target of block %d" s b.bid)
         (Ir.succs b))
     f.blocks;
@@ -222,25 +251,16 @@ let check_regions (f : Ir.func) =
         r.rblocks)
     f.regions;
   (* Theorem 3.1: region definitions are dead at handler entry. *)
-  let live = Liveness.compute ~preds:(Ir.preds_sir f) f in
+  let live = region_liveness ~preds f in
   List.iter
     (fun (r : Ir.region) ->
-      let region_defs =
-        List.concat_map
-          (fun bid ->
-            List.filter_map
-              (fun (i : Ir.instr) ->
-                if Ir.has_result i then Some i.iid else None)
-              (Ir.block f bid).instrs)
-          r.rblocks
-      in
       let lin = Liveness.live_in live r.rhandler in
       List.iter
         (fun v ->
           if Liveness.IntSet.mem v lin then
             fail "region %d definition %%%d live at handler entry (Thm 3.1)"
               r.rid v)
-        region_defs)
+        (region_defs f r))
     f.regions
 
 let check_func (f : Ir.func) =
@@ -248,8 +268,8 @@ let check_func (f : Ir.func) =
   List.iter
     (fun (b : Ir.block) -> List.iter (check_widths f) b.instrs)
     f.blocks;
-  check_ssa f;
-  check_regions f
+  let preds = check_ssa f in
+  check_regions ~preds f
 
 let check_module (m : Ir.modul) =
   (* Call targets and globals must resolve. *)

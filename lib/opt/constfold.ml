@@ -52,26 +52,47 @@ let fold_instr (f : Ir.func) (i : Ir.instr) : Ir.operand option =
 let run_func (f : Ir.func) =
   let folded = ref 0 in
   let progress = ref true in
+  (* A folded instruction's replacement is recorded here, applied to an
+     instruction's operands just before it is looked at and to every
+     instruction when the round ends, so a round is one pass however many
+     instructions fold; each instruction is evaluated on operands with
+     every earlier fold already substituted. *)
+  let subst : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
+  let rec resolve (o : Ir.operand) =
+    match o with
+    | Ir.Var v -> (
+        match Hashtbl.find_opt subst v with Some o' -> resolve o' | None -> o)
+    | Ir.Const _ -> o
+  in
+  let rewrite (i : Ir.instr) =
+    if Hashtbl.length subst > 0 then Ir.map_operands resolve i
+  in
   while !progress do
     progress := false;
     List.iter
       (fun (b : Ir.block) ->
         List.iter
           (fun (i : Ir.instr) ->
-            if Ir.has_result i then
+            if Ir.has_result i then begin
+              rewrite i;
               match fold_instr f i with
               | Some replacement ->
-                  Ir.replace_all_uses f ~old_id:i.iid ~by:replacement;
+                  Hashtbl.replace subst i.iid replacement;
                   incr folded;
                   progress := true;
                   (* neutralise the instruction; DCE removes it *)
                   i.op <- Ir.Bin (Ir.Add,
                                   Ir.const ~width:i.width 0L,
                                   Ir.const ~width:i.width 0L)
-              | None -> ())
+              | None -> ()
+            end)
           b.instrs)
       f.blocks;
-    if !progress then ignore (Dce.run_func f)
+    if !progress then begin
+      List.iter (fun (b : Ir.block) -> List.iter rewrite b.instrs) f.blocks;
+      Hashtbl.reset subst;
+      ignore (Dce.run_func f)
+    end
   done;
   !folded
 

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "bitspec"
     [ ("width", Test_width.suite);
       ("ir", Test_ir.suite);
+      ("ir-equivalence", Test_ir_equiv.suite);
       ("frontend", Test_frontend.suite);
       ("frontend-2", Test_frontend2.suite);
       ("interp", Test_interp.suite);
