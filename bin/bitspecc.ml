@@ -318,7 +318,7 @@ let run_cmd =
                    instructions per host microsecond).")
   in
   let action file arch heuristic entry args train no_expander strict trace
-      why power power_seed policy retries engine interp_engine stats =
+      why power power_seed policy retries engine stats =
     with_reporting ~file (fun () ->
         let source = read_file file in
         let config = Driver.config_of ~arch ~heuristic ~no_expander in
@@ -327,8 +327,8 @@ let run_cmd =
         in
         with_trace trace @@ fun () ->
         let c =
-          Driver.compile ~mode:(mode_of_strict strict) ~interp_engine ~config
-            ~source ~train:[ (entry, train_args) ] ()
+          Driver.compile ~mode:(mode_of_strict strict) ~config ~source
+            ~train:[ (entry, train_args) ] ()
         in
         print_diagnostics c;
         let pw =
@@ -385,7 +385,7 @@ let run_cmd =
     Term.(const action $ file $ arch_arg $ heuristic_arg $ entry $ args
           $ train $ no_expander_arg $ strict_arg $ trace_arg $ why_misspec
           $ power $ power_seed $ policy_arg $ retries_arg $ engine_arg
-          $ interp_engine_arg $ stats)
+          $ stats)
 
 (* --- bench ------------------------------------------------------------- *)
 

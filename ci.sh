@@ -27,8 +27,13 @@ if ! printf '%s\n' "$sb_rule" | grep -q -- '-strict-sequence'; then
   exit 1
 fi
 dune runtest
-corpus="$(mktemp -d)"
-trap 'rm -rf "$corpus"' EXIT
+# Every smoke works in its own subdirectory of one temp root; one EXIT
+# trap stops a daemon a failed smoke left running and removes the root.
+tmp="$(mktemp -d)"
+serve_pid=
+trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+corpus="$tmp/corpus"
+mkdir "$corpus"
 dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
   --jobs 4
 dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
@@ -43,8 +48,8 @@ dune exec bin/bitspecc.exe -- fuzz --seed 12 --trials 360 --corpus "$corpus" \
 # contain the known CRC32 squeeze decisions and be byte-identical at
 # --jobs 1 and --jobs 4, and the misspec histogram total must match the
 # simulator's counter.
-obs="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs"' EXIT
+obs="$tmp/obs"
+mkdir "$obs"
 dune exec bin/bitspecc.exe -- bench CRC32 --trace "$obs/trace.json" \
   > /dev/null
 dune exec bin/bitspecc.exe -- bench CRC32 --remarks --jobs 1 > "$obs/j1.out"
@@ -71,8 +76,8 @@ echo "observability smoke: OK (trace $b/$e events, remarks jobs-invariant)"
 # (pinned mean restore count) and byte-identical at --jobs 1 vs --jobs 4;
 # a power-model injection campaign replays identically run to run; and
 # --strict on a clean campaign exits 0.
-pw="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw"' EXIT
+pw="$tmp/pw"
+mkdir "$pw"
 dune exec bin/bitspecc.exe -- harvest bitcount --trials 10 --dist exp:2000 \
   --seed 3 --jobs 1 > "$pw/h1.out"
 dune exec bin/bitspecc.exe -- harvest bitcount --trials 10 --dist exp:2000 \
@@ -103,8 +108,8 @@ echo "intermittent-power smoke: OK (harvest jobs-invariant, inject deterministic
 # Bit-flip smoke: README's injection campaign keeps its pinned tally and
 # is byte-identical at --jobs 1 and --jobs 4, where trial domains share
 # the golden-run records.
-bf="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf"' EXIT
+bf="$tmp/bf"
+mkdir "$bf"
 dune exec bin/bitspecc.exe -- inject stringsearch --trials 100 --seed 42 \
   --jobs 1 > "$bf/i1.out"
 dune exec bin/bitspecc.exe -- inject stringsearch --trials 100 --seed 42 \
@@ -153,8 +158,8 @@ fi
 # classic at --jobs 1 and under jit at --jobs 4 must produce
 # byte-identical reports, and every corpus reproducer must replay into
 # its recorded bucket under the trace-JIT.
-eng="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng"' EXIT
+eng="$tmp/eng"
+mkdir "$eng"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
   --jobs 1 --engine classic > "$eng/classic.out"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
@@ -190,8 +195,8 @@ echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays u
 # byte-identical reports (at different job counts, for good measure) —
 # and every corpus reproducer must replay into its recorded bucket with
 # the compiled engine serving as the differential reference.
-ieng="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng"' EXIT
+ieng="$tmp/ieng"
+mkdir "$ieng"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
   --jobs 1 --interp-engine tree > "$ieng/tree.out"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
@@ -217,9 +222,8 @@ echo "interp-engine smoke: OK (fuzz report interp-engine-invariant, corpus repla
 # before the kill, with none quarantined.  Uses the built binary
 # directly: the daemon must not hold the dune lock while the client
 # invocations run.
-srv="$(mktemp -d)"
-serve_pid=
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$srv"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+srv="$tmp/srv"
+mkdir "$srv"
 BS=./_build/default/bin/bitspecc.exe
 sock="$srv/bs.sock"
 "$BS" serve --socket "$sock" --cache-dir "$srv/cache" --jobs 4 \
@@ -329,8 +333,8 @@ echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery reopened $written en
 # Prometheus exposition on SIGUSR1 and again on graceful shutdown, and
 # produce byte-identical deterministic counter/gauge snapshot sections
 # for the same seeded mix at --jobs 1 and --jobs 4.
-tel="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+tel="$tmp/tel"
+mkdir "$tel"
 tsock="$tel/bs.sock"
 "$BS" serve --socket "$tsock" --cache-dir "$tel/cache" --jobs 4 \
   --metrics-out "$tel/metrics.prom" > "$tel/serve.log" 2>&1 &
@@ -464,8 +468,8 @@ fi
 # run rewrites BENCH_pr9.json, so it follows the guards above that read
 # the fig8+table2 run.)  A change that moves a figure on purpose
 # regenerates the transcript in the same commit.
-ts="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel" "$ts"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+ts="$tmp/ts"
+mkdir "$ts"
 dune exec bench/main.exe -- --jobs 4 > "$ts/all.out"
 if ! cmp -s bench/transcript.txt "$ts/all.out"; then
   echo "transcript: bench/main.exe --jobs 4 differs from bench/transcript.txt" >&2
@@ -483,8 +487,8 @@ echo "transcript: every section matches bench/transcript.txt at --jobs 4"
 # 1.9-2.5 with fused steps that wrote registers through caml_modify and
 # called their operators through caml_apply in an -opaque build — a
 # regression the wall-time bounds above cannot tell from host noise.
-fp="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel" "$ts" "$fp"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+fp="$tmp/fp"
+mkdir "$fp"
 cat > "$fp/loop.mc" <<'EOF'
 u32 run(u32 n) {
   u32 acc = 7;
@@ -527,8 +531,8 @@ fi
 # squeezer and instruction selection, the ratio read 17.4-17.7 (5.0 s
 # against 0.29 s) and 2000 pairs took 29.4 s; without them it reads
 # 3.1-5.0 over eight runs and 2000 pairs take 0.7-0.8 s.
-cs="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$bf" "$eng" "$ieng" "$srv" "$tel" "$ts" "$fp" "$cs"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+cs="$tmp/cs"
+mkdir "$cs"
 scaling_kernel() {
   echo 'u32 run(u32 x) {'
   echo '  u32 a = x;'

@@ -181,12 +181,10 @@ let set_interp_mips ~steps ~wall_s =
 (** Profile [m] by interpreting it on the training runs: each run is an
     (entry, args) pair; [setup] (if any) initialises workload inputs given
     the in-flight module. *)
-let profile_module (m : Ir.modul) ?setup ?(interp_engine = Interp.Compiled)
+let profile_module (m : Ir.modul) ?setup
     ~(train : (string * int64 list) list) () =
   let profile = Profile.create () in
-  let opts =
-    { Interp.default_opts with profile = Some profile; engine = interp_engine }
-  in
+  let opts = { Interp.default_opts with profile = Some profile } in
   let t0 = Unix.gettimeofday () in
   let steps = ref 0 in
   List.iter
@@ -244,7 +242,7 @@ let lower_to_machine ?(orig_first = false) (m : Ir.modul) ~arch : Asm.program =
     pipeline).  In [Degrade] mode pass failures are isolated per function
     (falling back to the baseline compilation of that function) and
     reported in [diagnostics]; [Strict] (the default) fails fast. *)
-let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
+let compile ?(mode = Strict) ?pass_fault ?profile_key
     ~config ~source ?setup ~train () : compiled =
   let degrade = mode = Degrade in
   let diags = ref [] in
@@ -304,7 +302,7 @@ let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
     if config.arch = Bitspec_arch && config.speculate && cfg_ok then begin
       let run_profile () =
         Bs_obs.Trace.with_span "profile" (fun () ->
-            profile_module !m ?setup ?interp_engine ~train ())
+            profile_module !m ?setup ~train ())
       in
       match
         (* Sharing is only sound when the pre-squeeze module is the pure
@@ -445,12 +443,9 @@ let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
 (** Total compilation: never raises.  Degrade-mode [compile], with any
     escaping exception (front-end errors included) converted into
     diagnostics. *)
-let try_compile ?pass_fault ?interp_engine ~config ~source ?setup ~train () :
+let try_compile ?pass_fault ~config ~source ?setup ~train () :
     (compiled, Diag.t list) result =
-  match
-    compile ~mode:Degrade ?pass_fault ?interp_engine ~config ~source ?setup
-      ~train ()
-  with
+  match compile ~mode:Degrade ?pass_fault ~config ~source ?setup ~train () with
   | c -> Ok c
   | exception e ->
       let phase, line =
@@ -486,10 +481,8 @@ let run_machine ?setup ?(fuel = 1_000_000_000) ?fault ?power
 
 (** Run the reference interpreter on the same IR (for differential
     checks). *)
-let run_reference ?setup ?(interp_engine = Interp.Compiled) (c : compiled)
-    ~entry ~args =
-  let opts = { Interp.default_opts with engine = interp_engine } in
+let run_reference ?setup (c : compiled) ~entry ~args =
   let t0 = Unix.gettimeofday () in
-  let r, _ = Interp.run_fresh ~opts ?setup c.ir ~entry ~args in
+  let r, _ = Interp.run_fresh ?setup c.ir ~entry ~args in
   set_interp_mips ~steps:r.Interp.steps ~wall_s:(Unix.gettimeofday () -. t0);
   r

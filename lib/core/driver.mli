@@ -92,15 +92,14 @@ type compiled = {
 val profile_module :
   Bs_ir.Ir.modul ->
   ?setup:(Bs_ir.Ir.modul -> Bs_interp.Memimage.t -> unit) ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   train:(string * int64 list) list ->
   unit ->
   Bs_interp.Profile.t
 (** [profile_module m ~train ()] interprets [m] on each [(entry, args)]
     training run, recording per-variable bitwidth statistics (§3.2.2).
-    [setup] initialises workload input data in each run's memory image;
-    [interp_engine] (default [Compiled]) picks the interpreter engine —
-    the recorded profile is engine-invariant. *)
+    [setup] initialises workload input data in each run's memory image.
+    The runs take the interpreter's default engine ([Compiled]); the
+    recorded profile is engine-invariant (test_interp_engines.ml). *)
 
 val lower_to_machine :
   ?orig_first:bool -> Bs_ir.Ir.modul -> arch:arch -> Bs_backend.Asm.program
@@ -110,7 +109,6 @@ val lower_to_machine :
 val compile :
   ?mode:mode ->
   ?pass_fault:pass_fault ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   ?profile_key:string ->
   config:config ->
   source:string ->
@@ -123,9 +121,7 @@ val compile :
     [mode] selects the failure policy (default {!Strict}); front-end
     errors ([Lexer.Error], [Parser.Error], [Typecheck.Error],
     [Lower.Error]) always raise — there is no module to degrade yet.
-    [pass_fault] injects a compiler fault for testing; [interp_engine]
-    picks the profiling interpreter's engine (the compiled artifact is
-    engine-invariant).
+    [pass_fault] injects a compiler fault for testing.
 
     [profile_key] opts the training run into a process-wide memo:
     profiling is heuristic-independent, so configurations that share a
@@ -138,7 +134,6 @@ val compile :
 
 val try_compile :
   ?pass_fault:pass_fault ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   config:config ->
   source:string ->
   ?setup:(Bs_ir.Ir.modul -> Bs_interp.Memimage.t -> unit) ->
@@ -166,11 +161,9 @@ val run_machine :
 
 val run_reference :
   ?setup:(Bs_interp.Memimage.t -> unit) ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   compiled ->
   entry:string ->
   args:int64 list ->
   Bs_interp.Interp.result
 (** Execute the compiled module's IR on the reference interpreter (the
-    differential-testing oracle).  [interp_engine] (default [Compiled])
-    picks the interpreter engine; results are engine-invariant. *)
+    differential-testing oracle), under its default engine. *)

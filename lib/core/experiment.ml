@@ -56,7 +56,7 @@ let metrics_of_run (r : Machine.result) : metrics =
     [profile_tag] to opt in; without a tag the compile runs uncached. *)
 let compile_workload ?(origin : Compile_cache.origin ref option)
     ?(profile_input : Workload.input option)
-    ?(profile_tag : string option) ?interp_engine (config : Driver.config)
+    ?(profile_tag : string option) (config : Driver.config)
     (w : Workload.t) : Driver.compiled =
   Bs_obs.Trace.with_span
     ~args:[ ("workload", w.Workload.name) ]
@@ -70,22 +70,21 @@ let compile_workload ?(origin : Compile_cache.origin ref option)
     | None, Some _ -> None
   in
   (* Profiling sees only the pre-squeeze module, so its identity is the
-     source, the expander tag, the training run and the engine — NOT the
-     heuristic or the squeeze flags.  A content-addressed input (same
-     [label] basis as the compile key) lets Driver share the training
-     run across a MAX/AVG/MIN sweep. *)
+     source, the expander tag and the training run — NOT the heuristic or
+     the squeeze flags.  A content-addressed input (same [label] basis as
+     the compile key) lets Driver share the training run across a
+     MAX/AVG/MIN sweep. *)
   let profile_key =
     Option.map
       (fun l ->
-        Printf.sprintf "%s|%s|%s|%s:%s@%s|%s" w.Workload.name
+        Printf.sprintf "%s|%s|%s|%s:%s@%s" w.Workload.name
           (Compile_cache.source_key w.Workload.source)
           (Driver.expander_tag config) l w.entry
-          (String.concat "," (List.map Int64.to_string pi.Workload.args))
-          (match interp_engine with Some Interp.Tree -> "t" | _ -> "c"))
+          (String.concat "," (List.map Int64.to_string pi.Workload.args)))
       label
   in
   let thunk () =
-    Driver.compile ?interp_engine ?profile_key ~config ~source:w.source
+    Driver.compile ?profile_key ~config ~source:w.source
       ~setup:pi.Workload.setup
       ~train:[ (w.entry, pi.Workload.args) ] ()
   in

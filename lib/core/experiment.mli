@@ -27,7 +27,6 @@ val compile_workload :
   ?origin:Compile_cache.origin ref ->
   ?profile_input:Bs_workloads.Workload.input ->
   ?profile_tag:string ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   Driver.config ->
   Bs_workloads.Workload.t ->
   Driver.compiled
@@ -38,10 +37,8 @@ val compile_workload :
     names it with [profile_tag] (an anonymous input closure has no
     content address).  [origin] reports where this call's compile was
     served from (the compile service's per-response [cached] flag).
-    [interp_engine] picks the profiling interpreter's engine; it is NOT
-    part of the cache key because the compiled artifact is
-    engine-invariant.  Callers measuring compile time itself should call
-    {!Driver.compile} directly. *)
+    Callers measuring compile time itself should call {!Driver.compile}
+    directly. *)
 
 val run_compiled :
   Driver.compiled ->

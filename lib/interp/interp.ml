@@ -64,76 +64,84 @@ type state = {
   mutable sp : int;           (* stack pointer for Salloc frames *)
 }
 
-let eval_binop op w a b =
+(* --- the operations, defined once --------------------------------------- *)
+
+(* Each operation's semantics at width [w], over the mask [m] = [Width.mask
+   w] that the caller stages: the [eval_*] wrappers below compute it per
+   call (the tree engine, constant folding), the compiled engine once per
+   instruction.  The functions are inlined into the compiled engine's
+   closures, where [op] is a free variable and every operand stays
+   unboxed; so the signed view is [sext (64 - w)], not a call to
+   [Width.sext], which would box its argument. *)
+
+(* [v] sign-extended from bit [63 - sh]: [Width.sext (64 - sh) v] *)
+let[@inline] sext sh v = Int64.shift_right (Int64.shift_left v sh) sh
+
+let[@inline] binop (op : Ir.binop) w m a b =
   let open Int64 in
-  let t = Width.trunc w in
-  match (op : Ir.binop) with
-  | Add -> t (add a b)
-  | Sub -> t (sub a b)
-  | Mul -> t (mul a b)
+  let sh = 64 - w in
+  match op with
+  | Add -> logand (add a b) m
+  | Sub -> logand (sub a b) m
+  | Mul -> logand (mul a b) m
   | Udiv ->
       if b = 0L then raise (Trap "division by zero")
-      else t (unsigned_div a b)
+      else logand (unsigned_div a b) m
   | Urem ->
       if b = 0L then raise (Trap "remainder by zero")
-      else t (unsigned_rem a b)
+      else logand (unsigned_rem a b) m
   | Sdiv ->
       if b = 0L then raise (Trap "division by zero")
-      else t (div (Width.sext w a) (Width.sext w b))
+      else logand (div (sext sh a) (sext sh b)) m
   | Srem ->
       if b = 0L then raise (Trap "remainder by zero")
-      else t (rem (Width.sext w a) (Width.sext w b))
+      else logand (rem (sext sh a) (sext sh b)) m
   | And -> logand a b
   | Or -> logor a b
   | Xor -> logxor a b
-  | Shl ->
-      let amt = to_int b land (w - 1) in
-      t (shift_left a amt)
+  | Shl -> logand (shift_left a (to_int b land (w - 1))) m
   | Lshr ->
-      let amt = to_int b land (w - 1) in
-      t (shift_right_logical (Width.trunc w a) amt)
-  | Ashr ->
-      let amt = to_int b land (w - 1) in
-      t (shift_right (Width.sext w a) amt)
+      logand (shift_right_logical (logand a m) (to_int b land (w - 1))) m
+  | Ashr -> logand (shift_right (sext sh a) (to_int b land (w - 1))) m
 
-let eval_cmp op w a b =
-  let unsigned c = Int64.unsigned_compare (Width.trunc w a) (Width.trunc w b) |> c in
-  let signed c = Int64.compare (Width.sext w a) (Width.sext w b) |> c in
-  let r =
-    match (op : Ir.cmpop) with
-    | Eq -> Width.trunc w a = Width.trunc w b
-    | Ne -> Width.trunc w a <> Width.trunc w b
-    | Ult -> unsigned (fun c -> c < 0)
-    | Ule -> unsigned (fun c -> c <= 0)
-    | Ugt -> unsigned (fun c -> c > 0)
-    | Uge -> unsigned (fun c -> c >= 0)
-    | Slt -> signed (fun c -> c < 0)
-    | Sle -> signed (fun c -> c <= 0)
-    | Sgt -> signed (fun c -> c > 0)
-    | Sge -> signed (fun c -> c >= 0)
+(* the predicate, on the operands' unsigned or signed order *)
+let[@inline] cmp (op : Ir.cmpop) w m a b =
+  let c =
+    match op with
+    | Slt | Sle | Sgt | Sge ->
+        Int64.compare (sext (64 - w) a) (sext (64 - w) b)
+    | Eq | Ne | Ult | Ule | Ugt | Uge ->
+        Int64.unsigned_compare (Int64.logand a m) (Int64.logand b m)
   in
-  if r then 1L else 0L
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Ult | Slt -> c < 0
+  | Ule | Sle -> c <= 0
+  | Ugt | Sgt -> c > 0
+  | Uge | Sge -> c >= 0
 
-(* Misspeculation conditions of Table 1, at the IR level. *)
-let misspeculates (i : Ir.instr) operand_values result =
-  match i.op with
-  | Ir.Bin (Ir.Add, _, _) | Ir.Bin (Ir.Sub, _, _) -> (
-      (* Overflow/underflow beyond the slice: exact result does not fit. *)
-      match operand_values with
-      | [ a; b ] ->
-          let exact =
-            match i.op with
-            | Ir.Bin (Ir.Add, _, _) -> Int64.add a b
-            | _ -> Int64.sub a b
-          in
-          Int64.compare exact 0L < 0 || not (Width.fits i.width exact)
-      | _ -> false)
-  | Ir.Cast (Ir.TruncCast, _) -> (
-      (* Speculative truncate: source value must fit the slice. *)
-      match operand_values with
-      | [ a ] -> not (Width.fits i.width a)
-      | _ -> false)
-  | _ -> ignore result; false
+(* Misspeculation conditions of Table 1, at the IR level: the exact result
+   [e] of a slice Add/Sub ([arith]) misspeculates when it is negative or
+   does not fit the slice; the source [e] of a slice truncate when it does
+   not fit.  [Width.fits] unfolded: below 64 bits, [e] fits iff
+   0 <= e <= m; a negative value needs all 64. *)
+let[@inline] misspec ~arith w m e =
+  if Int64.compare e 0L < 0 then arith || w < 64
+  else w < 64 && Int64.compare e m > 0
+
+let eval_binop op w a b = binop op w (Width.mask w) a b
+
+let eval_cmp op w a b = if cmp op w (Width.mask w) a b then 1L else 0L
+
+let misspeculates (i : Ir.instr) operand_values _result =
+  let w = i.width in
+  let m = Width.mask w in
+  match (i.op, operand_values) with
+  | Ir.Bin (Ir.Add, _, _), [ a; b ] -> misspec ~arith:true w m (Int64.add a b)
+  | Ir.Bin (Ir.Sub, _, _), [ a; b ] -> misspec ~arith:true w m (Int64.sub a b)
+  | Ir.Cast (Ir.TruncCast, _), [ a ] -> misspec ~arith:false w m a
+  | _ -> false
 
 (* Everything about a function's body that doesn't depend on the dynamic
    state is computed once per execution and reused on every call and every
@@ -458,18 +466,40 @@ let ret_bid = -1
 
 let no_scratch : i64arr = make_i64arr 0
 
-(* Operand access descriptor for the fused instruction bodies.  Each
-   instruction closure matches on these inline, so an operand value is
-   a local of the closure body from the environment load to the
-   environment store — the compiler keeps it unboxed.  Routing the read
-   through a [cframe -> int64] closure instead (the shape the first cut
-   of this engine used) boxes the value at every boundary; with two
-   operands, an operation and a commit per instruction, that is four
-   allocations per step and was the dominant cost. *)
+(* Operand access descriptor: a constant, an environment slot (validated
+   at compile time, so the unsafe reads in [read] stay safe) with its
+   unset-read trap message, or a statically out-of-range operand. *)
 type acc =
   | Aconst of int64
   | Avar of int * string  (** env slot, unset-read trap message *)
   | Atrap of string  (** statically out-of-range operand *)
+
+(* The three helpers every compiled closure is built from.  They are
+   inlined, so an operand value is a local of the closure body from the
+   environment load to the environment store and stays unboxed.  Routing
+   a read through a [cframe -> int64] closure instead boxes the value at
+   every boundary (four allocations per step in the first cut of this
+   engine), and so does passing a [read] straight into [Int64.compare]:
+   bind each read with [let] first. *)
+let[@inline] read fr d =
+  match d with
+  | Aconst v -> v
+  | Avar (x, msg) ->
+      if Bytes.unsafe_get fr.f_set x = '\001' then A1.unsafe_get fr.f_env x
+      else raise (Trap msg)
+  | Atrap msg -> raise (Trap msg)
+
+(* write an already truncated value to the environment, record it *)
+let[@inline] commit fr iid record v =
+  A1.unsafe_set fr.f_env iid v;
+  Bytes.unsafe_set fr.f_set iid '\001';
+  match record with Some r -> r v | None -> ()
+
+(* charge one step against the fuel *)
+let[@inline] tick (ctr : counters) fuel =
+  let s = ctr.steps + 1 in
+  ctr.steps <- s;
+  if s > fuel then raise Fuel_exhausted
 
 let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
   let m = st.m in
@@ -505,58 +535,21 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       | Some p -> Some (Profile.cursor p ~func:f.fname)
       | None -> None
     in
-    let step () =
-      let s = ctr.steps + 1 in
-      ctr.steps <- s;
-      if s > fuel then raise Fuel_exhausted
-    in
-    (* profiling hook for one committing instruction: a baked slot when
-       profiling is on and the width is recordable, nothing otherwise *)
-    let record_of (i : Ir.instr) : (int64 -> unit) option =
+    (* profiling hooks: a baked slot when profiling is on, nothing
+       otherwise.  Parameters record at any width, like the tree engine's
+       bind; other instructions only when their width is recordable. *)
+    let slot_of (i : Ir.instr) =
       match prof with
-      | Some c when i.width > 0 ->
-          Some (Profile.slot c ~iid:i.iid ~width:i.width)
-      | _ -> None
+      | Some c -> Some (Profile.slot c ~iid:i.iid ~width:i.width)
+      | None -> None
     in
-    (* operand readers: constants are immediate, variables read the dense
-       environment with the presence check (and its trap message) baked *)
-    let rd (o : Ir.operand) : cframe -> int64 =
-      match o with
-      | Ir.Const c ->
-          let v = c.Ir.cval in
-          fun _ -> v
-      | Ir.Var v ->
-          let msg = Printf.sprintf "read of unset %%%d in %s" v f.fname in
-          if v >= 0 && v < nids then fun fr ->
-            if Bytes.unsafe_get fr.f_set v = '\001' then
-              A1.unsafe_get fr.f_env v
-            else raise (Trap msg)
-          else fun _ -> raise (Trap msg)
-    in
-    (* same access, as a descriptor for the fused bodies (the [Avar]
-       index is validated here, so the unsafe reads below stay safe) *)
+    let record_of (i : Ir.instr) = if i.width > 0 then slot_of i else None in
     let acc_of (o : Ir.operand) : acc =
       match o with
       | Ir.Const c -> Aconst c.Ir.cval
       | Ir.Var v ->
           let msg = Printf.sprintf "read of unset %%%d in %s" v f.fname in
           if v >= 0 && v < nids then Avar (v, msg) else Atrap msg
-    in
-    (* the commit path: truncate, write the environment, record *)
-    let commit_of (i : Ir.instr) : cframe -> int64 -> unit =
-      let iid = i.iid in
-      let t = Width.trunc i.width in
-      match record_of i with
-      | None ->
-          fun fr v ->
-            A1.unsafe_set fr.f_env iid (t v);
-            Bytes.unsafe_set fr.f_set iid '\001'
-      | Some rec_ ->
-          fun fr v ->
-            let v = t v in
-            A1.unsafe_set fr.f_env iid v;
-            Bytes.unsafe_set fr.f_set iid '\001';
-            rec_ v
     in
     (* static jump: a valid target becomes a constant, an invalid one
        fails at execution time exactly as the tree engine's goto does *)
@@ -596,8 +589,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
           cur := !cur + ((n + 7) / 8 * 8))
         ctx.fc_sallocs
     in
-    (* phi prefix, pre-resolved per incoming edge.  Phase 1 evaluates
-       every phi w.r.t. the edge into the frame's scratch (traps — unset
+    (* phi prefix, pre-resolved per incoming edge.  Phase 1 reads every
+       phi's operand for the edge into the frame's scratch (traps — unset
        reads, missing edges — surface in phi order, before any commit);
        phase 2 commits simultaneously. *)
     let compile_phis (phis : Ir.instr list) : cframe -> unit =
@@ -607,10 +600,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
         match i.Ir.op with Ir.Phi inc -> inc | _ -> assert false
       in
       let iids = Array.map (fun (i : Ir.instr) -> i.Ir.iid) phis in
+      let masks = Array.map (fun (i : Ir.instr) -> Width.mask i.width) phis in
       let recs = Array.map record_of phis in
-      let masks =
-        Array.map (fun (i : Ir.instr) -> Width.mask i.Ir.width) phis
-      in
       let no_edge_msg (i : Ir.instr) p =
         Printf.sprintf "phi %%%d has no incoming for block %d" i.Ir.iid p
       in
@@ -627,8 +618,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       in
       let plan_for p : cframe -> unit =
         (* accesses for the phi prefix in order, stopping at the first
-           phi with no entry for this edge (evaluations before it still
-           run, so their traps keep priority, as in the tree engine) *)
+           phi with no entry for this edge (reads before it still run,
+           so their traps keep priority, as in the tree engine) *)
         let rec accesses k acc =
           if k = n then `Complete (Array.of_list (List.rev acc))
           else
@@ -640,59 +631,34 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
         match accesses 0 [] with
         | `Missing (accs, msg) ->
             fun fr ->
-              let set = fr.f_set in
-              for k = 0 to Array.length accs - 1 do
-                match Array.unsafe_get accs k with
-                | Aconst _ -> ()
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x <> '\001' then raise (Trap m)
-                | Atrap m -> raise (Trap m)
-              done;
+              Array.iter (fun d -> ignore (read fr d)) accs;
               raise (Trap msg)
         | `Complete accs ->
             fun fr ->
-              let env = fr.f_env and set = fr.f_set in
               let sc = fr.f_scratch in
               for k = 0 to n - 1 do
-                let v =
-                  match Array.unsafe_get accs k with
-                  | Aconst v -> v
-                  | Avar (x, m) ->
-                      if Bytes.unsafe_get set x = '\001' then
-                        A1.unsafe_get env x
-                      else raise (Trap m)
-                  | Atrap m -> raise (Trap m)
-                in
-                A1.unsafe_set sc k
-                  (Int64.logand v (Array.unsafe_get masks k))
+                let v = read fr (Array.unsafe_get accs k) in
+                A1.unsafe_set sc k (Int64.logand v (Array.unsafe_get masks k))
               done;
               ctr.steps <- ctr.steps + n;
               for k = 0 to n - 1 do
-                let v = A1.unsafe_get sc k in
-                let iid = Array.unsafe_get iids k in
-                A1.unsafe_set env iid v;
-                Bytes.unsafe_set set iid '\001';
-                match Array.unsafe_get recs k with
-                | Some r -> r v
-                | None -> ()
+                commit fr (Array.unsafe_get iids k) (Array.unsafe_get recs k)
+                  (A1.unsafe_get sc k)
               done
       in
       let plans = Array.map plan_for preds in
       let nplans = Array.length preds in
-      let fallback fr =
-        (* an edge no phi lists: the tree engine's phase 1 fails on the
-           first phi, naming the dynamic predecessor *)
-        raise (Trap (no_edge_msg phis.(0) fr.f_prev))
-      in
       fun fr ->
+        (* a loop over a local ref, not a local recursive function, which
+           would allocate a closure at every block entry *)
         let p = fr.f_prev in
-        let rec find k =
-          if k = nplans then fallback fr
-          else if Array.unsafe_get preds k = p then
-            (Array.unsafe_get plans k) fr
-          else find (k + 1)
-        in
-        find 0
+        let k = ref 0 in
+        while !k < nplans && Array.unsafe_get preds !k <> p do incr k done;
+        if !k < nplans then (Array.unsafe_get plans !k) fr
+        else
+          (* an edge no phi lists: the tree engine's phase 1 fails on the
+             first phi, naming the dynamic predecessor *)
+          raise (Trap (no_edge_msg phis.(0) p))
     in
     (* the fused body: one closure per instruction, each tail-calling its
        continuation; terminators return the next block id instead *)
@@ -706,483 +672,127 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       | i :: rest -> comp_instr b i (comp_body b rest)
     and comp_instr (b : Ir.block) (i : Ir.instr) (k : cframe -> int) :
         cframe -> int =
+      let iid = i.iid and w = i.width in
+      let m = Width.mask w and record = record_of i in
       match i.Ir.op with
       | Ir.Param _ ->
           fun _ ->
-            step ();
+            tick ctr fuel;
             raise (Trap "param instruction in block")
-      | Ir.Bin (op, a, c) ->
-          let w = i.width in
-          let wmask = Width.mask w in
-          let iid = i.iid in
-          let ka = acc_of a and kc = acc_of c in
-          let rec_ = record_of i in
-          let guarded =
-            i.speculative
-            && match op with Ir.Add | Ir.Sub -> true | _ -> false
-          in
-          if guarded then begin
-            let exit_ = misspec_exit_of b i in
-            let is_add = match op with Ir.Add -> true | _ -> false in
-            fun fr ->
-              let s = ctr.steps + 1 in
-              ctr.steps <- s;
-              if s > fuel then raise Fuel_exhausted;
-              let env = fr.f_env and set = fr.f_set in
-              let va =
-                match ka with
-                | Aconst v -> v
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x = '\001' then
-                      A1.unsafe_get env x
-                    else raise (Trap m)
-                | Atrap m -> raise (Trap m)
-              in
-              let vc =
-                match kc with
-                | Aconst v -> v
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x = '\001' then
-                      A1.unsafe_get env x
-                    else raise (Trap m)
-                | Atrap m -> raise (Trap m)
-              in
-              let e = if is_add then Int64.add va vc else Int64.sub va vc in
-              (* e < 0 || not (fits w e), with [fits] unfolded: for
-                 e >= 0 the bit length exceeds w iff w < 64 and
-                 e > mask w *)
-              if
-                Int64.compare e 0L < 0
-                || (w < 64 && Int64.compare e wmask > 0)
-              then exit_ fr
-              else begin
-                let v = Int64.logand e wmask in
-                A1.unsafe_set env iid v;
-                Bytes.unsafe_set set iid '\001';
-                (match rec_ with Some r -> r v | None -> ());
-                k fr
-              end
-          end
-          else
-            fun fr ->
-              let s = ctr.steps + 1 in
-              ctr.steps <- s;
-              if s > fuel then raise Fuel_exhausted;
-              let env = fr.f_env and set = fr.f_set in
-              let va =
-                match ka with
-                | Aconst v -> v
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x = '\001' then
-                      A1.unsafe_get env x
-                    else raise (Trap m)
-                | Atrap m -> raise (Trap m)
-              in
-              let vc =
-                match kc with
-                | Aconst v -> v
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x = '\001' then
-                      A1.unsafe_get env x
-                    else raise (Trap m)
-                | Atrap m -> raise (Trap m)
-              in
-              let v =
-                match op with
-                | Ir.Add -> Int64.logand (Int64.add va vc) wmask
-                | Ir.Sub -> Int64.logand (Int64.sub va vc) wmask
-                | Ir.Mul -> Int64.logand (Int64.mul va vc) wmask
-                | Ir.Udiv ->
-                    if Int64.compare vc 0L = 0 then
-                      raise (Trap "division by zero")
-                    else Int64.logand (Int64.unsigned_div va vc) wmask
-                | Ir.Urem ->
-                    if Int64.compare vc 0L = 0 then
-                      raise (Trap "remainder by zero")
-                    else Int64.logand (Int64.unsigned_rem va vc) wmask
-                | Ir.Sdiv ->
-                    if Int64.compare vc 0L = 0 then
-                      raise (Trap "division by zero")
-                    else
-                      Int64.logand
-                        (Int64.div (Width.sext w va) (Width.sext w vc))
-                        wmask
-                | Ir.Srem ->
-                    if Int64.compare vc 0L = 0 then
-                      raise (Trap "remainder by zero")
-                    else
-                      Int64.logand
-                        (Int64.rem (Width.sext w va) (Width.sext w vc))
-                        wmask
-                | Ir.And -> Int64.logand va vc
-                | Ir.Or -> Int64.logor va vc
-                | Ir.Xor -> Int64.logxor va vc
-                | Ir.Shl ->
-                    Int64.logand
-                      (Int64.shift_left va (Int64.to_int vc land (w - 1)))
-                      wmask
-                | Ir.Lshr ->
-                    Int64.logand
-                      (Int64.shift_right_logical (Int64.logand va wmask)
-                         (Int64.to_int vc land (w - 1)))
-                      wmask
-                | Ir.Ashr ->
-                    Int64.logand
-                      (Int64.shift_right (Width.sext w va)
-                         (Int64.to_int vc land (w - 1)))
-                      wmask
-              in
-              A1.unsafe_set env iid v;
-              Bytes.unsafe_set set iid '\001';
-              (match rec_ with Some r -> r v | None -> ());
-              k fr
-      | Ir.Cmp (op, a, c) ->
-          let cw = ctx.fc_srcw.(i.iid) in
-          let cmask = Width.mask cw in
-          let csh = 64 - cw in
-          let one = Width.trunc i.width 1L in
-          let iid = i.iid in
-          let ka = acc_of a and kc = acc_of c in
-          let rec_ = record_of i in
-          fun fr ->
-            let s = ctr.steps + 1 in
-            ctr.steps <- s;
-            if s > fuel then raise Fuel_exhausted;
-            let env = fr.f_env and set = fr.f_set in
-            let va =
-              match ka with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get set x = '\001' then
-                    A1.unsafe_get env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
-            let vc =
-              match kc with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get set x = '\001' then
-                    A1.unsafe_get env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
-            let r =
-              (* [shift_left then shift_right] is sext-of-trunc at
-                 [cw], i.e. exactly [Width.sext cw] *)
-              match op with
-              | Ir.Eq ->
-                  Int64.compare (Int64.logand va cmask)
-                    (Int64.logand vc cmask)
-                  = 0
-              | Ir.Ne ->
-                  Int64.compare (Int64.logand va cmask)
-                    (Int64.logand vc cmask)
-                  <> 0
-              | Ir.Ult ->
-                  Int64.unsigned_compare (Int64.logand va cmask)
-                    (Int64.logand vc cmask)
-                  < 0
-              | Ir.Ule ->
-                  Int64.unsigned_compare (Int64.logand va cmask)
-                    (Int64.logand vc cmask)
-                  <= 0
-              | Ir.Ugt ->
-                  Int64.unsigned_compare (Int64.logand va cmask)
-                    (Int64.logand vc cmask)
-                  > 0
-              | Ir.Uge ->
-                  Int64.unsigned_compare (Int64.logand va cmask)
-                    (Int64.logand vc cmask)
-                  >= 0
-              | Ir.Slt ->
-                  Int64.compare
-                    (Int64.shift_right (Int64.shift_left va csh) csh)
-                    (Int64.shift_right (Int64.shift_left vc csh) csh)
-                  < 0
-              | Ir.Sle ->
-                  Int64.compare
-                    (Int64.shift_right (Int64.shift_left va csh) csh)
-                    (Int64.shift_right (Int64.shift_left vc csh) csh)
-                  <= 0
-              | Ir.Sgt ->
-                  Int64.compare
-                    (Int64.shift_right (Int64.shift_left va csh) csh)
-                    (Int64.shift_right (Int64.shift_left vc csh) csh)
-                  > 0
-              | Ir.Sge ->
-                  Int64.compare
-                    (Int64.shift_right (Int64.shift_left va csh) csh)
-                    (Int64.shift_right (Int64.shift_left vc csh) csh)
-                  >= 0
-            in
-            let v = if r then one else 0L in
-            A1.unsafe_set env iid v;
-            Bytes.unsafe_set set iid '\001';
-            (match rec_ with Some r -> r v | None -> ());
-            k fr
-      | Ir.Cast (op, a) -> (
-          let src_w = ctx.fc_srcw.(i.iid) in
-          let w = i.width in
-          let wmask = Width.mask w in
-          let iid = i.iid in
-          let ka = acc_of a in
-          let rec_ = record_of i in
-          match op with
-          | Ir.Zext ->
-              (* trunc w (zext src_w v) = v land (smask land wmask) *)
-              let m = Int64.logand (Width.mask src_w) wmask in
-              fun fr ->
-                let s = ctr.steps + 1 in
-                ctr.steps <- s;
-                if s > fuel then raise Fuel_exhausted;
-                let env = fr.f_env and set = fr.f_set in
-                let va =
-                  match ka with
-                  | Aconst v -> v
-                  | Avar (x, m) ->
-                      if Bytes.unsafe_get set x = '\001' then
-                        A1.unsafe_get env x
-                      else raise (Trap m)
-                  | Atrap m -> raise (Trap m)
-                in
-                let v = Int64.logand va m in
-                A1.unsafe_set env iid v;
-                Bytes.unsafe_set set iid '\001';
-                (match rec_ with Some r -> r v | None -> ());
-                k fr
-          | Ir.Sext ->
-              let ssh = 64 - src_w in
-              fun fr ->
-                let s = ctr.steps + 1 in
-                ctr.steps <- s;
-                if s > fuel then raise Fuel_exhausted;
-                let env = fr.f_env and set = fr.f_set in
-                let va =
-                  match ka with
-                  | Aconst v -> v
-                  | Avar (x, m) ->
-                      if Bytes.unsafe_get set x = '\001' then
-                        A1.unsafe_get env x
-                      else raise (Trap m)
-                  | Atrap m -> raise (Trap m)
-                in
-                let v =
-                  Int64.logand
-                    (Int64.shift_right (Int64.shift_left va ssh) ssh)
-                    wmask
-                in
-                A1.unsafe_set env iid v;
-                Bytes.unsafe_set set iid '\001';
-                (match rec_ with Some r -> r v | None -> ());
-                k fr
-          | Ir.TruncCast ->
-              if i.speculative then begin
-                let exit_ = misspec_exit_of b i in
-                fun fr ->
-                  let s = ctr.steps + 1 in
-                  ctr.steps <- s;
-                  if s > fuel then raise Fuel_exhausted;
-                  let env = fr.f_env and set = fr.f_set in
-                  let va =
-                    match ka with
-                    | Aconst v -> v
-                    | Avar (x, m) ->
-                        if Bytes.unsafe_get set x = '\001' then
-                          A1.unsafe_get env x
-                        else raise (Trap m)
-                    | Atrap m -> raise (Trap m)
-                  in
-                  (* not (fits w va): for w = 64 every value fits; below
-                     that, negatives need 64 bits and non-negatives fit
-                     iff va <= mask w *)
-                  if
-                    w < 64
-                    && (Int64.compare va 0L < 0
-                       || Int64.compare va wmask > 0)
-                  then exit_ fr
-                  else begin
-                    let v = Int64.logand va wmask in
-                    A1.unsafe_set env iid v;
-                    Bytes.unsafe_set set iid '\001';
-                    (match rec_ with Some r -> r v | None -> ());
-                    k fr
-                  end
-              end
-              else
-                fun fr ->
-                  let s = ctr.steps + 1 in
-                  ctr.steps <- s;
-                  if s > fuel then raise Fuel_exhausted;
-                  let env = fr.f_env and set = fr.f_set in
-                  let va =
-                    match ka with
-                    | Aconst v -> v
-                    | Avar (x, m) ->
-                        if Bytes.unsafe_get set x = '\001' then
-                          A1.unsafe_get env x
-                        else raise (Trap m)
-                    | Atrap m -> raise (Trap m)
-                  in
-                  let v = Int64.logand va wmask in
-                  A1.unsafe_set env iid v;
-                  Bytes.unsafe_set set iid '\001';
-                  (match rec_ with Some r -> r v | None -> ());
-                  k fr)
-      | Ir.Select (c, a, d) ->
-          let wmask = Width.mask i.width in
-          let iid = i.iid in
-          let kc = acc_of c and ka = acc_of a and kd = acc_of d in
-          let rec_ = record_of i in
-          fun fr ->
-            let s = ctr.steps + 1 in
-            ctr.steps <- s;
-            if s > fuel then raise Fuel_exhausted;
-            let env = fr.f_env and set = fr.f_set in
-            let vc =
-              match kc with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get set x = '\001' then
-                    A1.unsafe_get env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
-            (* only the taken arm evaluates (and traps), as in the
-               tree engine *)
-            let v0 =
-              if Int64.compare vc 0L <> 0 then
-                match ka with
-                | Aconst v -> v
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x = '\001' then
-                      A1.unsafe_get env x
-                    else raise (Trap m)
-                | Atrap m -> raise (Trap m)
-              else
-                match kd with
-                | Aconst v -> v
-                | Avar (x, m) ->
-                    if Bytes.unsafe_get set x = '\001' then
-                      A1.unsafe_get env x
-                    else raise (Trap m)
-                | Atrap m -> raise (Trap m)
-            in
-            let v = Int64.logand v0 wmask in
-            A1.unsafe_set env iid v;
-            Bytes.unsafe_set set iid '\001';
-            (match rec_ with Some r -> r v | None -> ());
-            k fr
       | Ir.Phi _ ->
           (* unreachable: the body excludes the phi prefix *)
           fun _ ->
-            step ();
+            tick ctr fuel;
             raise (Trap "phi after non-phi")
-      | Ir.Load l ->
-          let w = i.width in
-          let wmask = Width.mask w in
-          let iid = i.iid in
-          let ka = acc_of l.Ir.l_addr in
-          let rec_ = record_of i in
+      | Ir.Bin (((Ir.Add | Ir.Sub) as op), a, c) when i.speculative ->
+          let da = acc_of a and dc = acc_of c in
+          let exit_ = misspec_exit_of b i in
+          let sub = op = Ir.Sub in
           fun fr ->
-            let s = ctr.steps + 1 in
-            ctr.steps <- s;
-            if s > fuel then raise Fuel_exhausted;
-            let env = fr.f_env and set = fr.f_set in
-            let va =
-              match ka with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get set x = '\001' then
-                    A1.unsafe_get env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
-            let v =
-              Int64.logand
-                (Memimage.read mem ~width:w (Int64.to_int va))
-                wmask
-            in
-            A1.unsafe_set env iid v;
-            Bytes.unsafe_set set iid '\001';
-            (match rec_ with Some r -> r v | None -> ());
+            tick ctr fuel;
+            let va = read fr da in
+            let vc = read fr dc in
+            let e = if sub then Int64.sub va vc else Int64.add va vc in
+            if misspec ~arith:true w m e then exit_ fr
+            else begin
+              commit fr iid record (Int64.logand e m);
+              k fr
+            end
+      | Ir.Bin (op, a, c) ->
+          let da = acc_of a and dc = acc_of c in
+          fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            let vc = read fr dc in
+            commit fr iid record (binop op w m va vc);
+            k fr
+      | Ir.Cmp (op, a, c) ->
+          let sw = ctx.fc_srcw.(iid) in
+          let sm = Width.mask sw and one = Int64.logand 1L m in
+          let da = acc_of a and dc = acc_of c in
+          fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            let vc = read fr dc in
+            commit fr iid record (if cmp op sw sm va vc then one else 0L);
+            k fr
+      | Ir.Cast (Ir.TruncCast, a) when i.speculative ->
+          let da = acc_of a in
+          let exit_ = misspec_exit_of b i in
+          fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            if misspec ~arith:false w m va then exit_ fr
+            else begin
+              commit fr iid record (Int64.logand va m);
+              k fr
+            end
+      | Ir.Cast (op, a) ->
+          (* every cast, truncated to [w], is one shift pair and one mask:
+             sext moves the source's sign bit to the top and back, zext
+             masks to the narrower of the two widths.  A per-step [match
+             op] over [Width]'s functions instead boxes the operand. *)
+          let sw = ctx.fc_srcw.(iid) in
+          let sh = match op with Ir.Sext -> 64 - sw | _ -> 0 in
+          let cm =
+            match op with Ir.Zext -> Int64.logand (Width.mask sw) m | _ -> m
+          in
+          let da = acc_of a in
+          fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            commit fr iid record (Int64.logand (sext sh va) cm);
+            k fr
+      | Ir.Select (c, a, d) ->
+          let dc = acc_of c and da = acc_of a and dd = acc_of d in
+          fun fr ->
+            tick ctr fuel;
+            let vc = read fr dc in
+            (* only the taken arm is read (and traps), as in the tree
+               engine *)
+            let v = read fr (if Int64.compare vc 0L <> 0 then da else dd) in
+            commit fr iid record (Int64.logand v m);
+            k fr
+      | Ir.Load l ->
+          let da = acc_of l.Ir.l_addr in
+          fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            let v = Memimage.read mem ~width:w (Int64.to_int va) in
+            commit fr iid record (Int64.logand v m);
             k fr
       | Ir.Store s ->
-          let w = s.Ir.s_width in
-          let ka = acc_of s.Ir.s_addr and kv = acc_of s.Ir.s_value in
+          let sw = s.Ir.s_width in
+          let da = acc_of s.Ir.s_addr and dv = acc_of s.Ir.s_value in
           fun fr ->
-            let st_ = ctr.steps + 1 in
-            ctr.steps <- st_;
-            if st_ > fuel then raise Fuel_exhausted;
-            let env = fr.f_env and set = fr.f_set in
-            let va =
-              match ka with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get set x = '\001' then
-                    A1.unsafe_get env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
-            let vv =
-              match kv with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get set x = '\001' then
-                    A1.unsafe_get env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
-            Memimage.write mem ~width:w (Int64.to_int va) vv;
+            tick ctr fuel;
+            let va = read fr da in
+            let vv = read fr dv in
+            Memimage.write mem ~width:sw (Int64.to_int va) vv;
             k fr
       | Ir.Gaddr g ->
-          let wmask = Width.mask i.width in
-          let iid = i.iid in
-          let rec_ = record_of i in
           fun fr ->
-            let s = ctr.steps + 1 in
-            ctr.steps <- s;
-            if s > fuel then raise Fuel_exhausted;
-            let v =
-              Int64.logand (Int64.of_int (Memimage.addr_of mem g)) wmask
-            in
-            A1.unsafe_set fr.f_env iid v;
-            Bytes.unsafe_set fr.f_set iid '\001';
-            (match rec_ with Some r -> r v | None -> ());
+            tick ctr fuel;
+            let v = Int64.of_int (Memimage.addr_of mem g) in
+            commit fr iid record (Int64.logand v m);
             k fr
       | Ir.Salloc _ ->
-          let off = Hashtbl.find salloc_off i.iid in
-          let wmask = Width.mask i.width in
-          let iid = i.iid in
-          let rec_ = record_of i in
+          let off = Hashtbl.find salloc_off iid in
           fun fr ->
-            let s = ctr.steps + 1 in
-            ctr.steps <- s;
-            if s > fuel then raise Fuel_exhausted;
-            let v = Int64.logand (Int64.of_int (fr.f_base + off)) wmask in
-            A1.unsafe_set fr.f_env iid v;
-            Bytes.unsafe_set fr.f_set iid '\001';
-            (match rec_ with Some r -> r v | None -> ());
+            tick ctr fuel;
+            let v = Int64.of_int (fr.f_base + off) in
+            commit fr iid record (Int64.logand v m);
             k fr
       | Ir.Call c ->
-          let rargs = Array.of_list (List.map rd c.Ir.args) in
-          let na = Array.length rargs in
+          let dargs = List.map acc_of c.Ir.args in
           let callee = c.Ir.callee in
           let target = ref None in
-          let w = i.width in
-          let commit = commit_of i in
           fun fr ->
-            step ();
+            tick ctr fuel;
             (* arguments left to right, then callee resolution — the
                tree engine's order (unknown callees trap after the
-               arguments evaluate) *)
-            let rec eval j =
-              if j = na then []
-              else
-                let v = (Array.unsafe_get rargs j) fr in
-                v :: eval (j + 1)
-            in
-            let vargs = eval 0 in
+               arguments are read) *)
+            let vargs = List.map (fun d -> read fr d) dargs in
             let g =
               match !target with
               | Some g -> g
@@ -1192,53 +802,42 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
                   g
             in
             (match g vargs with
-            | Some v when w > 0 -> commit fr v
+            | Some v when w > 0 -> commit fr iid record (Int64.logand v m)
             | _ -> ());
             k fr
       | Ir.Br t ->
-          let j = jump_to t in
-          let bid = b.Ir.bid in
+          let j = jump_to t and bid = b.Ir.bid in
           fun fr ->
-            step ();
+            tick ctr fuel;
             fr.f_prev <- bid;
             j fr
       | Ir.Cbr (c, t, e) ->
-          let kc = acc_of c in
+          let dc = acc_of c in
           let jt = jump_to t and je = jump_to e in
           let bid = b.Ir.bid in
           fun fr ->
-            let s = ctr.steps + 1 in
-            ctr.steps <- s;
-            if s > fuel then raise Fuel_exhausted;
-            (* prev is set before the condition evaluates, as in the
-               tree engine *)
+            tick ctr fuel;
+            (* prev is set before the condition is read, as in the tree
+               engine *)
             fr.f_prev <- bid;
-            let vc =
-              match kc with
-              | Aconst v -> v
-              | Avar (x, m) ->
-                  if Bytes.unsafe_get fr.f_set x = '\001' then
-                    A1.unsafe_get fr.f_env x
-                  else raise (Trap m)
-              | Atrap m -> raise (Trap m)
-            in
+            let vc = read fr dc in
             if Int64.compare vc 0L <> 0 then jt fr else je fr
-      | Ir.Ret v -> (
-          match v with
-          | None ->
-              fun fr ->
-                step ();
-                fr.f_ret <- None;
-                ret_bid
-          | Some o ->
-              let r = rd o in
-              fun fr ->
-                step ();
-                fr.f_ret <- Some (r fr);
-                ret_bid)
+      | Ir.Ret None ->
+          fun fr ->
+            tick ctr fuel;
+            fr.f_ret <- None;
+            ret_bid
+      | Ir.Ret (Some o) ->
+          (* the returned value is not truncated, as in the tree engine *)
+          let d = acc_of o in
+          fun fr ->
+            tick ctr fuel;
+            let v = read fr d in
+            fr.f_ret <- Some v;
+            ret_bid
       | Ir.Unreachable ->
           fun _ ->
-            step ();
+            tick ctr fuel;
             raise (Trap "reached unreachable")
     in
     let bcode : (cframe -> int) array =
@@ -1263,31 +862,20 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
     let max_phis = !max_phis in
     (* parameter binding, mirroring List.iter2: the common prefix binds
        (and records) before an arity mismatch traps *)
-    let psets : (cframe -> int64 -> unit) array =
-      Array.of_list
-        (List.map
-           (fun (i : Ir.instr) ->
-             let iid = i.Ir.iid in
-             let t = Width.trunc i.width in
-             match prof with
-             | Some c ->
-                 (* parameters record like any dynamic assignment, with
-                    no width gate — exactly the tree engine's bind *)
-                 let slot = Profile.slot c ~iid ~width:i.width in
-                 fun fr v ->
-                   let v = t v in
-                   A1.unsafe_set fr.f_env iid v;
-                   Bytes.unsafe_set fr.f_set iid '\001';
-                   slot v
-             | None ->
-                 fun fr v ->
-                   let v = t v in
-                   A1.unsafe_set fr.f_env iid v;
-                   Bytes.unsafe_set fr.f_set iid '\001')
-           f.param_instrs)
-    in
-    let nparams = Array.length psets in
+    let params = Array.of_list f.param_instrs in
+    let pmasks = Array.map (fun (i : Ir.instr) -> Width.mask i.width) params in
+    let pslots = Array.map slot_of params in
+    let nparams = Array.length params in
     let arity_msg = "arity mismatch calling " ^ f.fname in
+    let rec bind fr j = function
+      | [] -> if j < nparams then raise (Trap arity_msg)
+      | v :: rest ->
+          if j >= nparams then raise (Trap arity_msg);
+          commit fr (Array.unsafe_get params j).Ir.iid
+            (Array.unsafe_get pslots j)
+            (Int64.logand v (Array.unsafe_get pmasks j));
+          bind fr (j + 1) rest
+    in
     let frame = ctx.fc_frame in
     let entry_bid = (Ir.entry f).Ir.bid in
     (* Frame pool (LIFO, matching call nesting): a returning call parks
@@ -1318,16 +906,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
               f_scratch =
                 (if max_phis = 0 then no_scratch else make_i64arr max_phis) }
       in
-      let rec bind j = function
-        | [] -> if j < nparams then raise (Trap arity_msg)
-        | v :: rest ->
-            if j >= nparams then raise (Trap arity_msg)
-            else begin
-              (Array.unsafe_get psets j) fr v;
-              bind (j + 1) rest
-            end
-      in
-      bind 0 args;
+      bind fr 0 args;
       let saved_sp = st.sp in
       st.sp <- st.sp - frame;
       if st.sp < globals_end then raise (Trap "stack overflow");

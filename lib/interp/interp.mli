@@ -19,14 +19,19 @@ type engine =
       (** pre-compile each function body to fused closures: per-block,
           phi-resolved per incoming edge, with operand reads, width
           truncation, misspeculation guards and profiling hooks baked in
-          at compile time.  Observably identical to [Tree] — outputs,
+          at compile time.  Each closure evaluates through the same
+          per-operation functions as {!eval_binop}, {!eval_cmp} and
+          {!misspeculates}.  Observably identical to [Tree] — outputs,
           counters, traps and misspeculation-site attribution all match
           bit for bit. *)
 
 type opts = {
   profile : Profile.t option;  (** record per-variable bitwidth statistics *)
   fuel : int;                  (** dynamic IR instruction budget *)
-  engine : engine;             (** execution engine ([Compiled] by default) *)
+  engine : engine;
+      (** execution engine ([Compiled] by default; the fault and power
+          campaigns' reference checksum and [fuzz]/[reduce
+          --interp-engine tree] run [Tree]) *)
 }
 
 val default_opts : opts
@@ -53,16 +58,24 @@ type result = {
 }
 
 val eval_binop : Bs_ir.Ir.binop -> int -> int64 -> int64 -> int64
-(** [eval_binop op width a b] — the IR's arithmetic, exposed so constant
-    folding can never disagree with execution.
+(** [eval_binop op width a b] — the IR's arithmetic, defined once: both
+    engines execute it and constant folding calls it, so folding can
+    never disagree with execution.  Arithmetic results are truncated to
+    [width]; [And]/[Or]/[Xor] of in-width operands are in width.
     @raise Trap on division by zero. *)
 
 val eval_cmp : Bs_ir.Ir.cmpop -> int -> int64 -> int64 -> int64
-(** Comparison at the given operand width; returns 0 or 1. *)
+(** Comparison at the given operand width (unsigned predicates on the
+    truncated operands, signed ones on their sign extensions); returns 0
+    or 1.  Both engines execute the same definition. *)
 
 val misspeculates : Bs_ir.Ir.instr -> int64 list -> int64 -> bool
 (** Table 1's misspeculation conditions at the IR level, given the
-    instruction, its operand values, and its (truncated) result. *)
+    instruction, its operand values, and its (truncated) result, which
+    no condition reads: a slice [Add]/[Sub] misspeculates when its exact
+    result is negative or does not fit [Width.fits] the slice, a slice
+    [TruncCast] when its source does not fit; nothing else ever does.
+    The compiled engine's guards test the same definition. *)
 
 val exec :
   ?opts:opts ->

@@ -1,20 +1,35 @@
 open Bs_ir
 open Bs_interp
 
-(* Semantics of the IR evaluator, operator by operator: each binop and
-   cast is checked against an independent OCaml model over random values
-   and widths, plus targeted edge cases (division by zero traps, shift
-   masking, phi two-phase evaluation, memory endianness, misspeculation
-   conditions). *)
+(* Semantics of the IR evaluator, operator by operator: each binop,
+   compare and cast is checked against an independent OCaml model over
+   random values and widths, plus targeted edge cases (division by zero
+   traps, shift masking, phi two-phase evaluation, memory endianness,
+   misspeculation conditions).  Both engines share the arithmetic, so
+   these models are its only independent check. *)
 
-let widths = [ 8; 16; 32; 64 ]
+let widths = [ 1; 8; 16; 32; 64 ]
 
+(* Full-range operands: any 64-bit pattern, small magnitudes of either
+   sign, and each width's boundary values. *)
+let gen_operand =
+  QCheck.Gen.(
+    frequency
+      [ (3, int64);
+        (2, map Int64.of_int (int_range (-300) 300));
+        (1, oneofl [ Int64.min_int; Int64.max_int; 0L; 1L; -1L ]);
+        (1, map (fun w -> Int64.shift_left 1L (w - 1)) (oneofl widths));
+        (1, map Width.mask (oneofl widths)) ])
+
+let print_w_ab (w, a, b) = Printf.sprintf "w=%d a=%Ld b=%Ld" w a b
+
+(* operands as the environment holds them: truncated to the width *)
 let gen_w_ab =
-  QCheck.make
+  QCheck.make ~print:print_w_ab
     QCheck.Gen.(
       let* w = oneofl widths in
-      let* a = map Int64.of_int (int_bound 0x3FFFFFFF) in
-      let* b = map Int64.of_int (int_bound 0x3FFFFFFF) in
+      let* a = gen_operand in
+      let* b = gen_operand in
       return (w, Width.trunc w a, Width.trunc w b))
 
 let model op w a b =
@@ -37,7 +52,7 @@ let model op w a b =
   | Ir.Ashr -> Some (t (Int64.shift_right sa (Int64.to_int b land (w - 1))))
 
 let prop_of_binop op name =
-  QCheck.Test.make ~name:("eval_binop " ^ name) ~count:200 gen_w_ab
+  QCheck.Test.make ~name:("eval_binop " ^ name) ~count:1000 gen_w_ab
     (fun (w, a, b) ->
       match model op w a b with
       | Some expected -> Interp.eval_binop op w a b = expected
@@ -55,7 +70,7 @@ let binop_props =
       (Ir.Lshr, "lshr"); (Ir.Ashr, "ashr") ]
 
 let prop_cmp =
-  QCheck.Test.make ~name:"eval_cmp all predicates" ~count:200 gen_w_ab
+  QCheck.Test.make ~name:"eval_cmp all predicates" ~count:1000 gen_w_ab
     (fun (w, a, b) ->
       let sa = Width.sext w a and sb = Width.sext w b in
       let ua = Width.trunc w a and ub = Width.trunc w b in
@@ -79,6 +94,88 @@ let prop_cmp =
         (fun op -> Interp.eval_cmp op w a b = expect op)
         [ Ir.Eq; Ir.Ne; Ir.Ult; Ir.Ule; Ir.Ugt; Ir.Uge; Ir.Slt; Ir.Sle;
           Ir.Sgt; Ir.Sge ])
+
+(* Casts run through the interpreter: a function [c(a) = cast a] per
+   operation and (source, destination) width pair, executed by both
+   engines, against the model. *)
+let cast_model op ~sw ~w a =
+  match op with
+  | Ir.Zext | Ir.TruncCast -> Width.trunc w (Width.trunc sw a)
+  | Ir.Sext -> Width.trunc w (Width.sext sw a)
+
+let cast_name = function
+  | Ir.Zext -> "zext"
+  | Ir.Sext -> "sext"
+  | Ir.TruncCast -> "trunc"
+
+let cast_module op ~sw ~w =
+  let f = Ir.create_func ~name:"c" ~params:[ ("a", sw) ] ~ret_width:w in
+  let b = Builder.create f in
+  Builder.position_at_end b (Ir.add_block f "entry");
+  let a = Builder.value (Builder.param b 0) in
+  let r = Builder.cast b op ~width:w a in
+  ignore (Builder.ret b (Some (Builder.value r)));
+  { Ir.funcs = [ f ]; globals = [] }
+
+let cast_cases =
+  lazy
+    (List.concat_map
+       (fun op ->
+         List.concat_map
+           (fun sw ->
+             List.map (fun w -> (op, sw, w, cast_module op ~sw ~w)) widths)
+           widths)
+       [ Ir.Zext; Ir.Sext; Ir.TruncCast ])
+
+let prop_casts =
+  QCheck.Test.make ~name:"casts at every source and destination width"
+    ~count:300
+    (QCheck.make ~print:Int64.to_string gen_operand)
+    (fun a ->
+      let mem = Memimage.create ~size:65536 { Ir.funcs = []; globals = [] } in
+      List.for_all
+        (fun (op, sw, w, m) ->
+          let expected = cast_model op ~sw ~w a in
+          List.for_all
+            (fun engine ->
+              let opts = { Interp.default_opts with Interp.engine } in
+              let r = Interp.exec ~opts m ~entry:"c" ~args:[ a ] mem in
+              match r.Interp.ret with
+              | Some v when v = expected -> true
+              | got ->
+                  QCheck.Test.fail_reportf "%s i%d -> i%d of %Ld: %s, not %Ld"
+                    (cast_name op) sw w a
+                    (Option.fold ~none:"none" ~some:Int64.to_string got)
+                    expected)
+            [ Interp.Tree; Interp.Compiled ])
+        (Lazy.force cast_cases))
+
+(* Table 1 against [Width.fits]: a slice Add/Sub misspeculates when its
+   exact result is negative or needs more than the slice's bits, a slice
+   truncate when its (untruncated) source does not fit, and nothing else
+   ever does. *)
+let prop_misspeculates =
+  QCheck.Test.make ~name:"misspeculates follows Table 1" ~count:1000
+    (QCheck.make ~print:print_w_ab
+       QCheck.Gen.(triple (oneofl widths) gen_operand gen_operand))
+    (fun (w, a, b) ->
+      let f = Ir.create_func ~name:"t" ~params:[] ~ret_width:0 in
+      let c = Ir.const ~width:w 0L in
+      let misspeculates op args =
+        let i = Ir.mk_instr f ~width:w op in
+        i.Ir.speculative <- true;
+        Interp.misspeculates i args 0L
+      in
+      let ta = Width.trunc w a and tb = Width.trunc w b in
+      let overflows e = Int64.compare e 0L < 0 || not (Width.fits w e) in
+      misspeculates (Ir.Bin (Ir.Add, c, c)) [ ta; tb ]
+      = overflows (Int64.add ta tb)
+      && misspeculates (Ir.Bin (Ir.Sub, c, c)) [ ta; tb ]
+         = overflows (Int64.sub ta tb)
+      && misspeculates (Ir.Cast (Ir.TruncCast, c)) [ a ] = not (Width.fits w a)
+      && List.for_all
+           (fun op -> not (misspeculates (Ir.Bin (op, c, c)) [ ta; tb ]))
+           [ Ir.Mul; Ir.And; Ir.Or; Ir.Xor; Ir.Shl; Ir.Lshr; Ir.Ashr ])
 
 let test_div_zero_traps () =
   List.iter
@@ -239,4 +336,6 @@ let suite =
       Alcotest.test_case "trap: stack overflow (frameless)" `Quick
         test_trap_stack_overflow_frameless;
       Alcotest.test_case "trap: division and remainder by zero" `Quick
-        test_trap_division_in_program ]
+        test_trap_division_in_program;
+      QCheck_alcotest.to_alcotest prop_casts;
+      QCheck_alcotest.to_alcotest prop_misspeculates ]

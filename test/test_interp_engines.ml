@@ -212,10 +212,100 @@ let test_workload_equivalence () =
                ~entry:w.entry ~args:pi.Bs_workloads.Workload.args))
     [ "CRC32"; "bitcount"; "qsort" ]
 
+(* --- the compiled engine's register-only loop allocates nothing -------- *)
+
+(* A loop of arithmetic, compares, casts, [?:] and if/else, with no loads,
+   stores, calls or division, must run under [Compiled] without touching
+   the minor heap: every operand read, operation and commit stays
+   unboxed, and entering a block through its phis allocates nothing.
+   The per-iteration cost is the difference between two trip counts, so
+   compilation, image and result set-up cancel out.  Profiling is off
+   (a profiled commit passes a boxed value to its recorder). *)
+let alloc_kernel =
+  {|
+u32 run(u32 n) {
+  u32 s = 7;
+  u8 c = 0;
+  i16 d = 0;
+  for (u32 i = 0; i < n; i += 1) {
+    u32 x = (i * 2654435761) ^ (s >> 3);
+    c = (u8)(c + (u8)(x & 15));
+    d = (i16)((i32)d - (i32)(x & 255));
+    if ((x & 1) == 1) { s = s + (u32)c; } else { s = s - (u32)(i32)d; }
+    s = s + ((i < 64) ? 3 : (u32)(c & 7));
+    if ((i32)d < -1000) { d = 0; }
+  }
+  return s;
+}
+|}
+
+let minor_words_per_iteration (m : Bs_ir.Ir.modul) =
+  let run n =
+    let mem = Memimage.create m in
+    let opts = { Interp.default_opts with Interp.engine = Interp.Compiled } in
+    let w0 = Gc.minor_words () in
+    ignore (Interp.exec ~opts m ~entry:"run" ~args:[ Int64.of_int n ] mem);
+    Gc.minor_words () -. w0
+  in
+  let w1000 = run 1000 in
+  (run 2000 -. w1000) /. 1000.
+
+(* The front end lowers [?:] through control flow, so a [Select] comes
+   from hand-built IR: [run(n)] sums [(i & 1) != 0 ? i : 3] over [i < n]. *)
+let select_loop () =
+  let open Bs_ir in
+  let f = Ir.create_func ~name:"run" ~params:[ ("n", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let entry = Ir.add_block f "entry" in
+  let header = Ir.add_block f "header" in
+  let body = Ir.add_block f "body" in
+  let exit_b = Ir.add_block f "exit" in
+  let k32 v = Ir.const ~width:32 v in
+  Builder.position_at_end b entry;
+  ignore (Builder.br b header);
+  Builder.position_at_end b header;
+  let i = Builder.phi b ~width:32 [] and s = Builder.phi b ~width:32 [] in
+  let n = Builder.value (Builder.param b 0) in
+  let more = Builder.cmp b Ir.Ult (Builder.value i) n in
+  ignore (Builder.cbr b (Builder.value more) ~if_true:body ~if_false:exit_b);
+  Builder.position_at_end b body;
+  let odd = Builder.bin b Ir.And ~width:32 (Builder.value i) (k32 1L) in
+  let c = Builder.cmp b Ir.Ne (Builder.value odd) (k32 0L) in
+  let v =
+    Builder.select b ~width:32 (Builder.value c) (Builder.value i) (k32 3L)
+  in
+  let s' = Builder.bin b Ir.Add ~width:32 (Builder.value s) (Builder.value v) in
+  let i' = Builder.bin b Ir.Add ~width:32 (Builder.value i) (k32 1L) in
+  ignore (Builder.br b header);
+  Builder.position_at_end b exit_b;
+  ignore (Builder.ret b (Some (Builder.value s)));
+  i.Ir.op <- Ir.Phi [ (entry.Ir.bid, k32 0L); (body.Ir.bid, Builder.value i') ];
+  s.Ir.op <- Ir.Phi [ (entry.Ir.bid, k32 0L); (body.Ir.bid, Builder.value s') ];
+  { Ir.funcs = [ f ]; globals = [] }
+
+let test_register_loop_allocates_nothing () =
+  let pristine = Bs_frontend.Lower.compile alloc_kernel in
+  let c =
+    Driver.compile ~config:Driver.bitspec_config ~source:alloc_kernel
+      ~train:[ ("run", [ 2000L ]) ] ()
+  in
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check (float 0.))
+        (what ^ ": minor words per iteration") 0.
+        (minor_words_per_iteration m))
+    [ ("pristine IR", pristine); ("bitspec IR", c.Driver.ir);
+      ("select loop", select_loop ()) ];
+  (* no generated program has a [Select]: difference the engines here *)
+  Alcotest.(check bool) "select loop: engines agree" true
+    (check_module "select loop" (select_loop ()) ~entry:"run" ~args:[ 101L ])
+
 let suite =
   [ Alcotest.test_case "pinned interp-engine seeds" `Quick test_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_interp_engines_agree;
     Alcotest.test_case "corpus verdicts are interp-engine-invariant" `Quick
       test_corpus_engine_invariant;
     Alcotest.test_case "paper workloads are interp-engine-invariant" `Quick
-      test_workload_equivalence ]
+      test_workload_equivalence;
+    Alcotest.test_case "a register-only loop allocates nothing" `Quick
+      test_register_loop_allocates_nothing ]
