@@ -427,18 +427,13 @@ let bench_cmd =
             (m.Experiment.epi /. b.Experiment.epi)
         end;
         if remarks || why then begin
-          (* served from the compile cache: same key as the run above *)
-          let c = Experiment.compile_workload config w in
+          (* the compile and the simulation the run above measured, from
+             the compile cache and the test-run memo *)
+          let c, r = Experiment.run_test config w in
           if remarks then print_remarks c;
-          if why then begin
-            let r =
-              Driver.run_machine
-                ~setup:(w.Workload.test.Workload.setup c.Driver.ir)
-                c ~entry:w.Workload.entry ~args:w.Workload.test.Workload.args
-            in
+          if why then
             Format.printf "%a" Experiment.pp_misspec_sites
               (Experiment.misspec_sites c r)
-          end
         end)
   in
   Cmd.v (Cmd.info "bench" ~doc:"run a built-in workload")
@@ -1041,11 +1036,6 @@ let loadgen_cmd =
                    BS-SRV-03, exercising the workers' exception \
                    isolation.")
   in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Write the machine-readable summary JSON to $(docv).")
-  in
   let log =
     Arg.(value & opt (some string) None
          & info [ "log" ] ~docv:"FILE"
@@ -1058,13 +1048,13 @@ let loadgen_cmd =
              ~doc:"After the run, fetch the server's stats snapshot and \
                    reconcile its latency histogram against the \
                    client-side measurements: counts must match exactly, \
-                   p50/p99 within one histogram bucket.  $(b,--out) then \
-                   records client view, server view and the verdict.  \
-                   Only sound against a server that has served exactly \
-                   this run's requests.  Exits nonzero on mismatch.")
+                   p50/p99 within one histogram bucket; both views and \
+                   the verdict are printed.  Only sound against a server \
+                   that has served exactly this run's requests.  Exits \
+                   nonzero on mismatch.")
   in
-  let action socket seed requests clients zipf deadline fuel crash_every out
-      log check_server =
+  let action socket seed requests clients zipf deadline fuel crash_every log
+      check_server =
     with_reporting (fun () ->
         let cfg =
           { Loadgen.lg_seed = seed; lg_requests = requests;
@@ -1105,27 +1095,10 @@ let loadgen_cmd =
                   (if c.Loadgen.cc_p50_ok && c.Loadgen.cc_p99_ok then
                      "[within bucket]"
                    else "[MISMATCH]");
-                Some (st, c)
+                Some c
         in
-        (match out with
-        | Some path ->
-            let payload =
-              match check with
-              | None -> Loadgen.summary_json s
-              | Some (st, c) ->
-                  Jsonx.Obj
-                    [ ("client", Loadgen.summary_json s);
-                      ("server", Service.stats_to_json st);
-                      ("cross_check", Loadgen.check_json c) ]
-            in
-            let oc = open_out path in
-            output_string oc (Jsonx.to_string payload);
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "summary written to %s\n" path
-        | None -> ());
         (match check with
-        | Some (_, c) when not c.Loadgen.cc_ok ->
+        | Some c when not c.Loadgen.cc_ok ->
             failwith "cross-check: server and client views disagree"
         | _ -> ());
         match log with
@@ -1146,7 +1119,7 @@ let loadgen_cmd =
              closed-loop load and report throughput, latency \
              percentiles, cache hit rate and shed rate")
     Term.(const action $ socket_req_arg $ seed $ requests
-          $ clients $ zipf $ deadline $ fuel $ crash_every $ out $ log
+          $ clients $ zipf $ deadline $ fuel $ crash_every $ log
           $ check_server)
 
 (* --- list -------------------------------------------------------------- *)

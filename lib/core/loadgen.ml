@@ -27,8 +27,6 @@ type summary = {
   sm_rps : float;
   sm_p50_ms : float;
   sm_p99_ms : float;
-  sm_client_p50_ms : float;
-  sm_client_p99_ms : float;
   sm_hit_rate : float;
   sm_shed_rate : float;
 }
@@ -99,8 +97,7 @@ let percentile sorted p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
 
-let summarize ?(client_ms = [||]) (pairs : (Service.request * Service.response) list)
-    ~wall_s =
+let summarize (pairs : (Service.request * Service.response) list) ~wall_s =
   let n = List.length pairs in
   let ok = ref 0 and errors = ref 0 and timeouts = ref 0 and shed = ref 0 in
   let hits = ref 0 in
@@ -122,16 +119,12 @@ let summarize ?(client_ms = [||]) (pairs : (Service.request * Service.response) 
     pairs;
   let lat = Array.of_list !lat in
   Array.sort compare lat;
-  let cms = Array.copy client_ms in
-  Array.sort compare cms;
   let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   { sm_requests = n; sm_ok = !ok; sm_errors = !errors;
     sm_timeouts = !timeouts; sm_shed = !shed;
     sm_wall_s = wall_s;
     sm_rps = (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0);
     sm_p50_ms = percentile lat 0.50; sm_p99_ms = percentile lat 0.99;
-    sm_client_p50_ms = percentile cms 0.50;
-    sm_client_p99_ms = percentile cms 0.99;
     sm_hit_rate = ratio !hits !ok; sm_shed_rate = ratio !shed n }
 
 let run cfg target =
@@ -140,18 +133,12 @@ let run cfg target =
   let reqs = Array.of_list (plan cfg) in
   let n = Array.length reqs in
   let results : Service.response option array = Array.make n None in
-  (* the client's own end-to-end wall clock per request — measured
-     independently of the server-reported rs_ms, so the two views can
-     be reconciled after a run *)
-  let client_ms = Array.make n 0.0 in
   let cursor = Atomic.make 0 in
   let issue_with call =
     let rec loop () =
       let i = Atomic.fetch_and_add cursor 1 in
       if i < n then begin
-        let c0 = Unix.gettimeofday () in
         results.(i) <- Some (call reqs.(i));
-        client_ms.(i) <- (Unix.gettimeofday () -. c0) *. 1e3;
         loop ()
       end
     in
@@ -179,23 +166,7 @@ let run cfg target =
            | None -> assert false (* every index was claimed and answered *))
          results)
   in
-  (pairs, summarize ~client_ms pairs ~wall_s)
-
-let summary_json s =
-  Jsonx.Obj
-    [ ("requests", Jsonx.int s.sm_requests);
-      ("ok", Jsonx.int s.sm_ok);
-      ("errors", Jsonx.int s.sm_errors);
-      ("timeouts", Jsonx.int s.sm_timeouts);
-      ("shed", Jsonx.int s.sm_shed);
-      ("wall_s", Jsonx.Num s.sm_wall_s);
-      ("rps", Jsonx.Num s.sm_rps);
-      ("p50_ms", Jsonx.Num s.sm_p50_ms);
-      ("p99_ms", Jsonx.Num s.sm_p99_ms);
-      ("client_p50_ms", Jsonx.Num s.sm_client_p50_ms);
-      ("client_p99_ms", Jsonx.Num s.sm_client_p99_ms);
-      ("cache_hit_rate", Jsonx.Num s.sm_hit_rate);
-      ("shed_rate", Jsonx.Num s.sm_shed_rate) ]
+  (pairs, summarize pairs ~wall_s)
 
 (* --- server-side view and reconciliation ------------------------------- *)
 
@@ -304,19 +275,6 @@ let cross_check (pairs : (Service.request * Service.response) list)
     cc_server_p50 = server_p50; cc_server_p99 = server_p99;
     cc_count_ok = count_ok; cc_p50_ok = p50_ok; cc_p99_ok = p99_ok;
     cc_ok = count_ok && p50_ok && p99_ok }
-
-let check_json c =
-  Jsonx.Obj
-    [ ("client_count", Jsonx.int c.cc_client_count);
-      ("server_count", Jsonx.int c.cc_server_count);
-      ("client_p50_ms", Jsonx.Num c.cc_client_p50);
-      ("server_p50_ms", Jsonx.Num c.cc_server_p50);
-      ("client_p99_ms", Jsonx.Num c.cc_client_p99);
-      ("server_p99_ms", Jsonx.Num c.cc_server_p99);
-      ("count_ok", Jsonx.Bool c.cc_count_ok);
-      ("p50_ok", Jsonx.Bool c.cc_p50_ok);
-      ("p99_ok", Jsonx.Bool c.cc_p99_ok);
-      ("ok", Jsonx.Bool c.cc_ok) ]
 
 let canonical_log pairs =
   let sorted =

@@ -37,10 +37,6 @@ type summary = {
   sm_rps : float;
   sm_p50_ms : float;     (** server-side latency percentiles *)
   sm_p99_ms : float;
-  sm_client_p50_ms : float;
-      (** percentiles of the client's own wall clock around each call —
-          measured independently of the server-reported [rs_ms] *)
-  sm_client_p99_ms : float;
   sm_hit_rate : float;   (** cached compiles among [Done] responses *)
   sm_shed_rate : float;  (** shed among all responses *)
 }
@@ -56,11 +52,6 @@ val plan : cfg -> Service.request list
 val run : cfg -> target -> (Service.request * Service.response) list * summary
 (** Issue the stream closed-loop and collect every (request, response)
     pair (in stream order) plus the aggregate summary. *)
-
-val summary_json : summary -> Bs_support.Jsonx.t
-(** Keys: [requests], [ok], [errors], [timeouts], [shed], [wall_s],
-    [rps], [p50_ms], [p99_ms], [client_p50_ms], [client_p99_ms],
-    [cache_hit_rate], [shed_rate]. *)
 
 (** {2 Server-side view and reconciliation} *)
 
@@ -92,8 +83,6 @@ val cross_check :
     sit in [[exact, max(exact·bucket_ratio, bucket_floor)]].  Only
     sound against a server that has served exactly this run's
     requests. *)
-
-val check_json : cross_check -> Bs_support.Jsonx.t
 
 val canonical_log : (Service.request * Service.response) list -> string list
 (** {!Service.canonical_line} for each pair, sorted by request id —

@@ -16,6 +16,7 @@ let () =
       ("machine", Test_machine.suite);
       ("engines", Test_engines.suite);
       ("transcript", Test_transcript.suite);
+      ("paper", Test_paper.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("vulnerability", Test_vulnerability.suite);
       ("backend", Test_backend.suite);

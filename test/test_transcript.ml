@@ -48,26 +48,19 @@ let first_diff a b =
   in
   go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
 
+(* [bench args] runs bench/main.exe: its stdout and exit status. *)
+let bench args =
+  let exe = "../bench/main.exe" in
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let out = In_channel.input_all ic in
+  (out, Unix.close_process_in ic)
+
 let test_pinned_sections () =
   let expected =
     sections
       (In_channel.with_open_bin "../bench/transcript.txt" In_channel.input_all)
   in
-  (* run in a scratch directory: the harness writes its JSON summary to
-     the working directory *)
-  let dir = Filename.temp_dir "bitspec-transcript" "" in
-  let exe = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
-  let ic =
-    Unix.open_process_args_in "/bin/sh"
-      (Array.of_list
-         ([ "/bin/sh"; "-c"; "cd \"$1\" && shift && exec \"$@\""; "sh"; dir;
-            exe; "--jobs"; "1" ]
-         @ pinned))
-  in
-  let out = In_channel.input_all ic in
-  let status = Unix.close_process_in ic in
-  (try Sys.remove (Filename.concat dir "BENCH_pr9.json") with _ -> ());
-  (try Sys.rmdir dir with _ -> ());
+  let out, status = bench ("--jobs" :: "1" :: pinned) in
   Alcotest.(check bool) "bench/main.exe exits 0" true (status = Unix.WEXITED 0);
   let got = sections out in
   Alcotest.(check int) "one section per name" (List.length pinned)
@@ -81,6 +74,18 @@ let test_pinned_sections () =
             Alcotest.failf "%s differs from bench/transcript.txt at %s" h
               (first_diff want body))
     got
+
+(* A misspelt section or job count is refused before any work: a valid
+   name beside it must not run either, or a typo in a timed subset would
+   pass as a fast run. *)
+let test_bad_arguments () =
+  List.iter
+    (fun args ->
+      let out, status = bench args in
+      let what = String.concat " " args in
+      Alcotest.(check string) (what ^ ": nothing on stdout") "" out;
+      Alcotest.(check bool) (what ^ ": exits 2") true (status = Unix.WEXITED 2))
+    [ [ "fig88" ]; [ "fig8"; "fig88" ]; [ "--jobs"; "x"; "fig8" ] ]
 
 (* EXPERIMENTS.md quotes the Figure 8 section as a Markdown table: its
    benchmark rows (energy, dynamic instructions, EPI) and its geomean
@@ -155,4 +160,6 @@ let suite =
   [ Alcotest.test_case "fig8, fig9 and table2 match bench/transcript.txt"
       `Quick test_pinned_sections;
     Alcotest.test_case "EXPERIMENTS.md's Figure 8 table matches the transcript"
-      `Quick test_experiments_fig8 ]
+      `Quick test_experiments_fig8;
+    Alcotest.test_case "unknown sections and bad job counts exit 2"
+      `Quick test_bad_arguments ]
