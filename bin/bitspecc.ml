@@ -5,8 +5,8 @@
      run       compile and simulate, print result and counters
      bench     run a named built-in workload under a configuration
      inject    fault-injection campaign against a built-in workload
-               (--model bitflip: soft errors; --model power: outages)
-     harvest   intermittent-power campaign with energy accounting
+               (--model bitflip: soft errors; --model power: outages,
+               with checkpoint/restore and energy accounting)
      fuzz      differential fuzzing campaign over random programs
      reduce    minimize (or just replay) a crashing MiniC file
      serve     long-running compile service (socket or stdio JSON)
@@ -21,16 +21,15 @@
      bitspecc bench rijndael --arch bitspec --heuristic max
      bitspecc inject CRC32 --trials 200 --seed 42
      bitspecc inject CRC32 --model power --dist periodic:1000
-     bitspecc harvest CRC32 --trials 100 --dist exp:2000 --jobs 4
+     bitspecc inject CRC32 --model power --trials 100 --dist exp:2000 -j 4
      bitspecc fuzz --seed 1 --trials 500 --budget 60
      bitspecc reduce --check test/corpus/crash.mc
      bitspecc serve --socket /tmp/bs.sock --cache-dir /tmp/bs-cache -j 4
      bitspecc client --socket /tmp/bs.sock bench CRC32 --arch bitspec
      bitspecc loadgen --socket /tmp/bs.sock --requests 200 --clients 8
 
-   Compilation degrades gracefully by default: a function a pass cannot
-   handle falls back to its baseline (non-speculative) form and the
-   diagnostic is printed to stderr.  --strict restores fail-fast. *)
+   A pass that fails stops the compile: its diagnostic is printed to
+   stderr and the command exits 1. *)
 
 open Cmdliner
 open Bitspec
@@ -62,6 +61,9 @@ let with_reporting ?file f =
     exit 1
   in
   try f () with
+  | Driver.Failed d ->
+      prerr_endline (where d.Diag.line ^ Diag.to_string d);
+      exit 1
   | Bs_frontend.Lexer.Error (m, line) -> fail ~line m
   | Bs_frontend.Parser.Error (m, line) -> fail ~line m
   | Bs_frontend.Typecheck.Error (m, line) -> fail ~line m
@@ -74,11 +76,6 @@ let with_reporting ?file f =
   | Memimage.Fault m -> fail ("memory fault: " ^ m)
   | Invalid_argument m | Failure m -> fail m
   | Sys_error m -> fail m
-
-let print_diagnostics (c : Driver.compiled) =
-  List.iter
-    (fun d -> prerr_endline (Diag.to_string d))
-    c.Driver.diagnostics
 
 let print_remarks (c : Driver.compiled) =
   List.iter
@@ -128,12 +125,6 @@ let jobs_arg =
            ~doc:"Worker domains for independent trials/runs (default: the \
                  number of cores).  Results are identical whatever $(docv).")
 
-let strict_arg =
-  Arg.(value & flag
-       & info [ "strict" ]
-           ~doc:"Fail on the first pass error instead of degrading the \
-                 offending function to its baseline compilation.")
-
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"OUT"
@@ -150,7 +141,7 @@ let remarks_arg =
                  bitmask elided — with source lines.  Output is canonical \
                  (sorted), identical at any $(b,--jobs).")
 
-(* intermittent-power options, shared by run / inject / harvest *)
+(* intermittent-power options, shared by run and inject *)
 
 let dist_conv =
   let parse s =
@@ -229,8 +220,6 @@ let interp_engine_arg =
                  outputs, counters, per-site misspeculation histograms — \
                  only host speed differs.")
 
-let mode_of_strict strict = if strict then Driver.Strict else Driver.Degrade
-
 let parse_args s =
   if s = "" then []
   else List.map Int64.of_string (String.split_on_char ',' s)
@@ -244,16 +233,15 @@ let compile_cmd =
   let entry = Arg.(value & opt string "run" & info [ "entry" ]) in
   let train = Arg.(value & opt string "" & info [ "train" ] ~doc:"profiling args, comma-separated") in
   let action file arch heuristic emit_ir emit_asm entry train no_expander
-      strict trace remarks =
+      trace remarks =
     with_reporting ~file (fun () ->
         let source = read_file file in
         let config = Driver.config_of ~arch ~heuristic ~no_expander in
         let c =
           with_trace trace (fun () ->
-              Driver.compile ~mode:(mode_of_strict strict) ~config ~source
+              Driver.compile ~config ~source
                 ~train:[ (entry, parse_args train) ] ())
         in
-        print_diagnostics c;
         if remarks then print_remarks c;
         if emit_ir then print_string (Bs_ir.Printer.module_str c.Driver.ir);
         if emit_asm then
@@ -265,8 +253,7 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc:"compile a MiniC file")
     Term.(const action $ file $ arch_arg $ heuristic_arg $ emit_ir $ emit_asm
-          $ entry $ train $ no_expander_arg $ strict_arg $ trace_arg
-          $ remarks_arg)
+          $ entry $ train $ no_expander_arg $ trace_arg $ remarks_arg)
 
 (* --- run --------------------------------------------------------------- *)
 
@@ -317,8 +304,8 @@ let run_cmd =
                    simulation rate ($(b,simulated_mips), simulated \
                    instructions per host microsecond).")
   in
-  let action file arch heuristic entry args train no_expander strict trace
-      why power power_seed policy retries engine stats =
+  let action file arch heuristic entry args train no_expander trace why
+      power power_seed policy retries engine stats =
     with_reporting ~file (fun () ->
         let source = read_file file in
         let config = Driver.config_of ~arch ~heuristic ~no_expander in
@@ -327,10 +314,8 @@ let run_cmd =
         in
         with_trace trace @@ fun () ->
         let c =
-          Driver.compile ~mode:(mode_of_strict strict) ~config ~source
-            ~train:[ (entry, train_args) ] ()
+          Driver.compile ~config ~source ~train:[ (entry, train_args) ] ()
         in
-        print_diagnostics c;
         let pw =
           Option.map
             (fun dist ->
@@ -383,7 +368,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"compile and simulate a MiniC file")
     Term.(const action $ file $ arch_arg $ heuristic_arg $ entry $ args
-          $ train $ no_expander_arg $ strict_arg $ trace_arg $ why_misspec
+          $ train $ no_expander_arg $ trace_arg $ why_misspec
           $ power $ power_seed $ policy_arg $ retries_arg $ engine_arg
           $ stats)
 
@@ -528,45 +513,6 @@ let inject_cmd =
           $ dist_arg ~default:(Bs_sim.Powertrace.Exponential 2000.0)
           $ policy_arg $ retries_arg $ strict $ validate)
 
-(* --- harvest ----------------------------------------------------------- *)
-
-let harvest_cmd =
-  let wname =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let trials =
-    Arg.(value & opt int 100
-         & info [ "trials" ] ~docv:"N"
-             ~doc:"Intermittent executions to simulate.")
-  in
-  let seed =
-    Arg.(value & opt int64 1L
-         & info [ "seed" ] ~docv:"S"
-             ~doc:"Campaign seed; per-trial outage-trace seeds are drawn \
-                   from it up front, so the report is byte-identical at \
-                   any $(b,--jobs).")
-  in
-  let action wname arch heuristic no_expander trials seed dist policy retries
-      jobs =
-    with_reporting (fun () ->
-        let w = Registry.find wname in
-        let config = Driver.config_of ~arch ~heuristic ~no_expander in
-        let t =
-          Campaign.run_power ~jobs ~config ~policy ~retries ~dist ~trials
-            ~seed w
-        in
-        print_string (Campaign.power_report t))
-  in
-  Cmd.v
-    (Cmd.info "harvest"
-       ~doc:"simulate a built-in workload on harvested (intermittent) \
-             power: seeded outage campaigns with checkpoint/restore, \
-             re-execution and energy-overhead accounting")
-    Term.(const action $ wname $ arch_arg $ heuristic_arg $ no_expander_arg
-          $ trials $ seed
-          $ dist_arg ~default:(Bs_sim.Powertrace.Exponential 2000.0)
-          $ policy_arg $ retries_arg $ jobs_arg)
-
 (* --- fuzz -------------------------------------------------------------- *)
 
 let fault_conv =
@@ -703,98 +649,64 @@ let reduce_cmd =
           | None -> dfl (fun m -> m.Bs_fuzz.Corpus.fault) None
         in
         let power = dfl (fun m -> m.Bs_fuzz.Corpus.power) None in
-        match power with
-        | Some p ->
-            (* intermittent-power reproducer: replay under the recorded
-               outage trace and check the bucket; reduction preserves it *)
-            let replay s =
-              Bs_fuzz.Oracle.run_power ~train:[ (entry, train_args) ] ~engine
-                ~source:s ~entry ~args ~power:p ()
-            in
-            let v = replay source in
-            print_endline (Bs_fuzz.Oracle.describe_power v);
-            let key =
-              match v.Bs_fuzz.Oracle.p_bucket with
-              | Some b -> Bs_support.Bucket.key b
-              | None -> "completed"
-            in
-            (match meta with
-            | Some m when m.Bs_fuzz.Corpus.bucket_key <> key ->
-                Printf.printf "recorded bucket %s did NOT reproduce\n"
-                  m.Bs_fuzz.Corpus.bucket_key;
-                exit 1
-            | Some _ -> print_endline "recorded bucket reproduced"
-            | None -> ());
-            if (not check) && v.Bs_fuzz.Oracle.p_bucket <> None then begin
-              let pred s =
-                match (replay s).Bs_fuzz.Oracle.p_bucket with
-                | Some b -> Bs_support.Bucket.key b = key
-                | None -> false
+        let train = [ (entry, train_args) ] in
+        (* One replay of a candidate source: its bucket key, if it lands
+           in one, and a description.  An intermittent-power reproducer
+           replays under its recorded outage trace; any other under the
+           differential oracle. *)
+        let replay s =
+          match power with
+          | Some p ->
+              let v =
+                Bs_fuzz.Oracle.run_power ~train ~engine ~source:s ~entry
+                  ~args ~power:p ()
               in
-              let reduced = Bs_fuzz.Reduce.run ~pred source in
-              let out =
-                match out with
-                | Some o -> o
-                | None -> Filename.remove_extension file ^ ".min.mc"
+              ( Option.map Bs_support.Bucket.key v.Bs_fuzz.Oracle.p_bucket,
+                Bs_fuzz.Oracle.describe_power v )
+          | None ->
+              let v =
+                Bs_fuzz.Oracle.run ?plant:fault ~train ~engine ~interp_engine
+                  ~source:s ~entry ~args ()
               in
-              let m =
-                { Bs_fuzz.Corpus.bucket_key = key; entry; args;
-                  train = train_args; fault = None; power = Some p }
-              in
-              let path =
-                Bs_fuzz.Corpus.save ~dir:(Filename.dirname out)
-                  ~name:(Filename.basename out) m reduced
-              in
-              Printf.printf "minimized to %d lines: %s\nreplay: %s\n"
-                (Bs_fuzz.Reduce.line_count reduced) path
-                (Bs_fuzz.Corpus.replay_command ~file:path m)
-            end
-        | None ->
-        let oracle s =
-          Bs_fuzz.Oracle.run ?plant:fault ~train:[ (entry, train_args) ]
-            ~engine ~interp_engine ~source:s ~entry ~args ()
+              ( (match v with
+                | Bs_fuzz.Oracle.Crash { bucket; _ } ->
+                    Some (Bs_support.Bucket.key bucket)
+                | Bs_fuzz.Oracle.Agree _ | Bs_fuzz.Oracle.Skip _ -> None),
+                Bs_fuzz.Oracle.describe v )
         in
-        let verdict = oracle source in
-        print_endline (Bs_fuzz.Oracle.describe verdict);
-        match verdict with
-        | Bs_fuzz.Oracle.Agree _ | Bs_fuzz.Oracle.Skip _ ->
-            (* nothing to reduce; failing to reproduce a recorded bucket
-               is an error *)
-            if Option.is_some meta then exit 1
-        | Bs_fuzz.Oracle.Crash { bucket; _ } ->
-            let key = Bs_support.Bucket.key bucket in
-            (match meta with
-            | Some m when m.Bs_fuzz.Corpus.bucket_key <> key ->
-                Printf.printf "recorded bucket %s did NOT reproduce\n"
-                  m.Bs_fuzz.Corpus.bucket_key;
-                exit 1
-            | Some _ -> print_endline "recorded bucket reproduced"
-            | None -> ());
-            if not check then begin
-              let pred s =
-                match oracle s with
-                | Bs_fuzz.Oracle.Crash { bucket = b; _ } ->
-                    Bs_support.Bucket.key b = key
-                | _ -> false
-              in
-              let reduced = Bs_fuzz.Reduce.run ~pred source in
-              let out =
-                match out with
-                | Some o -> o
-                | None -> Filename.remove_extension file ^ ".min.mc"
-              in
-              let m =
-                { Bs_fuzz.Corpus.bucket_key = key; entry; args;
-                  train = train_args; fault; power }
-              in
-              let path =
-                Bs_fuzz.Corpus.save ~dir:(Filename.dirname out)
-                  ~name:(Filename.basename out) m reduced
-              in
-              Printf.printf "minimized to %d lines: %s\nreplay: %s\n"
-                (Bs_fuzz.Reduce.line_count reduced) path
-                (Bs_fuzz.Corpus.replay_command ~file:path m)
-            end)
+        let key, description = replay source in
+        print_endline description;
+        (match meta with
+        | Some m when Some m.Bs_fuzz.Corpus.bucket_key <> key ->
+            Printf.printf "recorded bucket %s did NOT reproduce\n"
+              m.Bs_fuzz.Corpus.bucket_key;
+            exit 1
+        | Some _ -> print_endline "recorded bucket reproduced"
+        | None -> ());
+        match key with
+        | Some key when not check ->
+            let reduced =
+              Bs_fuzz.Reduce.run ~pred:(fun s -> fst (replay s) = Some key)
+                source
+            in
+            let out =
+              match out with
+              | Some o -> o
+              | None -> Filename.remove_extension file ^ ".min.mc"
+            in
+            let m =
+              { Bs_fuzz.Corpus.bucket_key = key; entry; args;
+                train = train_args;
+                fault = (if power = None then fault else None); power }
+            in
+            let path =
+              Bs_fuzz.Corpus.save ~dir:(Filename.dirname out)
+                ~name:(Filename.basename out) m reduced
+            in
+            Printf.printf "minimized to %d lines: %s\nreplay: %s\n"
+              (Bs_fuzz.Reduce.line_count reduced) path
+              (Bs_fuzz.Corpus.replay_command ~file:path m)
+        | _ -> ())
   in
   Cmd.v
     (Cmd.info "reduce"
@@ -1138,6 +1050,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "bitspecc" ~doc)
-          [ compile_cmd; run_cmd; bench_cmd; inject_cmd; harvest_cmd;
-            fuzz_cmd; reduce_cmd; serve_cmd; client_cmd; loadgen_cmd;
-            list_cmd ]))
+          [ compile_cmd; run_cmd; bench_cmd; inject_cmd; fuzz_cmd;
+            reduce_cmd; serve_cmd; client_cmd; loadgen_cmd; list_cmd ]))

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Minimal CI: build everything, run the full test suite, then a
 # fixed-seed differential-fuzz smoke: a clean campaign must find no
-# crashes, and a campaign with a planted miscompile must catch it
-# (--expect-crash inverts the exit code).  Both smokes run with
-# --jobs 4 — reports are byte-identical to sequential, so this also
-# exercises the domain pool.  A longer fixed-seed campaign (seed 12,
+# crashes, a campaign with a planted miscompile must catch it, and one
+# with a planted squeezer failure must bucket the failing compile by
+# its diagnostic (--expect-crash inverts the exit code).  These smokes
+# run with --jobs 4 — reports are byte-identical to sequential, so this
+# also exercises the domain pool.  A longer fixed-seed campaign (seed 12,
 # 360 trials) pins the compare-elimination fix for CFG_orig.  Finally a
 # timed bench subset guards the evaluation harness against performance
 # regressions, every section is compared with the checked-in transcript,
@@ -38,6 +39,15 @@ dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
   --jobs 4
 dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
   --jobs 4 --fault miscompile:f --expect-crash
+# a pass that raises stops the compile with its diagnostic: every trial
+# lands in the squeezer's bucket
+dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
+  --jobs 4 --fault squeeze:f --expect-crash > "$tmp/squeeze-fault.out"
+if ! grep -q '^diag-divergence:BS-SQZ-01' "$tmp/squeeze-fault.out"; then
+  echo "fuzz smoke: planted squeeze:f fault not bucketed as BS-SQZ-01" >&2
+  cat "$tmp/squeeze-fault.out" >&2
+  exit 1
+fi
 # trial seed 774650633 of this campaign once miscompiled (compare
 # elimination folded a compare in CFG_orig); it must report 0 crashes
 dune exec bin/bitspecc.exe -- fuzz --seed 12 --trials 360 --corpus "$corpus" \
@@ -72,20 +82,20 @@ dune exec bin/bitspecc.exe -- bench CRC32 --why-misspec \
          END { if (c == "" || t != c) { print "misspec smoke: histogram total " t " != counter " c; exit 1 } }'
 echo "observability smoke: OK (trace $b/$e events, remarks jobs-invariant)"
 
-# Intermittent-power smoke: a seeded harvest campaign is deterministic
+# Intermittent-power smoke: a seeded outage campaign is deterministic
 # (pinned mean restore count) and byte-identical at --jobs 1 vs --jobs 4;
 # a power-model injection campaign replays identically run to run; and
 # --strict on a clean campaign exits 0.
 pw="$tmp/pw"
 mkdir "$pw"
-dune exec bin/bitspecc.exe -- harvest bitcount --trials 10 --dist exp:2000 \
-  --seed 3 --jobs 1 > "$pw/h1.out"
-dune exec bin/bitspecc.exe -- harvest bitcount --trials 10 --dist exp:2000 \
-  --seed 3 --jobs 4 > "$pw/h4.out"
+dune exec bin/bitspecc.exe -- inject bitcount --model power --trials 10 \
+  --dist exp:2000 --seed 3 --jobs 1 > "$pw/h1.out"
+dune exec bin/bitspecc.exe -- inject bitcount --model power --trials 10 \
+  --dist exp:2000 --seed 3 --jobs 4 > "$pw/h4.out"
 grep -q 'means per trial: 509.1 restores, 2051.0 checkpoints' "$pw/h1.out"
 grep -q '^restored  *10$' "$pw/h1.out"
 if ! cmp -s "$pw/h1.out" "$pw/h4.out"; then
-  echo "harvest smoke: --jobs 1 and --jobs 4 output differ" >&2
+  echo "outage campaign smoke: --jobs 1 and --jobs 4 output differ" >&2
   diff "$pw/h1.out" "$pw/h4.out" >&2 || true
   exit 1
 fi
@@ -103,7 +113,7 @@ dune exec bin/bitspecc.exe -- reduce --check \
   test/corpus/power-restored-hotpc40-seed7.mc > /dev/null
 dune exec bin/bitspecc.exe -- reduce --check \
   test/corpus/power-reexec-livelock-hotpc40-seed7.mc > /dev/null
-echo "intermittent-power smoke: OK (harvest jobs-invariant, inject deterministic)"
+echo "intermittent-power smoke: OK (outage campaign jobs-invariant, inject deterministic)"
 
 # Bit-flip smoke: README's injection campaign keeps its pinned tally and
 # is byte-identical at --jobs 1 and --jobs 4, where trial domains share

@@ -1,14 +1,15 @@
 open Bs_exec
 
-(* Two single-flight tables, one per entry-point shape.  Capacity bounds
-   keep long fuzz campaigns (unique source per trial) from accumulating
-   unboundedly: a flush only costs recompiles, never changes results.
+(* One single-flight table.  Its capacity bound keeps long fuzz campaigns
+   (unique source per trial) from accumulating unboundedly: a flush only
+   costs recompiles, never changes results.
 
    Optionally backed by a persistent Disk_cache layer: a memory miss
    consults the disk before compiling, and a fresh compile is written
-   back (successes only: a failure is memoised in memory for the life of
-   the process, but the disk holds compiled programs).  The disk lookup
-   runs inside the memo thunk, i.e. still single-flight per key. *)
+   back.  A failed compile raises, so it is memoised in memory for the
+   life of the process (Memo rethrows it) and never reaches the disk.
+   The disk lookup runs inside the memo thunk, i.e. still single-flight
+   per key. *)
 
 (* Memory-tier cache traffic.  Single-flight makes these deterministic
    for a given workload: of N requesters for one key, exactly one runs
@@ -23,11 +24,7 @@ let mem_miss =
   Bs_obs.Metrics.counter "cache_events_total"
     ~labels:[ ("tier", "memory"); ("event", "miss") ]
 
-let strict_tbl : (string, Driver.compiled) Memo.t = Memo.create ~cap:512 ()
-
-let total_tbl :
-    (string, (Driver.compiled, Bs_support.Diag.t list) result) Memo.t =
-  Memo.create ~cap:512 ()
+let tbl : (string, Driver.compiled) Memo.t = Memo.create ~cap:512 ()
 
 let source_key source = Digest.to_hex (Digest.string source)
 
@@ -38,7 +35,7 @@ let source_key source = Digest.to_hex (Digest.string source)
    marshalled layout: Disk_cache's checksum protects against corruption
    but not against a payload written by an incompatible build, so the
    token participates in the disk key and layout changes simply miss. *)
-let persist_schema = "cc-v1"
+let persist_schema = "cc-v2"
 
 let disk : Disk_cache.t option Atomic.t = Atomic.make None
 
@@ -61,35 +58,32 @@ let compiled_of_bytes (b : bytes) : Driver.compiled option =
 
 type origin = Memory | Disk | Fresh
 
-(* The disk-then-compile path shared by both entry points; runs inside
-   the memo thunk.  [persist] decides whether a fresh value is written
-   back (try_compile persists successes only). *)
-let disk_or_compute ~key ~set ~encode ~decode ~persist thunk =
+(* The disk-then-compile path; runs inside the memo thunk. *)
+let disk_or_compute ~key ~set thunk =
   match Atomic.get disk with
   | None ->
       set Fresh;
       thunk ()
   | Some dc -> (
       let dkey = disk_key key in
+      let fresh () =
+        set Fresh;
+        let c = thunk () in
+        Disk_cache.store dc ~key:dkey (compiled_to_bytes c);
+        c
+      in
       match Disk_cache.load dc ~key:dkey with
       | Some payload -> (
-          match decode payload with
-          | Some v ->
+          match compiled_of_bytes payload with
+          | Some c ->
               set Disk;
-              v
+              c
           | None ->
               (* checksum passed but the decode didn't: an incompatible
                  build wrote it.  Quarantine and recompile. *)
               Disk_cache.invalidate dc ~key:dkey;
-              set Fresh;
-              let v = thunk () in
-              if persist v then Disk_cache.store dc ~key:dkey (encode v);
-              v)
-      | None ->
-          set Fresh;
-          let v = thunk () in
-          if persist v then Disk_cache.store dc ~key:dkey (encode v);
-          v)
+              fresh ())
+      | None -> fresh ())
 
 (* Run one memoised lookup and bump the memory-tier counters: the
    requester whose thunk actually ran is the miss, everyone else
@@ -111,37 +105,15 @@ let compile ?origin ~key thunk =
   let set o = match origin with Some r -> r := o | None -> () in
   set Memory;
   counted (fun ran ->
-      Memo.find_or_add strict_tbl key (fun () ->
+      Memo.find_or_add tbl key (fun () ->
           ran := true;
-          disk_or_compute ~key ~set ~encode:compiled_to_bytes
-            ~decode:compiled_of_bytes
-            ~persist:(fun _ -> true)
-            thunk))
+          disk_or_compute ~key ~set thunk))
 
-let try_compile ?origin ~key thunk =
-  let set o = match origin with Some r -> r := o | None -> () in
-  set Memory;
-  counted (fun ran ->
-      Memo.find_or_add total_tbl key (fun () ->
-          ran := true;
-          disk_or_compute ~key ~set
-            ~encode:(function
-              | Ok c -> compiled_to_bytes c
-              | Error _ -> assert false (* persist is false for errors *))
-            ~decode:(fun b -> Option.map Result.ok (compiled_of_bytes b))
-            ~persist:Result.is_ok thunk))
+let hits () = Memo.hits tbl
+let misses () = Memo.misses tbl
 
-let hits () = Memo.hits strict_tbl + Memo.hits total_tbl
-let misses () = Memo.misses strict_tbl + Memo.misses total_tbl
+(* The (hits, misses) pair snapshotted under the table's lock, so a
+   concurrent compile can never tear it. *)
+let stats () = Memo.stats tbl
 
-(* Snapshot each table's (hits, misses) pair under its lock so a
-   concurrent compile can never tear a pair; the two tables are summed
-   without a global lock, which at worst lags one in-flight compile. *)
-let stats () =
-  let sh, sm = Memo.stats strict_tbl in
-  let th, tm = Memo.stats total_tbl in
-  (sh + th, sm + tm)
-
-let reset () =
-  Memo.clear strict_tbl;
-  Memo.clear total_tbl
+let reset () = Memo.clear tbl

@@ -10,18 +10,12 @@ open Bs_sim
    → binary, plus the baseline pipeline that skips the speculative
    stages.
 
-   Two failure policies.  [Strict] is fail-fast: the first pass failure
-   propagates as an exception.  [Degrade] isolates faults per function:
-   when the squeezer, the verifier, or the register allocator fails on one
-   function, that function falls back to its baseline (pre-squeeze) form,
-   a structured diagnostic is recorded, and the rest of the module still
-   ships as BITSPEC.  Module-level passes roll back to a snapshot and are
-   skipped on failure.  [compile] returns the accumulated diagnostics next
-   to the binary. *)
+   One failure policy, fail-fast: the first pass that raises stops the
+   compile with [Failed], a structured diagnostic carrying the phase's
+   stable code (and the function, for the per-function passes).
+   Front-end errors escape as they are. *)
 
 type arch = Baseline | Bitspec_arch | Thumb
-
-type mode = Strict | Degrade
 
 type config = {
   arch : arch;
@@ -82,12 +76,11 @@ let expander_tag (c : config) =
     c.expander.Expander.max_fn_size c.expander.Expander.max_loop_size
 
 (* Compiler-level fault injection: force one pass to fail on one function,
-   to exercise the degradation machinery (and prove in tests that a
-   degraded module still runs to the right checksum).  [Fault_miscompile]
-   is different in kind: instead of raising (which degradation would catch
-   and repair) it silently corrupts the function's code after every pass
-   and verification has run — a planted miscompile that only a
-   differential oracle can see. *)
+   to exercise the failure path end to end (the compile stops with the
+   pass's diagnostic, and the fuzz oracle buckets it).  [Fault_miscompile]
+   is different in kind: instead of raising it silently corrupts the
+   function's code after every pass and verification has run — a planted
+   miscompile that only a differential oracle can see. *)
 type injected_pass = Fault_squeeze | Fault_regalloc | Fault_miscompile
 
 type pass_fault = { fault_pass : injected_pass; fault_func : string }
@@ -151,9 +144,15 @@ type compiled = {
   config : config;
   profile : Profile.t option;
   squeeze_stats : Squeezer.stats option;
-  diagnostics : Diag.t list;
   remarks : Bs_obs.Remark.t list;
 }
+
+exception Failed of Diag.t
+
+let () =
+  Printexc.register_printer (function
+    | Failed d -> Some (Diag.to_string d)
+    | _ -> None)
 
 let describe_exn = function
   | Failure m | Invalid_argument m -> m
@@ -165,6 +164,29 @@ let describe_exn = function
   | Memimage.Layout_error d -> Diag.to_string d
   | Memimage.Fault m -> "memory fault: " ^ m
   | e -> Printexc.to_string e
+
+(* Run [f] as one phase of the pipeline: an exception escaping it stops
+   the compile as [Failed] with the phase's code, naming [func] when the
+   phase runs per function. *)
+let fail_as ?func ~code ~phase what f =
+  try f ()
+  with e ->
+    raise
+      (Failed
+         (Diag.error ?func ~code ~phase
+            (Printf.sprintf "%s failed (%s)" what (describe_exn e))))
+
+let diag_of_exn = function
+  | Failed d -> d
+  | e ->
+      let phase, line =
+        match e with
+        | Lexer.Error (_, l) | Parser.Error (_, l) -> (Diag.Parse, Some l)
+        | Typecheck.Error (_, l) -> (Diag.Typecheck, Some l)
+        | Lower.Error _ -> (Diag.Lowering, None)
+        | _ -> (Diag.Other, None)
+      in
+      Diag.error ?line ~code:"BS-FE-01" ~phase (describe_exn e)
 
 (* Throughput gauges: last observed interpreter / machine-model speed,
    millions of (IR steps | instructions) per wall second.  Volatile by
@@ -239,158 +261,74 @@ let lower_to_machine ?(orig_first = false) (m : Ir.modul) ~arch : Asm.program =
 
 (** [compile ~config ~source ~train] runs the full pipeline on MiniC
     source.  [train] supplies the profiling runs (ignored by the baseline
-    pipeline).  In [Degrade] mode pass failures are isolated per function
-    (falling back to the baseline compilation of that function) and
-    reported in [diagnostics]; [Strict] (the default) fails fast. *)
-let compile ?(mode = Strict) ?pass_fault ?profile_key
-    ~config ~source ?setup ~train () : compiled =
-  let degrade = mode = Degrade in
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
+    pipeline).  The first pass failure stops the compile with [Failed]. *)
+let compile ?pass_fault ?profile_key ~config ~source ?setup ~train () :
+    compiled =
   (* Per-compile remark sink: passes append here; the result carries the
      canonically-sorted list, so printing is identical at any --jobs. *)
   let remarks_acc = ref [] in
   let remark r = remarks_acc := r :: !remarks_acc in
-  let m =
-    ref (Bs_obs.Trace.with_span "frontend" (fun () -> Lower.compile source))
+  let m = Bs_obs.Trace.with_span "frontend" (fun () -> Lower.compile source) in
+  (* A module-level pass: its span, its diagnostic code. *)
+  let pass ~phase ~code name f =
+    Bs_obs.Trace.with_span name (fun () -> fail_as ~code ~phase name f)
   in
-  (* Module-level pass with snapshot/rollback: on failure in degrade mode
-     the module is restored and the pass skipped. *)
-  let guarded ~phase ~code name f =
-    Bs_obs.Trace.with_span name @@ fun () ->
-    if degrade then begin
-      let snap = Ir.copy_module !m in
-      match f () with
-      | () -> true
-      | exception e ->
-          m := snap;
-          add
-            (Diag.error ~code ~phase
-               (Printf.sprintf "%s failed (%s); pass skipped" name
-                  (describe_exn e)));
-          false
-    end
-    else begin f (); true end
-  in
-  ignore
-    (guarded ~phase:Diag.Expand ~code:"BS-EXP-01" "expander" (fun () ->
-         ignore (Expander.run !m config.expander);
-         Verifier.verify_exn !m));
-  let cfg_ok =
-    guarded ~phase:Diag.Cfg_prep ~code:"BS-CFG-01" "CFG preparation"
-      (fun () ->
-        ignore (Cfg_prep.run !m);
-        Verifier.verify_exn !m)
-  in
-  (* The pre-squeeze snapshot: the baseline (non-speculative) form every
-     degraded function falls back to. *)
-  let baseline = lazy (Ir.copy_module !m) in
-  let baseline_func fname =
-    match Ir.find_func (Lazy.force baseline) fname with
-    | Some f -> Ir.copy_func f
-    | None -> invalid_arg ("no baseline form for " ^ fname)
-  in
-  let restore_func fname =
-    let bf = baseline_func fname in
-    (!m).Ir.funcs <-
-      List.map
-        (fun (g : Ir.func) -> if g.Ir.fname = fname then bf else g)
-        (!m).Ir.funcs
-  in
-  if degrade then ignore (Lazy.force baseline);
+  pass ~phase:Diag.Expand ~code:"BS-EXP-01" "expander" (fun () ->
+      ignore (Expander.run m config.expander);
+      Verifier.verify_exn m);
+  pass ~phase:Diag.Cfg_prep ~code:"BS-CFG-01" "CFG preparation" (fun () ->
+      ignore (Cfg_prep.run m);
+      Verifier.verify_exn m);
   let profile, squeeze_stats =
-    if config.arch = Bitspec_arch && config.speculate && cfg_ok then begin
+    if config.arch = Bitspec_arch && config.speculate then begin
       let run_profile () =
         Bs_obs.Trace.with_span "profile" (fun () ->
-            profile_module !m ?setup ~train ())
+            profile_module m ?setup ~train ())
       in
-      match
-        (* Sharing is only sound when the pre-squeeze module is the pure
-           function of (source, expander) the key encodes — injected pass
-           faults and degrade-mode rollbacks both break that, so they
-           bypass the memo. *)
-        match profile_key with
-        | Some k when (not degrade) && pass_fault = None ->
-            Bs_exec.Memo.find_or_add profile_tbl k run_profile
-        | _ -> run_profile ()
-      with
-      | exception e when degrade ->
-          add
-            (Diag.error ~code:"BS-PRO-01" ~phase:Diag.Profile
-               (Printf.sprintf
-                  "training run failed (%s); speculation disabled"
-                  (describe_exn e)));
-          (None, None)
-      | profile ->
-          let total = Squeezer.fresh_stats () in
-          List.iter
-            (fun (f : Ir.func) ->
-              let squeeze () =
-                Bs_obs.Trace.with_span ~args:[ ("fn", f.Ir.fname) ]
-                  "squeeze"
-                @@ fun () ->
-                maybe_pass_fault pass_fault Fault_squeeze f.Ir.fname;
-                let s =
-                  Squeezer.run_func ~remarks:remark !m f ~profile
-                    ~heuristic:config.heuristic
-                in
-                Verifier.check_func f;
-                total.Squeezer.squeezed <-
-                  total.Squeezer.squeezed + s.Squeezer.squeezed;
-                total.Squeezer.truncs <-
-                  total.Squeezer.truncs + s.Squeezer.truncs;
-                total.Squeezer.exts <- total.Squeezer.exts + s.Squeezer.exts;
-                total.Squeezer.regions <-
-                  total.Squeezer.regions + s.Squeezer.regions
-              in
-              if degrade then
-                try squeeze ()
-                with e ->
-                  restore_func f.Ir.fname;
-                  add
-                    (Diag.error ~code:"BS-SQZ-01" ~phase:Diag.Squeeze
-                       ~func:f.Ir.fname
-                       (Printf.sprintf
-                          "squeezing failed (%s); function degraded to \
-                           the baseline pipeline"
-                          (describe_exn e)))
-              else squeeze ())
-            (!m).Ir.funcs;
-          (if config.compare_elim then
-             ignore
-               (guarded ~phase:Diag.Compare_elim ~code:"BS-CEL-01"
-                  "compare elimination" (fun () ->
-                    ignore (Compare_elim.run ~remarks:remark !m);
-                    Verifier.verify_exn !m)));
-          (if config.bitmask_elide then
-             ignore
-               (guarded ~phase:Diag.Bitmask_elide ~code:"BS-BME-01"
-                  "bitmask elision" (fun () ->
-                    ignore (Bitmask_elide.run ~remarks:remark !m);
-                    Verifier.verify_exn !m)));
-          ignore
-            (guarded ~phase:Diag.Opt ~code:"BS-OPT-01" "late optimisations"
-               (fun () ->
-                 ignore (Bs_opt.Constfold.run !m);
-                 ignore (Bs_opt.Dce.run !m)));
-          (* final validation; in degrade mode an invalid function falls
-             back to its baseline form instead of aborting the module *)
-          if degrade then
-            List.iter
-              (fun (f : Ir.func) ->
-                try Verifier.check_func f
-                with e ->
-                  restore_func f.Ir.fname;
-                  add
-                    (Diag.error ~code:"BS-VRF-01" ~phase:Diag.Verify
-                       ~func:f.Ir.fname
-                       (Printf.sprintf
-                          "post-squeeze verification failed (%s); function \
-                           degraded to the baseline pipeline"
-                          (describe_exn e))))
-              (!m).Ir.funcs
-          else Verifier.verify_exn !m;
-          (Some profile, Some total)
+      let profile =
+        fail_as ~code:"BS-PRO-01" ~phase:Diag.Profile "training run"
+          (fun () ->
+            match profile_key with
+            | Some k -> Bs_exec.Memo.find_or_add profile_tbl k run_profile
+            | None -> run_profile ())
+      in
+      let total = Squeezer.fresh_stats () in
+      List.iter
+        (fun (f : Ir.func) ->
+          fail_as ~func:f.Ir.fname ~code:"BS-SQZ-01" ~phase:Diag.Squeeze
+            "squeezing"
+          @@ fun () ->
+          Bs_obs.Trace.with_span ~args:[ ("fn", f.Ir.fname) ] "squeeze"
+          @@ fun () ->
+          maybe_pass_fault pass_fault Fault_squeeze f.Ir.fname;
+          let s =
+            Squeezer.run_func ~remarks:remark m f ~profile
+              ~heuristic:config.heuristic
+          in
+          Verifier.check_func f;
+          total.Squeezer.squeezed <-
+            total.Squeezer.squeezed + s.Squeezer.squeezed;
+          total.Squeezer.truncs <- total.Squeezer.truncs + s.Squeezer.truncs;
+          total.Squeezer.exts <- total.Squeezer.exts + s.Squeezer.exts;
+          total.Squeezer.regions <-
+            total.Squeezer.regions + s.Squeezer.regions)
+        m.Ir.funcs;
+      if config.compare_elim then
+        pass ~phase:Diag.Compare_elim ~code:"BS-CEL-01" "compare elimination"
+          (fun () ->
+            ignore (Compare_elim.run ~remarks:remark m);
+            Verifier.verify_exn m);
+      if config.bitmask_elide then
+        pass ~phase:Diag.Bitmask_elide ~code:"BS-BME-01" "bitmask elision"
+          (fun () ->
+            ignore (Bitmask_elide.run ~remarks:remark m);
+            Verifier.verify_exn m);
+      pass ~phase:Diag.Opt ~code:"BS-OPT-01" "late optimisations" (fun () ->
+          ignore (Bs_opt.Constfold.run m);
+          ignore (Bs_opt.Dce.run m));
+      fail_as ~code:"BS-VRF-01" ~phase:Diag.Verify
+        "post-squeeze verification" (fun () -> Verifier.verify_exn m);
+      (Some profile, Some total)
     end
     else (None, None)
   in
@@ -399,64 +337,33 @@ let compile ?(mode = Strict) ?pass_fault ?profile_key
      of the same source is the only witness. *)
   (match pass_fault with
   | Some { fault_pass = Fault_miscompile; fault_func } ->
-      plant_miscompile !m fault_func
+      plant_miscompile m fault_func
   | _ -> ());
   let funcs =
     Bs_obs.Trace.with_span "lower" @@ fun () ->
     List.map
       (fun (f : Ir.func) ->
-        let lower f =
-          maybe_pass_fault pass_fault Fault_regalloc f.Ir.fname;
-          lower_one_func ~arch:config.arch ~orig_first:config.orig_first f
-        in
-        if degrade then
-          try lower f
-          with e ->
-            add
-              (Diag.error ~code:"BS-RA-01" ~phase:Diag.Regalloc
-                 ~func:f.Ir.fname
-                 (Printf.sprintf
-                    "back-end failed (%s); function degraded to the \
-                     baseline pipeline"
-                    (describe_exn e)));
-            let bf = baseline_func f.Ir.fname in
-            (!m).Ir.funcs <-
-              List.map
-                (fun (g : Ir.func) ->
-                  if g.Ir.fname = f.Ir.fname then bf else g)
-                (!m).Ir.funcs;
-            (* the baseline form must lower; if it cannot, the failure is
-               not degradable and propagates (try_compile catches it) *)
-            lower_one_func ~arch:config.arch ~orig_first:config.orig_first
-              bf
-        else lower f)
-      (!m).Ir.funcs
+        fail_as ~func:f.Ir.fname ~code:"BS-RA-01" ~phase:Diag.Regalloc
+          "back-end"
+        @@ fun () ->
+        maybe_pass_fault pass_fault Fault_regalloc f.Ir.fname;
+        lower_one_func ~arch:config.arch ~orig_first:config.orig_first f)
+      m.Ir.funcs
   in
   let program =
     Bs_obs.Trace.with_span "assemble" (fun () ->
-        assemble_funcs !m ~arch:config.arch funcs)
+        assemble_funcs m ~arch:config.arch funcs)
   in
-  { ir = !m; program; config; profile; squeeze_stats;
-    diagnostics = List.rev !diags;
+  { ir = m; program; config; profile; squeeze_stats;
     remarks = List.sort Bs_obs.Remark.compare !remarks_acc }
 
-(** Total compilation: never raises.  Degrade-mode [compile], with any
-    escaping exception (front-end errors included) converted into
-    diagnostics. *)
+(** [compile] with any escaping exception, front-end errors included,
+    turned into its diagnostic. *)
 let try_compile ?pass_fault ~config ~source ?setup ~train () :
     (compiled, Diag.t list) result =
-  match compile ~mode:Degrade ?pass_fault ~config ~source ?setup ~train () with
+  match compile ?pass_fault ~config ~source ?setup ~train () with
   | c -> Ok c
-  | exception e ->
-      let phase, line =
-        match e with
-        | Lexer.Error (_, l) | Parser.Error (_, l) -> (Diag.Parse, Some l)
-        | Typecheck.Error (_, l) -> (Diag.Typecheck, Some l)
-        | Lower.Error _ -> (Diag.Lowering, None)
-        | _ -> (Diag.Other, None)
-      in
-      Error
-        [ Diag.error ?line ~code:"BS-FE-01" ~phase (describe_exn e) ]
+  | exception e -> Error [ diag_of_exn e ]
 
 (** Run the compiled binary on the machine model.  [fault] injects a
     single bit flip (see {!Bs_sim.Machine.fault}); [power] runs under

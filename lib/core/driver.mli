@@ -6,20 +6,14 @@
     linked binary image; [run_machine] executes that image on the
     cycle-level machine model.
 
-    Failure policy: in {!Strict} mode (the default) the first pass failure
-    propagates as an exception.  In {!Degrade} mode pass failures are
-    isolated per function — a function the squeezer, verifier, or register
-    allocator cannot handle falls back to its baseline (non-speculative)
-    compilation, a structured {!Bs_support.Diag.t} is recorded, and the
-    rest of the module still ships as BITSPEC. *)
+    Failure policy: fail-fast.  The first pass that raises stops the
+    compile with {!Failed}, a structured {!Bs_support.Diag.t} carrying the
+    phase's stable code; front-end errors escape as they are. *)
 
 (** Target architectures: the paper's BASELINE processor, the processor
     with the BITSPEC ISA/microarchitecture extensions, and the
     compact-ISA comparison point of RQ9. *)
 type arch = Baseline | Bitspec_arch | Thumb
-
-(** Failure policy: fail-fast, or per-function graceful degradation. *)
-type mode = Strict | Degrade
 
 type config = {
   arch : arch;
@@ -62,12 +56,12 @@ val expander_tag : config -> string
     the configuration half of a [profile_key] (see {!compile}). *)
 
 (** Compiler-level fault injection: force one pass to fail on one
-    function, exercising the degradation machinery end to end.
-    [Fault_squeeze] and [Fault_regalloc] raise inside the pass (degrade
-    mode recovers them); [Fault_miscompile] silently flips one operation
-    of the function {e after} all passes and verification, planting a
-    genuine miscompile that only differential testing can observe — the
-    fuzz subsystem's self-test. *)
+    function, exercising the failure path end to end.  [Fault_squeeze]
+    and [Fault_regalloc] raise inside the pass, so the compile stops with
+    [BS-SQZ-01] or [BS-RA-01]; [Fault_miscompile] silently flips one
+    operation of the function {e after} all passes and verification,
+    planting a genuine miscompile that only differential testing can
+    observe — the fuzz subsystem's self-test. *)
 type injected_pass = Fault_squeeze | Fault_regalloc | Fault_miscompile
 
 type pass_fault = { fault_pass : injected_pass; fault_func : string }
@@ -80,14 +74,25 @@ type compiled = {
   config : config;
   profile : Bs_interp.Profile.t option;     (** the training profile used *)
   squeeze_stats : Squeezer.stats option;
-  diagnostics : Bs_support.Diag.t list;
-      (** degradations and skipped passes, in pipeline order; empty in a
-          clean strict build *)
   remarks : Bs_obs.Remark.t list;
       (** optimisation remarks from the squeezer, compare elimination
           and bitmask elision, in canonical ({!Bs_obs.Remark.compare})
           order — identical at any job count *)
 }
+
+exception Failed of Bs_support.Diag.t
+(** A pass failed and stopped the compile.  The diagnostic's code names
+    the phase: [BS-EXP-01] expander, [BS-CFG-01] CFG preparation,
+    [BS-PRO-01] training run, [BS-SQZ-01] squeezing (naming the function),
+    [BS-CEL-01] compare elimination, [BS-BME-01] bitmask elision,
+    [BS-OPT-01] late optimisations, [BS-VRF-01] post-squeeze verification
+    and [BS-RA-01] back-end (naming the function).  [Printexc.to_string]
+    renders it as {!Bs_support.Diag.to_string} does. *)
+
+val diag_of_exn : exn -> Bs_support.Diag.t
+(** The diagnostic of a failed compile: [Failed]'s own, or a [BS-FE-01]
+    for anything else (front-end errors keep their phase and source
+    line). *)
 
 val profile_module :
   Bs_ir.Ir.modul ->
@@ -107,7 +112,6 @@ val lower_to_machine :
     linking of an already-prepared module. *)
 
 val compile :
-  ?mode:mode ->
   ?pass_fault:pass_fault ->
   ?profile_key:string ->
   config:config ->
@@ -118,9 +122,8 @@ val compile :
   compiled
 (** Full pipeline from MiniC source.  [train] and [setup] drive the
     profiler; they are ignored by non-speculative configurations.
-    [mode] selects the failure policy (default {!Strict}); front-end
-    errors ([Lexer.Error], [Parser.Error], [Typecheck.Error],
-    [Lower.Error]) always raise — there is no module to degrade yet.
+    A pass failure raises {!Failed}; front-end errors ([Lexer.Error],
+    [Parser.Error], [Typecheck.Error], [Lower.Error]) raise as they are.
     [pass_fault] injects a compiler fault for testing.
 
     [profile_key] opts the training run into a process-wide memo:
@@ -128,9 +131,7 @@ val compile :
     pre-squeeze form (a MAX/AVG/MIN sweep) reuse one run.  The caller
     must content-address everything the profile depends on — source,
     {!expander_tag}, training entries/args, the profile input's
-    identity — and the resulting {!Profile.t} is shared, read-only.
-    Ignored in degrade mode or under [pass_fault], where the
-    pre-squeeze module is no longer the pure function the key names. *)
+    identity — and the resulting {!Profile.t} is shared, read-only. *)
 
 val try_compile :
   ?pass_fault:pass_fault ->
@@ -140,8 +141,8 @@ val try_compile :
   train:(string * int64 list) list ->
   unit ->
   (compiled, Bs_support.Diag.t list) result
-(** Total degrade-mode compilation: never raises.  [Error] carries at
-    least one diagnostic (front-end failures included). *)
+(** {!compile} that never raises: [Error] carries the one diagnostic
+    {!diag_of_exn} gives the failure (front-end failures included). *)
 
 val run_machine :
   ?setup:(Bs_interp.Memimage.t -> unit) ->

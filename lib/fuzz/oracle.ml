@@ -6,8 +6,8 @@ open Bitspec
 
    The reference semantics of a program is its pristine lowering run on
    the IR interpreter.  Each engine below compiles the same source through
-   the full pipeline (degrade mode, so pass failures surface as
-   diagnostics rather than exceptions) and simulates it on the machine
+   the full pipeline (a pass failure stops the compile with its
+   diagnostic, which the bucket keys on) and simulates it on the machine
    model.  The first engine that disagrees with the reference determines
    the verdict's bucket; engine order is fixed so identical inputs yield
    identical buckets. *)
@@ -124,81 +124,68 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
             | [] -> Agree ref_obs
             | { ename; config } :: rest -> (
                 match
-                  Compile_cache.try_compile
+                  Compile_cache.compile
                     ~key:
                       (Printf.sprintf "fuzz|%s|%s|%s|%s" src_key
                          (Driver.config_tag config) train_key plant_key)
                     (fun () ->
-                      Driver.try_compile ?pass_fault:plant ~config ~source
+                      Driver.compile ?pass_fault:plant ~config ~source
                         ~train ())
                 with
-                | Error diags ->
-                    let d =
-                      match Diag.errors diags with
-                      | d :: _ -> d
-                      | [] -> Diag.error ~code:"BS-FE-01" ~phase:Diag.Other
-                                "compilation failed without a diagnostic"
-                    in
+                | exception e ->
+                    let d = Driver.diag_of_exn e in
                     Crash
                       { bucket = Bucket.of_diag ~detail:ename d;
                         details =
                           Printf.sprintf "%s failed to compile: %s" ename
                             (Diag.to_string d) }
-                | Ok c -> (
-                    match Diag.errors c.Driver.diagnostics with
-                    | d :: _ ->
-                        Crash
-                          { bucket = Bucket.of_diag ~detail:ename d;
-                            details =
-                              Printf.sprintf "%s degraded during compilation: %s"
-                                ename (Diag.to_string d) }
-                    | [] -> (
-                        let eng_obs =
-                          match
-                            Driver.run_machine ~fuel:machine_fuel ~engine c
-                              ~entry ~args
-                          with
-                          | r -> (
-                              match r.Bs_sim.Machine.outcome with
-                              | Outcome.Finished ->
-                                  Value (mask32 r.Bs_sim.Machine.r0)
-                              | Outcome.Out_of_fuel -> Fuel
-                              | Outcome.Trapped t ->
-                                  Trap (Outcome.trap_name t)
-                              | Outcome.Livelock ->
-                                  (* no power trace in a fuzz run *)
-                                  Fuel)
-                          | exception Bs_sim.Machine.Sim_trap t ->
+                | c -> (
+                    let eng_obs =
+                      match
+                        Driver.run_machine ~fuel:machine_fuel ~engine c
+                          ~entry ~args
+                      with
+                      | r -> (
+                          match r.Bs_sim.Machine.outcome with
+                          | Outcome.Finished ->
+                              Value (mask32 r.Bs_sim.Machine.r0)
+                          | Outcome.Out_of_fuel -> Fuel
+                          | Outcome.Trapped t ->
                               Trap (Outcome.trap_name t)
-                          | exception Memimage.Fault _ -> Trap "memory-fault"
-                        in
-                        let crash bucket =
-                          Crash
-                            { bucket;
-                              details =
-                                Printf.sprintf
-                                  "%s: reference %s, machine %s" ename
-                                  (obs_str ref_obs) (obs_str eng_obs) }
-                        in
-                        match (ref_obs, eng_obs) with
-                        | a, b when a = b -> check rest
-                        | Value _, Value _ ->
-                            crash
-                              (Bucket.make ~detail:ename
-                                 Bucket.Result_mismatch)
-                        | _, Fuel ->
-                            crash (Bucket.hang ~detail:ename ())
-                        | _, Trap t ->
-                            crash
-                              (Bucket.make ~detail:(ename ^ ":" ^ t)
-                                 Bucket.Trap_divergence)
-                        | Trap _, Value _ ->
-                            crash
-                              (Bucket.make ~detail:(ename ^ ":none")
-                                 Bucket.Trap_divergence)
-                        | Fuel, _ ->
-                            (* unreachable: reference fuel was handled *)
-                            check rest)))
+                          | Outcome.Livelock ->
+                              (* no power trace in a fuzz run *)
+                              Fuel)
+                      | exception Bs_sim.Machine.Sim_trap t ->
+                          Trap (Outcome.trap_name t)
+                      | exception Memimage.Fault _ -> Trap "memory-fault"
+                    in
+                    let crash bucket =
+                      Crash
+                        { bucket;
+                          details =
+                            Printf.sprintf
+                              "%s: reference %s, machine %s" ename
+                              (obs_str ref_obs) (obs_str eng_obs) }
+                    in
+                    match (ref_obs, eng_obs) with
+                    | a, b when a = b -> check rest
+                    | Value _, Value _ ->
+                        crash
+                          (Bucket.make ~detail:ename
+                             Bucket.Result_mismatch)
+                    | _, Fuel ->
+                        crash (Bucket.hang ~detail:ename ())
+                    | _, Trap t ->
+                        crash
+                          (Bucket.make ~detail:(ename ^ ":" ^ t)
+                             Bucket.Trap_divergence)
+                    | Trap _, Value _ ->
+                        crash
+                          (Bucket.make ~detail:(ename ^ ":none")
+                             Bucket.Trap_divergence)
+                    | Fuel, _ ->
+                        (* unreachable: reference fuel was handled *)
+                        check rest))
           in
           check engines)
 
@@ -231,18 +218,12 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
   let train =
     match train with Some t -> t | None -> [ (entry, Gen.train_args) ]
   in
-  match Driver.try_compile ~config:Driver.bitspec_config ~source ~train () with
-  | Error diags ->
-      let d =
-        match Diag.errors diags with
-        | d :: _ -> d
-        | [] ->
-            Diag.error ~code:"BS-FE-01" ~phase:Diag.Other
-              "compilation failed without a diagnostic"
-      in
+  match Driver.compile ~config:Driver.bitspec_config ~source ~train () with
+  | exception e ->
+      let d = Driver.diag_of_exn e in
       { p_bucket = Some (Bucket.of_diag ~detail:"power" d);
         p_details = "failed to compile: " ^ Diag.to_string d }
-  | Ok c -> (
+  | c -> (
       match Driver.run_machine ~engine c ~entry ~args with
       | exception e ->
           { p_bucket = Some (Bucket.hang ());

@@ -4,7 +4,7 @@
     compiled + simulated under every build configuration; any disagreement
     is classified into a stable {!Bs_support.Bucket.t}.  The oracle never
     raises: traps, fuel exhaustion, front-end rejections and pass
-    degradations all classify. *)
+    failures ({!Driver.Failed}) all classify. *)
 
 open Bs_support
 open Bitspec

@@ -196,45 +196,6 @@ let find_func m name = List.find_opt (fun f -> f.fname = name) m.funcs
 
 let find_global m name = List.find_opt (fun g -> g.gname = name) m.globals
 
-(** [copy_func f] deep-copies a function: fresh instruction and block
-    records, rebuilt lookup tables.  Mutating the copy (or the original)
-    never affects the other — the degradation driver snapshots functions
-    before risky passes and restores the copy on failure. *)
-let copy_func (f : func) : func =
-  let itbl = Hashtbl.create (Hashtbl.length f.itbl) in
-  let copy_instr (i : instr) =
-    let i' = { i with iid = i.iid } in
-    Hashtbl.replace itbl i'.iid i';
-    i'
-  in
-  let param_instrs = List.map copy_instr f.param_instrs in
-  let btbl = Hashtbl.create (Hashtbl.length f.btbl) in
-  let blocks =
-    List.map
-      (fun (b : block) ->
-        let b' = { b with instrs = List.map copy_instr b.instrs } in
-        Hashtbl.replace btbl b'.bid b';
-        b')
-      f.blocks
-  in
-  (* instructions registered but not placed in any block (detached by a
-     pass) still need table entries so id lookups keep resolving *)
-  Hashtbl.iter
-    (fun iid i ->
-      if not (Hashtbl.mem itbl iid) then
-        Hashtbl.replace itbl iid { i with iid = i.iid })
-    f.itbl;
-  let regions =
-    List.map (fun (r : region) -> { r with rblocks = r.rblocks }) f.regions
-  in
-  { f with param_instrs; blocks; regions; itbl; btbl }
-
-(** Deep copy of a whole module (functions and global initialisers). *)
-let copy_module (m : modul) : modul =
-  { funcs = List.map copy_func m.funcs;
-    globals =
-      List.map (fun g -> { g with ginit = Array.copy g.ginit }) m.globals }
-
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)

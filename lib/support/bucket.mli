@@ -13,7 +13,7 @@
 type kind =
   | Result_mismatch   (** a machine run finished with the wrong value *)
   | Trap_divergence   (** one side trapped, the other did not (or differently) *)
-  | Diag_divergence   (** a configuration degraded or failed with error diagnostics *)
+  | Diag_divergence   (** a configuration's compile failed with an error diagnostic *)
   | Verifier_reject   (** the IR verifier rejected a pass's output *)
   | Frontend_reject   (** the front-end rejected generator output *)
   | Hang              (** fuel exhausted in a configuration but not the reference *)

@@ -1,10 +1,10 @@
 (** Structured compiler diagnostics.
 
-    Every recoverable failure in the pipeline is reported as a {!t} — an
-    error code, a severity, the phase that failed, and the function (if
-    the failure was isolated to one) — instead of a bare exception.  The
-    graceful-degradation driver accumulates these and returns them next to
-    the binary; strict callers turn any [Error] back into an abort. *)
+    A failure in the pipeline is reported as a {!t} — an error code, a
+    severity, the phase that failed, and the function (if the failing
+    phase runs per function) — instead of a bare exception.  The driver
+    stops a compile at its first failing pass with one of these; the fuzz
+    oracle buckets it and the CLI prints it. *)
 
 type severity = Info | Warning | Error
 
@@ -31,7 +31,7 @@ type t = {
   code : string;         (** stable machine-matchable code, e.g. ["BS-SQZ-01"] *)
   severity : severity;
   phase : phase;
-  func : string option;  (** the function the failure was isolated to *)
+  func : string option;  (** the function the failing phase ran on *)
   line : int option;     (** source line, for front-end diagnostics *)
   message : string;
 }

@@ -52,7 +52,7 @@ let try_compile_total seed =
         (Printexc.to_string e) source
 
 let prop_try_compile_total =
-  QCheck.Test.make ~name:"try_compile never raises (degraded driver)"
+  QCheck.Test.make ~name:"try_compile never raises"
     ~count:80
     QCheck.(int_bound 1_000_000)
     try_compile_total
