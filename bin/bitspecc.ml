@@ -319,13 +319,9 @@ let run_cmd =
         let pw =
           Option.map
             (fun dist ->
-              let hot_pcs = ref [] in
-              Array.iteri
-                (fun pc s -> if s <> None then hot_pcs := pc :: !hot_pcs)
-                c.Driver.program.Bs_backend.Asm.srcmap;
               let trace =
                 Bs_sim.Powertrace.create ~seed:power_seed
-                  ~hot_pcs:(List.rev !hot_pcs) dist
+                  ~hot_pcs:(Campaign.hot_pcs_of c.Driver.program) dist
               in
               { Bs_sim.Machine.trace; policy; max_retries = retries })
             power
@@ -821,7 +817,7 @@ let serve_cmd =
                           "bitspecc: serving on %s (%d workers)\n%!"
                           path jobs)
                       ())
-            | None -> Server.serve_stdio t ()))
+            | None -> Server.serve_channel t stdin stdout))
   in
   Cmd.v
     (Cmd.info "serve"

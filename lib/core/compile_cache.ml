@@ -109,9 +109,6 @@ let compile ?origin ~key thunk =
           ran := true;
           disk_or_compute ~key ~set thunk))
 
-let hits () = Memo.hits tbl
-let misses () = Memo.misses tbl
-
 (* The (hits, misses) pair snapshotted under the table's lock, so a
    concurrent compile can never tear it. *)
 let stats () = Memo.stats tbl

@@ -51,19 +51,12 @@ val persistent : unit -> Disk_cache.t option
 val disk_stats : unit -> Disk_cache.stats option
 (** Hit/miss/write/quarantine counters of the disk layer. *)
 
-val hits : unit -> int
-(** Compiles served from the in-memory cache since the last [reset]. *)
-
-val misses : unit -> int
-(** Compiles that missed the in-memory cache (served from disk or
-    actually executed) since the last [reset]. *)
-
 val stats : unit -> int * int
-(** [(hits, misses)] snapshotted under the table's lock
+(** [(hits, misses)] of the in-memory cache since the last [reset]:
+    compiles served from the table, and compiles that missed it (served
+    from disk or actually executed).  Snapshotted under the table's lock
     ({!Bs_exec.Memo.stats}), so reporting code running alongside worker
-    domains cannot observe a torn pair.  Use this — not {!hits} +
-    {!misses} read separately — wherever rates or section sums are
-    derived. *)
+    domains cannot observe a torn pair. *)
 
 val reset : unit -> unit
 (** Drop the in-memory table and zero its counters (tests, long

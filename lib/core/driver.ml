@@ -255,10 +255,6 @@ let assemble_funcs (m : Ir.modul) ~arch funcs =
   let p = Asm.assemble ~addr_of_global funcs in
   match arch with Thumb -> Thumb.expand p | Baseline | Bitspec_arch -> p
 
-let lower_to_machine ?(orig_first = false) (m : Ir.modul) ~arch : Asm.program =
-  assemble_funcs m ~arch
-    (List.map (lower_one_func ~arch ~orig_first) m.Ir.funcs)
-
 (** [compile ~config ~source ~train] runs the full pipeline on MiniC
     source.  [train] supplies the profiling runs (ignored by the baseline
     pipeline).  The first pass failure stops the compile with [Failed]. *)

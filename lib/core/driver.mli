@@ -106,11 +106,6 @@ val profile_module :
     The runs take the interpreter's default engine ([Compiled]); the
     recorded profile is engine-invariant (test_interp_engines.ml). *)
 
-val lower_to_machine :
-  ?orig_first:bool -> Bs_ir.Ir.modul -> arch:arch -> Bs_backend.Asm.program
-(** Back-end only: instruction selection, register allocation, layout and
-    linking of an already-prepared module. *)
-
 val compile :
   ?pass_fault:pass_fault ->
   ?profile_key:string ->

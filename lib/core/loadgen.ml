@@ -87,15 +87,20 @@ let plan cfg =
         rq_deadline_ms = cfg.lg_deadline_ms; rq_fuel = cfg.lg_fuel;
         rq_chaos = chaos })
 
-let percentile sorted p =
+(* Rank-statistic quantile — the same definition Metrics uses for its
+   estimates, so the cross-check's tolerance argument below is exact
+   rather than fuzzy: the histogram estimate of a quantile q is
+   min(upper bucket bound, max) of the bucket holding the ceil(q·n)-th
+   smallest sample, hence exact <= estimate <= max(exact · bucket_ratio,
+   bucket_floor). *)
+let rank_quantile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else
-    let rank = p *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+    let rank =
+      max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
+    in
+    sorted.(rank - 1)
 
 let summarize (pairs : (Service.request * Service.response) list) ~wall_s =
   let n = List.length pairs in
@@ -124,7 +129,7 @@ let summarize (pairs : (Service.request * Service.response) list) ~wall_s =
     sm_timeouts = !timeouts; sm_shed = !shed;
     sm_wall_s = wall_s;
     sm_rps = (if wall_s > 0.0 then float_of_int n /. wall_s else 0.0);
-    sm_p50_ms = percentile lat 0.50; sm_p99_ms = percentile lat 0.99;
+    sm_p50_ms = rank_quantile lat 0.50; sm_p99_ms = rank_quantile lat 0.99;
     sm_hit_rate = ratio !hits !ok; sm_shed_rate = ratio !shed n }
 
 let run cfg target =
@@ -204,20 +209,6 @@ type cross_check = {
   cc_p99_ok : bool;
   cc_ok : bool;
 }
-
-(* Rank-statistic quantile — the same definition Metrics uses for its
-   estimates, so the tolerance argument below is exact rather than
-   fuzzy: the histogram estimate of a quantile q is min(upper bucket
-   bound, max) of the bucket holding the ceil(q·n)-th smallest sample,
-   hence exact <= estimate <= max(exact · bucket_ratio, bucket_floor). *)
-let rank_quantile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank =
-      max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
-    in
-    sorted.(rank - 1)
 
 let find_histogram metrics ~name =
   match Jsonx.member "histograms" metrics with

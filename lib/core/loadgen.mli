@@ -35,7 +35,9 @@ type summary = {
   sm_shed : int;
   sm_wall_s : float;
   sm_rps : float;
-  sm_p50_ms : float;     (** server-side latency percentiles *)
+  sm_p50_ms : float;     (** rank-statistic quantiles of the responses'
+                             [rs_ms], shed ones excluded: {!cross_check}'s
+                             client quantiles *)
   sm_p99_ms : float;
   sm_hit_rate : float;   (** cached compiles among [Done] responses *)
   sm_shed_rate : float;  (** shed among all responses *)

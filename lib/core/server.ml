@@ -281,14 +281,15 @@ let stats t : Service.server_stats =
      the registry and histogram locks, never t.lock, so ordering is
      one-way *)
   let metrics = M.snapshot_json () in
+  let mem_hits, mem_misses = Compile_cache.stats () in
   Mutex.lock t.lock;
   let depth = Queue.length t.queue in
   let s =
     { Service.st_served = t.served; st_ok = t.ok; st_errors = t.errors;
       st_timeouts = t.timeouts; st_shed = t.shed; st_retries = 0;
       st_depth = depth;
-      st_mem_hits = Compile_cache.hits ();
-      st_mem_misses = Compile_cache.misses ();
+      st_mem_hits = mem_hits;
+      st_mem_misses = mem_misses;
       st_disk_hits =
         (match ds with Some s -> s.Disk_cache.hits | None -> 0);
       st_disk_misses =
@@ -422,10 +423,10 @@ let send_line oc wlock resp =
      ());
   Mutex.unlock wlock
 
-let handle_conn t ~notify_shutdown fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let wlock = Mutex.create () in
+(* The line loop of both transports: answer each request line of [ic]
+   through [send] until end of input or a [Shutdown] request, which runs
+   [on_shutdown].  An unparsable line gets BS-SRV-01 with id -1. *)
+let serve_lines t ic send ~on_shutdown =
   let rec loop () =
     match input_line ic with
     | exception (End_of_file | Sys_error _) -> ()
@@ -433,19 +434,25 @@ let handle_conn t ~notify_shutdown fd =
     | line -> (
         match Service.request_of_line line with
         | Error e ->
-            send_line oc wlock
+            send
               { Service.rs_id = -1;
                 rs_status = Service.Failed [ Service.diag_bad_request e ];
                 rs_cached = false; rs_ms = 0.0 };
             loop ()
         | Ok rq ->
-            submit t rq (send_line oc wlock);
-            if rq.Service.rq_op = Service.Shutdown then notify_shutdown ()
+            submit t rq send;
+            if rq.Service.rq_op = Service.Shutdown then on_shutdown ()
             else loop ())
   in
+  loop ()
+
+let handle_conn t ~notify_shutdown fd =
+  let send = send_line (Unix.out_channel_of_descr fd) (Mutex.create ()) in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop
+    (fun () ->
+      serve_lines t (Unix.in_channel_of_descr fd) send
+        ~on_shutdown:notify_shutdown)
 
 let replace_stale_socket path =
   if Sys.file_exists path then begin
@@ -501,26 +508,8 @@ let serve_unix t ~socket ?(on_ready = fun () -> ()) () =
       stop t)
     accept_loop
 
-let serve_stdio t () =
-  let wlock = Mutex.create () in
-  let send = send_line stdout wlock in
-  let rec loop () =
-    match input_line stdin with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line -> (
-        match Service.request_of_line line with
-        | Error e ->
-            send
-              { Service.rs_id = -1;
-                rs_status = Service.Failed [ Service.diag_bad_request e ];
-                rs_cached = false; rs_ms = 0.0 };
-            loop ()
-        | Ok rq ->
-            submit t rq send;
-            if rq.Service.rq_op <> Service.Shutdown then loop ())
-  in
-  loop ();
+let serve_channel t ic oc =
+  serve_lines t ic (send_line oc (Mutex.create ())) ~on_shutdown:ignore;
   stop t
 
 (* --- client ------------------------------------------------------------ *)

@@ -81,9 +81,11 @@ val serve_unix :
     live one is reported as an error.  [on_ready] runs once the socket
     is accepting. *)
 
-val serve_stdio : t -> unit -> unit
-(** Same protocol over stdin/stdout: serve until EOF or [Shutdown],
-    then drain and return.  One response line per request line. *)
+val serve_channel : t -> in_channel -> out_channel -> unit
+(** Same protocol over a channel pair (stdin/stdout for [bitspecc
+    serve] without [--socket]): serve until end of input or
+    [Shutdown], then drain and return.  One response line per request
+    line; an unparsable line is answered with BS-SRV-01 and id -1. *)
 
 (* --- client ------------------------------------------------------------ *)
 

@@ -109,6 +109,80 @@ let squeezable profile heuristic (f : Ir.func) (b : Ir.block)
       && operands_fit ()
   | _ -> false
 
+(* --- SSA repair (pass ③) ------------------------------------------------ *)
+
+(* Each [(var, extra_defs)] of [vars] gains definitions (block id, value)
+   from the handlers, so its uses are rewired through {!Ssa} on the final
+   CFG ([preds]), every block sealed: a phi operand reads at its incoming
+   predecessor, a use in the variable's defining block keeps it
+   (straight-line dominance), and any other use reads at its own block.
+   Every variable's defining block and uses are found in one pass over
+   [f]; each rewiring touches only its own variable's operands and adds
+   phis reading only its own values, so the uses found up front stay
+   exact. *)
+let repair_ssa (f : Ir.func) ~(vars : (int * (int * Ir.operand) list) list)
+    ~(preds : (int, int list) Hashtbl.t) =
+  let tracked = Hashtbl.create 64 in
+  List.iter (fun (v, _) -> Hashtbl.replace tracked v ()) vars;
+  let def_block = Hashtbl.create 64 in
+  (* var -> its users, newest first; an instruction reading a variable
+     twice is listed once *)
+  let users : (int, (Ir.block * Ir.instr) list) Hashtbl.t = Hashtbl.create 64 in
+  let use b (i : Ir.instr) = function
+    | Ir.Var x when Hashtbl.mem tracked x -> (
+        match Hashtbl.find_opt users x with
+        | Some ((_, j) :: _) when j == i -> ()
+        | cur ->
+            Hashtbl.replace users x ((b, i) :: Option.value cur ~default:[]))
+    | _ -> ()
+  in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          if Hashtbl.mem tracked i.iid && not (Hashtbl.mem def_block i.iid)
+          then Hashtbl.replace def_block i.iid b.bid;
+          Ir.iter_operands (use b i) i)
+        b.instrs)
+    f.blocks;
+  let ssa =
+    Ssa.create f
+      ~preds:(fun bid -> Option.value (Hashtbl.find_opt preds bid) ~default:[])
+      ~phi_name:(fun v ->
+        match (Ir.instr f v).iname with "" -> "rep" | n -> n ^ ".rep")
+  in
+  List.iter (fun (b : Ir.block) -> Ssa.seal ssa b.bid) f.blocks;
+  List.iter
+    (fun (var, extra_defs) ->
+      let def_block = Hashtbl.find def_block var in
+      let width = (Ir.instr f var).width in
+      let read bid = Ssa.read ssa ~block:bid ~var ~width in
+      Ssa.write ssa ~block:def_block ~var (Ir.Var var);
+      List.iter (fun (bid, v) -> Ssa.write ssa ~block:bid ~var v) extra_defs;
+      List.iter
+        (fun ((b : Ir.block), (i : Ir.instr)) ->
+          match i.op with
+          | Ir.Phi incoming ->
+              (* also the variable's own defining phi: a self-loop operand
+                 must observe the definition reaching the latch, which a
+                 handler along that path may have changed *)
+              i.op <-
+                Ir.Phi
+                  (List.map
+                     (fun (p, v) ->
+                       match v with
+                       | Ir.Var x when x = var -> (p, read p)
+                       | _ -> (p, v))
+                     incoming)
+          | _ ->
+              if i.iid <> var && b.bid <> def_block then
+                Ir.map_operands
+                  (function Ir.Var x when x = var -> read b.bid | o -> o)
+                  i)
+        (List.rev (Option.value (Hashtbl.find_opt users var) ~default:[])))
+    vars;
+  Ssa.finish ssa
+
 (* --- the transformation ------------------------------------------------ *)
 
 let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
@@ -485,9 +559,7 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
     f.regions <- f.regions @ List.rev !regions;
     (* ③ SSA repair: make every CFG_orig use observe the right definition
        (the φ of equation (8) appears at each join). *)
-    let preds_final = Ir.preds_map f in
-    Ssa_repair.repair_all f ~vars:(IntMap.bindings !extra_defs)
-      ~preds:preds_final;
+    repair_ssa f ~vars:(IntMap.bindings !extra_defs) ~preds:(Ir.preds_map f);
     (* Prune CFG_orig blocks no handler can reach (dead fallback code). *)
     let reachable = Hashtbl.create 16 in
     List.iter (fun bid -> Hashtbl.replace reachable bid ()) (Ir.reverse_postorder f);

@@ -21,7 +21,6 @@ type ('k, 'v) t = {
   cap : int;
   mutable hits : int;
   mutable misses : int;
-  mutable coalesced : int;
 }
 
 (* Process-wide single-flight visibility, across all tables.  Volatile:
@@ -32,7 +31,7 @@ let coalesced_metric =
 
 let create ?(cap = max_int) () =
   { tbl = Hashtbl.create 64; lock = Mutex.create ();
-    landed = Condition.create (); cap; hits = 0; misses = 0; coalesced = 0 }
+    landed = Condition.create (); cap; hits = 0; misses = 0 }
 
 (* [counted] distinguishes a requester's first encounter with the
    in-flight marker from its re-examinations after (possibly spurious)
@@ -51,10 +50,7 @@ let rec find_or_add_aux t k f ~counted =
   | Some Running ->
       (* someone else is computing this key: wait for any landing, then
          re-examine (spurious wakeups just loop) *)
-      if not counted then begin
-        t.coalesced <- t.coalesced + 1;
-        Bs_obs.Metrics.inc coalesced_metric
-      end;
+      if not counted then Bs_obs.Metrics.inc coalesced_metric;
       Condition.wait t.landed t.lock;
       Mutex.unlock t.lock;
       find_or_add_aux t k f ~counted:true
@@ -99,24 +95,11 @@ let clear t =
   Hashtbl.reset t.tbl;
   t.hits <- 0;
   t.misses <- 0;
-  t.coalesced <- 0;
   Condition.broadcast t.landed;
   Mutex.unlock t.lock
 
-let hits t = t.hits
-let misses t = t.misses
-
-let coalesced t =
-  Mutex.lock t.lock;
-  let r = t.coalesced in
-  Mutex.unlock t.lock;
-  r
-
-(* The individual counter reads above are unsynchronised (fine for a
-   single counter: int stores are atomic), but a (hits, misses) PAIR
-   read field by field can be torn by a concurrent [find_or_add] landing
-   between the two loads.  Reporting code that derives rates or checks
-   sums must snapshot both under the lock. *)
+(* Both counters under the lock: read field by field, the pair could be
+   torn by a concurrent [find_or_add] landing between the two loads. *)
 let stats t =
   Mutex.lock t.lock;
   let r = (t.hits, t.misses) in

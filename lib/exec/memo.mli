@@ -33,23 +33,12 @@ val mem : ('k, 'v) t -> 'k -> bool
 val clear : ('k, 'v) t -> unit
 (** Drop all entries and reset the hit/miss counters. *)
 
-val hits : ('k, 'v) t -> int
-(** Requests served from the table. *)
-
-val misses : ('k, 'v) t -> int
-(** Requests that ran the computation. *)
-
-val coalesced : ('k, 'v) t -> int
-(** Requests that found their key in flight and waited for another
-    requester's computation instead of running their own (each waiting
-    requester counted once, however many times it is woken).  Also
-    accumulated process-wide into the volatile
-    [memo_coalesced_total] metric. *)
-
 val stats : ('k, 'v) t -> int * int
-(** [(hits, misses)] snapshotted atomically under the table lock.
-    Reading {!hits} and {!misses} separately can observe a torn pair
-    when other domains are mutating the table between the two loads;
-    reporting code (hit rates, section sums) must use this instead. *)
+(** [(hits, misses)]: requests served from the table, and requests that
+    ran the computation, snapshotted together under the table lock.
+    Requests that found their key in flight and waited for another
+    requester's computation count as hits; each is also counted once
+    (however many times it is woken) in the process-wide, volatile
+    [memo_coalesced_total] metric. *)
 
 val length : ('k, 'v) t -> int

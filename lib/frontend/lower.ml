@@ -1,177 +1,35 @@
 open Bs_ir
 
-(* TAST -> SIR lowering with on-the-fly SSA construction (Braun et al.,
-   "Simple and Efficient Construction of Static Single Assignment Form",
-   CC 2013).  Local scalar variables never touch memory: reads and writes
-   go through per-block definition tables, phis are created lazily when a
-   block is sealed, and trivial phis are removed recursively. *)
+(* TAST -> SIR lowering with on-the-fly SSA construction ({!Ssa}).  Local
+   scalar variables never touch memory: a variable is its symbol id, read
+   and written through the construction, and a block is sealed once all
+   its predecessors have been emitted. *)
 
 exception Error of string
-
-module IntPair = struct
-  type t = int * int
-
-  let equal (a, b) (c, d) = a = c && b = d
-  let hash = Hashtbl.hash
-end
-
-module DefTbl = Hashtbl.Make (IntPair)
 
 type loop_ctx = { break_to : Ir.block; continue_to : Ir.block }
 
 type st = {
   func : Ir.func;
   bld : Builder.t;
-  defs : Ir.operand DefTbl.t;                 (* (block id, sym id) -> value *)
-  sealed : (int, unit) Hashtbl.t;
-  incomplete : (int, (int * Ast.ity * Ir.instr) list ref) Hashtbl.t;
+  ssa : Ssa.t;
   preds : (int, int list) Hashtbl.t;          (* built as branches are emitted *)
   mutable cur : Ir.block;
   mutable terminated : bool;
   mutable loops : loop_ctx list;
   mutable entry_allocs : (int * Ir.instr) list;  (* sym id, salloc instr *)
-  (* Forwarding of removed trivial phis: a removed phi's replacement can
-     itself be removed while recursing over its users, so every value read
-     out of the definition tables is chased through this map first.  The
-     operands that name a removed phi are rewritten, and the phi deleted,
-     once, when the function is complete. *)
-  forward : (int, Ir.operand) Hashtbl.t;
-  (* phi id -> the phis reading it, revisited when it is removed *)
-  phi_users : (int, Ir.instr list) Hashtbl.t;
 }
-
-let rec resolve st (o : Ir.operand) =
-  match o with
-  | Ir.Var v -> (
-      match Hashtbl.find_opt st.forward v with
-      | Some o' -> resolve st o'
-      | None -> o)
-  | Ir.Const _ -> o
 
 let add_pred st ~from ~target =
   let cur = try Hashtbl.find st.preds target with Not_found -> [] in
   if not (List.mem from cur) then Hashtbl.replace st.preds target (from :: cur)
 
-let block_preds st bid =
-  match Hashtbl.find_opt st.preds bid with Some l -> List.rev l | None -> []
+let read_var st bid (sid : int) (ty : Ast.ity) =
+  Ssa.read st.ssa ~block:bid ~var:sid ~width:ty.Ast.w
 
-(* --- SSA variable bookkeeping ----------------------------------------- *)
+let write_var st bid sid v = Ssa.write st.ssa ~block:bid ~var:sid v
 
-let write_var st bid sid v = DefTbl.replace st.defs (bid, sid) v
-
-let new_phi st (b : Ir.block) width name =
-  let i = Ir.mk_instr st.func ~name ~width (Ir.Phi []) in
-  let phis, rest = List.partition Ir.is_phi b.Ir.instrs in
-  b.Ir.instrs <- phis @ [ i ] @ rest;
-  i
-
-let rec read_var st bid (sid : int) (ty : Ast.ity) : Ir.operand =
-  match DefTbl.find_opt st.defs (bid, sid) with
-  | Some v -> resolve st v
-  | None -> read_var_recursive st bid sid ty
-
-and read_var_recursive st bid sid ty =
-  let b = Ir.block st.func bid in
-  let v =
-    if not (Hashtbl.mem st.sealed bid) then begin
-      (* Unknown predecessors: place an operandless phi and fill it when the
-         block is sealed. *)
-      let phi = new_phi st b ty.Ast.w ("v" ^ string_of_int sid) in
-      let pending =
-        match Hashtbl.find_opt st.incomplete bid with
-        | Some r -> r
-        | None ->
-            let r = ref [] in
-            Hashtbl.replace st.incomplete bid r;
-            r
-      in
-      pending := (sid, ty, phi) :: !pending;
-      Ir.Var phi.Ir.iid
-    end
-    else
-      match block_preds st bid with
-      | [] -> Ir.const ~width:ty.Ast.w 0L (* unreachable block *)
-      | [ p ] -> read_var st p sid ty
-      | _ ->
-          (* Break potential cycles by writing the phi before visiting
-             predecessors. *)
-          let phi = new_phi st b ty.Ast.w ("v" ^ string_of_int sid) in
-          write_var st bid sid (Ir.Var phi.Ir.iid);
-          add_phi_operands st bid sid ty phi
-  in
-  let v = resolve st v in
-  write_var st bid sid v;
-  v
-
-and add_phi_operands st bid sid ty phi =
-  let incoming =
-    List.map (fun p -> (p, read_var st p sid ty)) (block_preds st bid)
-  in
-  phi.Ir.op <- Ir.Phi incoming;
-  note_phi_user st phi;
-  try_remove_trivial_phi st phi
-
-(* Record [phi] as a user of the phis among its incoming values. *)
-and note_phi_user st (phi : Ir.instr) =
-  match phi.Ir.op with
-  | Ir.Phi incoming ->
-      List.iter
-        (fun (_, (v : Ir.operand)) ->
-          match v with
-          | Ir.Var x when x <> phi.Ir.iid && Ir.is_phi (Ir.instr st.func x) ->
-              let cur = Option.value (Hashtbl.find_opt st.phi_users x) ~default:[] in
-              Hashtbl.replace st.phi_users x (phi :: cur)
-          | _ -> ())
-        incoming
-  | _ -> ()
-
-and try_remove_trivial_phi st phi =
-  match phi.Ir.op with
-  | Ir.Phi incoming ->
-      let self = Ir.Var phi.Ir.iid in
-      (* an incoming that names a removed phi stands for its replacement *)
-      let distinct =
-        List.sort_uniq compare
-          (List.filter (fun (v : Ir.operand) -> v <> self)
-             (List.map (fun (_, v) -> resolve st v) incoming))
-      in
-      (match distinct with
-      | [ unique ] ->
-          (* The phi merges a single value: it stands for that value from
-             now on (see [forward]). *)
-          Hashtbl.replace st.forward phi.Ir.iid unique;
-          let users =
-            Option.value (Hashtbl.find_opt st.phi_users phi.Ir.iid) ~default:[]
-          in
-          (* its phi users now read [unique] *)
-          (match unique with
-          | Ir.Var u when Ir.is_phi (Ir.instr st.func u) ->
-              let cur = Option.value (Hashtbl.find_opt st.phi_users u) ~default:[] in
-              Hashtbl.replace st.phi_users u (users @ cur)
-          | _ -> ());
-          (* Removing this phi may make phi users trivial in turn. *)
-          List.iter
-            (fun (u : Ir.instr) ->
-              if u.Ir.iid <> phi.Ir.iid && not (Hashtbl.mem st.forward u.Ir.iid)
-              then ignore (try_remove_trivial_phi st u))
-            users;
-          (* the replacement may have been removed by the recursion above *)
-          resolve st unique
-      | _ -> Ir.Var phi.Ir.iid)
-  | _ -> Ir.Var phi.Ir.iid
-
-let seal_block st (b : Ir.block) =
-  if not (Hashtbl.mem st.sealed b.Ir.bid) then begin
-    (match Hashtbl.find_opt st.incomplete b.Ir.bid with
-    | Some pending ->
-        List.iter
-          (fun (sid, ty, phi) ->
-            ignore (add_phi_operands st b.Ir.bid sid ty phi))
-          !pending;
-        Hashtbl.remove st.incomplete b.Ir.bid
-    | None -> ());
-    Hashtbl.replace st.sealed b.Ir.bid ()
-  end
+let seal_block st (b : Ir.block) = Ssa.seal st.ssa b.Ir.bid
 
 (* --- control-flow helpers --------------------------------------------- *)
 
@@ -289,7 +147,7 @@ let rec lower_expr st (e : Tast.texpr) : Ir.operand =
         Builder.phi st.bld ~width:e.tty.Ast.w
           [ (then_end.Ir.bid, va); (else_end.Ir.bid, vb) ]
       in
-      note_phi_user st phi;
+      Ssa.track_phi st.ssa phi;
       Builder.value phi
 
 and lower_shortcircuit st ~is_and a b =
@@ -311,7 +169,7 @@ and lower_shortcircuit st ~is_and a b =
     Builder.phi st.bld ~width:1
       [ (from.Ir.bid, short_val); (rhs_end.Ir.bid, vb) ]
   in
-  note_phi_user st phi;
+  Ssa.track_phi st.ssa phi;
   Builder.value phi
 
 and lower_base_addr st (arr : Tast.arr_ref) : Ir.operand =
@@ -462,14 +320,18 @@ let lower_func (tf : Tast.tfunc) : Ir.func =
   let ret_width = match tf.tf_ret with Some t -> t.Ast.w | None -> 0 in
   let func = Ir.create_func ~name:tf.tf_name ~params ~ret_width in
   let entry = Ir.add_block func "entry" in
-  let st =
-    { func; bld = Builder.create func; defs = DefTbl.create 64;
-      sealed = Hashtbl.create 16; incomplete = Hashtbl.create 8;
-      preds = Hashtbl.create 16; cur = entry; terminated = false;
-      loops = []; entry_allocs = []; forward = Hashtbl.create 16;
-      phi_users = Hashtbl.create 16 }
+  let preds = Hashtbl.create 16 in
+  let ssa =
+    Ssa.create func
+      ~preds:(fun bid ->
+        match Hashtbl.find_opt preds bid with Some l -> List.rev l | None -> [])
+      ~phi_name:(fun sid -> "v" ^ string_of_int sid)
   in
-  Hashtbl.replace st.sealed entry.Ir.bid ();
+  let st =
+    { func; bld = Builder.create func; ssa; preds; cur = entry;
+      terminated = false; loops = []; entry_allocs = [] }
+  in
+  seal_block st entry;
   Builder.position_at_end st.bld entry;
   (* Parameters seed the entry block's definitions. *)
   List.iteri
@@ -482,17 +344,7 @@ let lower_func (tf : Tast.tfunc) : Ir.func =
   if not st.terminated then
     emit_ret st (if ret_width = 0 then None else Some (Ir.const ~width:ret_width 0L));
   Builder.flush st.bld;
-  (* Removed trivial phis: delete them and rewrite every operand that
-     names one to its replacement. *)
-  if Hashtbl.length st.forward > 0 then
-    List.iter
-      (fun (b : Ir.block) ->
-        b.Ir.instrs <-
-          List.filter
-            (fun (i : Ir.instr) -> not (Hashtbl.mem st.forward i.Ir.iid))
-            b.Ir.instrs;
-        List.iter (Ir.map_operands (resolve st)) b.Ir.instrs)
-      func.Ir.blocks;
+  Ssa.finish st.ssa;
   (* Static stack allocations live at the top of the entry block. *)
   List.iter
     (fun (_, i) -> Ir.prepend_instr entry i)

@@ -143,10 +143,6 @@ let target t heuristic ~func ~iid =
       in
       Some (Width.class_of_bits bits)
 
-(** Dynamic execution count of the variable (its defining instruction). *)
-let dyn_count t ~func ~iid =
-  match stats t ~func ~iid with Some s -> s.s_count | None -> 0
-
 (** Histogram of dynamic integer instructions by required-bits class, as
     fractions summing to 1 (Figure 1a). *)
 let required_distribution t =

@@ -63,8 +63,6 @@ val target : t -> heuristic -> func:string -> iid:int -> int option
 (** T(v) under the heuristic as a hardware class, or [None] if the
     variable was never assigned during profiling. *)
 
-val dyn_count : t -> func:string -> iid:int -> int
-
 val required_distribution : t -> float array
 (** Figure 1a: fractions of dynamic integer instructions per
     required-bits class. *)

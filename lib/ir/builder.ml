@@ -66,9 +66,7 @@ let select t ?(name = "") ~width c a b =
 let phi t ?(name = "") ~width incoming =
   let b = current_block t in
   let i = Ir.mk_instr t.func ~name ~line:t.line ~width (Ir.Phi incoming) in
-  (* Phis go before any non-phi instruction. *)
-  let phis, rest = List.partition Ir.is_phi b.Ir.instrs in
-  b.Ir.instrs <- phis @ [ i ] @ rest;
+  Ir.insert_phi b i;
   i
 
 let load t ?(name = "") ?(volatile = false) ~width addr =

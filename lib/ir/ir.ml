@@ -217,6 +217,15 @@ let body_instrs b =
 
 let is_phi i = match i.op with Phi _ -> true | _ -> false
 
+(** [insert_phi b i] places the phi [i] after [b]'s phis, ahead of every
+    other instruction; only the phi prefix is copied. *)
+let insert_phi b i =
+  let rec place = function
+    | p :: rest when is_phi p -> p :: place rest
+    | rest -> i :: rest
+  in
+  b.instrs <- place b.instrs
+
 let has_result i = i.width > 0
 
 let succs b =

@@ -1,7 +1,3 @@
-let valid = [ 1; 8; 16; 32; 64 ]
-
-let is_valid w = List.mem w valid
-
 let mask w =
   if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
 
@@ -45,5 +41,3 @@ let class_of_bits b =
 let signed_min w = Int64.shift_left 1L (w - 1) |> trunc w
 
 let signed_max w = Int64.sub (Int64.shift_left 1L (w - 1)) 1L
-
-let to_signed = sext

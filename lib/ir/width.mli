@@ -4,12 +4,6 @@
     truncated to their declared width.  This module centralises the masking,
     extension and {b RequiredBits} computations the paper's §2.1 relies on. *)
 
-val valid : int list
-(** The widths the IR admits: 1, 8, 16, 32 and 64 bits. *)
-
-val is_valid : int -> bool
-(** [is_valid w] is true iff [w] is one of {!valid}. *)
-
 val mask : int -> int64
 (** [mask w] is a bitmask with the low [w] bits set (all 64 for [w >= 64]). *)
 
@@ -42,7 +36,3 @@ val signed_min : int -> int64
 
 val signed_max : int -> int64
 (** [signed_max w] is the largest signed [w]-bit value. *)
-
-val to_signed : int -> int64 -> int64
-(** [to_signed w v] reinterprets the [w]-bit payload [v] as a signed number
-    (an alias of {!sext}, provided for readability at call sites). *)

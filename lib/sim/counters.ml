@@ -53,10 +53,6 @@ let create () =
     checkpoints = 0; checkpoint_bytes = 0; restores = 0; reexec_instrs = 0;
     livelock_degrades = 0; wall_ns = 0 }
 
-let reg_reads t = t.reg_read32 + t.reg_read8
-let reg_writes t = t.reg_write32 + t.reg_write8
-let reg_accesses t = reg_reads t + reg_writes t
-
 (* Field-wise accumulation, used to total counters across runs. *)
 let add ~into t =
   into.cycles <- into.cycles + t.cycles;

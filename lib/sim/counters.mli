@@ -41,10 +41,6 @@ type t = {
 val create : unit -> t
 (** All counters at zero. *)
 
-val reg_reads : t -> int
-val reg_writes : t -> int
-val reg_accesses : t -> int
-
 val add : into:t -> t -> unit
 (** [add ~into t] accumulates every field of [t] into [into]
     ([wall_ns] included, so aggregated counters keep a meaningful

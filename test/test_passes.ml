@@ -150,10 +150,22 @@ let test_ssa_repair () =
     Builder.bin b Ir.Add ~width:32 (Builder.value v) (Ir.const ~width:32 100L)
   in
   ignore (Builder.ret b (Some (Builder.value use)));
-  (* inject: on the left path, v is redefined to alt *)
-  Ssa_repair.repair f ~var:v.Ir.iid
-    ~extra_defs:[ (left.Ir.bid, Builder.value alt) ]
-    ~preds:(Ir.preds_map f);
+  (* inject: on the left path, v is redefined to alt; the use below the
+     join reads v's value there, every block sealed *)
+  let preds = Ir.preds_map f in
+  let ssa =
+    Ssa.create f ~preds:(Hashtbl.find preds) ~phi_name:(fun _ -> "v.rep")
+  in
+  List.iter (fun (b : Ir.block) -> Ssa.seal ssa b.Ir.bid) f.Ir.blocks;
+  Ssa.write ssa ~block:entry.Ir.bid ~var:v.Ir.iid (Builder.value v);
+  Ssa.write ssa ~block:left.Ir.bid ~var:v.Ir.iid (Builder.value alt);
+  Ir.map_operands
+    (fun o ->
+      if o = Builder.value v then
+        Ssa.read ssa ~block:join.Ir.bid ~var:v.Ir.iid ~width:32
+      else o)
+    use;
+  Ssa.finish ssa;
   Verifier.check_func f;
   (* join must now start with a phi merging 30 and 3 *)
   let phi = List.find Ir.is_phi join.Ir.instrs in
@@ -167,6 +179,56 @@ let test_ssa_repair () =
   in
   Alcotest.(check int64) "left path" 130L (run 1L);
   Alcotest.(check int64) "right path" 103L (run 0L)
+
+let test_repair_phis_nontrivial () =
+  (* Step ③'s phis (named "rep" or "<var>.rep") each merge two or more
+     values, over 300 generated programs squeezed under MAX, AVG and MIN:
+     the repair removes a phi that merges one value, and again each phi
+     that becomes trivial when a phi it reads is removed.  Pruning the
+     CFG_orig blocks no handler reaches afterwards can leave a repair phi
+     a single incoming edge; that phi is the pruning's and is skipped. *)
+  let trivial = ref [] in
+  for seed = 1 to 300 do
+    let source = Bs_fuzz.Gen.program seed in
+    List.iter
+      (fun heuristic ->
+        let m = Lower.compile source in
+        ignore (Expander.run m Driver.bitspec_config.Driver.expander);
+        ignore (Cfg_prep.run m);
+        let profile =
+          Driver.profile_module m
+            ~train:[ (Bs_fuzz.Gen.entry, Bs_fuzz.Gen.train_args) ]
+            ()
+        in
+        ignore (Squeezer.run m ~profile ~heuristic);
+        List.iter
+          (fun (f : Ir.func) ->
+            List.iter
+              (fun (b : Ir.block) ->
+                List.iter
+                  (fun (i : Ir.instr) ->
+                    match i.Ir.op with
+                    | Ir.Phi (_ :: _ :: _ as incoming)
+                      when i.Ir.iname = "rep"
+                           || Filename.check_suffix i.Ir.iname ".rep" -> (
+                        let self = Ir.Var i.Ir.iid in
+                        match
+                          List.sort_uniq compare
+                            (List.filter (( <> ) self) (List.map snd incoming))
+                        with
+                        | [ _ ] ->
+                            trivial :=
+                              Printf.sprintf "program %d: %s" seed
+                                (Printer.instr_str f i)
+                              :: !trivial
+                        | _ -> ())
+                    | _ -> ())
+                  b.Ir.instrs)
+              f.Ir.blocks)
+          m.Ir.funcs)
+      [ Profile.Hmax; Profile.Havg; Profile.Hmin ]
+  done;
+  Alcotest.(check (list string)) "trivial repair phis" [] (List.rev !trivial)
 
 let test_squeezer_memory_layout_untouched () =
   (* squeezing never changes array element sizes: a squeezed kernel and
@@ -257,6 +319,8 @@ let suite =
     Alcotest.test_case "compare elimination (§3.2.4)" `Quick test_compare_elim;
     Alcotest.test_case "bitmask elision (RQ3)" `Quick test_bitmask_elide;
     Alcotest.test_case "SSA repair at joins" `Quick test_ssa_repair;
+    Alcotest.test_case "SSA repair leaves no trivial phi" `Slow
+      test_repair_phis_nontrivial;
     Alcotest.test_case "memory layout untouched" `Quick
       test_squeezer_memory_layout_untouched;
     Alcotest.test_case "handler structure (§3.1.1)" `Quick test_handler_structure;

@@ -443,6 +443,47 @@ let test_server_jobs_identical_log () =
   in
   Alcotest.(check string) "canonical log: jobs=1 == jobs=4" (log 1) (log 4)
 
+let test_loadgen_one_quantile () =
+  (* the summary and the cross-check read one quantile, the rank
+     statistic, over the same rs_ms samples *)
+  with_server ~cfg:one_worker @@ fun t ->
+  let lg = { Loadgen.default_cfg with Loadgen.lg_requests = 8 } in
+  let pairs, s = Loadgen.run lg (Loadgen.In_process t) in
+  let cc = Loadgen.cross_check pairs (Server.stats t) in
+  Alcotest.(check (float 0.0)) "p50" cc.Loadgen.cc_client_p50
+    s.Loadgen.sm_p50_ms;
+  Alcotest.(check (float 0.0)) "p99" cc.Loadgen.cc_client_p99
+    s.Loadgen.sm_p99_ms
+
+let test_serve_channel () =
+  (* the stdin/stdout transport: each line is answered in turn, and the
+     loop returns at shutdown without reading further *)
+  with_tmpdir @@ fun dir ->
+  let input = Filename.concat dir "in" and output = Filename.concat dir "out" in
+  Out_channel.with_open_text input (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [ "{not json";
+          Service.request_line (rq 1 Service.Ping);
+          Service.request_line (rq 2 Service.Shutdown);
+          Service.request_line (rq 3 Service.Ping) ]);
+  with_server ~cfg:one_worker @@ fun t ->
+  In_channel.with_open_text input (fun ic ->
+      Out_channel.with_open_text output (Server.serve_channel t ic));
+  let replies =
+    In_channel.with_open_text output In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           match Result.bind (Jsonx.parse l) Service.response_of_json with
+           | Ok rs -> (rs.Service.rs_id, diag_code rs)
+           | Error e -> Alcotest.fail ("unparsable reply: " ^ e))
+  in
+  Alcotest.(check (list (pair int string)))
+    "bad line, pong, bye"
+    [ (-1, "BS-SRV-01"); (1, "pong"); (2, "bye") ]
+    replies
+
 let test_server_draining_refuses () =
   with_server @@ fun t ->
   (match (Server.submit_wait t (rq 1 Service.Shutdown)).Service.rs_status with
@@ -482,4 +523,8 @@ let suite =
     Alcotest.test_case "canonical log is jobs-independent" `Slow
       test_server_jobs_identical_log;
     Alcotest.test_case "draining server refuses new work" `Quick
-      test_server_draining_refuses ]
+      test_server_draining_refuses;
+    Alcotest.test_case "loadgen summary quantiles are the cross-check's"
+      `Slow test_loadgen_one_quantile;
+    Alcotest.test_case "stdio transport answers, then stops at shutdown"
+      `Quick test_serve_channel ]
