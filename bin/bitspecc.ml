@@ -70,9 +70,7 @@ let with_reporting ?file f =
   | Bs_frontend.Lower.Error m -> fail m
   | Bs_ir.Verifier.Invalid m ->
       fail ("internal: verifier rejected output: " ^ m)
-  | Interp.Trap m -> fail ("interpreter trap: " ^ m)
-  | Bs_sim.Machine.Sim_trap k ->
-      fail ("simulator trap: " ^ Outcome.trap_message k)
+  (* an image that cannot be built; a run's own traps are outcomes *)
   | Memimage.Fault m -> fail ("memory fault: " ^ m)
   | Invalid_argument m | Failure m -> fail m
   | Sys_error m -> fail m

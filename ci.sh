@@ -6,7 +6,8 @@
 # its diagnostic (--expect-crash inverts the exit code).  These smokes
 # run with --jobs 4 — reports are byte-identical to sequential, so this
 # also exercises the domain pool.  A longer fixed-seed campaign (seed 12,
-# 360 trials) pins the compare-elimination fix for CFG_orig.  Finally a
+# 360 trials) pins the compare-elimination fix for CFG_orig.  A trap
+# smoke pins the CLI's error line for a run that traps.  Finally a
 # timed bench subset guards the evaluation harness against performance
 # regressions, every section is compared with the checked-in transcript,
 # speed ratios guard the fused simulator path and compile-time scaling
@@ -138,6 +139,34 @@ for row in 'masked  *79 ' 'detected  *4 ' 'trapped  *5 ' 'sdc  *5 ' 'hang  *7 ';
   fi
 done
 echo "bit-flip smoke: OK (pinned tally, jobs-invariant)"
+
+# Trap smoke: a run that traps is an outcome, and the CLI refuses it
+# with one error line and exit 1 under either dispatch engine and under
+# power failures; a training run that traps stops the compile with its
+# profile diagnostic.  Runs the built binary, so stderr holds only the
+# error line.
+tr="$tmp/trap"
+mkdir "$tr"
+printf 'u32 run(u32 n) { return 100 / n; }\n' > "$tr/div.mc"
+expect_trap() {
+  want=$1
+  shift
+  status=0
+  ./_build/default/bin/bitspecc.exe run "$tr/div.mc" --entry run "$@" \
+    > "$tr/out" 2> "$tr/err" || status=$?
+  if [ "$status" -ne 1 ] || [ "$(cat "$tr/err")" != "$want" ]; then
+    echo "trap smoke: run $* exited $status, expected 1 and: $want" >&2
+    cat "$tr/err" >&2
+    exit 1
+  fi
+}
+for setting in "--engine jit" "--engine classic" "--power exp:2000"; do
+  expect_trap "$tr/div.mc: error: simulator trap: division by zero" \
+    --args 0 --train 5 $setting
+done
+expect_trap "$tr/div.mc: error[BS-PRO-01] (profile): training run failed (interpreter trap: division by zero)" \
+  --args 5 --train 0
+echo "trap smoke: OK (simulator traps refused under jit, classic and power; training trap is BS-PRO-01)"
 
 # Memory smoke: a memory image costs only the pages its trial touches,
 # so a 400-trial CRC32 campaign on 4 domains stays small (zero-filling

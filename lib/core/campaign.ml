@@ -50,39 +50,33 @@ let sharded ~jobs f (work : 'a array) : 'b array =
   end
 
 (* The set-up every campaign flavour shares: the compiled workload, a
-   maker of fresh test-input images, the machine mode, the fault-free
-   ("golden") run, the reference interpreter's checksum (the
-   differential oracle), and the fuel past which a trial counts as hung:
-   [hang_factor] times the golden instruction count. *)
+   maker of fresh test-input images, the fault-free ("golden") run, the
+   reference interpreter's checksum (the differential oracle), and the
+   fuel past which a trial counts as hung: [hang_factor] times the
+   golden instruction count.  A golden run that traps stops the
+   campaign with its error line. *)
 type setup = {
   c : Driver.compiled;
   mem : unit -> Memimage.t;
-  mode : Bs_isa.Isa.mode;
   golden : Machine.result;
   expected : int64;
   fuel : int;
 }
 
+let simulate ?fuel ?power c (w : Workload.t) =
+  let input = w.Workload.test in
+  Driver.run_machine ~setup:(input.Workload.setup c.Driver.ir) ?fuel ?power c
+    ~entry:w.Workload.entry ~args:input.Workload.args
+
 let setup ~hang_factor config (w : Workload.t) =
   let c = Experiment.compile_workload config w in
-  let input = w.Workload.test in
   let mem () =
     let mem = Memimage.create c.Driver.ir in
-    input.Workload.setup c.Driver.ir mem;
+    w.Workload.test.Workload.setup c.Driver.ir mem;
     mem
   in
-  let mode =
-    if config.Driver.arch = Driver.Bitspec_arch then Bs_isa.Isa.Bitspec
-    else Bs_isa.Isa.Classic
-  in
-  let golden =
-    Machine.run
-      ~config:
-        { Machine.mode; fuel = 1_000_000_000; fault = None; power = None;
-          engine = Machine.Jit }
-      c.Driver.program (mem ()) ~entry:w.Workload.entry
-      ~args:input.Workload.args
-  in
+  let golden = simulate c w in
+  Outcome.refuse_trap ~engine:"simulator" golden.Machine.outcome;
   (* injected-fault oracles stay on the tree engine: no compilation
      layer of their own between the IR and the reference checksum *)
   let expected = Experiment.reference_checksum ~interp_engine:Interp.Tree w in
@@ -90,15 +84,13 @@ let setup ~hang_factor config (w : Workload.t) =
     Outcome.hang_fuel ~steps:golden.Machine.ctr.Counters.instrs
       ~factor:hang_factor
   in
-  { c; mem; mode; golden; expected; fuel }
+  { c; mem; golden; expected; fuel }
 
 let run ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     (w : Workload.t) : t =
   (* a hung run is one that outlives the golden instruction count by 4x
      (the budget formula is shared with the fuzz oracle) *)
-  let { c; mem; mode; golden; expected; fuel } =
-    setup ~hang_factor:4 config w
-  in
+  let { c; mem; golden; expected; fuel } = setup ~hang_factor:4 config w in
   let input = w.Workload.test in
   let golden_instrs = golden.Machine.ctr.Counters.instrs in
   let golden_misspecs = golden.Machine.ctr.Counters.misspecs in
@@ -121,9 +113,9 @@ let run ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     Array.to_list
       (sharded ~jobs
          (fun fault ->
-           Faultinject.run_trial ~mode ~fuel ~program:c.Driver.program ~mem
-             ~entry:w.Workload.entry ~args:input.Workload.args ~expected
-             ~golden_misspecs fault)
+           Faultinject.run_trial ~mode:(Driver.machine_mode c) ~fuel
+             ~program:c.Driver.program ~mem ~entry:w.Workload.entry
+             ~args:input.Workload.args ~expected ~golden_misspecs fault)
          faults)
   in
   { workload = w.Workload.name; arch = config.Driver.arch; seed;
@@ -222,6 +214,17 @@ let power_bucket = function
   | P_sdc _ -> "sdc"
   | P_trapped t -> "trapped:" ^ Outcome.trap_name t
 
+let classify_power ~expected (r : Machine.result) =
+  match r.Machine.outcome with
+  | Outcome.Livelock -> P_livelock
+  | Outcome.Out_of_fuel -> P_hung
+  | Outcome.Trapped t -> P_trapped t
+  | Outcome.Finished ->
+      let restores = r.Machine.ctr.Counters.restores in
+      if r.Machine.r0 <> expected then P_sdc r.Machine.r0
+      else if restores > 0 then P_restored restores
+      else P_completed
+
 let hot_pcs_of (p : Bs_backend.Asm.program) =
   let acc = ref [] in
   Array.iteri
@@ -234,10 +237,7 @@ let run_power ?(config = Driver.bitspec_config) ?(jobs = 1)
     (w : Workload.t) : power_campaign =
   (* an intermittent run legitimately re-executes work, so its budget is
      wider than the soft-error campaigns' 4x before it counts as hung *)
-  let { c; mem; mode; golden; expected; fuel } =
-    setup ~hang_factor:8 config w
-  in
-  let input = w.Workload.test in
+  let { c; golden; expected; fuel; _ } = setup ~hang_factor:8 config w in
   let golden_instrs = golden.Machine.ctr.Counters.instrs in
   let golden_energy =
     Bs_energy.Energy.total (Bs_energy.Energy.of_result golden)
@@ -248,47 +248,22 @@ let run_power ?(config = Driver.bitspec_config) ?(jobs = 1)
   let pseeds = Array.init trials (fun _ -> Rng.next rng) in
   let run_one pseed =
     let trace = Powertrace.create ~seed:pseed ~hot_pcs dist in
-    let power = Some { Machine.trace; policy; max_retries = retries } in
-    let config =
-      { Machine.mode; fuel; fault = None; power; engine = Machine.Jit }
+    let r =
+      simulate ~fuel ~power:{ Machine.trace; policy; max_retries = retries }
+        c w
     in
-    match
-      Machine.run ~config c.Driver.program (mem ()) ~entry:w.Workload.entry
-        ~args:input.Workload.args
-    with
-    | r ->
-        let ctr = r.Machine.ctr in
-        let b = Bs_energy.Energy.of_result r in
-        let verdict =
-          match r.Machine.outcome with
-          | Outcome.Livelock -> P_livelock
-          | Outcome.Out_of_fuel -> P_hung
-          | Outcome.Trapped t -> P_trapped t
-          | Outcome.Finished ->
-              if r.Machine.r0 <> expected then P_sdc r.Machine.r0
-              else if ctr.Counters.restores > 0 then
-                P_restored ctr.Counters.restores
-              else P_completed
-        in
-        { pt_seed = pseed; pt_verdict = verdict;
-          pt_restores = ctr.Counters.restores;
-          pt_checkpoints = ctr.Counters.checkpoints;
-          pt_ckpt_bytes = ctr.Counters.checkpoint_bytes;
-          pt_reexec = ctr.Counters.reexec_instrs;
-          pt_instrs = ctr.Counters.instrs;
-          pt_run_energy = Bs_energy.Energy.total b;
-          pt_ckpt_energy = Bs_energy.Energy.checkpoint_energy ctr;
-          pt_reexec_energy = Bs_energy.Energy.reexec_energy b ctr }
-    | exception Machine.Sim_trap t ->
-        { pt_seed = pseed; pt_verdict = P_trapped t; pt_restores = 0;
-          pt_checkpoints = 0; pt_ckpt_bytes = 0; pt_reexec = 0;
-          pt_instrs = 0; pt_run_energy = 0.0; pt_ckpt_energy = 0.0;
-          pt_reexec_energy = 0.0 }
-    | exception Memimage.Fault m ->
-        { pt_seed = pseed; pt_verdict = P_trapped (Outcome.Memory_fault m);
-          pt_restores = 0; pt_checkpoints = 0; pt_ckpt_bytes = 0;
-          pt_reexec = 0; pt_instrs = 0; pt_run_energy = 0.0;
-          pt_ckpt_energy = 0.0; pt_reexec_energy = 0.0 }
+    (* a trapped run reports no activity: its counts and energies are 0 *)
+    let ctr = r.Machine.ctr in
+    let b = Bs_energy.Energy.of_result r in
+    { pt_seed = pseed; pt_verdict = classify_power ~expected r;
+      pt_restores = ctr.Counters.restores;
+      pt_checkpoints = ctr.Counters.checkpoints;
+      pt_ckpt_bytes = ctr.Counters.checkpoint_bytes;
+      pt_reexec = ctr.Counters.reexec_instrs;
+      pt_instrs = ctr.Counters.instrs;
+      pt_run_energy = Bs_energy.Energy.total b;
+      pt_ckpt_energy = Bs_energy.Energy.checkpoint_energy ctr;
+      pt_reexec_energy = Bs_energy.Energy.reexec_energy b ctr }
   in
   let results =
     Bs_obs.Trace.with_span
@@ -382,9 +357,7 @@ let measured_class (v : Faultinject.verdict) : Bs_analysis.Vulnerability.clazz =
 
 let validate ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     (w : Workload.t) : validation =
-  let { c; mem; mode; golden; expected; fuel } =
-    setup ~hang_factor:4 config w
-  in
+  let { c; mem; golden; expected; fuel } = setup ~hang_factor:4 config w in
   let input = w.Workload.test in
   let golden_instrs = golden.Machine.ctr.Counters.instrs in
   let golden_misspecs = golden.Machine.ctr.Counters.misspecs in
@@ -400,9 +373,9 @@ let validate ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     @@ fun () ->
     sharded ~jobs
       (fun fault ->
-        Faultinject.run_trial ~mode ~fuel ~program:c.Driver.program ~mem
-          ~entry:w.Workload.entry ~args:input.Workload.args ~expected
-          ~golden_misspecs fault)
+        Faultinject.run_trial ~mode:(Driver.machine_mode c) ~fuel
+          ~program:c.Driver.program ~mem ~entry:w.Workload.entry
+          ~args:input.Workload.args ~expected ~golden_misspecs fault)
       faults
   in
   let pred = Bs_analysis.Vulnerability.analyze c.Driver.ir in

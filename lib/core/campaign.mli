@@ -84,6 +84,10 @@ val power_bucket : power_verdict -> string
 (** The shared triage key ({!Bs_support.Bucket} namespace): "completed",
     "restored", "reexec-livelock", "hang", "sdc", "trapped:<name>". *)
 
+val classify_power : expected:int64 -> Bs_sim.Machine.result -> power_verdict
+(** A power run's verdict against the fault-free checksum [expected];
+    the fuzz oracle's power replay classifies through it too. *)
+
 val hot_pcs_of : Bs_backend.Asm.program -> int list
 (** The pcs with a source site in the program's srcmap, ascending — the
     speculative sites an adversarial ([hotpc]) power trace strikes. *)

@@ -160,7 +160,6 @@ let describe_exn = function
   | Lexer.Error (m, _) | Parser.Error (m, _) | Typecheck.Error (m, _) -> m
   | Lower.Error m -> m
   | Verifier.Invalid m -> "verifier: " ^ m
-  | Interp.Trap m -> "interpreter trap: " ^ m
   | Memimage.Layout_error d -> Diag.to_string d
   | Memimage.Fault m -> "memory fault: " ^ m
   | e -> Printexc.to_string e
@@ -202,7 +201,8 @@ let set_interp_mips ~steps ~wall_s =
 
 (** Profile [m] by interpreting it on the training runs: each run is an
     (entry, args) pair; [setup] (if any) initialises workload inputs given
-    the in-flight module. *)
+    the in-flight module.  A training run that traps fails with its
+    error line. *)
 let profile_module (m : Ir.modul) ?setup
     ~(train : (string * int64 list) list) () =
   let profile = Profile.create () in
@@ -213,6 +213,7 @@ let profile_module (m : Ir.modul) ?setup
     (fun (entry, args) ->
       let s = Option.map (fun f -> f m) setup in
       let r, _ = Interp.run_fresh ~opts ?setup:s m ~entry ~args in
+      Outcome.refuse_trap ~engine:"interpreter" r.Interp.outcome;
       steps := !steps + r.Interp.steps)
     train;
   set_interp_mips ~steps:!steps ~wall_s:(Unix.gettimeofday () -. t0);
@@ -361,6 +362,12 @@ let try_compile ?pass_fault ~config ~source ?setup ~train () :
   | c -> Ok c
   | exception e -> Error [ diag_of_exn e ]
 
+(** The machine mode a build runs in: the slice extension is on exactly
+    for BITSPEC builds. *)
+let machine_mode (c : compiled) =
+  if c.config.arch = Bitspec_arch then Bs_isa.Isa.Bitspec
+  else Bs_isa.Isa.Classic
+
 (** Run the compiled binary on the machine model.  [fault] injects a
     single bit flip (see {!Bs_sim.Machine.fault}); [power] runs under
     injected power failures with checkpoint/restore
@@ -370,22 +377,11 @@ let run_machine ?setup ?(fuel = 1_000_000_000) ?fault ?power
     ?(engine = Machine.Jit) (c : compiled) ~entry ~args =
   let mem = Memimage.create c.ir in
   (match setup with Some f -> f mem | None -> ());
-  let mode =
-    if c.config.arch = Bitspec_arch then Bs_isa.Isa.Bitspec
-    else Bs_isa.Isa.Classic
-  in
   let r =
-    Machine.run ~config:{ Machine.mode; fuel; fault; power; engine }
+    Machine.run
+      ~config:{ Machine.mode = machine_mode c; fuel; fault; power; engine }
       c.program mem ~entry ~args
   in
   let mips = Bs_sim.Counters.simulated_mips r.Machine.ctr in
   if mips > 0.0 then Bs_obs.Metrics.set_gauge machine_mips_gauge mips;
-  r
-
-(** Run the reference interpreter on the same IR (for differential
-    checks). *)
-let run_reference ?setup (c : compiled) ~entry ~args =
-  let t0 = Unix.gettimeofday () in
-  let r, _ = Interp.run_fresh ?setup c.ir ~entry ~args in
-  set_interp_mips ~steps:r.Interp.steps ~wall_s:(Unix.gettimeofday () -. t0);
   r

@@ -104,7 +104,8 @@ val profile_module :
     training run, recording per-variable bitwidth statistics (§3.2.2).
     [setup] initialises workload input data in each run's memory image.
     The runs take the interpreter's default engine ([Compiled]); the
-    recorded profile is engine-invariant (test_interp_engines.ml). *)
+    recorded profile is engine-invariant (test_interp_engines.ml).  A
+    training run that traps fails ({!Bs_support.Outcome.refuse_trap}). *)
 
 val compile :
   ?pass_fault:pass_fault ->
@@ -139,6 +140,10 @@ val try_compile :
 (** {!compile} that never raises: [Error] carries the one diagnostic
     {!diag_of_exn} gives the failure (front-end failures included). *)
 
+val machine_mode : compiled -> Bs_isa.Isa.mode
+(** [Bitspec] exactly for [Bitspec_arch] builds: the mode of
+    {!run_machine} and of the fault campaigns' trials. *)
+
 val run_machine :
   ?setup:(Bs_interp.Memimage.t -> unit) ->
   ?fuel:int ->
@@ -153,13 +158,5 @@ val run_machine :
     workload inputs; [fuel] bounds dynamic instructions; [fault] injects a
     single bit flip mid-run; [power] runs under injected power failures
     with checkpoint/restore; [engine] picks the dispatch engine (default
-    [Jit]; results are identical across engines). *)
-
-val run_reference :
-  ?setup:(Bs_interp.Memimage.t -> unit) ->
-  compiled ->
-  entry:string ->
-  args:int64 list ->
-  Bs_interp.Interp.result
-(** Execute the compiled module's IR on the reference interpreter (the
-    differential-testing oracle), under its default engine. *)
+    [Jit]; results are identical across engines).  A trap is the
+    [Trapped] outcome; only building the image raises. *)

@@ -25,7 +25,10 @@ type metrics = {
   dcache_accesses : int;
 }
 
+(* The one place a machine run that trapped is refused: it has no
+   metrics. *)
 let metrics_of_run (r : Machine.result) : metrics =
+  Bs_support.Outcome.refuse_trap ~engine:"simulator" r.Machine.outcome;
   let b = Energy.of_result r in
   let c = r.Machine.ctr in
   { checksum = r.Machine.r0;
@@ -222,6 +225,7 @@ let reference_checksum ?(interp_engine = Interp.Compiled) (w : Workload.t) :
         Interp.run_fresh ~opts ~setup:(w.test.Workload.setup m) m
           ~entry:w.entry ~args:w.test.Workload.args
       in
+      Bs_support.Outcome.refuse_trap ~engine:"interpreter" r.Interp.outcome;
       match r.Interp.ret with
       | Some v -> Int64.logand v 0xFFFFFFFFL
       | None -> 0L)

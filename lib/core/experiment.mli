@@ -21,7 +21,8 @@ type metrics = {
 }
 
 val metrics_of_run : Bs_sim.Machine.result -> metrics
-(** Collect metrics from one simulation. *)
+(** Collect metrics from one simulation.  A run that trapped has none
+    and fails ({!Bs_support.Outcome.refuse_trap}). *)
 
 val compile_workload :
   ?origin:Compile_cache.origin ref ->
@@ -91,7 +92,8 @@ val reference_checksum :
     (workload, engine).  [interp_engine] defaults to [Compiled]; the
     fault and intermittent-power campaigns pass [Tree] so the oracle for
     injected-fault runs stays on the engine with no compilation layer of
-    its own. *)
+    its own.  A reference run that traps fails
+    ({!Bs_support.Outcome.refuse_trap}). *)
 
 val rel : float -> float -> float
 (** [rel v base] = v / base (1 when base is 0). *)

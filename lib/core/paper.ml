@@ -36,14 +36,17 @@ let measure c =
       let profile_input =
         match c.source with Alt -> Some w.Workload.alt | Train | Narrow -> None
       in
-      let m = run ?profile_input ?profile_tag:(label c.source) c.config w in
-      let want = reference_checksum w in
-      if m.checksum <> want then
-        failwith
-          (Printf.sprintf
-             "cell %s: checksum %Ld, the reference interpreter's %Ld"
-             (cell_name c) m.checksum want);
-      m)
+      (* a run that traps fails too: name the cell *)
+      try
+        let m = run ?profile_input ?profile_tag:(label c.source) c.config w in
+        let want = reference_checksum w in
+        if m.checksum <> want then
+          failwith
+            (Printf.sprintf "checksum %Ld, the reference interpreter's %Ld"
+               m.checksum want);
+        m
+      with Failure msg ->
+        failwith (Printf.sprintf "cell %s: %s" (cell_name c) msg))
 
 type value = Ratio of float | Count of int
 

@@ -21,9 +21,9 @@ val cell_name : cell -> string
 
 val measure : cell -> Experiment.metrics
 (** {!Experiment.run} on the cell, memoised per process.
-    @raise Failure naming the cell when its checksum differs from
-    {!Experiment.reference_checksum} of the cell's own source (the
-    failure is memoised too). *)
+    @raise Failure naming the cell when its run traps or its checksum
+    differs from {!Experiment.reference_checksum} of the cell's own
+    source (the failure is memoised too). *)
 
 type value = Ratio of float | Count of int
 (** One printed column: [%12.3f] or [%12d]. *)

@@ -168,29 +168,25 @@ let run_bench t (rq : Service.request) (b : Service.bench_req) =
           ~heuristic:b.Service.b_heuristic
           ~no_expander:b.Service.b_no_expander
       in
+      let _, r = Experiment.run_test ~origin config w in
+      let fuel = Option.value rq.Service.rq_fuel ~default:t.cfg.fuel in
       let status =
-        match Experiment.run_test ~origin config w with
-        | exception Bs_sim.Machine.Sim_trap k ->
-            Service.Failed [ Service.diag_trap k ]
-        | _, r -> (
-            let fuel = Option.value rq.Service.rq_fuel ~default:t.cfg.fuel in
-            match r.Bs_sim.Machine.outcome with
-            | Outcome.Finished
-              when r.Bs_sim.Machine.ctr.Bs_sim.Counters.instrs <= fuel ->
-                let m = Experiment.metrics_of_run r in
-                Service.Done
-                  { Service.m_checksum = m.Experiment.checksum;
-                    m_instrs = m.Experiment.instrs;
-                    m_cycles = m.Experiment.cycles;
-                    m_misspecs = m.Experiment.misspecs;
-                    m_energy = m.Experiment.total_energy;
-                    m_epi = m.Experiment.epi }
-            | Outcome.Finished | Outcome.Out_of_fuel ->
-                Service.Failed [ Service.diag_fuel ]
-            | Outcome.Trapped k -> Service.Failed [ Service.diag_trap k ]
-            | Outcome.Livelock ->
-                Service.Failed
-                  [ Service.diag_internal "simulation livelocked" ])
+        match r.Bs_sim.Machine.outcome with
+        | Outcome.Finished
+          when r.Bs_sim.Machine.ctr.Bs_sim.Counters.instrs <= fuel ->
+            let m = Experiment.metrics_of_run r in
+            Service.Done
+              { Service.m_checksum = m.Experiment.checksum;
+                m_instrs = m.Experiment.instrs;
+                m_cycles = m.Experiment.cycles;
+                m_misspecs = m.Experiment.misspecs;
+                m_energy = m.Experiment.total_energy;
+                m_epi = m.Experiment.epi }
+        | Outcome.Finished | Outcome.Out_of_fuel ->
+            Service.Failed [ Service.diag_fuel ]
+        | Outcome.Trapped k -> Service.Failed [ Service.diag_trap k ]
+        | Outcome.Livelock ->
+            Service.Failed [ Service.diag_internal "simulation livelocked" ]
       in
       (status, Some !origin)
 

@@ -560,40 +560,59 @@ let run_func ?remarks (m : Ir.modul) (f : Ir.func) ~profile ~heuristic :
     (* ③ SSA repair: make every CFG_orig use observe the right definition
        (the φ of equation (8) appears at each join). *)
     repair_ssa f ~vars:(IntMap.bindings !extra_defs) ~preds:(Ir.preds_map f);
-    (* Prune CFG_orig blocks no handler can reach (dead fallback code). *)
+    (* Prune CFG_orig blocks no handler can reach (dead fallback code),
+       and their phi edges.  A phi whose edges then carry one value
+       besides itself is a copy of it: substitute the copies away, in
+       one rewrite, before a later pass reads them. *)
     let reachable = Hashtbl.create 16 in
     List.iter (fun bid -> Hashtbl.replace reachable bid ()) (Ir.reverse_postorder f);
-    let dead_ids =
-      List.filter_map
-        (fun (b : Ir.block) ->
-          if Hashtbl.mem reachable b.bid then None else Some b.bid)
-        f.blocks
+    let live bid = Hashtbl.mem reachable bid in
+    let kept, dead = List.partition (fun b -> live b.Ir.bid) f.blocks in
+    List.iter (fun (b : Ir.block) -> Hashtbl.remove f.btbl b.bid) dead;
+    f.blocks <- kept;
+    f.regions <-
+      List.filter
+        (fun (r : Ir.region) -> List.for_all live r.rblocks && live r.rhandler)
+        f.regions;
+    let copies = Hashtbl.create 16 in
+    let rec resolve = function
+      | Ir.Var v when Hashtbl.mem copies v -> resolve (Hashtbl.find copies v)
+      | o -> o
     in
-    if dead_ids <> [] then begin
-      f.blocks <-
-        List.filter (fun (b : Ir.block) -> Hashtbl.mem reachable b.bid) f.blocks;
-      List.iter (fun bid -> Hashtbl.remove f.btbl bid) dead_ids;
+    (* rounds in block order, until one folds nothing *)
+    let again = ref true in
+    while !again do
+      again := false;
       List.iter
         (fun (b : Ir.block) ->
           List.iter
             (fun (i : Ir.instr) ->
               match i.op with
-              | Ir.Phi incoming ->
-                  i.op <-
-                    Ir.Phi
-                      (List.filter
-                         (fun (p, _) -> not (List.mem p dead_ids))
-                         incoming)
+              | Ir.Phi incoming when not (Hashtbl.mem copies i.iid) -> (
+                  let incoming = List.filter (fun (p, _) -> live p) incoming in
+                  i.op <- Ir.Phi incoming;
+                  let values = List.map (fun (_, v) -> resolve v) incoming in
+                  match
+                    List.sort_uniq compare
+                      (List.filter (( <> ) (Ir.Var i.iid)) values)
+                  with
+                  | [ v ] ->
+                      Hashtbl.replace copies i.iid v;
+                      again := true
+                  | _ -> ())
               | _ -> ())
             b.instrs)
+        f.blocks
+    done;
+    if Hashtbl.length copies > 0 then
+      List.iter
+        (fun (b : Ir.block) ->
+          b.instrs <-
+            List.filter
+              (fun (i : Ir.instr) -> not (Hashtbl.mem copies i.iid))
+              b.instrs;
+          List.iter (Ir.map_operands resolve) b.instrs)
         f.blocks;
-      f.regions <-
-        List.filter
-          (fun (r : Ir.region) ->
-            List.for_all (fun bid -> not (List.mem bid dead_ids)) r.rblocks
-            && not (List.mem r.rhandler dead_ids))
-          f.regions
-    end;
     st
   end
 

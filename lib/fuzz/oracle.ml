@@ -40,20 +40,18 @@ let obs_str = function
   | Fuel -> "out of fuel"
   | Trap t -> "trap " ^ t
 
-(* The interpreter's traps carry free-form messages; coarsen them to the
-   same stable names [Outcome.trap_name] gives machine traps, so a trap
-   that classifies identically on both sides is not a divergence. *)
-let interp_trap_name msg =
-  let has sub =
-    let n = String.length sub and m = String.length msg in
-    let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-    go 0
-  in
-  if has "division" || has "remainder" then "div0"
-  else if has "stack overflow" then "stack-overflow"
-  else if has "out-of-bounds" || has "memory" then "memory-fault"
-  else if has "unknown" then "unknown-function"
-  else "trap"
+(* How a run ended, coarsened for comparison; both sides map through
+   here.  A trap compares by its kind, so a trap that classifies
+   identically on both sides is not a divergence. *)
+let obs_of outcome value =
+  match outcome with
+  | Outcome.Finished -> Value (mask32 value)
+  | Outcome.Out_of_fuel | Outcome.Livelock -> Fuel
+  | Outcome.Trapped t -> Trap (Outcome.trap_name t)
+
+(* A run reports its own traps; building its image raises when the
+   globals do not fit, which ends it as the memory fault it would hit. *)
+let image_fault msg = Outcome.Trapped (Outcome.Memory_fault msg)
 
 let frontend_bucket e =
   let open Bs_frontend in
@@ -83,26 +81,23 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
       let opts = { Interp.profile = None; fuel; engine = interp_engine } in
       let ref_obs, machine_fuel =
         match Interp.run_fresh ~opts m ~entry ~args with
-        | r, _ -> (
-            match r.Interp.outcome with
-            | Outcome.Finished ->
-                ( Value (mask32 (Option.value r.Interp.ret ~default:0L)),
-                  (* a machine run executes a small constant factor more
-                     instructions than IR steps; 20x + slack detects hangs
-                     quickly without false positives (the budget formula
-                     is shared with the injection campaigns) *)
-                  Outcome.hang_fuel ~steps:r.Interp.steps ~factor:20 )
-            | Outcome.Out_of_fuel -> (Fuel, fuel)
-            | Outcome.Trapped t -> (Trap (Outcome.trap_name t), fuel)
-            | Outcome.Livelock ->
-                (* the interpreter never runs under a power trace *)
-                (Fuel, fuel))
-        | exception Interp.Trap msg -> (Trap (interp_trap_name msg), fuel)
-        | exception Memimage.Fault _ -> (Trap "memory-fault", fuel)
+        | ({ outcome = Outcome.Finished; _ } as r), _ ->
+            ( obs_of r.Interp.outcome (Option.value r.Interp.ret ~default:0L),
+              (* a machine run executes a small constant factor more
+                 instructions than IR steps; 20x + slack detects hangs
+                 quickly without false positives (the budget formula
+                 is shared with the injection campaigns) *)
+              Outcome.hang_fuel ~steps:r.Interp.steps ~factor:20 )
+        | r, _ -> (obs_of r.Interp.outcome 0L, fuel)
+        | exception Memimage.Fault msg -> (obs_of (image_fault msg) 0L, fuel)
       in
       match ref_obs with
       | Fuel -> Skip "reference interpreter ran out of fuel"
-      | _ ->
+      | Trap k when k = Outcome.trap_name Outcome.Stack_overflow ->
+          (* the interpreter bounds its call depth to protect the host
+             stack; the machine's stack has no such bound *)
+          Skip "reference interpreter overflowed its stack"
+      | Value _ | Trap _ ->
           (* 2. Each engine versus the reference, first divergence wins.
              Compiles go through the process-wide cache: the key covers
              everything the compile depends on (source, configuration,
@@ -145,19 +140,10 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
                         Driver.run_machine ~fuel:machine_fuel ~engine c
                           ~entry ~args
                       with
-                      | r -> (
-                          match r.Bs_sim.Machine.outcome with
-                          | Outcome.Finished ->
-                              Value (mask32 r.Bs_sim.Machine.r0)
-                          | Outcome.Out_of_fuel -> Fuel
-                          | Outcome.Trapped t ->
-                              Trap (Outcome.trap_name t)
-                          | Outcome.Livelock ->
-                              (* no power trace in a fuzz run *)
-                              Fuel)
-                      | exception Bs_sim.Machine.Sim_trap t ->
-                          Trap (Outcome.trap_name t)
-                      | exception Memimage.Fault _ -> Trap "memory-fault"
+                      | r ->
+                          obs_of r.Bs_sim.Machine.outcome r.Bs_sim.Machine.r0
+                      | exception Memimage.Fault msg ->
+                          obs_of (image_fault msg) 0L
                     in
                     let crash bucket =
                       Crash
@@ -179,13 +165,12 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
                         crash
                           (Bucket.make ~detail:(ename ^ ":" ^ t)
                              Bucket.Trap_divergence)
-                    | Trap _, Value _ ->
+                    | _, Value _ ->
+                        (* the reference trapped: it never ran out of
+                           fuel here *)
                         crash
                           (Bucket.make ~detail:(ename ^ ":none")
-                             Bucket.Trap_divergence)
-                    | Fuel, _ ->
-                        (* unreachable: reference fuel was handled *)
-                        check rest))
+                             Bucket.Trap_divergence)))
           in
           check engines)
 
@@ -224,16 +209,15 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
       { p_bucket = Some (Bucket.of_diag ~detail:"power" d);
         p_details = "failed to compile: " ^ Diag.to_string d }
   | c -> (
-      match Driver.run_machine ~engine c ~entry ~args with
-      | exception e ->
-          { p_bucket = Some (Bucket.hang ());
-            p_details = "fault-free run raised: " ^ Printexc.to_string e }
-      | golden when golden.Bs_sim.Machine.outcome <> Outcome.Finished ->
+      (* the compile's training run built this image: it fits *)
+      let golden = Driver.run_machine ~engine c ~entry ~args in
+      match golden.Bs_sim.Machine.outcome with
+      | Outcome.Out_of_fuel | Outcome.Trapped _ | Outcome.Livelock ->
           { p_bucket = Some (Bucket.hang ());
             p_details =
               "fault-free run did not finish: "
               ^ Outcome.to_string golden.Bs_sim.Machine.outcome }
-      | golden -> (
+      | Outcome.Finished -> (
           let open Bs_sim in
           let expected = golden.Machine.r0 in
           let steps = golden.Machine.ctr.Counters.instrs in
@@ -247,50 +231,31 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
             { Machine.trace; policy = power.Corpus.pw_policy;
               max_retries = power.Corpus.pw_retries }
           in
-          match Driver.run_machine ~fuel ~power:pw ~engine c ~entry ~args with
-          | exception Machine.Sim_trap t ->
-              { p_bucket =
-                  Some
+          let r = Driver.run_machine ~fuel ~power:pw ~engine c ~entry ~args in
+          let ctr = r.Machine.ctr in
+          let stats =
+            Printf.sprintf "%d restores, %d checkpoints, %d re-executed instrs"
+              ctr.Counters.restores ctr.Counters.checkpoints
+              ctr.Counters.reexec_instrs
+          in
+          (* the power campaign's classification, mapped onto the
+             oracle's bucket keys *)
+          let p_bucket, p_details =
+            match Campaign.classify_power ~expected r with
+            | Campaign.P_livelock -> (Some (Bucket.reexec_livelock ()), stats)
+            | Campaign.P_hung -> (Some (Bucket.hang ()), stats)
+            | Campaign.P_trapped t ->
+                ( Some
                     (Bucket.make ~detail:(Outcome.trap_name t)
-                       Bucket.Trap_divergence);
-                p_details = "trapped under power failures" }
-          | exception Memimage.Fault m ->
-              { p_bucket =
-                  Some
-                    (Bucket.make ~detail:"memory-fault"
-                       Bucket.Trap_divergence);
-                p_details = "memory fault under power failures: " ^ m }
-          | r -> (
-              let ctr = r.Machine.ctr in
-              let stats =
-                Printf.sprintf
-                  "%d restores, %d checkpoints, %d re-executed instrs"
-                  ctr.Counters.restores ctr.Counters.checkpoints
-                  ctr.Counters.reexec_instrs
-              in
-              match r.Machine.outcome with
-              | Outcome.Livelock ->
-                  { p_bucket = Some (Bucket.reexec_livelock ());
-                    p_details = stats }
-              | Outcome.Out_of_fuel ->
-                  { p_bucket = Some (Bucket.hang ()); p_details = stats }
-              | Outcome.Trapped t ->
-                  { p_bucket =
-                      Some
-                        (Bucket.make ~detail:(Outcome.trap_name t)
-                           Bucket.Trap_divergence);
-                    p_details = stats }
-              | Outcome.Finished ->
-                  if r.Machine.r0 <> expected then
-                    { p_bucket =
-                        Some (Bucket.make ~detail:"power" Bucket.Result_mismatch);
-                      p_details =
-                        Printf.sprintf
-                          "checksum %Ld, fault-free %Ld after %s"
-                          r.Machine.r0 expected stats }
-                  else if ctr.Counters.restores > 0 then
-                    { p_bucket = Some (Bucket.restored ());
-                      p_details = stats ^ ", correct checksum" }
-                  else
-                    { p_bucket = None;
-                      p_details = "completed without an outage (" ^ stats ^ ")" })))
+                       Bucket.Trap_divergence),
+                  "trapped under power failures: " ^ Outcome.trap_message t )
+            | Campaign.P_sdc r0 ->
+                ( Some (Bucket.make ~detail:"power" Bucket.Result_mismatch),
+                  Printf.sprintf "checksum %Ld, fault-free %Ld after %s" r0
+                    expected stats )
+            | Campaign.P_restored _ ->
+                (Some (Bucket.restored ()), stats ^ ", correct checksum")
+            | Campaign.P_completed ->
+                (None, "completed without an outage (" ^ stats ^ ")")
+          in
+          { p_bucket; p_details }))

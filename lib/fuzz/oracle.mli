@@ -4,7 +4,8 @@
     compiled + simulated under every build configuration; any disagreement
     is classified into a stable {!Bs_support.Bucket.t}.  The oracle never
     raises: traps, fuel exhaustion, front-end rejections and pass
-    failures ({!Driver.Failed}) all classify. *)
+    failures ({!Driver.Failed}) all classify; both sides map their run's
+    outcome through one function, so traps compare by kind. *)
 
 open Bs_support
 open Bitspec
@@ -20,13 +21,14 @@ val engines : engine list
 type exec_obs =
   | Value of int64      (** finished; result masked to 32 bits *)
   | Fuel                (** instruction budget exhausted *)
-  | Trap of string      (** trapped; stable {!Outcome.trap_name}-style name *)
+  | Trap of string      (** trapped; the trap's {!Outcome.trap_name} *)
 
 type verdict =
   | Agree of exec_obs
       (** every configuration matches the reference observation *)
   | Skip of string
-      (** the reference itself ran out of fuel: no ground truth *)
+      (** no ground truth: the reference ran out of fuel, or passed the
+          interpreter's call-depth limit, which the machine lacks *)
   | Crash of { bucket : Bucket.t; details : string }
       (** a divergence; [details] is a human-readable account (values,
           traps, diagnostics) — never part of the bucket key *)
@@ -71,9 +73,10 @@ val run_power :
   unit ->
   power_verdict
 (** Replay [source] under the recorded power-failure configuration and
-    classify against the same binary's fault-free machine run: correct
-    checksum through [n > 0] restores ⇒ the [restored] bucket, retry
-    exhaustion ⇒ [reexec-livelock], fuel ⇒ [hang], a wrong checksum ⇒
+    classify against the same binary's fault-free machine run
+    ({!Campaign.classify_power}): correct checksum through [n > 0]
+    restores ⇒ [restored], retry exhaustion ⇒ [reexec-livelock], fuel ⇒
+    [hang], a trap ⇒ [trap-divergence:<name>], a wrong checksum ⇒
     [result-mismatch:power] (a checkpoint/restore bug). *)
 
 val describe_power : power_verdict -> string

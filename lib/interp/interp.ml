@@ -1,4 +1,5 @@
 open Bs_ir
+module Outcome = Bs_support.Outcome
 
 (* Reference interpreter for SIR.
 
@@ -10,7 +11,11 @@ open Bs_ir
      condition (Table 1) redirects control to the region's handler without
      writing its result, exactly like the hardware. *)
 
-exception Trap of string
+(* Raised where a trap happens, with its kind; [exec] makes it the
+   [Trapped] outcome.  Malformed IR has only a message. *)
+exception Trap of Outcome.trap
+
+let malformed msg = raise (Trap (Outcome.Trap_message msg))
 
 (* internal: unwinds to [exec]'s top level, where it becomes the
    structured [Out_of_fuel] outcome shared with the machine model *)
@@ -51,7 +56,7 @@ type result = {
   steps : int;
   misspecs : int;
   calls : int;
-  outcome : Bs_support.Outcome.t;
+  outcome : Outcome.t;
   misspec_sites : ((string * string * int) * int) list;
       (* per-site misspec attribution, sorted; counts sum to [misspecs] *)
 }
@@ -85,16 +90,16 @@ let[@inline] binop (op : Ir.binop) w m a b =
   | Sub -> logand (sub a b) m
   | Mul -> logand (mul a b) m
   | Udiv ->
-      if b = 0L then raise (Trap "division by zero")
+      if b = 0L then raise (Trap Outcome.Division_by_zero)
       else logand (unsigned_div a b) m
   | Urem ->
-      if b = 0L then raise (Trap "remainder by zero")
+      if b = 0L then raise (Trap Outcome.Division_by_zero)
       else logand (unsigned_rem a b) m
   | Sdiv ->
-      if b = 0L then raise (Trap "division by zero")
+      if b = 0L then raise (Trap Outcome.Division_by_zero)
       else logand (div (sext sh a) (sext sh b)) m
   | Srem ->
-      if b = 0L then raise (Trap "remainder by zero")
+      if b = 0L then raise (Trap Outcome.Division_by_zero)
       else logand (rem (sext sh a) (sext sh b)) m
   | And -> logand a b
   | Or -> logor a b
@@ -207,7 +212,7 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
   let get_func name =
     match Hashtbl.find_opt funcs name with
     | Some f -> f
-    | None -> raise (Trap ("call to unknown function " ^ name))
+    | None -> raise (Trap (Outcome.Unknown_function name))
   in
   let fctxs : (string, fctx) Hashtbl.t = Hashtbl.create 16 in
   let get_fctx (f : Ir.func) =
@@ -224,7 +229,7 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
        grows the host fiber stack for gigabytes before Stack_overflow —
        bound the call depth explicitly so runaway recursion traps fast *)
     incr depth;
-    if !depth > 100_000 then raise (Trap "stack overflow");
+    if !depth > 100_000 then raise (Trap Outcome.Stack_overflow);
     st.ctr.calls <- st.ctr.calls + 1;
     (* the environment: iids are dense per function, so a flat value
        array plus presence bytes beats a hashtable — no hashing, no
@@ -255,12 +260,13 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
            | None -> ())
          f.param_instrs args
      with Invalid_argument _ ->
-       raise (Trap ("arity mismatch calling " ^ f.fname)));
+       malformed ("arity mismatch calling " ^ f.fname));
     (* allocate the static stack frame (layout precomputed in the fctx) *)
     let ctx = get_fctx f in
     let saved_sp = st.sp in
     st.sp <- st.sp - ctx.fc_frame;
-    if st.sp < st.mem.Memimage.globals_end then raise (Trap "stack overflow");
+    if st.sp < st.mem.Memimage.globals_end then
+      raise (Trap Outcome.Stack_overflow);
     let salloc_addr = Hashtbl.create 4 in
     let cursor = ref st.sp in
     List.iter
@@ -280,9 +286,7 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
       | Ir.Var v ->
           if v >= 0 && v < nids && Bytes.unsafe_get set v = '\001' then
             Array.unsafe_get env v
-          else
-            raise
-              (Trap (Printf.sprintf "read of unset %%%d in %s" v f.fname))
+          else malformed (Printf.sprintf "read of unset %%%d in %s" v f.fname)
     in
     let record (i : Ir.instr) v =
       match prof with
@@ -306,10 +310,9 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
                 match List.assoc_opt !prev incoming with
                 | Some v -> (i, Width.trunc i.width (value v))
                 | None ->
-                    raise
-                      (Trap
-                         (Printf.sprintf "phi %%%d has no incoming for block %d"
-                            i.iid !prev)))
+                    malformed
+                      (Printf.sprintf "phi %%%d has no incoming for block %d"
+                         i.iid !prev))
             | _ -> assert false)
           phis
       in
@@ -348,13 +351,12 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
                     prev := b.bid;
                     cur := goto r.rhandler;
                     true
-                | None ->
-                    raise (Trap "speculative instruction outside a region")
+                | None -> malformed "speculative instruction outside a region"
               end
               else false
             in
             (match i.op with
-            | Ir.Param _ -> raise (Trap "param instruction in block")
+            | Ir.Param _ -> malformed "param instruction in block"
             | Ir.Bin (op, a, c) ->
                 let va = value a and vc = value c in
                 let r = eval_binop op i.width va vc in
@@ -385,7 +387,7 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
             | Ir.Select (c, a, d) ->
                 commit (if value c <> 0L then value a else value d);
                 run rest
-            | Ir.Phi _ -> raise (Trap "phi after non-phi")
+            | Ir.Phi _ -> malformed "phi after non-phi"
             | Ir.Load l ->
                 let addr = Int64.to_int (value l.l_addr) in
                 commit (Memimage.read st.mem ~width:i.width addr);
@@ -416,7 +418,7 @@ let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
             | Ir.Ret v ->
                 ret_val := Option.map value v;
                 finished := true
-            | Ir.Unreachable -> raise (Trap "reached unreachable"));
+            | Ir.Unreachable -> malformed "reached unreachable");
             ()
       in
       run body
@@ -486,8 +488,8 @@ let[@inline] read fr d =
   | Aconst v -> v
   | Avar (x, msg) ->
       if Bytes.unsafe_get fr.f_set x = '\001' then A1.unsafe_get fr.f_env x
-      else raise (Trap msg)
-  | Atrap msg -> raise (Trap msg)
+      else malformed msg
+  | Atrap msg -> malformed msg
 
 (* write an already truncated value to the environment, record it *)
 let[@inline] commit fr iid record v =
@@ -522,7 +524,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
     | Some g -> g
     | None -> (
         match Hashtbl.find_opt funcs name with
-        | None -> raise (Trap ("call to unknown function " ^ name))
+        | None -> raise (Trap (Outcome.Unknown_function name))
         | Some f ->
             let g = compile_func f in
             Hashtbl.replace ctab f.Ir.fname g;
@@ -563,7 +565,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
        redirect, all resolved at compile time *)
     let misspec_exit_of (b : Ir.block) (i : Ir.instr) : cframe -> int =
       match ctx.fc_region.(b.Ir.bid) with
-      | None -> fun _ -> raise (Trap "speculative instruction outside a region")
+      | None -> fun _ -> malformed "speculative instruction outside a region"
       | Some r ->
           let var =
             if i.iname <> "" then i.iname else Printf.sprintf "%%%d" i.iid
@@ -632,7 +634,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
         | `Missing (accs, msg) ->
             fun fr ->
               Array.iter (fun d -> ignore (read fr d)) accs;
-              raise (Trap msg)
+              malformed msg
         | `Complete accs ->
             fun fr ->
               let sc = fr.f_scratch in
@@ -658,7 +660,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
         else
           (* an edge no phi lists: the tree engine's phase 1 fails on the
              first phi, naming the dynamic predecessor *)
-          raise (Trap (no_edge_msg phis.(0) p))
+          malformed (no_edge_msg phis.(0) p)
     in
     (* the fused body: one closure per instruction, each tail-calling its
        continuation; terminators return the next block id instead *)
@@ -678,12 +680,12 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       | Ir.Param _ ->
           fun _ ->
             tick ctr fuel;
-            raise (Trap "param instruction in block")
+            malformed "param instruction in block"
       | Ir.Phi _ ->
           (* unreachable: the body excludes the phi prefix *)
           fun _ ->
             tick ctr fuel;
-            raise (Trap "phi after non-phi")
+            malformed "phi after non-phi"
       | Ir.Bin (((Ir.Add | Ir.Sub) as op), a, c) when i.speculative ->
           let da = acc_of a and dc = acc_of c in
           let exit_ = misspec_exit_of b i in
@@ -838,7 +840,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       | Ir.Unreachable ->
           fun _ ->
             tick ctr fuel;
-            raise (Trap "reached unreachable")
+            malformed "reached unreachable"
     in
     let bcode : (cframe -> int) array =
       Array.make (max nids 1) (fun _ -> assert false)
@@ -868,9 +870,9 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
     let nparams = Array.length params in
     let arity_msg = "arity mismatch calling " ^ f.fname in
     let rec bind fr j = function
-      | [] -> if j < nparams then raise (Trap arity_msg)
+      | [] -> if j < nparams then malformed arity_msg
       | v :: rest ->
-          if j >= nparams then raise (Trap arity_msg);
+          if j >= nparams then malformed arity_msg;
           commit fr (Array.unsafe_get params j).Ir.iid
             (Array.unsafe_get pslots j)
             (Int64.logand v (Array.unsafe_get pmasks j));
@@ -887,7 +889,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
     let pool : cframe list ref = ref [] in
     fun (args : int64 list) ->
       incr depth;
-      if !depth > 100_000 then raise (Trap "stack overflow");
+      if !depth > 100_000 then raise (Trap Outcome.Stack_overflow);
       ctr.calls <- ctr.calls + 1;
       let fr =
         match !pool with
@@ -909,7 +911,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       bind fr 0 args;
       let saved_sp = st.sp in
       st.sp <- st.sp - frame;
-      if st.sp < globals_end then raise (Trap "stack overflow");
+      if st.sp < globals_end then raise (Trap Outcome.Stack_overflow);
       fr.f_base <- st.sp;
       let bid = ref entry_bid in
       while !bid >= 0 do
@@ -925,6 +927,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
 
 (* --- shared entry point ------------------------------------------------ *)
 
+(* A trapped result carries the trap and no activity, so it is the
+   same record under either engine. *)
 let exec ?(opts = default_opts) (m : Ir.modul) ~entry ~(args : int64 list) mem
     =
   let st =
@@ -932,24 +936,32 @@ let exec ?(opts = default_opts) (m : Ir.modul) ~entry ~(args : int64 list) mem
       ctr = { steps = 0; misspecs = 0; calls = 0; sites = Hashtbl.create 16 };
       sp = Memimage.size mem }
   in
-  let ret, outcome =
-    match
-      match opts.engine with
-      | Tree -> exec_tree st ~entry ~args
-      | Compiled -> exec_compiled st ~entry ~args
-    with
-    | r -> (r, Bs_support.Outcome.Finished)
-    | exception Fuel_exhausted -> (None, Bs_support.Outcome.Out_of_fuel)
-    | exception Stack_overflow ->
-        (* unbounded simulated recursion without stack frames exhausts the
-           host stack instead of the simulated one; report it uniformly *)
-        raise (Trap "stack overflow")
+  let ended ret outcome =
+    { ret; steps = st.ctr.steps; misspecs = st.ctr.misspecs;
+      calls = st.ctr.calls; outcome;
+      misspec_sites =
+        List.sort compare
+          (Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.ctr.sites []) }
   in
-  { ret; steps = st.ctr.steps; misspecs = st.ctr.misspecs;
-    calls = st.ctr.calls; outcome;
-    misspec_sites =
-      List.sort compare
-        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.ctr.sites []) }
+  let trapped t =
+    { ret = None; steps = 0; misspecs = 0; calls = 0;
+      outcome = Outcome.Trapped t; misspec_sites = [] }
+  in
+  match
+    if Ir.find_func m entry = None then
+      raise (Trap (Outcome.Unknown_entry entry));
+    match opts.engine with
+    | Tree -> exec_tree st ~entry ~args
+    | Compiled -> exec_compiled st ~entry ~args
+  with
+  | r -> ended r Outcome.Finished
+  | exception Fuel_exhausted -> ended None Outcome.Out_of_fuel
+  | exception Trap t -> trapped t
+  | exception Memimage.Fault msg -> trapped (Outcome.Memory_fault msg)
+  | exception Stack_overflow ->
+      (* unbounded simulated recursion without stack frames exhausts the
+         host stack instead of the simulated one; report it uniformly *)
+      trapped Outcome.Stack_overflow
 
 (** [run_fresh m ~entry ~args] builds a fresh memory image for [m],
     optionally letting [setup] fill workload inputs, and executes. *)

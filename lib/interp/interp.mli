@@ -7,11 +7,9 @@
     condition redirects control to the region's handler without committing
     its result, exactly like the hardware. *)
 
-exception Trap of string
-(** Undefined behaviour at run time: division by zero, out-of-bounds
-    access, unknown callee, arity mismatch, … Fuel exhaustion is NOT an
-    exception: it is reported as [Out_of_fuel] in the result's [outcome],
-    the same {!Bs_support.Outcome.t} variant the machine model uses. *)
+exception Trap of Bs_support.Outcome.trap
+(** Raised only by {!eval_binop}; a run reports every trap as its
+    [Trapped] outcome instead. *)
 
 type engine =
   | Tree      (** walk the IR directly, re-dispatching per instruction *)
@@ -50,8 +48,9 @@ type result = {
   misspecs : int;      (** misspeculation events *)
   calls : int;         (** function invocations *)
   outcome : Bs_support.Outcome.t;
-      (** [Finished], or [Out_of_fuel] when the budget ran out ([ret] is
-          [None] in that case) *)
+      (** [Finished], [Out_of_fuel] or [Trapped]; [ret] is [None] unless
+          the run finished.  A trapped result reports no activity (zero
+          counts, no sites), so it is the same under either engine. *)
   misspec_sites : ((string * string * int) * int) list;
       (** ((function, variable, line), count) attribution of every
           misspeculation event, sorted; counts sum to [misspecs] *)
@@ -62,7 +61,7 @@ val eval_binop : Bs_ir.Ir.binop -> int -> int64 -> int64 -> int64
     engines execute it and constant folding calls it, so folding can
     never disagree with execution.  Arithmetic results are truncated to
     [width]; [And]/[Or]/[Xor] of in-width operands are in width.
-    @raise Trap on division by zero. *)
+    @raise Trap [Division_by_zero] on division or remainder by zero. *)
 
 val eval_cmp : Bs_ir.Ir.cmpop -> int -> int64 -> int64 -> int64
 (** Comparison at the given operand width (unsigned predicates on the
@@ -84,7 +83,8 @@ val exec :
   args:int64 list ->
   Memimage.t ->
   result
-(** Execute [entry] on an existing memory image (mutating it). *)
+(** Execute [entry] on an existing memory image (mutating it).  Every
+    trap, its kind fixed where it happens, ends the run as [Trapped]. *)
 
 val run_fresh :
   ?opts:opts ->
@@ -95,4 +95,5 @@ val run_fresh :
   args:int64 list ->
   result * Memimage.t
 (** Build a fresh memory image for the module, apply [setup], execute, and
-    return the result together with the final memory. *)
+    return the result together with the final memory.  Only building
+    the image raises ([Memimage.Fault]). *)

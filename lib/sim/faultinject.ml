@@ -41,8 +41,6 @@ let verdict_name = function
   | Sdc _ -> "sdc"
   | Hung -> "hang"
 
-let verdict_names = [ "masked"; "detected"; "trapped"; "sdc"; "hang" ]
-
 let describe_fault (f : Machine.fault) =
   match f.Machine.target with
   | Machine.Flip_reg (r, b) ->
@@ -99,7 +97,8 @@ let gen_reg_fault rng ~max_instr : Machine.fault =
    once per (program, entry, args, mode, fuel) on a trial's own image,
    which it then puts back as it was.  The record holds:
 
-   - how the run ends: outcome or trap, r0, misspeculations, steps;
+   - how the run ends: outcome (a trap included), r0, misspeculations,
+     steps;
    - up to [max_snaps] evenly spaced snapshots, each the architectural
      state ({!Machine.arch}) plus the bytes written so far with their
      values; the first is the entry state;
@@ -134,9 +133,7 @@ let gen_reg_fault rng ~max_instr : Machine.fault =
    nothing else, so on such an image it runs the same instructions and
    writes the same bytes.  Any other image gets a record of its own. *)
 
-type ending =
-  | Ran of { outcome : Outcome.t; r0 : int64; misspecs : int; steps : int }
-  | Raised of Outcome.trap
+type ending = { outcome : Outcome.t; r0 : int64; misspecs : int; steps : int }
 
 type snap = {
   arch : Machine.arch;
@@ -195,10 +192,13 @@ let f_find g a =
   go 0 (Array.length g.f_lo)
 
 let ending_of ~fuel (r : Machine.result) =
-  Ran
-    { outcome = r.Machine.outcome; r0 = r.Machine.r0;
-      misspecs = r.Machine.ctr.Counters.misspecs;
-      steps = Int.min r.Machine.ctr.Counters.instrs fuel }
+  { outcome = r.Machine.outcome; r0 = r.Machine.r0;
+    misspecs = r.Machine.ctr.Counters.misspecs;
+    steps = Int.min r.Machine.ctr.Counters.instrs fuel }
+
+(* Whether the golden's counts are known: a trapped run reports none. *)
+let counted g =
+  match g.ending.outcome with Outcome.Trapped _ -> false | _ -> true
 
 (* Run the golden on [m] with snapshots and the footprint, then put
    [m]'s bytes back: the undo journal names every byte written, and its
@@ -251,8 +251,6 @@ let record ~mode ~fuel ~program ~entry ~args (m : Memimage.t) : golden =
     with
     | Some r -> ending_of ~fuel r
     | None -> assert false (* [at_stop] never ends the run *)
-    | exception Machine.Sim_trap k -> Raised k
-    | exception Memimage.Fault msg -> Raised (Outcome.Memory_fault msg)
   in
   drain ();
   Memimage.journal_stop m;
@@ -314,9 +312,7 @@ let applies g (m : Memimage.t) =
 
 (* The golden has no misspeculation after snapshot [s]. *)
 let quiet_after g s =
-  match g.ending with
-  | Ran e -> e.misspecs = s.arch.Machine.a_misspecs
-  | Raised _ -> false
+  counted g && g.ending.misspecs = s.arch.Machine.a_misspecs
 
 (* The rejoin rule at snapshot [s]; [written] holds every byte the trial
    wrote since it forked. *)
@@ -380,7 +376,7 @@ let settles g (f : Machine.fault) =
   (* no snapshot: the golden trapped before its first step, as will the
      trial *)
   Array.length g.snaps = 0
-  || (match g.ending with Ran e -> c >= e.steps | Raised _ -> false)
+  || (counted g && c >= g.ending.steps)
   ||
   match f.Machine.target with
   | Machine.Flip_reg (r, b) ->
@@ -448,12 +444,6 @@ let fork g ~fuel ~program (m : Memimage.t) (f : Machine.fault) =
   | Some r ->
       took Ran;
       (ending_of ~fuel r, 0)
-  | exception Machine.Sim_trap t ->
-      took Ran;
-      (Raised t, 0)
-  | exception Memimage.Fault msg ->
-      took Ran;
-      (Raised (Outcome.Memory_fault msg), 0)
 
 (* --- the record table ---------------------------------------------------- *)
 
@@ -506,15 +496,15 @@ let golden_for key (m : Memimage.t) =
                 :: List.filteri (fun i _ -> i < max_records - 1) !records);
           g)
 
-let classify ~expected ~golden_misspecs ending ~extra =
-  match ending with
-  | Raised k -> Trapped k
-  | Ran { outcome = Outcome.Out_of_fuel | Outcome.Livelock; _ } -> Hung
-  | Ran { outcome = Outcome.Finished | Outcome.Trapped _; r0; misspecs; _ } ->
-      if r0 = expected then
-        let extra = misspecs + extra - golden_misspecs in
+let classify ~expected ~golden_misspecs e ~extra =
+  match e.outcome with
+  | Outcome.Trapped k -> Trapped k
+  | Outcome.Out_of_fuel | Outcome.Livelock -> Hung
+  | Outcome.Finished ->
+      if e.r0 = expected then
+        let extra = e.misspecs + extra - golden_misspecs in
         if extra > 0 then Detected extra else Masked
-      else Sdc r0
+      else Sdc e.r0
 
 let run_trial ~mode ~fuel ~(program : Bs_backend.Asm.program)
     ~(mem : unit -> Memimage.t) ~entry ~args ~expected ~golden_misspecs

@@ -19,8 +19,6 @@ type verdict =
 type trial = { tfault : Machine.fault; verdict : verdict }
 
 val verdict_name : verdict -> string
-val verdict_names : string list
-(** The five classification buckets, in table order. *)
 
 val describe_fault : Machine.fault -> string
 val describe_trial : trial -> string

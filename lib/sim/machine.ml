@@ -33,7 +33,9 @@ open Superblock
    Both must produce byte-identical results — counters, outcome, memory
    image, cache state — so CI and the engine-equivalence property tests
    difference the machine's two definitions: the reference step and
-   the fused traces with their static counter ledgers. *)
+   the fused traces with their static counter ledgers.  At a trap a fused
+   trace's counters and caches are only partly updated, so a [Trapped]
+   result keeps only the trap and is the same under either engine. *)
 
 exception Sim_trap = Superblock.Sim_trap
 
@@ -89,6 +91,11 @@ type result = {
          counts sum to [ctr.misspecs].  Resolve pcs to source sites
          through [Asm.program.srcmap]. *)
 }
+
+let trapped ~fault_applied t =
+  { r0 = 0L; outcome = Bs_support.Outcome.Trapped t; fault_applied;
+    ctr = Counters.create (); icache = Cache.l1i (); dcache = Cache.l1d ();
+    l2 = Cache.l2 (); misspec_pcs = [] }
 
 (* Pre-decoded per-PC flags, computed once per run, that the hooks read:
    a slice instruction traps in CLASSIC mode and is a pre-speculation
@@ -322,67 +329,80 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
   let dispatch =
     if cx.horizon = min_int then bodies else Superblock.install_jit cx bodies
   in
-  while not st.halted do
-    let pc = st.pc in
-    if pc < 0 || pc >= ncode then
-      raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
-    if ctr.Counters.instrs < cx.horizon then begin
-      (* below the horizon no hook can fire, and fused traces stop short
-         of it: fetch, charge, one indirect call *)
-      Superblock.fetch cx pc;
-      ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-      ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-      st.pc <- (Array.unsafe_get dispatch pc) ()
-    end
-    else begin
-      (* at the horizon: a stop sees the state between two steps; then
-         the slice-mode check, the checkpoint/outage hook, fetch, charge
-         and fuel, the fault hook, and the reference step *)
-      if ctr.Counters.instrs = !next_stop then begin
-        match at_stop st ctr with
-        | Some n -> next_stop := n
-        | None ->
-            stopped := true;
-            st.halted <- true
-      end;
-      let m = Array.unsafe_get meta pc in
-      if st.halted then ()
-      else if m land meta_slice <> 0 && st.mode = Isa.Classic then
-        raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
-      else if not (power_step m) then begin
-        Superblock.fetch cx pc;
-        ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-        ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-        if ctr.Counters.instrs > fuel then begin
-          outcome := Bs_support.Outcome.Out_of_fuel;
-          st.halted <- true
+  let trap =
+    try
+      while not st.halted do
+        let pc = st.pc in
+        if pc < 0 || pc >= ncode then
+          raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+        if ctr.Counters.instrs < cx.horizon then begin
+          (* below the horizon no hook can fire, and fused traces stop short
+             of it: fetch, charge, one indirect call *)
+          Superblock.fetch cx pc;
+          ctr.Counters.instrs <- ctr.Counters.instrs + 1;
+          ctr.Counters.cycles <- ctr.Counters.cycles + 1;
+          st.pc <- (Array.unsafe_get dispatch pc) ()
         end
         else begin
-          if ctr.Counters.instrs > fault_horizon then apply_fault ();
-          let nx = (Array.unsafe_get bodies pc) () in
-          if not st.halted then st.pc <- nx
+          (* at the horizon: a stop sees the state between two steps; then
+             the slice-mode check, the checkpoint/outage hook, fetch, charge
+             and fuel, the fault hook, and the reference step *)
+          if ctr.Counters.instrs = !next_stop then begin
+            match at_stop st ctr with
+            | Some n -> next_stop := n
+            | None ->
+                stopped := true;
+                st.halted <- true
+          end;
+          let m = Array.unsafe_get meta pc in
+          if st.halted then ()
+          else if m land meta_slice <> 0 && st.mode = Isa.Classic then
+            raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
+          else if not (power_step m) then begin
+            Superblock.fetch cx pc;
+            ctr.Counters.instrs <- ctr.Counters.instrs + 1;
+            ctr.Counters.cycles <- ctr.Counters.cycles + 1;
+            if ctr.Counters.instrs > fuel then begin
+              outcome := Bs_support.Outcome.Out_of_fuel;
+              st.halted <- true
+            end
+            else begin
+              if ctr.Counters.instrs > fault_horizon then apply_fault ();
+              let nx = (Array.unsafe_get bodies pc) () in
+              if not st.halted then st.pc <- nx
+            end
+          end;
+          if cx.horizon <> min_int then cx.horizon <- next_horizon ()
         end
-      end;
-      if cx.horizon <> min_int then cx.horizon <- next_horizon ()
-    end
-  done;
-  if config.power <> None then Memimage.journal_stop mem;
-  let misspec_pcs =
-    List.sort compare
-      (Hashtbl.fold (fun pc n acc -> (pc, n) :: acc) misspec_pc_counts [])
+      done;
+      None
+    with
+    | Sim_trap t -> Some t
+    | Memimage.Fault m -> Some (Bs_support.Outcome.Memory_fault m)
   in
-  ctr.Counters.wall_ns <-
-    int_of_float ((Unix.gettimeofday () -. t_start) *. 1e9);
-  ( { r0 = Int64.of_int (st.regs.(0) land 0xFFFFFFFF); outcome = !outcome;
-      fault_applied = !fault_applied; ctr; icache; dcache; l2; misspec_pcs },
-    !stopped )
+  if config.power <> None then Memimage.journal_stop mem;
+  match trap with
+  | Some t -> (trapped ~fault_applied:!fault_applied t, false)
+  | None ->
+      let misspec_pcs =
+        List.sort compare
+          (Hashtbl.fold (fun pc n acc -> (pc, n) :: acc) misspec_pc_counts [])
+      in
+      ctr.Counters.wall_ns <-
+        int_of_float ((Unix.gettimeofday () -. t_start) *. 1e9);
+      ( { r0 = Int64.of_int (st.regs.(0) land 0xFFFFFFFF); outcome = !outcome;
+          fault_applied = !fault_applied; ctr; icache; dcache; l2;
+          misspec_pcs },
+        !stopped )
 
 let run ?(config = default_config) p mem ~entry ~args =
-  let a = start ~mode:config.mode p mem ~entry ~args in
-  fst
-    (exec ~config ~on_dmiss:None ~stop_at:max_int
-       ~at_stop:(fun _ _ -> None)
-       p mem a)
+  match start ~mode:config.mode p mem ~entry ~args with
+  | exception Sim_trap t -> trapped ~fault_applied:false t
+  | a ->
+      fst
+        (exec ~config ~on_dmiss:None ~stop_at:max_int
+           ~at_stop:(fun _ _ -> None)
+           p mem a)
 
 let resume ~fuel ~fault ?on_dmiss ~stop_at at_stop p mem a =
   let config = { mode = a.a_mode; fuel; fault; power = None; engine = Jit } in

@@ -17,11 +17,9 @@
     differ only in which steps it may fuse. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
-(** Structured trap: division by zero, unknown entry, PC escape,
-    classic-mode slice use.  Fuel exhaustion does NOT raise — it is
-    reported as [Out_of_fuel] in the result's [outcome], the same variant
-    the reference interpreter uses.  (This is the same exception as
-    {!Superblock.Sim_trap}; either name catches it.) *)
+(** The trap a step raises.  {!run} and {!resume} return it as the
+    [Trapped] outcome; only {!start} raises it, for an unknown entry.
+    (The same exception as {!Superblock.Sim_trap}.) *)
 
 (** Single-bit soft-error injection (the fault model of the resilience
     harness): one flip, applied just before the [at_instr]-th dynamic
@@ -83,8 +81,10 @@ val default_config : config
 type result = {
   r0 : int64;          (** the return register after HALT *)
   outcome : Bs_support.Outcome.t;
-      (** [Finished], or [Out_of_fuel] when the budget ran out ([r0] is
-          then meaningless) *)
+      (** [Finished], [Out_of_fuel] ([r0] is then meaningless),
+          [Livelock] or [Trapped].  A trapped result carries the trap
+          and no activity ([r0] 0, zero counters, empty caches, no
+          [misspec_pcs]), so it is the same under either engine. *)
   fault_applied : bool;   (** the configured fault's trigger was reached *)
   ctr : Counters.t;    (** activity counters (figures 8-11), plus the
                            host [wall_ns] feeding [simulated_mips] *)
@@ -106,11 +106,10 @@ val run :
   result
 (** Execute [entry] with the stack-args calling convention until the
     bootstrap HALT.  Arguments are pushed onto the simulated stack; the
-    result is read from R0.  Fuel exhaustion is returned as the
-    [Out_of_fuel] outcome.
-    @raise Sim_trap on division by zero, PC escapes, unknown entries, or
-    classic-mode slice use.
-    @raise Bs_interp.Memimage.Fault when an access leaves the image. *)
+    result is read from R0.  Fuel exhaustion is the [Out_of_fuel]
+    outcome and every trap, an unknown entry or a memory fault included,
+    is [Trapped].  A power run disarms its undo journal however it
+    ends. *)
 
 (** {1 Runs that start mid-way and stop early}
 
@@ -162,5 +161,5 @@ val resume :
     between two steps, [at_stop] sees the state and returns the next
     stop count (above the current one), or [None] to end the run there,
     which then returns [None].  Without a stop it returns {!run}'s
-    result, and raises as {!run} does.  [on_dmiss] is called with the
-    address of every D$ miss. *)
+    result, a trap included.  [on_dmiss] is called with the address of
+    every D$ miss. *)

@@ -42,8 +42,9 @@ open Bs_interp
    run one by one through {!step}; the engine tests difference the two.
    The one sanctioned divergence: when an instruction raises (division
    by zero, memory fault, classic-mode slice use), counters and
-   run-local cache state may be part-updated — the exception escapes
-   [Machine.run], so no caller can observe them. *)
+   run-local cache state may be part-updated.  [Machine] turns the trap
+   into a [Trapped] result that keeps none of them, so no caller can
+   observe them. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 

@@ -26,8 +26,9 @@
 
     A fused trace is byte-identical in observable effect (counters,
     outcome, memory image, cache state) to the same steps run one by one
-    through {!step}; the only sanctioned divergence is counter state at
-    the moment an exception escapes, which no caller can observe.  A
+    through {!step}; the only sanctioned divergence is counter and cache
+    state at a trap, which {!Machine} drops from its [Trapped] result,
+    so no caller can observe it.  A
     fused trace runs fused every step below the event horizon
     ([ctx.horizon]), the next step at which the fuel limit, a fault, a
     stop, a checkpoint or an outage can strike, and leaves through a
@@ -35,8 +36,8 @@
     hooks. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
-(** The machine's structured trap.  {!Machine.Sim_trap} rebinds this
-    exception, so the two are interchangeable. *)
+(** The machine's structured trap, raised by a step.  {!Machine.Sim_trap}
+    rebinds this exception; a run returns it as a [Trapped] result. *)
 
 (** {1 Timing constants (cycles)} *)
 

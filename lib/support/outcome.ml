@@ -1,7 +1,7 @@
 (* Structured execution outcomes shared by the reference interpreter and
    the machine model, so fuel exhaustion and traps classify identically
    whichever engine ran the program (the fault-injection harness relies on
-   this to compare the two). *)
+   this to compare the two); a trap is a result, never an exception. *)
 
 type trap =
   | Division_by_zero
@@ -36,6 +36,13 @@ let trap_name = function
   | Classic_mode_slice -> "classic-mode-slice"
   | Memory_fault _ -> "memory-fault"
   | Trap_message _ -> "trap"
+
+(* The error line of a run refused because it trapped: a memory fault
+   keeps the image's own wording, any other trap names the engine. *)
+let refuse_trap ~engine = function
+  | Trapped (Memory_fault _ as t) -> failwith (trap_message t)
+  | Trapped t -> failwith (engine ^ " trap: " ^ trap_message t)
+  | Finished | Out_of_fuel | Livelock -> ()
 
 let to_string = function
   | Finished -> "finished"

@@ -2,14 +2,14 @@
 
     The reference interpreter and the machine model both report how a run
     ended through this one type, so fuel exhaustion and traps classify
-    identically whichever engine ran the program.  The fault-injection
-    harness compares outcomes across engines when judging injected
-    faults. *)
+    identically whichever engine ran the program; a trap is a result,
+    never an exception.  The fault-injection harness compares outcomes
+    across engines when judging injected faults. *)
 
 (** Why an execution stopped abnormally. *)
 type trap =
   | Division_by_zero
-  | Stack_overflow              (** simulated stack ran into the globals *)
+  | Stack_overflow  (** interpreter frames hit the globals, or depth > 10^5 *)
   | Unknown_entry of string     (** no such entry point *)
   | Unknown_function of string  (** call target does not resolve *)
   | Pc_out_of_range of int      (** control escaped the code image *)
@@ -31,6 +31,10 @@ val trap_message : trap -> string
 val trap_name : trap -> string
 (** Stable payload-free name for triage keys, e.g. ["div0"],
     ["memory-fault"]. *)
+
+val refuse_trap : engine:string -> t -> unit
+(** Fails ([Failure]) on a trap with the line the command line prints:
+    ["<engine> trap: <message>"], or ["memory fault: <message>"]. *)
 
 val to_string : t -> string
 

@@ -25,7 +25,9 @@ let check_program ?(setup : (Memimage.t -> unit) option) ~name src ~entry
   List.iter
     (fun args ->
       let expect =
-        match (Driver.run_reference ?setup base ~entry ~args).Interp.ret with
+        match
+          (fst (Interp.run_fresh ?setup base.Driver.ir ~entry ~args)).Interp.ret
+        with
         | Some v -> Int64.logand v 0xFFFFFFFFL
         | None -> 0L
       in
@@ -153,7 +155,10 @@ let test_slice_packing () =
   List.iter
     (fun args ->
       let expect =
-        match (Driver.run_reference ~setup:s_base base ~entry:"f" ~args).Interp.ret with
+        match
+          (fst (Interp.run_fresh ~setup:s_base base.Driver.ir ~entry:"f" ~args))
+            .Interp.ret
+        with
         | Some v -> Int64.logand v 0xFFFFFFFFL
         | None -> 0L
       in
@@ -208,7 +213,9 @@ let prop_machine_equiv =
     (fun (a, b) ->
       let args = [ Int64.of_int a; Int64.of_int b ] in
       let expect =
-        match (Driver.run_reference base ~entry:"f" ~args).Interp.ret with
+        match
+          (fst (Interp.run_fresh base.Driver.ir ~entry:"f" ~args)).Interp.ret
+        with
         | Some v -> Int64.logand v 0xFFFFFFFFL
         | None -> 0L
       in

@@ -25,9 +25,10 @@ open Bitspec
 
 let other_engines = [ ("jit", Bs_sim.Machine.Jit) ]
 
-(* One run's complete observable state. *)
+(* One run's complete observable state.  A trap is part of [o_outcome];
+   a trapped run reports no activity, so its counters, attribution and
+   caches read empty. *)
 type obs = {
-  o_exn : string option;   (* a raise makes everything else unobservable *)
   o_r0 : int64;
   o_outcome : string;
   o_ctr : (string * int) list;
@@ -36,29 +37,19 @@ type obs = {
   o_mem : Bs_interp.Memimage.snapshot option;
 }
 
-let no_obs =
-  { o_exn = None; o_r0 = 0L; o_outcome = ""; o_ctr = []; o_misspec = [];
-    o_caches = []; o_mem = None }
-
 (* Run [program] on [mem] and record everything observable. *)
 let observe_run ~config program mem ~entry ~args =
   let open Bs_sim in
-  match Machine.run ~config program mem ~entry ~args with
-  | exception Machine.Sim_trap t ->
-      { no_obs with o_exn = Some ("trap:" ^ Outcome.trap_name t) }
-  | exception Bs_interp.Memimage.Fault _ ->
-      { no_obs with o_exn = Some "memory-fault" }
-  | r ->
-      { o_exn = None;
-        o_r0 = r.Machine.r0;
-        o_outcome = Outcome.to_string r.Machine.outcome;
-        o_ctr = Counters.to_assoc r.Machine.ctr;
-        o_misspec = r.Machine.misspec_pcs;
-        o_caches =
-          List.map
-            (fun (c : Cache.t) -> (c.Cache.name, c.Cache.hits, c.Cache.misses))
-            [ r.Machine.icache; r.Machine.dcache; r.Machine.l2 ];
-        o_mem = Some (Bs_interp.Memimage.snapshot mem) }
+  let r = Machine.run ~config program mem ~entry ~args in
+  { o_r0 = r.Machine.r0;
+    o_outcome = Outcome.to_string r.Machine.outcome;
+    o_ctr = Counters.to_assoc r.Machine.ctr;
+    o_misspec = r.Machine.misspec_pcs;
+    o_caches =
+      List.map
+        (fun (c : Cache.t) -> (c.Cache.name, c.Cache.hits, c.Cache.misses))
+        [ r.Machine.icache; r.Machine.dcache; r.Machine.l2 ];
+    o_mem = Some (Bs_interp.Memimage.snapshot mem) }
 
 (* Run [c] on a fresh memory image under [engine].  [power] builds the
    power configuration per run — a Powertrace is stateful, so every
@@ -90,10 +81,7 @@ let rec pair_diff xs ys =
 
 (* First component where two observations disagree, or [None]. *)
 let first_diff a b =
-  let str o = Option.value o ~default:"(none)" in
-  if a.o_exn <> b.o_exn then
-    Some (Printf.sprintf "exception: %s vs %s" (str a.o_exn) (str b.o_exn))
-  else if a.o_outcome <> b.o_outcome then
+  if a.o_outcome <> b.o_outcome then
     Some (Printf.sprintf "outcome: %s vs %s" a.o_outcome b.o_outcome)
   else if a.o_r0 <> b.o_r0 then
     Some (Printf.sprintf "r0: %Ld vs %Ld" a.o_r0 b.o_r0)
@@ -294,12 +282,10 @@ let test_pinned_kernel_events () =
     (fun name ->
       let c, setup, entry, args = kernel name in
       let g =
-        match
-          List.assoc_opt "instrs"
-            (observe ~setup c Machine.Jit ~entry ~args).o_ctr
-        with
-        | Some g -> g
-        | None -> Alcotest.failf "%s: the fault-free run traps" name
+        let o = observe ~setup c Machine.Jit ~entry ~args in
+        match List.assoc_opt "instrs" o.o_ctr with
+        | Some g when o.o_outcome = Outcome.to_string Outcome.Finished -> g
+        | _ -> Alcotest.failf "%s: the fault-free run traps" name
       in
       let power _ =
         { Machine.trace =
@@ -332,10 +318,8 @@ let test_pinned_kernel_events () =
 let test_classic_slice_at_fuel_limit () =
   let c, setup, entry, args = kernel "CRC32" in
   let run fuel engine =
-    let o =
-      observe ~fuel ~mode:Bs_isa.Isa.Classic ~setup c engine ~entry ~args
-    in
-    match o.o_exn with Some e -> e | None -> o.o_outcome
+    (observe ~fuel ~mode:Bs_isa.Isa.Classic ~setup c engine ~entry ~args)
+      .o_outcome
   in
   List.iter
     (fun (fuel, expected) ->
@@ -346,8 +330,8 @@ let test_classic_slice_at_fuel_limit () =
             expected (run fuel engine))
         [ ("classic", Bs_sim.Machine.Classic); ("jit", Bs_sim.Machine.Jit) ])
     [ (24, Outcome.to_string Outcome.Out_of_fuel);
-      (25, "trap:" ^ Outcome.trap_name Outcome.Classic_mode_slice);
-      (26, "trap:" ^ Outcome.trap_name Outcome.Classic_mode_slice) ]
+      (25, Outcome.to_string (Outcome.Trapped Outcome.Classic_mode_slice));
+      (26, Outcome.to_string (Outcome.Trapped Outcome.Classic_mode_slice)) ]
 
 (* --- every instruction form, fused vs stepped ---------------------------- *)
 
@@ -575,7 +559,6 @@ let test_every_form_fused_vs_stepped () =
   let reference = run Machine.Classic in
   (* the loop keeps its coverage: it finishes, and every misspeculating
      form fires on some iterations but not all *)
-  Alcotest.(check (option string)) "no exception" None reference.o_exn;
   Alcotest.(check string) "finishes"
     (Outcome.to_string Outcome.Finished)
     reference.o_outcome;

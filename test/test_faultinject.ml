@@ -19,18 +19,15 @@ let scratch_verdict ~mode ~fuel ~program ~mem ~entry ~args ~expected
     { Machine.mode; fuel; fault = Some fault; power = None;
       engine = Machine.Jit }
   in
-  match Machine.run ~config program (mem ()) ~entry ~args with
-  | r -> (
-      match r.Machine.outcome with
-      | Outcome.Out_of_fuel | Outcome.Livelock -> Faultinject.Hung
-      | Outcome.Finished | Outcome.Trapped _ ->
-          if r.Machine.r0 = expected then
-            let extra = r.Machine.ctr.Counters.misspecs - golden_misspecs in
-            if extra > 0 then Faultinject.Detected extra
-            else Faultinject.Masked
-          else Faultinject.Sdc r.Machine.r0)
-  | exception Machine.Sim_trap k -> Faultinject.Trapped k
-  | exception Memimage.Fault m -> Faultinject.Trapped (Outcome.Memory_fault m)
+  let r = Machine.run ~config program (mem ()) ~entry ~args in
+  match r.Machine.outcome with
+  | Outcome.Trapped k -> Faultinject.Trapped k
+  | Outcome.Out_of_fuel | Outcome.Livelock -> Faultinject.Hung
+  | Outcome.Finished ->
+      if r.Machine.r0 = expected then
+        let extra = r.Machine.ctr.Counters.misspecs - golden_misspecs in
+        if extra > 0 then Faultinject.Detected extra else Faultinject.Masked
+      else Faultinject.Sdc r.Machine.r0
 
 let show (v : Faultinject.verdict) =
   match v with
@@ -71,10 +68,7 @@ let check_seed seed =
       let entry = Bs_fuzz.Gen.entry
       and args = [ Bs_fuzz.Gen.entry_arg seed ] in
       let mem () = Memimage.create c.Driver.ir in
-      match
-        try golden_of c ~mem ~entry ~args
-        with Machine.Sim_trap _ | Memimage.Fault _ -> None
-      with
+      match golden_of c ~mem ~entry ~args with
       | None -> true (* the fault-free run does not finish: vacuous *)
       | Some (g, expected, golden_misspecs) ->
           let mode = Bs_isa.Isa.Bitspec in

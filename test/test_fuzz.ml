@@ -16,7 +16,9 @@ open Bitspec
      handful of lines that still reproduce the same bucket;
    - equal seeds give bit-identical campaigns;
    - every reproducer in test/corpus/ replays into its recorded bucket;
-   - fixed miscompiles stay fixed. *)
+   - fixed miscompiles stay fixed;
+   - a program that traps agrees by the trap's kind, and one whose
+     reference run overflows the interpreter's stack is skipped. *)
 
 let check_seed seed =
   let source = Bs_fuzz.Gen.program seed in
@@ -246,6 +248,42 @@ let test_compare_elim_orig () =
   | Bs_fuzz.Oracle.Agree _ -> ()
   | v -> Alcotest.fail (Bs_fuzz.Oracle.describe v)
 
+(* Programs that trap: the reference and every build must stop on the
+   same kind of trap.  Nothing the generator makes traps. *)
+let oracle_verdict source ~args ~train =
+  Bs_fuzz.Oracle.describe
+    (Bs_fuzz.Oracle.run ~source ~entry:"run" ~args ~train:[ ("run", train) ]
+       ())
+
+let test_trapping_programs_agree () =
+  List.iter
+    (fun (what, source, args, train, expected) ->
+      Alcotest.(check string) what expected
+        (oracle_verdict source ~args ~train))
+    [ ("division by zero", "u32 run(u32 n) { return 100 / n; }", [ 0L ],
+       [ 5L ], "agree: trap div0");
+      ("remainder by zero", "u32 run(u32 n) { return 100 % n; }", [ 0L ],
+       [ 5L ], "agree: trap div0");
+      ("load off the image",
+       "u8 buf[4];\nu32 run(u32 n) { return buf[n * 100000000]; }", [ 1L ],
+       [ 0L ], "agree: trap memory-fault");
+      ("store off the image",
+       "u8 buf[4];\nu32 run(u32 n) { buf[n * 100000000] = 7; return 0; }",
+       [ 1L ], [ 0L ], "agree: trap memory-fault") ]
+
+(* The interpreter traps past call depth 100 000 to protect the host
+   stack; the machine's stack has no such limit and finishes this run
+   (result 150000, 3.75 M instructions).  Like a reference that runs out
+   of fuel, the reference trap is no ground truth. *)
+let test_reference_stack_overflow_skips () =
+  match
+    Bs_fuzz.Oracle.run
+      ~source:"u32 f(u32 n) { if (n == 0) return 0; return f(n - 1) + 1; }"
+      ~entry:"f" ~args:[ 150000L ] ~train:[ ("f", [ 3L ]) ] ()
+  with
+  | Bs_fuzz.Oracle.Skip _ -> ()
+  | v -> Alcotest.fail (Bs_fuzz.Oracle.describe v)
+
 let suite =
   [ Alcotest.test_case "pinned fuzz seeds" `Quick test_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_fuzz;
@@ -259,4 +297,8 @@ let suite =
       test_campaign_deterministic;
     Alcotest.test_case "corpus reproducers replay" `Quick test_corpus_replay;
     Alcotest.test_case "compare elim never folds in CFG_orig" `Quick
-      test_compare_elim_orig ]
+      test_compare_elim_orig;
+    Alcotest.test_case "trapping programs agree by the trap's kind" `Quick
+      test_trapping_programs_agree;
+    Alcotest.test_case "a reference stack overflow is skipped" `Quick
+      test_reference_stack_overflow_skips ]

@@ -58,7 +58,7 @@ let prop_of_binop op name =
       | Some expected -> Interp.eval_binop op w a b = expected
       | None -> (
           match Interp.eval_binop op w a b with
-          | exception Interp.Trap _ -> true
+          | exception Interp.Trap Bs_support.Outcome.Division_by_zero -> true
           | _ -> false))
 
 let binop_props =
@@ -181,7 +181,7 @@ let test_div_zero_traps () =
   List.iter
     (fun op ->
       match Interp.eval_binop op 32 5L 0L with
-      | exception Interp.Trap _ -> ()
+      | exception Interp.Trap Bs_support.Outcome.Division_by_zero -> ()
       | _ -> Alcotest.fail "division by zero must trap")
     [ Ir.Udiv; Ir.Sdiv; Ir.Urem; Ir.Srem ]
 
@@ -272,13 +272,30 @@ let test_normal_outcome_finished () =
   Alcotest.(check bool) "finished" true
     (r.Interp.outcome = Bs_support.Outcome.Finished)
 
+(* The kind of the trap a run reports as its outcome; a trapped run
+   reports no activity. *)
+let trap_of what (r : Interp.result) =
+  match r.Interp.outcome with
+  | Bs_support.Outcome.Trapped t ->
+      Alcotest.(check bool) (what ^ ": no activity") true
+        (r.Interp.ret = None && r.Interp.steps = 0 && r.Interp.calls = 0
+        && r.Interp.misspecs = 0 && r.Interp.misspec_sites = []);
+      t
+  | o ->
+      Alcotest.failf "%s must trap, not end %s" what
+        (Bs_support.Outcome.to_string o)
+
+let check_trap what kind r =
+  Alcotest.(check string) what kind
+    (Bs_support.Outcome.trap_name (trap_of what r))
+
 let test_trap_unknown_entry () =
   let m = Bs_frontend.Lower.compile "u32 f() { return 7; }" in
-  match Interp.run_fresh m ~entry:"nonexistent" ~args:[] with
-  | exception Interp.Trap msg ->
-      Alcotest.(check bool) "names the entry" true
-        (Str_exists.contains msg "nonexistent")
-  | _ -> Alcotest.fail "unknown entry must trap"
+  let r, _ = Interp.run_fresh m ~entry:"nonexistent" ~args:[] in
+  match trap_of "unknown entry" r with
+  | Bs_support.Outcome.Unknown_entry e ->
+      Alcotest.(check string) "names the entry" "nonexistent" e
+  | t -> Alcotest.failf "wrong trap kind: %s" (Bs_support.Outcome.trap_name t)
 
 let test_trap_stack_overflow_frames () =
   (* unbounded recursion with a stack frame: the simulated SP descends
@@ -287,34 +304,24 @@ let test_trap_stack_overflow_frames () =
     Bs_frontend.Lower.compile
       "u32 f(u32 n) { u8 a[4096]; a[0] = (u8)n; return f(n + 1) + a[0]; }"
   in
-  match Interp.run_fresh ~mem_size:65536 m ~entry:"f" ~args:[ 0L ] with
-  | exception Interp.Trap msg ->
-      Alcotest.(check bool) "stack overflow" true
-        (Str_exists.contains msg "stack overflow")
-  | _ -> Alcotest.fail "frame recursion must trap"
+  let r, _ = Interp.run_fresh ~mem_size:65536 m ~entry:"f" ~args:[ 0L ] in
+  check_trap "frame recursion" "stack-overflow" r
 
 let test_trap_stack_overflow_frameless () =
   (* frameless unbounded recursion exhausts the host stack instead; the
      interpreter still reports the uniform stack-overflow trap *)
   let m = Bs_frontend.Lower.compile "u32 f(u32 n) { return f(n + 1); }" in
-  match Interp.run_fresh m ~entry:"f" ~args:[ 0L ] with
-  | exception Interp.Trap msg ->
-      Alcotest.(check bool) "stack overflow" true
-        (Str_exists.contains msg "stack overflow")
-  | _ -> Alcotest.fail "frameless recursion must trap"
+  let r, _ = Interp.run_fresh m ~entry:"f" ~args:[ 0L ] in
+  check_trap "frameless recursion" "stack-overflow" r
 
 let test_trap_division_in_program () =
+  (* division and remainder by zero are one kind, as on the machine *)
   let m = Bs_frontend.Lower.compile "u32 f(u32 n) { return 100 / n; }" in
-  (match Interp.run_fresh m ~entry:"f" ~args:[ 0L ] with
-  | exception Interp.Trap msg ->
-      Alcotest.(check bool) "division" true (Str_exists.contains msg "division")
-  | _ -> Alcotest.fail "division by zero must trap");
+  check_trap "division by zero" "div0"
+    (fst (Interp.run_fresh m ~entry:"f" ~args:[ 0L ]));
   let m2 = Bs_frontend.Lower.compile "u32 g(u32 n) { return 100 % n; }" in
-  match Interp.run_fresh m2 ~entry:"g" ~args:[ 0L ] with
-  | exception Interp.Trap msg ->
-      Alcotest.(check bool) "remainder" true
-        (Str_exists.contains msg "remainder")
-  | _ -> Alcotest.fail "remainder by zero must trap"
+  check_trap "remainder by zero" "div0"
+    (fst (Interp.run_fresh m2 ~entry:"g" ~args:[ 0L ]))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest binop_props

@@ -17,9 +17,8 @@ open Bs_interp
    bitspec IR (squeezed code with speculative regions, exercising the
    misspeculation guard exits). *)
 
-(* One run's complete observable state. *)
+(* One run's complete observable state; a trap is part of [o_outcome]. *)
 type obs = {
-  o_trap : string option;  (* a raise makes everything else unobservable *)
   o_ret : int64 option;
   o_outcome : string;
   o_steps : int;
@@ -31,11 +30,6 @@ type obs = {
     option;
   o_mem : Memimage.snapshot option;
 }
-
-let no_obs =
-  { o_trap = None; o_ret = None; o_outcome = ""; o_steps = 0;
-    o_misspecs = 0; o_calls = 0; o_sites = []; o_profile = None;
-    o_mem = None }
 
 (* Everything the profiler recorded, in a canonical order. *)
 let profile_obs (p : Profile.t) =
@@ -52,28 +46,20 @@ let profile_obs (p : Profile.t) =
 let observe ?setup ~engine ~profiled (m : Bs_ir.Ir.modul) ~entry ~args =
   let profile = if profiled then Some (Profile.create ()) else None in
   let opts = { Interp.default_opts with Interp.engine; profile } in
-  match Interp.run_fresh ~opts ?setup m ~entry ~args with
-  | exception Interp.Trap msg -> { no_obs with o_trap = Some ("trap:" ^ msg) }
-  | exception Memimage.Fault f -> { no_obs with o_trap = Some ("fault:" ^ f) }
-  | r, mem ->
-      let snap = Memimage.snapshot mem in
-      { o_trap = None;
-        o_ret = r.Interp.ret;
-        o_outcome = Outcome.to_string r.Interp.outcome;
-        o_steps = r.Interp.steps;
-        o_misspecs = r.Interp.misspecs;
-        o_calls = r.Interp.calls;
-        o_sites = r.Interp.misspec_sites;
-        o_profile = Option.map profile_obs profile;
-        o_mem = Some snap }
+  let r, mem = Interp.run_fresh ~opts ?setup m ~entry ~args in
+  { o_ret = r.Interp.ret;
+    o_outcome = Outcome.to_string r.Interp.outcome;
+    o_steps = r.Interp.steps;
+    o_misspecs = r.Interp.misspecs;
+    o_calls = r.Interp.calls;
+    o_sites = r.Interp.misspec_sites;
+    o_profile = Option.map profile_obs profile;
+    o_mem = Some (Memimage.snapshot mem) }
 
 (* First component where two observations disagree, or [None]. *)
 let first_diff a b =
-  let str o = Option.value o ~default:"(none)" in
   let i64 o = Option.fold ~none:"(none)" ~some:Int64.to_string o in
-  if a.o_trap <> b.o_trap then
-    Some (Printf.sprintf "exception: %s vs %s" (str a.o_trap) (str b.o_trap))
-  else if a.o_outcome <> b.o_outcome then
+  if a.o_outcome <> b.o_outcome then
     Some (Printf.sprintf "outcome: %s vs %s" a.o_outcome b.o_outcome)
   else if a.o_ret <> b.o_ret then
     Some (Printf.sprintf "ret: %s vs %s" (i64 a.o_ret) (i64 b.o_ret))
@@ -300,6 +286,49 @@ let test_register_loop_allocates_nothing () =
   Alcotest.(check bool) "select loop: engines agree" true
     (check_module "select loop" (select_loop ()) ~entry:"run" ~args:[ 101L ])
 
+(* A run that traps reports it as its outcome with the trap's kind, and
+   the two engines return the same record: the trap and no activity. *)
+let test_traps_are_outcomes () =
+  List.iter
+    (fun (kind, source, entry, args) ->
+      let m = Bs_frontend.Lower.compile source in
+      (* the front end resolves every call: drop the callee to get an
+         unknown one *)
+      let m =
+        { m with
+          Bs_ir.Ir.funcs =
+            List.filter (fun f -> f.Bs_ir.Ir.fname <> "gone") m.Bs_ir.Ir.funcs }
+      in
+      let run engine =
+        fst
+          (Interp.run_fresh
+             ~opts:{ Interp.default_opts with Interp.engine }
+             m ~entry ~args)
+      in
+      let tree = run Interp.Tree and compiled = run Interp.Compiled in
+      Alcotest.(check bool) (kind ^ ": tree = compiled") true (tree = compiled);
+      match tree.Interp.outcome with
+      | Outcome.Trapped t ->
+          Alcotest.(check string) kind kind (Outcome.trap_name t);
+          Alcotest.(check bool) (kind ^ ": no activity") true
+            (tree.Interp.ret = None && tree.Interp.steps = 0
+            && tree.Interp.calls = 0 && tree.Interp.misspec_sites = [])
+      | o -> Alcotest.failf "%s: ended %s" kind (Outcome.to_string o))
+    [ ("div0", "u32 run(u32 n) { return 100 / n; }", "run", [ 0L ]);
+      ("div0", "u32 run(u32 n) { return 100 % n; }", "run", [ 0L ]);
+      ("memory-fault",
+       "u8 buf[4];\nu32 run(u32 n) { return buf[n * 100000000]; }", "run",
+       [ 1L ]);
+      ("memory-fault",
+       "u8 buf[4];\nu32 run(u32 n) { buf[n * 100000000] = 7; return 0; }",
+       "run", [ 1L ]);
+      ("unknown-entry", "u32 run(u32 n) { return n; }", "nope", [ 1L ]);
+      ("unknown-function",
+       "u32 gone(u32 x) { return x; }\nu32 run(u32 n) { return gone(n); }",
+       "run", [ 1L ]);
+      ("stack-overflow", "u32 run(u32 n) { return run(n + 1); }", "run",
+       [ 0L ]) ]
+
 let suite =
   [ Alcotest.test_case "pinned interp-engine seeds" `Quick test_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_interp_engines_agree;
@@ -308,4 +337,6 @@ let suite =
     Alcotest.test_case "paper workloads are interp-engine-invariant" `Quick
       test_workload_equivalence;
     Alcotest.test_case "a register-only loop allocates nothing" `Quick
-      test_register_loop_allocates_nothing ]
+      test_register_loop_allocates_nothing;
+    Alcotest.test_case "a trap is the same outcome under either engine"
+      `Quick test_traps_are_outcomes ]

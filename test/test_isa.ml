@@ -118,18 +118,18 @@ let test_classic_mode_traps () =
   let w = Bs_workloads.Registry.find "bitcount" in
   let c = Bitspec.Experiment.compile_workload Bitspec.Driver.bitspec_config w in
   (* running a squeezed binary with the slice extension disabled traps *)
-  match
+  let r =
     Bs_sim.Machine.run
       ~config:{ Bs_sim.Machine.mode = Isa.Classic; fuel = 10_000_000;
                 fault = None; power = None; engine = Bs_sim.Machine.Jit }
       c.Bitspec.Driver.program
       (Bs_interp.Memimage.create c.Bitspec.Driver.ir)
       ~entry:w.Bs_workloads.Workload.entry ~args:[ 10L ]
-  with
-  | exception Bs_sim.Machine.Sim_trap k ->
-      Alcotest.(check bool) "classic-mode slice trap" true
-        (k = Bs_support.Outcome.Classic_mode_slice)
-  | _ -> Alcotest.fail "classic mode executed slice instructions"
+  in
+  Alcotest.(check string) "classic-mode slice trap"
+    (Bs_support.Outcome.to_string
+       (Bs_support.Outcome.Trapped Bs_support.Outcome.Classic_mode_slice))
+    (Bs_support.Outcome.to_string r.Bs_sim.Machine.outcome)
 
 (* --- DTS model ---------------------------------------------------------- *)
 

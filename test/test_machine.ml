@@ -22,14 +22,39 @@ let program ?(delta = 0) insns : Bs_backend.Asm.program =
     halt_pc = Array.length code - 1;
     handler_pcs = Hashtbl.create 1 }
 
-let exec ?(mode = Bitspec) ?(fuel = 100000) ?mem insns =
+let exec ?(mode = Bitspec) ?(fuel = 100000) ?(engine = Machine.Classic) ?mem
+    ?(entry = "main") insns =
   let m = { Bs_ir.Ir.funcs = []; globals = [] } in
   let memory =
     match mem with Some m -> m | None -> Bs_interp.Memimage.create ~size:65536 m
   in
-  Machine.run ~config:{ Machine.mode; fuel; fault = None; power = None; engine = Machine.Classic }
+  Machine.run ~config:{ Machine.mode; fuel; fault = None; power = None; engine }
     (program insns)
-    memory ~entry:"main" ~args:[]
+    memory ~entry ~args:[]
+
+(* The trap a program's run reports as its outcome.  Classic and Jit
+   must return the same record: the trap and no activity. *)
+let trap_of ?mode ?entry insns =
+  let classic = exec ?mode ?entry ~engine:Machine.Classic insns in
+  let jit = exec ?mode ?entry ~engine:Machine.Jit insns in
+  Alcotest.(check bool) "classic and jit return the same result" true
+    (classic = jit);
+  match classic.Machine.outcome with
+  | Bs_support.Outcome.Trapped t ->
+      let idle = Counters.create () in
+      Alcotest.(check bool) "a trapped result reports no activity" true
+        (classic.Machine.r0 = 0L && classic.Machine.ctr = idle
+        && classic.Machine.misspec_pcs = []
+        && List.for_all
+             (fun c -> Cache.accesses c = 0)
+             [ classic.Machine.icache; classic.Machine.dcache;
+               classic.Machine.l2 ]);
+      t
+  | o ->
+      Alcotest.failf "must trap, not end %s" (Bs_support.Outcome.to_string o)
+
+let wrong_kind k =
+  Alcotest.failf "wrong trap kind: %s" (Bs_support.Outcome.trap_message k)
 
 let r0_of insns = (exec insns).Machine.r0
 
@@ -261,37 +286,28 @@ let test_setmode_and_delta () =
         BEXT (Unsigned, 0, sl 0 1) ]
   in
   check64 "mode switch" 9L r.Machine.r0;
-  match
-    exec [ SETMODE Classic; BMOVI (sl 0 0, 1) ]
-  with
-  | exception Machine.Sim_trap Bs_support.Outcome.Classic_mode_slice -> ()
-  | exception Machine.Sim_trap k ->
-      Alcotest.failf "wrong trap kind: %s" (Bs_support.Outcome.trap_message k)
-  | _ -> Alcotest.fail "slice op must trap in classic mode"
+  match trap_of [ SETMODE Classic; BMOVI (sl 0 0, 1) ] with
+  | Bs_support.Outcome.Classic_mode_slice -> ()
+  | k -> wrong_kind k
 
 (* --- trap paths --------------------------------------------------------- *)
 
 let test_trap_division_by_zero () =
-  match exec [ MOVW (1, 9); MOVW (2, 0); DIV (Unsigned, 0, 1, 2) ] with
-  | exception Machine.Sim_trap Bs_support.Outcome.Division_by_zero -> ()
-  | _ -> Alcotest.fail "division by zero must trap"
+  match trap_of [ MOVW (1, 9); MOVW (2, 0); DIV (Unsigned, 0, 1, 2) ] with
+  | Bs_support.Outcome.Division_by_zero -> ()
+  | k -> wrong_kind k
 
 let test_trap_unknown_entry () =
-  let m = { Bs_ir.Ir.funcs = []; globals = [] } in
-  match
-    Machine.run (program [ NOP ])
-      (Bs_interp.Memimage.create ~size:65536 m)
-      ~entry:"nonexistent" ~args:[]
-  with
-  | exception Machine.Sim_trap (Bs_support.Outcome.Unknown_entry e) ->
+  match trap_of ~entry:"nonexistent" [ NOP ] with
+  | Bs_support.Outcome.Unknown_entry e ->
       Alcotest.(check string) "names the entry" "nonexistent" e
-  | _ -> Alcotest.fail "unknown entry must trap"
+  | k -> wrong_kind k
 
 let test_trap_pc_out_of_range () =
-  match exec [ B 100 ] with
-  | exception Machine.Sim_trap (Bs_support.Outcome.Pc_out_of_range pc) ->
+  match trap_of [ B 100 ] with
+  | Bs_support.Outcome.Pc_out_of_range pc ->
       Alcotest.(check int) "escaped pc" 100 pc
-  | _ -> Alcotest.fail "PC escape must trap"
+  | k -> wrong_kind k
 
 let test_fuel_exhaustion_outcome () =
   (* a tight infinite loop stops with the structured Out_of_fuel outcome —
@@ -312,9 +328,42 @@ let test_trap_stack_runaway () =
       STR (W32, 0, 13, 0);             (* touch the frame *)
       B 0 ]
   in
-  match exec insns with
-  | exception Bs_interp.Memimage.Fault _ -> ()
-  | _ -> Alcotest.fail "stack runaway must fault"
+  match trap_of insns with
+  | Bs_support.Outcome.Memory_fault _ -> ()
+  | k -> wrong_kind k
+
+(* Loops that trap after hundreds of iterations, so the trap strikes
+   inside a fused trace under Jit: the divisor counts down to zero, the
+   store address walks off the image. *)
+let countdown_div = [ MOVW (1, 100); MOVW (2, 300); DIV (Unsigned, 0, 1, 2);
+                      ALU (OpSub, 2, 2, Imm 1); B 2 ]
+
+let walk_off_store = [ ALU (OpSub, 13, 13, Imm 16); STR (W32, 0, 13, 0); B 0 ]
+
+let test_trap_in_fused_trace () =
+  Alcotest.(check string) "division by zero" "div0"
+    (Bs_support.Outcome.trap_name (trap_of countdown_div));
+  Alcotest.(check string) "store off the image" "memory-fault"
+    (Bs_support.Outcome.trap_name (trap_of walk_off_store))
+
+let test_trapped_power_run_disarms_journal () =
+  (* the journal a power run arms is disarmed however the run ends *)
+  let m = { Bs_ir.Ir.funcs = []; globals = [] } in
+  let mem = Bs_interp.Memimage.create ~size:65536 m in
+  let power =
+    { Machine.trace = Powertrace.create ~seed:3L (Powertrace.Periodic 50);
+      policy = Checkpoint.Interval 20; max_retries = 8 }
+  in
+  let r =
+    Machine.run
+      ~config:{ Machine.default_config with fuel = 100000; power = Some power }
+      (program walk_off_store) mem ~entry:"main" ~args:[]
+  in
+  Alcotest.(check string) "trapped" "trap"
+    (match r.Machine.outcome with
+    | Bs_support.Outcome.Trapped _ -> "trap"
+    | o -> Bs_support.Outcome.to_string o);
+  Alcotest.(check bool) "journal disarmed" false mem.Bs_interp.Memimage.j_on
 
 (* --- fault injection ---------------------------------------------------- *)
 
@@ -394,4 +443,8 @@ let suite =
     Alcotest.test_case "fault injection: register flip" `Quick
       test_injected_flip_changes_register;
     Alcotest.test_case "fault injection: caught by misspec hardware" `Quick
-      test_injected_flip_detected_by_hardware ]
+      test_injected_flip_detected_by_hardware;
+    Alcotest.test_case "trap: inside a fused loop trace" `Quick
+      test_trap_in_fused_trace;
+    Alcotest.test_case "trap: a power run disarms its journal" `Quick
+      test_trapped_power_run_disarms_journal ]

@@ -180,14 +180,9 @@ let test_ssa_repair () =
   Alcotest.(check int64) "left path" 130L (run 1L);
   Alcotest.(check int64) "right path" 103L (run 0L)
 
-let test_repair_phis_nontrivial () =
-  (* Step ③'s phis (named "rep" or "<var>.rep") each merge two or more
-     values, over 300 generated programs squeezed under MAX, AVG and MIN:
-     the repair removes a phi that merges one value, and again each phi
-     that becomes trivial when a phi it reads is removed.  Pruning the
-     CFG_orig blocks no handler reaches afterwards can leave a repair phi
-     a single incoming edge; that phi is the pruning's and is skipped. *)
-  let trivial = ref [] in
+(* Squeeze generated programs 1-300 under MAX, AVG and MIN, calling
+   [check seed f] on every function of each result. *)
+let iter_squeezed check =
   for seed = 1 to 300 do
     let source = Bs_fuzz.Gen.program seed in
     List.iter
@@ -201,34 +196,53 @@ let test_repair_phis_nontrivial () =
             ()
         in
         ignore (Squeezer.run m ~profile ~heuristic);
-        List.iter
-          (fun (f : Ir.func) ->
-            List.iter
-              (fun (b : Ir.block) ->
-                List.iter
-                  (fun (i : Ir.instr) ->
-                    match i.Ir.op with
-                    | Ir.Phi (_ :: _ :: _ as incoming)
-                      when i.Ir.iname = "rep"
-                           || Filename.check_suffix i.Ir.iname ".rep" -> (
-                        let self = Ir.Var i.Ir.iid in
-                        match
-                          List.sort_uniq compare
-                            (List.filter (( <> ) self) (List.map snd incoming))
-                        with
-                        | [ _ ] ->
-                            trivial :=
-                              Printf.sprintf "program %d: %s" seed
-                                (Printer.instr_str f i)
-                              :: !trivial
-                        | _ -> ())
-                    | _ -> ())
-                  b.Ir.instrs)
-              f.Ir.blocks)
-          m.Ir.funcs)
+        List.iter (check seed) m.Ir.funcs)
       [ Profile.Hmax; Profile.Havg; Profile.Hmin ]
-  done;
+  done
+
+(* The phis of [f] that [bad] picks, rendered with the program's seed. *)
+let collect_phis acc bad seed (f : Ir.func) =
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          match i.Ir.op with
+          | Ir.Phi incoming when bad i incoming ->
+              acc :=
+                Printf.sprintf "program %d: %s" seed (Printer.instr_str f i)
+                :: !acc
+          | _ -> ())
+        b.Ir.instrs)
+    f.Ir.blocks
+
+let test_repair_phis_nontrivial () =
+  (* Step ③'s phis (named "rep" or "<var>.rep") each merge two or more
+     values, over 300 generated programs squeezed under MAX, AVG and MIN:
+     the repair removes a phi that merges one value, and again each phi
+     that becomes trivial when a phi it reads is removed.  A phi that
+     the pruning of unreachable CFG_orig blocks leaves one incoming edge
+     is the pruning's to fold ([test_no_single_edge_phi]). *)
+  let trivial = ref [] in
+  iter_squeezed
+    (collect_phis trivial (fun i incoming ->
+         (i.Ir.iname = "rep" || Filename.check_suffix i.Ir.iname ".rep")
+         && List.length incoming >= 2
+         &&
+         let self = Ir.Var i.Ir.iid in
+         List.length
+           (List.sort_uniq compare
+              (List.filter (( <> ) self) (List.map snd incoming)))
+         = 1));
   Alcotest.(check (list string)) "trivial repair phis" [] (List.rev !trivial)
+
+let test_no_single_edge_phi () =
+  (* Pruning the CFG_orig blocks no handler reaches drops their edges
+     from the phis; a phi left with one incoming edge is a copy, and
+     the squeezer substitutes it away before later passes see it. *)
+  let single = ref [] in
+  iter_squeezed
+    (collect_phis single (fun _ incoming -> List.length incoming = 1));
+  Alcotest.(check (list string)) "single-edge phis" [] (List.rev !single)
 
 let test_squeezer_memory_layout_untouched () =
   (* squeezing never changes array element sizes: a squeezed kernel and
@@ -325,4 +339,6 @@ let suite =
       test_squeezer_memory_layout_untouched;
     Alcotest.test_case "handler structure (§3.1.1)" `Quick test_handler_structure;
     Alcotest.test_case "driver configurations agree" `Quick test_driver_configs;
-    QCheck_alcotest.to_alcotest prop_opts_preserve ]
+    QCheck_alcotest.to_alcotest prop_opts_preserve;
+    Alcotest.test_case "squeezing leaves no single-edge phi" `Slow
+      test_no_single_edge_phi ]
