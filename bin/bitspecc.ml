@@ -298,9 +298,10 @@ let run_cmd =
   let stats =
     Arg.(value & flag
          & info [ "stats" ]
-             ~doc:"Print the raw activity-counter dump and the host-side \
-                   simulation rate ($(b,simulated_mips), simulated \
-                   instructions per host microsecond).")
+             ~doc:"Print the raw activity-counter dump, each cache's hits \
+                   and misses, and the host-side simulation rate \
+                   ($(b,simulated_mips), simulated instructions per host \
+                   microsecond).")
   in
   let action file arch heuristic entry args train no_expander trace why
       power power_seed policy retries engine stats =
@@ -334,6 +335,12 @@ let run_cmd =
           List.iter
             (fun (k, v) -> Printf.printf "%-18s = %d\n" k v)
             (Bs_sim.Counters.to_assoc ctr);
+          List.iter
+            (fun (c : Bs_sim.Cache.t) ->
+              Printf.printf "%-18s = %d hits, %d misses\n" c.Bs_sim.Cache.name
+                c.Bs_sim.Cache.hits c.Bs_sim.Cache.misses)
+            [ r.Bs_sim.Machine.icache; r.Bs_sim.Machine.dcache;
+              r.Bs_sim.Machine.l2 ];
           Printf.printf "%-18s = %.2f\n" "simulated_mips"
             (Bs_sim.Counters.simulated_mips ctr)
         end;

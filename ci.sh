@@ -212,22 +212,30 @@ fi
 for f in test/corpus/*.mc; do
   dune exec bin/bitspecc.exe -- reduce --check --engine jit "$f" > /dev/null
 done
-# power runs: the jit fuses up to each interval checkpoint and possible
-# outage, and hooks every step under pre-store; both must match classic
-# (no --stats: its simulated_mips line is host noise)
-for setting in "exp:300 --policy interval:37" "hotpc:40 --policy pre-store"; do
+# single runs, plain and under power: the jit fuses up to each interval
+# checkpoint and possible outage, and hooks every step under pre-store;
+# its --stats dump (every counter, each cache's hits and misses) must
+# match classic's, less the simulated_mips line, which is host noise
+for setting in "" "--power exp:300 --policy interval:37" \
+  "--power hotpc:40 --policy pre-store"; do
   for e in classic jit; do
     dune exec bin/bitspecc.exe -- run test/corpus/power-restored-hotpc40-seed7.mc \
-      --entry f --args 200 --train 200 --power $setting --engine "$e" \
-      > "$eng/power-$e.out"
+      --entry f --args 200 --train 200 $setting --stats --engine "$e" \
+      > "$eng/run-$e.raw"
+    grep -v '^simulated_mips' "$eng/run-$e.raw" > "$eng/run-$e.out"
   done
-  if ! cmp -s "$eng/power-classic.out" "$eng/power-jit.out"; then
-    echo "engine smoke: classic and jit differ under --power $setting" >&2
-    diff "$eng/power-classic.out" "$eng/power-jit.out" >&2 || true
+  if ! grep -q '^L2  *= [0-9]* hits, [0-9]* misses$' "$eng/run-jit.out"; then
+    echo "engine smoke: run --stats printed no cache line" >&2
+    cat "$eng/run-jit.out" >&2
+    exit 1
+  fi
+  if ! cmp -s "$eng/run-classic.out" "$eng/run-jit.out"; then
+    echo "engine smoke: classic and jit differ on run ${setting:-with no power}" >&2
+    diff "$eng/run-classic.out" "$eng/run-jit.out" >&2 || true
     exit 1
   fi
 done
-echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays under jit, power runs engine-invariant)"
+echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays under jit, counter dumps engine-invariant)"
 
 # Interpreter-engine smoke: the closure-compiled interpreter must be
 # observably identical to the tree-walker through the whole fuzz
@@ -511,8 +519,10 @@ echo "transcript: every section matches bench/transcript.txt at --jobs 4"
 # MiniC loop kernel of 6.9 M simulated instructions, nearly all of them
 # on one fused loop trace, runs under the trace-JIT and under the
 # reference step (--engine classic), best of 5 each.  A fused step does
-# a fraction of a reference step's work: over ten runs the ratio read
-# 3.7-4.8 with int-typed fused steps in a build without -opaque, and
+# a fraction of a reference step's work: the ratio reads 4.7 (jit
+# 713-725 / classic 152-155 MIPS) with int-typed fused steps and every
+# instruction fetch hinted, in a build without -opaque; 4.5-4.9 before
+# the fetches were hinted, which sped up both engines; and it read
 # 1.9-2.5 with fused steps that wrote registers through caml_modify and
 # called their operators through caml_apply in an -opaque build — a
 # regression the wall-time bounds above cannot tell from host noise.

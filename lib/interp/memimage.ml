@@ -36,9 +36,10 @@ external set16u : buf -> int -> int -> unit = "%caml_bigstring_set16u"
 external get64u : buf -> int -> int64 = "%caml_bigstring_get64u"
 external swap16 : int -> int = "%bswap16"
 
-let get_u16le b i = if Sys.big_endian then swap16 (get16u b i) else get16u b i
+let[@inline] get_u16le b i =
+  if Sys.big_endian then swap16 (get16u b i) else get16u b i
 
-let set_u16le b i v =
+let[@inline] set_u16le b i v =
   set16u b i (if Sys.big_endian then swap16 v else v)
 
 (* A private mapping of /dev/zero: the kernel hands out a zero page on
@@ -149,10 +150,17 @@ let addr_of t name =
   | a -> a
   | exception Not_found -> raise (Fault ("unknown global " ^ name))
 
-let check t addr width =
-  let bytes = Int.max 1 (width / 8) in
+(* The bounds check's failure, out of line, so that a check inlined into
+   a simulated load or store is two compares and a branch. *)
+let out_of_bounds addr width =
+  raise (Fault (Printf.sprintf "out-of-bounds access at 0x%x (i%d)" addr width))
+
+(* The bounds check of an access of [bytes] bytes, [width] bits. *)
+let[@inline] check_n t addr bytes width =
   if addr < 0 || addr + bytes > Bigarray.Array1.dim t.bytes then
-    raise (Fault (Printf.sprintf "out-of-bounds access at 0x%x (i%d)" addr width))
+    out_of_bounds addr width
+
+let check t addr width = check_n t addr (Int.max 1 (width / 8)) width
 
 (* --- snapshots and the undo journal ------------------------------------ *)
 
@@ -258,30 +266,52 @@ let write t ~width addr v =
 
 (* Unboxed accessors for the machine simulator's 8/16/32-bit traffic:
    plain-int reads and writes keep its load/store path free of Int64
-   allocation.  Wider (or odd-width) accesses fall back to the Int64
-   versions above; values read are unsigned, exactly like [read]. *)
+   allocation.  The per-width ones are inlined into the simulator's
+   fused loads and stores, so the bounds check and the access compile
+   to a few instructions there; only a fault or an armed journal calls
+   out.  Wider (or odd-width) accesses fall back to the Int64 versions
+   above; values read are unsigned, exactly like [read]. *)
+
+let[@inline] read_u8 t addr =
+  check_n t addr 1 8;
+  Char.code (Bigarray.Array1.unsafe_get t.bytes addr)
+
+let[@inline] read_u16 t addr =
+  check_n t addr 2 16;
+  get_u16le t.bytes addr
+
+let[@inline] read_u32 t addr =
+  check_n t addr 4 32;
+  get_u16le t.bytes addr lor (get_u16le t.bytes (addr + 2) lsl 16)
+
+let[@inline] write_u8 t addr v =
+  check_n t addr 1 8;
+  if t.j_on then journal_record t addr 1;
+  Bigarray.Array1.unsafe_set t.bytes addr (Char.unsafe_chr (v land 0xFF))
+
+let[@inline] write_u16 t addr v =
+  check_n t addr 2 16;
+  if t.j_on then journal_record t addr 2;
+  set_u16le t.bytes addr (v land 0xFFFF)
+
+let[@inline] write_u32 t addr v =
+  check_n t addr 4 32;
+  if t.j_on then journal_record t addr 4;
+  set_u16le t.bytes addr (v land 0xFFFF);
+  set_u16le t.bytes (addr + 2) ((v lsr 16) land 0xFFFF)
 
 let read_int t ~width addr =
-  check t addr width;
   match width with
-  | 8 -> Char.code (Bigarray.Array1.unsafe_get t.bytes addr)
-  | 16 -> get_u16le t.bytes addr
-  | 32 -> get_u16le t.bytes addr lor (get_u16le t.bytes (addr + 2) lsl 16)
+  | 8 -> read_u8 t addr
+  | 16 -> read_u16 t addr
+  | 32 -> read_u32 t addr
   | _ -> Int64.to_int (read t ~width addr)
 
 let write_int t ~width addr v =
-  check t addr width;
   match width with
-  | 8 ->
-      if t.j_on then journal_record t addr 1;
-      Bigarray.Array1.unsafe_set t.bytes addr (Char.unsafe_chr (v land 0xFF))
-  | 16 ->
-      if t.j_on then journal_record t addr 2;
-      set_u16le t.bytes addr (v land 0xFFFF)
-  | 32 ->
-      if t.j_on then journal_record t addr 4;
-      set_u16le t.bytes addr (v land 0xFFFF);
-      set_u16le t.bytes (addr + 2) ((v lsr 16) land 0xFFFF)
+  | 8 -> write_u8 t addr v
+  | 16 -> write_u16 t addr v
+  | 32 -> write_u32 t addr v
   | _ -> write t ~width addr (Int64.of_int v) (* [write] journals *)
 
 (** Convenience accessors used by workload input generators, which call

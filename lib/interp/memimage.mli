@@ -68,6 +68,19 @@ val read_int : t -> width:int -> int -> int
 val write_int : t -> width:int -> int -> int -> unit
 (** [write] from a plain int (low [width] bits stored). *)
 
+(** {3 Per-width accessors}
+
+    [read_int]/[write_int] at one width, with the same bounds check,
+    [Fault] message and journalling.  They are inlined into the machine
+    simulator's fused loads and stores (a build without [-opaque]). *)
+
+val read_u8 : t -> int -> int
+val read_u16 : t -> int -> int
+val read_u32 : t -> int -> int
+val write_u8 : t -> int -> int -> unit
+val write_u16 : t -> int -> int -> unit
+val write_u32 : t -> int -> int -> unit
+
 (** {2 Snapshots and the undo journal}
 
     Two restoration mechanisms for checkpointed (intermittent-power)

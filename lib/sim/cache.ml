@@ -8,7 +8,14 @@
    [set * ways + way]: the way scan on the simulator's hottest path is a
    handful of adjacent unchecked loads instead of a bounds-checked
    two-level indirection.  Every index is derived from [set_mask] and
-   [ways], so it is in range by construction. *)
+   [ways], so it is in range by construction.
+
+   One lookup ({!scan}) does the hit, fill and LRU bookkeeping.  Two
+   front ends reach it: {!access}, and {!access_hinted}, which first
+   tries the one slot a caller remembers for the line (the simulator's
+   instruction fetches, whose PC always maps to the same line).  A hint
+   only skips the way scan when the slot still holds the line, so the
+   two leave every field identical. *)
 
 type t = {
   name : string;
@@ -44,49 +51,88 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     stamp = Array.make (sets * ways) 0;
     tick = 0; hits = 0; misses = 0; last_line = -1; last_slot = 0 }
 
+(* A hit on the previous access's line; the tick has already advanced. *)
+let[@inline] same_line_hit t =
+  t.hits <- t.hits + 1;
+  Array.unsafe_set t.stamp t.last_slot t.tick
+
+(* A hit on [line] in [slot]; the tick has already advanced. *)
+let[@inline] hit_in t line slot =
+  t.hits <- t.hits + 1;
+  Array.unsafe_set t.stamp slot t.tick;
+  t.last_line <- line;
+  t.last_slot <- slot
+
+(* The way scan of [line]'s set, the tick already advanced: stamp the
+   way holding the line, or fill the least recently used way (the first
+   of the oldest stamps).  Leaves [last_line]/[last_slot] at the line
+   and its slot; [true] on hit. *)
+let scan t line =
+  let base = (line land t.set_mask) * t.ways in
+  let stop = base + t.ways in
+  let tag = line lsr t.set_shift in
+  let tags = t.tags and stamp = t.stamp in
+  let w = ref base in
+  while !w < stop && Array.unsafe_get tags !w <> tag do incr w done;
+  if !w < stop then begin
+    hit_in t line !w;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let victim = ref base in
+    for w = base + 1 to stop - 1 do
+      if Array.unsafe_get stamp w < Array.unsafe_get stamp !victim then
+        victim := w
+    done;
+    Array.unsafe_set tags !victim tag;
+    Array.unsafe_set stamp !victim t.tick;
+    t.last_line <- line;
+    t.last_slot <- !victim;
+    false
+  end
+
 (** [access t addr] looks the address up, updating LRU state and filling on
     miss.  Returns [true] on hit. *)
-let access t addr =
+let[@inline] access t addr =
   t.tick <- t.tick + 1;
   let line = addr lsr t.line_shift in
   (* Back-to-back accesses to the same line always hit (nothing between
      two accesses of this cache can evict it), so the common sequential
      case skips the way scan; hit/miss/LRU state stays exact. *)
   if line = t.last_line then begin
-    t.hits <- t.hits + 1;
-    Array.unsafe_set t.stamp t.last_slot t.tick;
+    same_line_hit t;
+    true
+  end
+  else scan t line
+
+(** [access_hinted t hints i addr] is [access t addr] with [hints.(i)] as
+    the slot to try first: when that slot lies in the line's set and
+    holds its tag, the line hits there with no way scan; otherwise the
+    set is scanned as {!access} does, and [hints.(i)] is set to the
+    slot the line ends up in.  Every field of [t] is left as {!access}
+    would leave it, whatever the hint held.  (A same-line access takes
+    {!access}'s fast path and leaves the hint alone.) *)
+let[@inline] access_hinted t (hints : int array) i addr =
+  t.tick <- t.tick + 1;
+  let line = addr lsr t.line_shift in
+  if line = t.last_line then begin
+    same_line_hit t;
     true
   end
   else begin
-    let set = line land t.set_mask in
-    let tag = line lsr t.set_shift in
-    let base = set * t.ways in
-    let tags = t.tags and stamp = t.stamp in
-    let hit_slot = ref (-1) in
-    for w = base to base + t.ways - 1 do
-      if Array.unsafe_get tags w = tag then begin
-        hit_slot := w;
-        Array.unsafe_set stamp w t.tick
-      end
-    done;
-    t.last_line <- line;
-    if !hit_slot >= 0 then begin
-      t.hits <- t.hits + 1;
-      t.last_slot <- !hit_slot;
+    let slot = hints.(i) in
+    let d = slot - ((line land t.set_mask) * t.ways) in
+    if d >= 0 && d < t.ways
+       && Array.unsafe_get t.tags slot = line lsr t.set_shift
+    then begin
+      hit_in t line slot;
       true
     end
     else begin
-      t.misses <- t.misses + 1;
-      (* evict LRU *)
-      let victim = ref base in
-      for w = base + 1 to base + t.ways - 1 do
-        if Array.unsafe_get stamp w < Array.unsafe_get stamp !victim then
-          victim := w
-      done;
-      Array.unsafe_set tags !victim tag;
-      Array.unsafe_set stamp !victim t.tick;
-      t.last_slot <- !victim;
-      false
+      let hit = scan t line in
+      hints.(i) <- t.last_slot;
+      hit
     end
   end
 
@@ -98,7 +144,7 @@ let access t addr =
     access (the trace-JIT batches the fetches of a fused superblock this
     way: within one straight-line run, only the first access of each
     instruction-cache line can miss). *)
-let bump_hits t n =
+let[@inline] bump_hits t n =
   if n > 0 then begin
     t.tick <- t.tick + n;
     t.hits <- t.hits + n;

@@ -174,7 +174,9 @@ let exec ~config ~on_dmiss ~stop_at ~at_stop (p : Bs_backend.Asm.program)
   in
   let cx =
     { Superblock.st; ctr; mem; icache; dcache; l2;
-      pc_counts = misspec_pc_counts; prog = p; horizon = min_int; on_dmiss }
+      pc_counts = misspec_pc_counts; prog = p;
+      ihints = Array.make (Array.length p.Bs_backend.Asm.code) (-1);
+      horizon = min_int; on_dmiss }
   in
   let meta = predecode p in
   let outcome = ref Bs_support.Outcome.Finished in

@@ -25,6 +25,14 @@ open Bs_interp
      a straight line, only the first access of each I$ line can miss —
      the rest are replayed with {!Cache.bump_hits}).
 
+   Every fetch that reaches the I$, stepped or fused, goes through
+   {!fetch}: it tries the slot its PC's line was last found in
+   ([ctx.ihints], one int per PC) and scans the set only when that slot
+   no longer holds the line ({!Cache.access_hinted}), so most fetches
+   cost one tag compare.  Fused loads and stores inline the image's
+   bounds check and byte access ({!Memimage.read_u8} and kin) and the
+   D$'s same-line check; a miss calls out.
+
    Guard exits mirror the hardware's own Δ fallback: a misspeculating
    instruction ends the trace early, flushes the counters and batched
    fetches accumulated so far, and returns [pc + Δ] to the dispatch
@@ -38,8 +46,9 @@ open Bs_interp
    at the step at it, and [Machine] runs that step with its hooks.
 
    A fused trace must be byte-identical in observable effect (counters,
-   outcome, memory image, cache hit/miss/LRU state) to the same steps
-   run one by one through {!step}; the engine tests difference the two.
+   outcome, memory image, every field of every cache: hits, misses,
+   tick, tags, LRU stamps, last line and slot) to the same steps run one
+   by one through {!step}; the engine tests difference the two.
    The one sanctioned divergence: when an instruction raises (division
    by zero, memory fault, classic-mode slice use), counters and
    run-local cache state may be part-updated.  [Machine] turns the trap
@@ -90,11 +99,14 @@ let[@inline] write_slice st ctr (s : slice) v =
   let keep = lnot (0xFF lsl shift) land 0xFFFFFFFF in
   st.regs.(s.sl_reg) <- st.regs.(s.sl_reg) land keep lor ((v land 0xFF) lsl shift)
 
+(* The operands of a signed condition: a 32-bit compare's are sign
+   extended, a slice compare's are bytes read unsigned. *)
+let[@inline] signed_operand st u =
+  if (not st.cmp_width8) && u land 0x80000000 <> 0 then u - 0x100000000
+  else u
+
 let eval_cond st (c : cond) =
-  let a = st.cmp_a and b = st.cmp_b in
-  let ua = a land 0xFFFFFFFF and ub = b land 0xFFFFFFFF in
-  let sa = if st.cmp_width8 then ua else if ua land 0x80000000 <> 0 then ua - 0x100000000 else ua in
-  let sb = if st.cmp_width8 then ub else if ub land 0x80000000 <> 0 then ub - 0x100000000 else ub in
+  let ua = st.cmp_a land 0xFFFFFFFF and ub = st.cmp_b land 0xFFFFFFFF in
   match c with
   | CEq -> ua = ub
   | CNe -> ua <> ub
@@ -102,10 +114,10 @@ let eval_cond st (c : cond) =
   | CUle -> ua <= ub
   | CUgt -> ua > ub
   | CUge -> ua >= ub
-  | CSlt -> sa < sb
-  | CSle -> sa <= sb
-  | CSgt -> sa > sb
-  | CSge -> sa >= sb
+  | CSlt -> signed_operand st ua < signed_operand st ub
+  | CSle -> signed_operand st ua <= signed_operand st ub
+  | CSgt -> signed_operand st ua > signed_operand st ub
+  | CSge -> signed_operand st ua >= signed_operand st ub
 
 (* stall helpers: every stall burns cycles and is attributed to a kind *)
 let[@inline] stall_other ctr n =
@@ -132,6 +144,8 @@ type ctx = {
   l2 : Cache.t;
   pc_counts : (int, int) Hashtbl.t;   (* misspeculation attribution *)
   prog : Bs_backend.Asm.program;
+  ihints : int array;      (* per PC: the I$ slot its line was last found
+                              in, the hint of every fetch of that PC *)
   mutable horizon : int;   (* instr count of the next step that needs a
                               hook; fused code never executes past it *)
   on_dmiss : (int -> unit) option;
@@ -139,20 +153,35 @@ type ctx = {
          the first touch of every line reaches it *)
 }
 
-(* D$ -> L2 -> DRAM *)
-let mem_access cx addr =
-  if not (Cache.access cx.dcache addr) then begin
-    (match cx.on_dmiss with Some f -> f addr | None -> ());
-    if Cache.access cx.l2 addr then stall_other cx.ctr l2_latency
-    else stall_other cx.ctr (l2_latency + dram_latency)
-  end
+(* A D$ miss: L2, then DRAM *)
+let dmiss cx addr =
+  (match cx.on_dmiss with Some f -> f addr | None -> ());
+  if Cache.access cx.l2 addr then stall_other cx.ctr l2_latency
+  else stall_other cx.ctr (l2_latency + dram_latency)
 
-(* I$ -> L2 -> DRAM; code lives at 0x40_0000 in the L2's address space *)
-let fetch cx pcv =
-  if not (Cache.access cx.icache (pcv * 4)) then
-    if Cache.access cx.l2 (0x40_0000 + (pcv * 4)) then
-      stall_other cx.ctr l2_latency
-    else stall_other cx.ctr (l2_latency + dram_latency)
+(* D$ -> L2 -> DRAM.  The D$ lookup is inlined into every load and
+   store; a miss calls out. *)
+let[@inline] mem_access cx addr =
+  if not (Cache.access cx.dcache addr) then dmiss cx addr
+
+(* Where code lives in the L2's address space: above every 32-bit data
+   address, so an instruction line never shares a tag with a data line,
+   and at a multiple of the L2's set span, so instruction [pc] maps to
+   the set of address [4 * pc]. *)
+let code_base = 1 lsl 32
+
+(* An I$ miss: L2, then DRAM *)
+let imiss cx pcv =
+  if Cache.access cx.l2 (code_base + (pcv * 4)) then
+    stall_other cx.ctr l2_latency
+  else stall_other cx.ctr (l2_latency + dram_latency)
+
+(* I$ -> L2 -> DRAM.  Every fetch of a PC carries that PC's hint: its
+   line always maps to the same I$ set, so the slot it was last found in
+   is where it is still found until an eviction. *)
+let[@inline] fetch cx pcv =
+  if not (Cache.access_hinted cx.icache cx.ihints pcv (pcv * 4)) then
+    imiss cx pcv
 
 (* Misspeculation at [pc]: count, attribute, pay the redirect, and return
    the displaced successor. *)
@@ -1004,31 +1033,55 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
           fun () ->
             let addr = (regs.%(n) + off) land 0xFFFFFFFF in
             mem_access cx addr;
-            let v = Memimage.read_int mem ~width:8 addr in
+            let v = Memimage.read_u8 mem addr in
             regs.%(d) <- (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v);
             next ()
       | Signed, W16 ->
           fun () ->
             let addr = (regs.%(n) + off) land 0xFFFFFFFF in
             mem_access cx addr;
-            let v = Memimage.read_int mem ~width:16 addr in
+            let v = Memimage.read_u16 mem addr in
             regs.%(d) <-
               (if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v);
             next ()
-      | _ ->
-          let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
+      | Unsigned, W8 ->
           fun () ->
             let addr = (regs.%(n) + off) land 0xFFFFFFFF in
             mem_access cx addr;
-            regs.%(d) <- Memimage.read_int mem ~width addr;
+            regs.%(d) <- Memimage.read_u8 mem addr;
+            next ()
+      | Unsigned, W16 ->
+          fun () ->
+            let addr = (regs.%(n) + off) land 0xFFFFFFFF in
+            mem_access cx addr;
+            regs.%(d) <- Memimage.read_u16 mem addr;
+            next ()
+      | _, W32 ->
+          fun () ->
+            let addr = (regs.%(n) + off) land 0xFFFFFFFF in
+            mem_access cx addr;
+            regs.%(d) <- Memimage.read_u32 mem addr;
             next ())
-  | STR (w, s, n, off) ->
-      let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-      fun () ->
-        let addr = (regs.%(n) + off) land 0xFFFFFFFF in
-        mem_access cx addr;
-        Memimage.write_int mem ~width addr regs.%(s);
-        next ()
+  | STR (w, s, n, off) -> (
+      match w with
+      | W8 ->
+          fun () ->
+            let addr = (regs.%(n) + off) land 0xFFFFFFFF in
+            mem_access cx addr;
+            Memimage.write_u8 mem addr regs.%(s);
+            next ()
+      | W16 ->
+          fun () ->
+            let addr = (regs.%(n) + off) land 0xFFFFFFFF in
+            mem_access cx addr;
+            Memimage.write_u16 mem addr regs.%(s);
+            next ()
+      | W32 ->
+          fun () ->
+            let addr = (regs.%(n) + off) land 0xFFFFFFFF in
+            mem_access cx addr;
+            Memimage.write_u32 mem addr regs.%(s);
+            next ())
   | SXT (w, d, s) -> (
       match w with
       | W8 ->
@@ -1172,7 +1225,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
           fun () ->
             let addr = (regs.%(n) + o) land 0xFFFFFFFF in
             mem_access cx addr;
-            let v = Memimage.read_int mem ~width:32 addr in
+            let v = Memimage.read_u32 mem addr in
             if v land 0xFFFFFF00 <> 0 then mis ()
             else begin
               regs.%(dr) <- regs.%(dr) land keep lor (v lsl ds);
@@ -1185,7 +1238,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
               (regs.%(n) + ((regs.%(ir) lsr is) land 0xFF)) land 0xFFFFFFFF
             in
             mem_access cx addr;
-            let v = Memimage.read_int mem ~width:32 addr in
+            let v = Memimage.read_u32 mem addr in
             if v land 0xFFFFFF00 <> 0 then mis ()
             else begin
               regs.%(dr) <- regs.%(dr) land keep lor (v lsl ds);
@@ -1199,7 +1252,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
           fun () ->
             let addr = (regs.%(n) + o) land 0xFFFFFFFF in
             mem_access cx addr;
-            let v = Memimage.read_int mem ~width:8 addr in
+            let v = Memimage.read_u8 mem addr in
             regs.%(dr) <- regs.%(dr) land keep lor (v lsl ds);
             next ()
       | BIdx i ->
@@ -1209,7 +1262,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
               (regs.%(n) + ((regs.%(ir) lsr is) land 0xFF)) land 0xFFFFFFFF
             in
             mem_access cx addr;
-            let v = Memimage.read_int mem ~width:8 addr in
+            let v = Memimage.read_u8 mem addr in
             regs.%(dr) <- regs.%(dr) land keep lor (v lsl ds);
             next ())
   | BSTRB (s, n, x) -> (
@@ -1219,8 +1272,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
           fun () ->
             let addr = (regs.%(n) + o) land 0xFFFFFFFF in
             mem_access cx addr;
-            Memimage.write_int mem ~width:8 addr
-              ((regs.%(sr) lsr ss) land 0xFF);
+            Memimage.write_u8 mem addr ((regs.%(sr) lsr ss) land 0xFF);
             next ()
       | BIdx i ->
           let ir = i.sl_reg and is = 8 * i.sl_byte in
@@ -1229,8 +1281,7 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
               (regs.%(n) + ((regs.%(ir) lsr is) land 0xFF)) land 0xFFFFFFFF
             in
             mem_access cx addr;
-            Memimage.write_int mem ~width:8 addr
-              ((regs.%(sr) lsr ss) land 0xFF);
+            Memimage.write_u8 mem addr ((regs.%(sr) lsr ss) land 0xFF);
             next ())
   | BEXT (sg, d, s) -> (
       let sr = s.sl_reg and ss = 8 * s.sl_byte in

@@ -20,12 +20,17 @@
       cycle/stall/energy constants flushed in one shot, instruction
       fetches are batched per cache line via {!Cache.bump_hits}, and a
       loop trace defers even the per-iteration flush until the loop
-      finally exits.  Guard exits (misspeculation, a conditional going
+      finally exits.  Every fetch that does reach the I$ — a line
+      crossing, a loop trace's re-fetch of its head, an absorbed
+      terminal branch, or the dispatch loop's fetch — goes through
+      {!fetch}, which tries the PC's remembered slot ([ctx.ihints])
+      before scanning the set ({!Cache.access_hinted}).  Guard exits (misspeculation, a conditional going
       the unpredicted way, classic-mode slice use) flush their ledger
       and fall back to the dispatch loop.
 
     A fused trace is byte-identical in observable effect (counters,
-    outcome, memory image, cache state) to the same steps run one by one
+    outcome, memory image, the whole record of every cache) to the same
+    steps run one by one
     through {!step}; the only sanctioned divergence is counter and cache
     state at a trap, which {!Machine} drops from its [Trapped] result,
     so no caller can observe it.  A
@@ -78,6 +83,10 @@ type ctx = {
       (** misspeculation counts per faulting pc, shared with the
           machine's attribution table *)
   prog : Bs_backend.Asm.program;
+  ihints : int array;
+      (** one I$ hint per PC ({!Cache.access_hinted}): the slot the PC's
+          line was last found in.  Every fetch of the PC, stepped or
+          fused, reads and updates it; [-1] before the first. *)
   mutable horizon : int;
       (** the event horizon: the [ctr.instrs] value at which the next
           step needs a hook (fuel limit, fault, stop, checkpoint,
@@ -93,7 +102,10 @@ type ctx = {
 }
 
 val fetch : ctx -> int -> unit
-(** Instruction fetch for [pc]: I$ → L2 → DRAM. *)
+(** Instruction fetch for [pc]: I$ (hinted by [ihints.(pc)]) → L2 →
+    DRAM.  In the L2, instruction [pc] lives at [2{^32} + 4 * pc]: above
+    every 32-bit data address, so it never shares a tag with a data
+    line, and in the set of address [4 * pc]. *)
 
 val stall_other : Counters.t -> int -> unit
 (** Charge [n] stall cycles of no particular kind (memory latency,

@@ -11,7 +11,8 @@ open Bitspec
    the two definitions: for any program, any input, any injected fault
    and any power trace, [Jit] must produce results byte-identical to
    [Classic] — return value, outcome, every activity counter,
-   misspeculation attribution, cache hit/miss state and the final
+   misspeculation attribution, the whole state of each cache (counts,
+   tick, tags, LRU stamps and the last line and slot) and the final
    memory image.  ([Counters.wall_ns] is deliberately excluded from
    [Counters.to_assoc], so the comparison is host-speed-blind.)  A
    hand-assembled loop holding every fusible instruction form makes
@@ -33,7 +34,7 @@ type obs = {
   o_outcome : string;
   o_ctr : (string * int) list;
   o_misspec : (int * int) list;
-  o_caches : (string * int * int) list;
+  o_caches : Bs_sim.Cache.t list;  (** I$, D$, L2 *)
   o_mem : Bs_interp.Memimage.snapshot option;
 }
 
@@ -45,10 +46,7 @@ let observe_run ~config program mem ~entry ~args =
     o_outcome = Outcome.to_string r.Machine.outcome;
     o_ctr = Counters.to_assoc r.Machine.ctr;
     o_misspec = r.Machine.misspec_pcs;
-    o_caches =
-      List.map
-        (fun (c : Cache.t) -> (c.Cache.name, c.Cache.hits, c.Cache.misses))
-        [ r.Machine.icache; r.Machine.dcache; r.Machine.l2 ];
+    o_caches = [ r.Machine.icache; r.Machine.dcache; r.Machine.l2 ];
     o_mem = Some (Bs_interp.Memimage.snapshot mem) }
 
 (* Run [c] on a fresh memory image under [engine].  [power] builds the
@@ -79,6 +77,43 @@ let rec pair_diff xs ys =
       else pair_diff xs' ys'
   | _ -> "counter lists differ in length"
 
+(* The first field where two caches' records disagree, or [None]: every
+   field of [Cache.t], so an LRU stamp that a fused fetch left behind is
+   caught even when no later miss would show it. *)
+let cache_diff (a : Bs_sim.Cache.t) (b : Bs_sim.Cache.t) =
+  let open Bs_sim.Cache in
+  let field name u v =
+    if u <> v then Some (Printf.sprintf "%s %s %d vs %d" a.name name u v)
+    else None
+  in
+  let slots name (u : int array) (v : int array) =
+    if Array.length u <> Array.length v then
+      Some (Printf.sprintf "%s %s sizes %d vs %d" a.name name
+              (Array.length u) (Array.length v))
+    else
+      let rec from i =
+        if i = Array.length u then None
+        else if u.(i) <> v.(i) then
+          Some (Printf.sprintf "%s %s.(%d) %d vs %d" a.name name i u.(i) v.(i))
+        else from (i + 1)
+      in
+      from 0
+  in
+  List.find_map Fun.id
+    [ (if a.name <> b.name then
+         Some (Printf.sprintf "cache %s vs %s" a.name b.name)
+       else None);
+      field "sets" a.sets b.sets;
+      field "ways" a.ways b.ways;
+      field "line_bytes" a.line_bytes b.line_bytes;
+      field "hits" a.hits b.hits;
+      field "misses" a.misses b.misses;
+      field "tick" a.tick b.tick;
+      field "last_line" a.last_line b.last_line;
+      field "last_slot" a.last_slot b.last_slot;
+      slots "tags" a.tags b.tags;
+      slots "stamp" a.stamp b.stamp ]
+
 (* First component where two observations disagree, or [None]. *)
 let first_diff a b =
   if a.o_outcome <> b.o_outcome then
@@ -87,18 +122,16 @@ let first_diff a b =
     Some (Printf.sprintf "r0: %Ld vs %Ld" a.o_r0 b.o_r0)
   else if a.o_ctr <> b.o_ctr then Some ("counter " ^ pair_diff a.o_ctr b.o_ctr)
   else if a.o_misspec <> b.o_misspec then Some "misspec_pcs attribution"
-  else if a.o_caches <> b.o_caches then
-    Some
-      (String.concat "; "
-         (List.map2
-            (fun (n, h, m) (_, h', m') ->
-              Printf.sprintf "%s hits %d/%d misses %d/%d" n h h' m m')
-            a.o_caches b.o_caches))
   else
-    match (a.o_mem, b.o_mem) with
-    | Some x, Some y when not (Bs_interp.Memimage.snapshot_equal x y) ->
-        Some "final memory image"
-    | _ -> None
+    let caches =
+      List.find_map Fun.id (List.map2 cache_diff a.o_caches b.o_caches)
+    in
+    if caches <> None then caches
+    else
+      match (a.o_mem, b.o_mem) with
+      | Some x, Some y when not (Bs_interp.Memimage.snapshot_equal x y) ->
+          Some "final memory image"
+      | _ -> None
 
 (* Difference [jit] against [classic] on one compiled
    program; returns true or fail_reportf's with the first divergence. *)
@@ -309,6 +342,39 @@ let test_pinned_kernel_events () =
       check ~fuel:(40 * g) ~power "interval:500 under exp:3000";
       check ~fuel:(40 * g) ~fault ~power "flip under interval:500 power")
     [ "CRC32"; "bitcount" ]
+
+(* Every kernel's test input on its BITSPEC and BASELINE builds, plain
+   and under [exp:2000] outages with [interval:500] checkpoints: the two
+   engines leave the same record in every cache (and agree on every
+   other observation), so the fetches a fused trace batches stamp
+   exactly what the reference step's fetches do. *)
+let test_kernels_engine_records () =
+  let open Bs_sim in
+  List.iter
+    (fun (w : Bs_workloads.Workload.t) ->
+      List.iter
+        (fun (arch, config) ->
+          let c = Experiment.compile_workload config w in
+          let input = w.Bs_workloads.Workload.test in
+          let setup = input.Bs_workloads.Workload.setup c.Driver.ir in
+          let entry = w.Bs_workloads.Workload.entry
+          and args = input.Bs_workloads.Workload.args in
+          let power _ =
+            { Machine.trace =
+                Powertrace.create ~seed:1L (Powertrace.Exponential 2000.0);
+              policy = Checkpoint.Interval 500;
+              max_retries = 8 }
+          in
+          let what = Printf.sprintf "%s %s" w.Bs_workloads.Workload.name arch in
+          Alcotest.(check bool) what true
+            (check_compiled ~fuel:1_000_000_000 ~setup what c ~entry ~args);
+          Alcotest.(check bool) (what ^ " under power") true
+            (check_compiled ~fuel:1_000_000_000 ~power ~setup
+               (what ^ " under exp:2000, interval:500")
+               c ~entry ~args))
+        [ ("BITSPEC", Driver.bitspec_config);
+          ("BASELINE", Driver.baseline_config) ])
+    Bs_workloads.Registry.all
 
 (* A step that uses the slice extension in CLASSIC mode traps before it
    is fetched or charged, so when such a step is also the first past the
@@ -817,6 +883,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engines_agree_fault;
     Alcotest.test_case "pinned kernels agree under faults, power and fuel"
       `Quick test_pinned_kernel_events;
+    Alcotest.test_case "every kernel leaves the same records under both engines"
+      `Quick test_kernels_engine_records;
     Alcotest.test_case "a classic-mode slice trap wins at the fuel limit"
       `Quick test_classic_slice_at_fuel_limit;
     Alcotest.test_case "every instruction form agrees fused and stepped"

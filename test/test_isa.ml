@@ -112,6 +112,70 @@ let test_cache_reset () =
   Alcotest.(check int) "stats cleared" 0 (Cache.accesses c);
   Alcotest.(check bool) "cold again" false (Cache.access c 64)
 
+(* Every field of a cache's record, by name, in a fixed order. *)
+let cache_fields (c : Cache.t) =
+  let slots name a =
+    Array.to_list (Array.mapi (fun i v -> (Printf.sprintf "%s.(%d)" name i, v)) a)
+  in
+  [ ("tick", c.Cache.tick); ("hits", c.Cache.hits);
+    ("misses", c.Cache.misses); ("last_line", c.Cache.last_line);
+    ("last_slot", c.Cache.last_slot) ]
+  @ slots "tags" c.Cache.tags @ slots "stamp" c.Cache.stamp
+
+(* The hinted lookup against [access].  Two caches of 4 sets x 2 ways
+   take one random stream over 16 lines, so lines are evicted and
+   refilled in other ways all the time; one cache takes every address
+   through [access], the other through [access_hinted] with one hint per
+   4-byte word, as the simulator keeps one per PC.  A hint is as the
+   stream left it (fresh, or stale after an eviction) or is overwritten
+   first with the other way of the line's set, any slot of any set, or a
+   value out of range.  Now and then both caches replay a few
+   same-line hits with [bump_hits].  After every access the two must
+   answer alike and their records must be equal field for field. *)
+let prop_hinted_lookup =
+  QCheck.Test.make ~name:"a hinted lookup leaves what access leaves"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 300))
+    (fun (seed, n) ->
+      let mk () =
+        Cache.create ~name:"t" ~size_bytes:256 ~ways:2 ~line_bytes:32
+      in
+      let plain = mk () and hinted = mk () in
+      let lines = 16 in
+      let hints = Array.make (lines * 8) (-1) in
+      let rng = Random.State.make [| seed |] in
+      let line = ref 0 in
+      for step = 1 to n do
+        if Random.State.int rng 4 > 0 then line := Random.State.int rng lines;
+        let addr = (!line * 32) + (4 * Random.State.int rng 8) in
+        let i = addr / 4 in
+        let base = (!line land (plain.Cache.sets - 1)) * plain.Cache.ways in
+        (match Random.State.int rng 8 with
+        | 0 -> hints.(i) <- base + ((hints.(i) - base + 1) land 1)
+        | 1 -> hints.(i) <- Random.State.int rng (Array.length plain.Cache.tags)
+        | 2 -> hints.(i) <- (if Random.State.bool rng then -7 else 1_000)
+        | _ -> ());
+        let hit = Cache.access plain addr in
+        let hit' = Cache.access_hinted hinted hints i addr in
+        if Random.State.int rng 8 = 0 then begin
+          let k = Random.State.int rng 4 in
+          Cache.bump_hits plain k;
+          Cache.bump_hits hinted k
+        end;
+        if hit <> hit' then
+          QCheck.Test.fail_reportf "step %d, address %d: access says %b, hinted %b"
+            step addr hit hit';
+        List.iter2
+          (fun (name, v) (_, v') ->
+            if v <> v' then
+              QCheck.Test.fail_reportf
+                "step %d, address %d: %s is %d after access, %d after the \
+                 hinted lookup"
+                step addr name v v')
+          (cache_fields plain) (cache_fields hinted)
+      done;
+      true)
+
 (* --- classic mode ------------------------------------------------------- *)
 
 let test_classic_mode_traps () =
@@ -168,6 +232,7 @@ let suite =
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Alcotest.test_case "cache LRU" `Quick test_cache_lru;
     Alcotest.test_case "cache reset" `Quick test_cache_reset;
+    QCheck_alcotest.to_alcotest prop_hinted_lookup;
     Alcotest.test_case "classic mode traps on slices" `Quick
       test_classic_mode_traps;
     Alcotest.test_case "DTS voltage solver" `Quick test_dts_solver;

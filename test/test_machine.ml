@@ -413,6 +413,39 @@ let test_injected_flip_detected_by_hardware () =
   Alcotest.(check int) "overflow detected" 1 r.Machine.ctr.Counters.misspecs;
   check64 "handler ran" 777L r.Machine.r0
 
+(* Instruction lines and data lines never share an L2 tag.  A loop
+   reads one byte from each of 64 consecutive lines from [base] in an
+   8 MiB image, so each first touch misses the D$ and goes to the L2.
+   Base 0x400000 is where instruction 0 once sat in the L2's address
+   space, so there the loop's first loads found the loop's own
+   instruction lines; base 0x3F8000 is one L2 set span lower: the same
+   D$ and L2 sets under other tags.  Both runs must take the same
+   cycles and the same L2 misses, under either engine. *)
+let test_code_and_data_apart_in_l2 () =
+  let run engine base =
+    let mem =
+      Bs_interp.Memimage.create ~size:(8 * 1024 * 1024)
+        { Bs_ir.Ir.funcs = []; globals = [] }
+    in
+    exec ~engine ~mem
+      [ MOVW (1, base land 0xFFFF); MOVT (1, base lsr 16); MOVW (2, 0);
+        MOVW (0, 0);
+        (* pc 4: the loop *)
+        LDR (W8, Unsigned, 3, 1, 0); ALU (OpAdd, 0, 0, Reg 3);
+        ALU (OpAdd, 1, 1, Imm 32); ALU (OpAdd, 2, 2, Imm 1);
+        CMP (2, Imm 64); BC (CUlt, 4) ]
+  in
+  List.iter
+    (fun engine ->
+      let low = run engine 0x3F8000 and at_code = run engine 0x400000 in
+      Alcotest.(check int) "every line misses the D$" 64
+        low.Machine.dcache.Cache.misses;
+      Alcotest.(check int) "L2 misses do not depend on the data's address"
+        low.Machine.l2.Cache.misses at_code.Machine.l2.Cache.misses;
+      Alcotest.(check int) "cycles do not depend on the data's address"
+        low.Machine.ctr.Counters.cycles at_code.Machine.ctr.Counters.cycles)
+    [ Machine.Classic; Machine.Jit ]
+
 let suite =
   [ Alcotest.test_case "mov/movw/movt" `Quick test_mov_movw_movt;
     Alcotest.test_case "alu operations" `Quick test_alu;
@@ -447,4 +480,6 @@ let suite =
     Alcotest.test_case "trap: inside a fused loop trace" `Quick
       test_trap_in_fused_trace;
     Alcotest.test_case "trap: a power run disarms its journal" `Quick
-      test_trapped_power_run_disarms_journal ]
+      test_trapped_power_run_disarms_journal;
+    Alcotest.test_case "instruction and data lines apart in the L2" `Quick
+      test_code_and_data_apart_in_l2 ]
