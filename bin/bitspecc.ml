@@ -205,19 +205,6 @@ let engine_arg =
                  every other step through the reference step).  Both \
                  produce identical results — only host speed differs.")
 
-let interp_engine_conv =
-  Arg.enum [ ("tree", Interp.Tree); ("compiled", Interp.Compiled) ]
-
-let interp_engine_arg =
-  Arg.(value & opt interp_engine_conv Interp.Compiled
-       & info [ "interp-engine" ] ~docv:"ENGINE"
-           ~doc:"IR interpreter engine: $(b,tree) (the reference \
-                 instruction-at-a-time walker) or $(b,compiled) \
-                 (pre-compiled block closures with fused straight-line \
-                 runs; the default).  Both produce identical results — \
-                 outputs, counters, per-site misspeculation histograms — \
-                 only host speed differs.")
-
 let parse_args s =
   if s = "" then []
   else List.map Int64.of_string (String.split_on_char ',' s)
@@ -573,11 +560,11 @@ let fuzz_cmd =
                    (planted-fault self-tests).")
   in
   let action seed trials budget corpus size no_reduce fault expect_crash jobs
-      engine interp_engine =
+      engine =
     with_reporting (fun () ->
         let t =
           Bs_fuzz.Fuzz.run ?plant:fault ?budget ~reduce:(not no_reduce)
-            ~size ~jobs ~engine ~interp_engine ~seed ~trials ()
+            ~size ~jobs ~engine ~seed ~trials ()
         in
         print_string (Bs_fuzz.Fuzz.report t);
         if t.Bs_fuzz.Fuzz.crashes <> [] then begin
@@ -592,8 +579,7 @@ let fuzz_cmd =
        ~doc:"differential fuzzing campaign: random programs, every build \
              configuration against the reference interpreter")
     Term.(const action $ seed $ trials $ budget $ corpus $ size $ no_reduce
-          $ fault_arg $ expect_crash $ jobs_arg $ engine_arg
-          $ interp_engine_arg)
+          $ fault_arg $ expect_crash $ jobs_arg $ engine_arg)
 
 (* --- reduce ------------------------------------------------------------ *)
 
@@ -624,60 +610,36 @@ let reduce_cmd =
              ~doc:"Where to write the minimized reproducer (default: \
                    FILE with a .min.mc suffix).")
   in
-  let action file check entry args_opt train_opt fault out engine
-      interp_engine =
+  let action file check entry args_opt train_opt fault out engine =
     with_reporting ~file (fun () ->
-        let meta, source = Bs_fuzz.Corpus.load file in
-        let dfl f d = match meta with Some m -> f m | None -> d in
-        let entry =
-          match entry with
-          | Some e -> e
-          | None -> dfl (fun m -> m.Bs_fuzz.Corpus.entry) "f"
-        in
+        let header, source = Bs_fuzz.Corpus.load file in
+        let dfl f d = match header with Some m -> f m | None -> d in
+        let pick flag f d = match flag with Some v -> v | None -> dfl f d in
+        (* the header's replay settings, each overridden by its flag *)
+        let entry = pick entry (fun m -> m.Bs_fuzz.Corpus.entry) "f" in
         let args =
-          match args_opt with
-          | Some s -> parse_args s
-          | None -> dfl (fun m -> m.Bs_fuzz.Corpus.args) [ 17L ]
+          pick (Option.map parse_args args_opt)
+            (fun m -> m.Bs_fuzz.Corpus.args) [ 17L ]
         in
-        let train_args =
-          match train_opt with
-          | Some s -> parse_args s
-          | None -> dfl (fun m -> m.Bs_fuzz.Corpus.train) [ 17L ]
-        in
-        let fault =
-          match fault with
-          | Some _ -> fault
-          | None -> dfl (fun m -> m.Bs_fuzz.Corpus.fault) None
+        let train =
+          pick (Option.map parse_args train_opt)
+            (fun m -> m.Bs_fuzz.Corpus.train) [ 17L ]
         in
         let power = dfl (fun m -> m.Bs_fuzz.Corpus.power) None in
-        let train = [ (entry, train_args) ] in
-        (* One replay of a candidate source: its bucket key, if it lands
-           in one, and a description.  An intermittent-power reproducer
-           replays under its recorded outage trace; any other under the
-           differential oracle. *)
-        let replay s =
-          match power with
-          | Some p ->
-              let v =
-                Bs_fuzz.Oracle.run_power ~train ~engine ~source:s ~entry
-                  ~args ~power:p ()
-              in
-              ( Option.map Bs_support.Bucket.key v.Bs_fuzz.Oracle.p_bucket,
-                Bs_fuzz.Oracle.describe_power v )
-          | None ->
-              let v =
-                Bs_fuzz.Oracle.run ?plant:fault ~train ~engine ~interp_engine
-                  ~source:s ~entry ~args ()
-              in
-              ( (match v with
-                | Bs_fuzz.Oracle.Crash { bucket; _ } ->
-                    Some (Bs_support.Bucket.key bucket)
-                | Bs_fuzz.Oracle.Agree _ | Bs_fuzz.Oracle.Skip _ -> None),
-                Bs_fuzz.Oracle.describe v )
+        (* a planted fault applies only to an oracle replay *)
+        let fault =
+          if power <> None then None
+          else if fault <> None then fault
+          else dfl (fun m -> m.Bs_fuzz.Corpus.fault) None
         in
+        (* a replay does not read the bucket key *)
+        let meta =
+          { Bs_fuzz.Corpus.bucket_key = ""; entry; args; train; fault; power }
+        in
+        let replay s = Bs_fuzz.Oracle.replay ~engine meta s in
         let key, description = replay source in
         print_endline description;
-        (match meta with
+        (match header with
         | Some m when Some m.Bs_fuzz.Corpus.bucket_key <> key ->
             Printf.printf "recorded bucket %s did NOT reproduce\n"
               m.Bs_fuzz.Corpus.bucket_key;
@@ -695,11 +657,7 @@ let reduce_cmd =
               | Some o -> o
               | None -> Filename.remove_extension file ^ ".min.mc"
             in
-            let m =
-              { Bs_fuzz.Corpus.bucket_key = key; entry; args;
-                train = train_args;
-                fault = (if power = None then fault else None); power }
-            in
+            let m = { meta with Bs_fuzz.Corpus.bucket_key = key } in
             let path =
               Bs_fuzz.Corpus.save ~dir:(Filename.dirname out)
                 ~name:(Filename.basename out) m reduced
@@ -714,7 +672,7 @@ let reduce_cmd =
        ~doc:"replay the differential oracle on a MiniC file and \
              delta-debug it to a minimal reproducer")
     Term.(const action $ file $ check $ entry $ args_opt $ train_opt
-          $ fault_arg $ out $ engine_arg $ interp_engine_arg)
+          $ fault_arg $ out $ engine_arg)
 
 (* --- serve / client / loadgen ------------------------------------------ *)
 

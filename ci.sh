@@ -237,29 +237,6 @@ for setting in "" "--power exp:300 --policy interval:37" \
 done
 echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays under jit, counter dumps engine-invariant)"
 
-# Interpreter-engine smoke: the closure-compiled interpreter must be
-# observably identical to the tree-walker through the whole fuzz
-# pipeline — a fixed-seed campaign under each interp engine produces
-# byte-identical reports (at different job counts, for good measure) —
-# and every corpus reproducer must replay into its recorded bucket with
-# the compiled engine serving as the differential reference.
-ieng="$tmp/ieng"
-mkdir "$ieng"
-dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
-  --jobs 1 --interp-engine tree > "$ieng/tree.out"
-dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
-  --jobs 4 --interp-engine compiled > "$ieng/compiled.out"
-if ! cmp -s "$ieng/tree.out" "$ieng/compiled.out"; then
-  echo "interp-engine smoke: tree and compiled fuzz reports differ" >&2
-  diff "$ieng/tree.out" "$ieng/compiled.out" >&2 || true
-  exit 1
-fi
-for f in test/corpus/*.mc; do
-  dune exec bin/bitspecc.exe -- reduce --check --interp-engine compiled "$f" \
-    > /dev/null
-done
-echo "interp-engine smoke: OK (fuzz report interp-engine-invariant, corpus replays under compiled)"
-
 # Compile-service smoke: start the daemon with a persistent cache, run
 # the same seeded zipfian burst twice (the second pass must be served
 # almost entirely from the cache layers; every --crash-every request

@@ -77,9 +77,7 @@ let setup ~hang_factor config (w : Workload.t) =
   in
   let golden = simulate c w in
   Outcome.refuse_trap ~engine:"simulator" golden.Machine.outcome;
-  (* injected-fault oracles stay on the tree engine: no compilation
-     layer of their own between the IR and the reference checksum *)
-  let expected = Experiment.reference_checksum ~interp_engine:Interp.Tree w in
+  let expected = Experiment.reference_checksum w in
   let fuel =
     Outcome.hang_fuel ~steps:golden.Machine.ctr.Counters.instrs
       ~factor:hang_factor

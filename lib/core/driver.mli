@@ -103,9 +103,8 @@ val profile_module :
 (** [profile_module m ~train ()] interprets [m] on each [(entry, args)]
     training run, recording per-variable bitwidth statistics (§3.2.2).
     [setup] initialises workload input data in each run's memory image.
-    The runs take the interpreter's default engine ([Compiled]); the
-    recorded profile is engine-invariant (test_interp_engines.ml).  A
-    training run that traps fails ({!Bs_support.Outcome.refuse_trap}). *)
+    A training run that traps fails
+    ({!Bs_support.Outcome.refuse_trap}). *)
 
 val compile :
   ?pass_fault:pass_fault ->

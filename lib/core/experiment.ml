@@ -207,23 +207,16 @@ let reference_tbl : (string, int64) Bs_exec.Memo.t =
   Bs_exec.Memo.create ~cap:256 ()
 
 (** Reference-interpreter checksum on the test input (correctness oracle:
-    any simulated build must reproduce it).  The engine participates in
-    the memo key: the checksums are engine-invariant by construction,
-    but a caller that asked for [Tree] (the injection campaigns) must
-    not be served a value another caller computed under [Compiled]. *)
-let reference_checksum ?(interp_engine = Interp.Compiled) (w : Workload.t) :
-    int64 =
-  let etag = match interp_engine with Interp.Tree -> "t" | Interp.Compiled -> "c" in
+    any simulated build must reproduce it).  [interp_engine] selects
+    nothing (see the interface). *)
+let reference_checksum ?interp_engine:_ (w : Workload.t) : int64 =
   Bs_exec.Memo.find_or_add reference_tbl
-    (w.Workload.name ^ "|"
-    ^ Compile_cache.source_key w.Workload.source
-    ^ "|" ^ etag)
+    (w.Workload.name ^ "|" ^ Compile_cache.source_key w.Workload.source)
     (fun () ->
       let m = Bs_frontend.Lower.compile w.source in
-      let opts = { Interp.default_opts with engine = interp_engine } in
       let r, _ =
-        Interp.run_fresh ~opts ~setup:(w.test.Workload.setup m) m
-          ~entry:w.entry ~args:w.test.Workload.args
+        Interp.run_fresh ~setup:(w.test.Workload.setup m) m ~entry:w.entry
+          ~args:w.test.Workload.args
       in
       Bs_support.Outcome.refuse_trap ~engine:"interpreter" r.Interp.outcome;
       match r.Interp.ret with

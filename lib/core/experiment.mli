@@ -89,11 +89,12 @@ val reference_checksum :
   ?interp_engine:Bs_interp.Interp.engine -> Bs_workloads.Workload.t -> int64
 (** The reference interpreter's checksum on the test input; every
     simulated build must reproduce it.  Computed once per process per
-    (workload, engine).  [interp_engine] defaults to [Compiled]; the
-    fault and intermittent-power campaigns pass [Tree] so the oracle for
-    injected-fault runs stays on the engine with no compilation layer of
-    its own.  A reference run that traps fails
-    ({!Bs_support.Outcome.refuse_trap}). *)
+    workload.  A reference run that traps fails
+    ({!Bs_support.Outcome.refuse_trap}).
+
+    [interp_engine] selects nothing: the interpreter has one engine.  It
+    remains only because the frozen benchmark harness (perfbench) passes
+    it; it goes at the benchmark's next change. *)
 
 val rel : float -> float -> float
 (** [rel v base] = v / base (1 when base is 0). *)

@@ -30,8 +30,7 @@ type t = {
 }
 
 let run ?plant ?budget ?(reduce = true) ?size ?fuel ?(jobs = 1)
-    ?(engine = Bs_sim.Machine.Jit)
-    ?(interp_engine = Bs_interp.Interp.Compiled) ~seed ~trials () =
+    ?(engine = Bs_sim.Machine.Jit) ~seed ~trials () =
   let rng = Rng.create (Int64.of_int seed) in
   let started = Sys.time () in
   let over_budget () =
@@ -64,8 +63,8 @@ let run ?plant ?budget ?(reduce = true) ?size ?fuel ?(jobs = 1)
           let source = Gen.program ?size tseed in
           let args = [ Gen.entry_arg tseed ] in
           ( source, args,
-            Oracle.run ?plant ?fuel ~engine ~interp_engine ~source
-              ~entry:Gen.entry ~args () ))
+            Oracle.run ?plant ?fuel ~engine ~source ~entry:Gen.entry ~args
+              () ))
         tseeds
     in
     Array.iteri
@@ -80,8 +79,8 @@ let run ?plant ?budget ?(reduce = true) ?size ?fuel ?(jobs = 1)
             if not (seen key) then begin
               let reproduces s =
                 match
-                  Oracle.run ?plant ?fuel ~engine ~interp_engine ~source:s
-                    ~entry:Gen.entry ~args ()
+                  Oracle.run ?plant ?fuel ~engine ~source:s ~entry:Gen.entry
+                    ~args ()
                 with
                 | Oracle.Crash { bucket = b; _ } -> Bucket.key b = key
                 | _ -> false

@@ -40,7 +40,6 @@ val run :
   ?fuel:int ->
   ?jobs:int ->
   ?engine:Bs_sim.Machine.engine ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   seed:int ->
   trials:int ->
   unit ->
@@ -49,9 +48,8 @@ val run :
     compiles (self-test mode); [budget] is wall-clock seconds; [reduce]
     (default true) minimises the first crash of each bucket; [size] and
     [fuel] are passed through to {!Gen.program} and {!Oracle.run};
-    [engine] (default [Jit]) picks the machine dispatch engine and
-    [interp_engine] (default [Compiled]) the reference interpreter's —
-    verdicts and reports are invariant under both.
+    [engine] (default [Jit]) picks the machine dispatch engine —
+    verdicts and reports are invariant under it.
 
     [jobs] (default 1) fans trials out over a domain pool in chunks:
     every trial seed is drawn from the campaign stream sequentially

@@ -67,7 +67,7 @@ let frontend_bucket e =
   Bucket.make ~code:"BS-FE-01" ~detail Bucket.Frontend_reject
 
 let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
-    ?(interp_engine = Interp.Compiled) ~source ~entry ~args () =
+    ~source ~entry ~args () =
   let train =
     match train with Some t -> t | None -> [ (entry, Gen.train_args) ]
   in
@@ -78,7 +78,7 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
         { bucket = frontend_bucket e;
           details = "front-end rejected the program: " ^ Printexc.to_string e }
   | m -> (
-      let opts = { Interp.profile = None; fuel; engine = interp_engine } in
+      let opts = { Interp.default_opts with fuel } in
       let ref_obs, machine_fuel =
         match Interp.run_fresh ~opts m ~entry ~args with
         | ({ outcome = Outcome.Finished; _ } as r), _ ->
@@ -259,3 +259,23 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
                 (None, "completed without an outage (" ^ stats ^ ")")
           in
           { p_bucket; p_details }))
+
+(* --- corpus replay ------------------------------------------------------ *)
+
+let replay ?engine (m : Corpus.meta) source =
+  let train = [ (m.Corpus.entry, m.Corpus.train) ] in
+  let entry = m.Corpus.entry and args = m.Corpus.args in
+  match m.Corpus.power with
+  | Some power ->
+      let v = run_power ~train ?engine ~source ~entry ~args ~power () in
+      (Option.map Bucket.key v.p_bucket, describe_power v)
+  | None ->
+      let v =
+        run ?plant:m.Corpus.fault ~train ?engine ~source ~entry ~args ()
+      in
+      let key =
+        match v with
+        | Crash { bucket; _ } -> Some (Bucket.key bucket)
+        | Agree _ | Skip _ -> None
+      in
+      (key, describe v)

@@ -38,7 +38,6 @@ val run :
   ?fuel:int ->
   ?train:(string * int64 list) list ->
   ?engine:Bs_sim.Machine.engine ->
-  ?interp_engine:Bs_interp.Interp.engine ->
   source:string ->
   entry:string ->
   args:int64 list ->
@@ -49,9 +48,8 @@ val run :
     [fuel] bounds both the reference interpreter and each machine run
     (default 2,000,000); [train] is the profiling input (default: [entry]
     on {!Gen.train_args}); [engine] picks the machine dispatch engine
-    (default [Jit]) and [interp_engine] the reference interpreter's
-    engine (default [Compiled]) — the verdict is invariant under both,
-    so differencing verdicts across engines is itself an engine test. *)
+    (default [Jit]) — the verdict is invariant under it, so differencing
+    verdicts across engines is itself an engine test. *)
 
 val describe : verdict -> string
 
@@ -80,3 +78,19 @@ val run_power :
     [result-mismatch:power] (a checkpoint/restore bug). *)
 
 val describe_power : power_verdict -> string
+
+(** {1 Corpus replay} *)
+
+val replay :
+  ?engine:Bs_sim.Machine.engine ->
+  Corpus.meta ->
+  string ->
+  string option * string
+(** [replay meta source] replays a reproducer as its header says: under
+    its recorded outage trace ({!run_power}) when it has a [power] line,
+    else under the differential oracle ({!run}) with its planted fault.
+    The profiling input is [meta.train] on [meta.entry]; the header's
+    [bucket_key] is not read.  Returns the bucket key the replay lands
+    in — [None] when it agrees, is skipped, or completes without a
+    restore — and the verdict's description ({!describe},
+    {!describe_power}).  [engine] is the machine's, as in {!run}. *)

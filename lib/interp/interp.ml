@@ -21,18 +21,18 @@ let malformed msg = raise (Trap (Outcome.Trap_message msg))
    structured [Out_of_fuel] outcome shared with the machine model *)
 exception Fuel_exhausted
 
-(* Two execution engines with identical observable behaviour:
+(* One execution engine: each function body is pre-compiled to OCaml
+   closures once per function per execution (mirroring the machine
+   simulator's superblock tier).  Operand reads, width truncation,
+   misspeculation guards, Salloc frame offsets and profiling hooks are
+   all resolved at compile time, phis are pre-resolved per incoming
+   edge, and each basic block becomes one fused straight-line run whose
+   only exits are traps, fuel exhaustion, misspeculation redirects and
+   terminators.
 
-   [Tree] walks the IR instruction lists directly, re-dispatching on
-   every operand and opcode — simple, and the reference for the other.
-
-   [Compiled] pre-compiles each function body to OCaml closures once
-   per function per execution (mirroring the machine simulator's
-   superblock tier): operand reads, width truncation, misspeculation
-   guards, Salloc frame offsets and profiling hooks are all resolved at
-   compile time, phis are pre-resolved per incoming edge, and each
-   basic block becomes one fused straight-line run whose only exits are
-   traps, fuel exhaustion, misspeculation redirects and terminators. *)
+   [engine] selects nothing.  It stays, with its [opts] field, only
+   because the frozen benchmark harness (perfbench) names [Tree] and
+   sets the field; both go at the benchmark's next change. *)
 type engine = Tree | Compiled
 
 type opts = {
@@ -47,8 +47,6 @@ type counters = {
   mutable steps : int;        (* dynamic IR instructions executed *)
   mutable misspecs : int;     (* misspeculation events *)
   mutable calls : int;
-  sites : (string * string * int, int) Hashtbl.t;
-      (* (function, variable, line) -> misspec count; totals = misspecs *)
 }
 
 type result = {
@@ -57,8 +55,6 @@ type result = {
   misspecs : int;
   calls : int;
   outcome : Outcome.t;
-  misspec_sites : ((string * string * int) * int) list;
-      (* per-site misspec attribution, sorted; counts sum to [misspecs] *)
 }
 
 type state = {
@@ -73,11 +69,11 @@ type state = {
 
 (* Each operation's semantics at width [w], over the mask [m] = [Width.mask
    w] that the caller stages: the [eval_*] wrappers below compute it per
-   call (the tree engine, constant folding), the compiled engine once per
-   instruction.  The functions are inlined into the compiled engine's
-   closures, where [op] is a free variable and every operand stays
-   unboxed; so the signed view is [sext (64 - w)], not a call to
-   [Width.sext], which would box its argument. *)
+   call (constant folding), the compiled engine once per instruction.
+   The functions are inlined into the compiled engine's closures, where
+   [op] is a free variable and every operand stays unboxed; so the
+   signed view is [sext (64 - w)], not a call to [Width.sext], which
+   would box its argument. *)
 
 (* [v] sign-extended from bit [63 - sh]: [Width.sext (64 - sh) v] *)
 let[@inline] sext sh v = Int64.shift_right (Int64.shift_left v sh) sh
@@ -148,12 +144,9 @@ let misspeculates (i : Ir.instr) operand_values _result =
   | Ir.Cast (Ir.TruncCast, _), [ a ] -> misspec ~arith:false w m a
   | _ -> false
 
-(* Everything about a function's body that doesn't depend on the dynamic
-   state is computed once per execution and reused on every call and every
-   block entry: the static frame layout, the block→region map, and each
-   block's instruction list pre-split into its phi prefix and its body.
-   The splits used to be two [List.filter]s per block *execution*, which
-   dominated the profile on loop-heavy workloads. *)
+(* What compiling a function body reads of it, gathered in one pass: the
+   static frame layout, the block→region map, each block's instruction
+   list split into its phi prefix and its body, and the block table. *)
 type fctx = {
   fc_sallocs : (int * int) list;          (* (iid, bytes), frame order *)
   fc_frame : int;                          (* total frame size, 8-aligned *)
@@ -202,232 +195,6 @@ let build_fctx (f : Ir.func) : fctx =
         b.instrs)
     f.blocks;
   { fc_sallocs; fc_frame; fc_region; fc_phis; fc_body; fc_srcw; fc_block }
-
-(* --- tree-walking engine ----------------------------------------------- *)
-
-let exec_tree (st : state) ~entry ~(args : int64 list) : int64 option =
-  let m = st.m in
-  let funcs = Hashtbl.create 16 in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname f) m.funcs;
-  let get_func name =
-    match Hashtbl.find_opt funcs name with
-    | Some f -> f
-    | None -> raise (Trap (Outcome.Unknown_function name))
-  in
-  let fctxs : (string, fctx) Hashtbl.t = Hashtbl.create 16 in
-  let get_fctx (f : Ir.func) =
-    match Hashtbl.find_opt fctxs f.fname with
-    | Some c -> c
-    | None ->
-        let c = build_fctx f in
-        Hashtbl.replace fctxs f.fname c;
-        c
-  in
-  let depth = ref 0 in
-  let rec exec_func (f : Ir.func) (args : int64 list) : int64 option =
-    (* frameless recursion never trips the simulated-SP check, and OCaml 5
-       grows the host fiber stack for gigabytes before Stack_overflow —
-       bound the call depth explicitly so runaway recursion traps fast *)
-    incr depth;
-    if !depth > 100_000 then raise (Trap Outcome.Stack_overflow);
-    st.ctr.calls <- st.ctr.calls + 1;
-    (* the environment: iids are dense per function, so a flat value
-       array plus presence bytes beats a hashtable — no hashing, no
-       option or bucket allocation on the per-step read/write path *)
-    let nids = f.next_id in
-    let env = Array.make nids 0L in
-    let set = Bytes.make nids '\000' in
-    let env_set i v =
-      Array.unsafe_set env i v;
-      Bytes.unsafe_set set i '\001'
-    in
-    (* hoist the profiler's per-function cursor out of the step loop *)
-    let prof =
-      match st.opts.profile with
-      | Some p -> Some (Profile.cursor p ~func:f.fname)
-      | None -> None
-    in
-    (* bind parameters; a call assigns them, so the profiler records them
-       like any other dynamic assignment (their bitwidth gates squeezing
-       of compares and arithmetic against parameters) *)
-    (try
-       List.iter2
-         (fun (i : Ir.instr) v ->
-           let v = Width.trunc i.width v in
-           env_set i.iid v;
-           match prof with
-           | Some c -> Profile.record_at c ~iid:i.iid ~width:i.width v
-           | None -> ())
-         f.param_instrs args
-     with Invalid_argument _ ->
-       malformed ("arity mismatch calling " ^ f.fname));
-    (* allocate the static stack frame (layout precomputed in the fctx) *)
-    let ctx = get_fctx f in
-    let saved_sp = st.sp in
-    st.sp <- st.sp - ctx.fc_frame;
-    if st.sp < st.mem.Memimage.globals_end then
-      raise (Trap Outcome.Stack_overflow);
-    let salloc_addr = Hashtbl.create 4 in
-    let cursor = ref st.sp in
-    List.iter
-      (fun (iid, n) ->
-        Hashtbl.replace salloc_addr iid !cursor;
-        cursor := !cursor + ((n + 7) / 8 * 8))
-      ctx.fc_sallocs;
-    let goto bid =
-      if bid >= 0 && bid < nids then
-        match Array.unsafe_get ctx.fc_block bid with
-        | Some b -> b
-        | None -> Ir.block f bid (* unknown target: fail as the IR does *)
-      else Ir.block f bid
-    in
-    let value = function
-      | Ir.Const c -> c.Ir.cval
-      | Ir.Var v ->
-          if v >= 0 && v < nids && Bytes.unsafe_get set v = '\001' then
-            Array.unsafe_get env v
-          else malformed (Printf.sprintf "read of unset %%%d in %s" v f.fname)
-    in
-    let record (i : Ir.instr) v =
-      match prof with
-      | Some c when i.width > 0 ->
-          Profile.record_at c ~iid:i.iid ~width:i.width v
-      | _ -> ()
-    in
-    let ret_val = ref None in
-    let finished = ref false in
-    let cur = ref (Ir.entry f) and prev = ref (-1) in
-    while not !finished do
-      let b = !cur in
-      let phis = ctx.fc_phis.(b.Ir.bid) and body = ctx.fc_body.(b.Ir.bid) in
-      (* Phase 1: evaluate all phis w.r.t. the incoming edge, then commit
-         simultaneously. *)
-      let phi_values =
-        List.map
-          (fun (i : Ir.instr) ->
-            match i.op with
-            | Ir.Phi incoming -> (
-                match List.assoc_opt !prev incoming with
-                | Some v -> (i, Width.trunc i.width (value v))
-                | None ->
-                    malformed
-                      (Printf.sprintf "phi %%%d has no incoming for block %d"
-                         i.iid !prev))
-            | _ -> assert false)
-          phis
-      in
-      List.iter
-        (fun ((i : Ir.instr), v) ->
-          st.ctr.steps <- st.ctr.steps + 1;
-          env_set i.iid v;
-          record i v)
-        phi_values;
-      (* Phase 2: straight-line execution with misspeculation checks. *)
-      let rec run = function
-        | [] -> ()
-        | (i : Ir.instr) :: rest ->
-            st.ctr.steps <- st.ctr.steps + 1;
-            if st.ctr.steps > st.opts.fuel then raise Fuel_exhausted;
-            let commit v =
-              let v = Width.trunc i.width v in
-              env_set i.iid v;
-              record i v
-            in
-            (* only reached when [i.speculative] — the call sites guard,
-               so the non-speculative path allocates no operand list *)
-            let misspec_check ops result =
-              if misspeculates i ops result then begin
-                match ctx.fc_region.(b.bid) with
-                | Some r ->
-                    st.ctr.misspecs <- st.ctr.misspecs + 1;
-                    let var =
-                      if i.iname <> "" then i.iname
-                      else Printf.sprintf "%%%d" i.iid
-                    in
-                    let key = (f.Ir.fname, var, i.line) in
-                    (match Hashtbl.find_opt st.ctr.sites key with
-                    | Some n -> Hashtbl.replace st.ctr.sites key (n + 1)
-                    | None -> Hashtbl.add st.ctr.sites key 1);
-                    prev := b.bid;
-                    cur := goto r.rhandler;
-                    true
-                | None -> malformed "speculative instruction outside a region"
-              end
-              else false
-            in
-            (match i.op with
-            | Ir.Param _ -> malformed "param instruction in block"
-            | Ir.Bin (op, a, c) ->
-                let va = value a and vc = value c in
-                let r = eval_binop op i.width va vc in
-                if i.speculative && misspec_check [ va; vc ] r then ()
-                else begin
-                  commit r;
-                  run rest
-                end
-            | Ir.Cmp (op, a, c) ->
-                let va = value a and vc = value c in
-                let w = Array.unsafe_get ctx.fc_srcw i.iid in
-                commit (eval_cmp op w va vc);
-                run rest
-            | Ir.Cast (op, a) ->
-                let va = value a in
-                let src_w = Array.unsafe_get ctx.fc_srcw i.iid in
-                let r =
-                  match op with
-                  | Ir.Zext -> Width.zext src_w va
-                  | Ir.Sext -> Width.trunc i.width (Width.sext src_w va)
-                  | Ir.TruncCast -> Width.trunc i.width va
-                in
-                if i.speculative && misspec_check [ va ] r then ()
-                else begin
-                  commit r;
-                  run rest
-                end
-            | Ir.Select (c, a, d) ->
-                commit (if value c <> 0L then value a else value d);
-                run rest
-            | Ir.Phi _ -> malformed "phi after non-phi"
-            | Ir.Load l ->
-                let addr = Int64.to_int (value l.l_addr) in
-                commit (Memimage.read st.mem ~width:i.width addr);
-                run rest
-            | Ir.Store s ->
-                let addr = Int64.to_int (value s.s_addr) in
-                Memimage.write st.mem ~width:s.s_width addr (value s.s_value);
-                run rest
-            | Ir.Gaddr g ->
-                commit (Int64.of_int (Memimage.addr_of st.mem g));
-                run rest
-            | Ir.Salloc _ ->
-                commit (Int64.of_int (Hashtbl.find salloc_addr i.iid));
-                run rest
-            | Ir.Call c ->
-                let vargs = List.map value c.args in
-                let r = exec_func (get_func c.callee) vargs in
-                (match r with
-                | Some v when i.width > 0 -> commit v
-                | _ -> ());
-                run rest
-            | Ir.Br t ->
-                prev := b.bid;
-                cur := goto t
-            | Ir.Cbr (c, t, e) ->
-                prev := b.bid;
-                cur := goto (if value c <> 0L then t else e)
-            | Ir.Ret v ->
-                ret_val := Option.map value v;
-                finished := true
-            | Ir.Unreachable -> malformed "reached unreachable");
-            ()
-      in
-      run body
-    done;
-    st.sp <- saved_sp;
-    decr depth;
-    !ret_val
-  in
-  exec_func (get_func entry) args
 
 (* --- closure-compiled engine ------------------------------------------- *)
 
@@ -512,10 +279,9 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
   let funcs = Hashtbl.create 16 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname f) m.funcs;
   let depth = ref 0 in
-  (* compiled functions by name; compilation is lazy (first call), like
-     the tree engine's fctx construction, so a function that is never
-     called is never compiled — and compile-time failures (e.g. an empty
-     function body) surface at the same point of execution *)
+  (* compiled functions by name; compilation is lazy (first call), so a
+     function that is never called is never compiled, and a compile-time
+     failure (e.g. an empty function body) surfaces at that call *)
   let ctab : (string, int64 list -> int64 option) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -538,8 +304,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       | None -> None
     in
     (* profiling hooks: a baked slot when profiling is on, nothing
-       otherwise.  Parameters record at any width, like the tree engine's
-       bind; other instructions only when their width is recordable. *)
+       otherwise.  Parameters record at any width; other instructions
+       only when their width is recordable. *)
     let slot_of (i : Ir.instr) =
       match prof with
       | Some c -> Some (Profile.slot c ~iid:i.iid ~width:i.width)
@@ -554,34 +320,27 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
           if v >= 0 && v < nids then Avar (v, msg) else Atrap msg
     in
     (* static jump: a valid target becomes a constant, an invalid one
-       fails at execution time exactly as the tree engine's goto does *)
+       fails at execution time, as [Ir.block] does *)
     let jump_to t : cframe -> int =
       if t >= 0 && t < nids && ctx.fc_block.(t) <> None then fun _ -> t
       else fun _ ->
         ignore (Ir.block f t);
         assert false
     in
-    (* misspeculation exit: counter bump, site attribution and handler
-       redirect, all resolved at compile time *)
-    let misspec_exit_of (b : Ir.block) (i : Ir.instr) : cframe -> int =
+    (* misspeculation exit: counter bump and handler redirect, resolved at
+       compile time *)
+    let misspec_exit_of (b : Ir.block) : cframe -> int =
       match ctx.fc_region.(b.Ir.bid) with
       | None -> fun _ -> malformed "speculative instruction outside a region"
       | Some r ->
-          let var =
-            if i.iname <> "" then i.iname else Printf.sprintf "%%%d" i.iid
-          in
-          let key = (f.Ir.fname, var, i.line) in
           let jump = jump_to r.Ir.rhandler in
           let bid = b.Ir.bid in
           fun fr ->
             ctr.misspecs <- ctr.misspecs + 1;
-            (match Hashtbl.find_opt ctr.sites key with
-            | Some n -> Hashtbl.replace ctr.sites key (n + 1)
-            | None -> Hashtbl.add ctr.sites key 1);
             fr.f_prev <- bid;
             jump fr
     in
-    (* Salloc frame offsets (tree engine: per-call hashtable walk) *)
+    (* Salloc frame offsets *)
     let salloc_off = Hashtbl.create 4 in
     let () =
       let cur = ref 0 in
@@ -621,7 +380,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       let plan_for p : cframe -> unit =
         (* accesses for the phi prefix in order, stopping at the first
            phi with no entry for this edge (reads before it still run,
-           so their traps keep priority, as in the tree engine) *)
+           so their traps keep priority) *)
         let rec accesses k acc =
           if k = n then `Complete (Array.of_list (List.rev acc))
           else
@@ -658,8 +417,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
         while !k < nplans && Array.unsafe_get preds !k <> p do incr k done;
         if !k < nplans then (Array.unsafe_get plans !k) fr
         else
-          (* an edge no phi lists: the tree engine's phase 1 fails on the
-             first phi, naming the dynamic predecessor *)
+          (* an edge no phi lists fails on the first phi, naming the
+             dynamic predecessor *)
           malformed (no_edge_msg phis.(0) p)
     in
     (* the fused body: one closure per instruction, each tail-calling its
@@ -668,7 +427,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       match is with
       | [] ->
           (* a block without a terminator re-enters itself with the same
-             incoming edge, exactly like the tree engine's outer loop *)
+             incoming edge *)
           let bid = b.Ir.bid in
           fun _ -> bid
       | i :: rest -> comp_instr b i (comp_body b rest)
@@ -688,7 +447,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
             malformed "phi after non-phi"
       | Ir.Bin (((Ir.Add | Ir.Sub) as op), a, c) when i.speculative ->
           let da = acc_of a and dc = acc_of c in
-          let exit_ = misspec_exit_of b i in
+          let exit_ = misspec_exit_of b in
           let sub = op = Ir.Sub in
           fun fr ->
             tick ctr fuel;
@@ -720,7 +479,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
             k fr
       | Ir.Cast (Ir.TruncCast, a) when i.speculative ->
           let da = acc_of a in
-          let exit_ = misspec_exit_of b i in
+          let exit_ = misspec_exit_of b in
           fun fr ->
             tick ctr fuel;
             let va = read fr da in
@@ -750,8 +509,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
           fun fr ->
             tick ctr fuel;
             let vc = read fr dc in
-            (* only the taken arm is read (and traps), as in the tree
-               engine *)
+            (* only the taken arm is read (and can trap) *)
             let v = read fr (if Int64.compare vc 0L <> 0 then da else dd) in
             commit fr iid record (Int64.logand v m);
             k fr
@@ -791,9 +549,8 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
           let target = ref None in
           fun fr ->
             tick ctr fuel;
-            (* arguments left to right, then callee resolution — the
-               tree engine's order (unknown callees trap after the
-               arguments are read) *)
+            (* arguments left to right, then callee resolution: an
+               unknown callee traps after the arguments are read *)
             let vargs = List.map (fun d -> read fr d) dargs in
             let g =
               match !target with
@@ -819,8 +576,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
           let bid = b.Ir.bid in
           fun fr ->
             tick ctr fuel;
-            (* prev is set before the condition is read, as in the tree
-               engine *)
+            (* prev is set before the condition is read *)
             fr.f_prev <- bid;
             let vc = read fr dc in
             if Int64.compare vc 0L <> 0 then jt fr else je fr
@@ -830,7 +586,7 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
             fr.f_ret <- None;
             ret_bid
       | Ir.Ret (Some o) ->
-          (* the returned value is not truncated, as in the tree engine *)
+          (* the returned value is not truncated *)
           let d = acc_of o in
           fun fr ->
             tick ctr fuel;
@@ -863,7 +619,10 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       f.blocks;
     let max_phis = !max_phis in
     (* parameter binding, mirroring List.iter2: the common prefix binds
-       (and records) before an arity mismatch traps *)
+       (and records) before an arity mismatch traps.  A call assigns its
+       parameters, so the profiler records them like any other dynamic
+       assignment (their bitwidth gates squeezing of compares and
+       arithmetic against parameters). *)
     let params = Array.of_list f.param_instrs in
     let pmasks = Array.map (fun (i : Ir.instr) -> Width.mask i.width) params in
     let pslots = Array.map slot_of params in
@@ -888,6 +647,10 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
        simply not returned; the pool re-allocates on demand. *)
     let pool : cframe list ref = ref [] in
     fun (args : int64 list) ->
+      (* frameless recursion never trips the simulated-SP check, and
+         OCaml 5 grows the host fiber stack for gigabytes before
+         Stack_overflow: bound the call depth so runaway recursion traps
+         fast *)
       incr depth;
       if !depth > 100_000 then raise (Trap Outcome.Stack_overflow);
       ctr.calls <- ctr.calls + 1;
@@ -925,34 +688,28 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
   in
   (get_compiled entry) args
 
-(* --- shared entry point ------------------------------------------------ *)
+(* --- entry point ------------------------------------------------------- *)
 
-(* A trapped result carries the trap and no activity, so it is the
-   same record under either engine. *)
+(* A trapped result carries the trap and no activity. *)
 let exec ?(opts = default_opts) (m : Ir.modul) ~entry ~(args : int64 list) mem
     =
   let st =
     { m; mem; opts;
-      ctr = { steps = 0; misspecs = 0; calls = 0; sites = Hashtbl.create 16 };
+      ctr = { steps = 0; misspecs = 0; calls = 0 };
       sp = Memimage.size mem }
   in
   let ended ret outcome =
     { ret; steps = st.ctr.steps; misspecs = st.ctr.misspecs;
-      calls = st.ctr.calls; outcome;
-      misspec_sites =
-        List.sort compare
-          (Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.ctr.sites []) }
+      calls = st.ctr.calls; outcome }
   in
   let trapped t =
     { ret = None; steps = 0; misspecs = 0; calls = 0;
-      outcome = Outcome.Trapped t; misspec_sites = [] }
+      outcome = Outcome.Trapped t }
   in
   match
     if Ir.find_func m entry = None then
       raise (Trap (Outcome.Unknown_entry entry));
-    match opts.engine with
-    | Tree -> exec_tree st ~entry ~args
-    | Compiled -> exec_compiled st ~entry ~args
+    exec_compiled st ~entry ~args
   with
   | r -> ended r Outcome.Finished
   | exception Fuel_exhausted -> ended None Outcome.Out_of_fuel

@@ -11,8 +11,9 @@ open Bs_ir
 
    Recording is the hot path of every profiling run, so variables are
    stored per function: a {!cursor} resolves the function-name half of
-   the key once per call frame, leaving an int-keyed lookup (no tuple
-   allocation, no string hash) per dynamic assignment. *)
+   the key once per compiled function, and a {!slot} the variable's
+   cell on its first assignment, leaving a few cell updates per dynamic
+   assignment. *)
 
 type heuristic = Hmax | Havg | Hmin
 
@@ -54,27 +55,6 @@ let cursor t ~func =
   in
   { c_prof = t; c_vars = vars }
 
-(** [record_at c ~iid ~width value] logs one dynamic assignment of
-    [value] to the variable defined by [iid] in the cursor's function. *)
-let record_at c ~iid ~width value =
-  let t = c.c_prof in
-  let bits = Width.required_bits value in
-  let s =
-    match Hashtbl.find_opt c.c_vars iid with
-    | Some s -> s
-    | None ->
-        let s = { s_min = max_int; s_max = 0; s_sum = 0; s_count = 0 } in
-        Hashtbl.replace c.c_vars iid s;
-        s
-  in
-  if bits < s.s_min then s.s_min <- bits;
-  if bits > s.s_max then s.s_max <- bits;
-  s.s_sum <- s.s_sum + bits;
-  s.s_count <- s.s_count + 1;
-  t.req_hist.(class_index bits) <- t.req_hist.(class_index bits) + 1;
-  (* width 1 (booleans) are counted in the 8-bit class *)
-  t.prog_hist.(class_index width) <- t.prog_hist.(class_index width) + 1
-
 (** [slot c ~iid ~width] pre-resolves everything about one variable's
     recording except the value: the programmer-width class and (lazily,
     on the first assignment, so a never-assigned variable still reports
@@ -84,6 +64,7 @@ let record_at c ~iid ~width value =
     the per-assignment path. *)
 let slot c ~iid ~width =
   let t = c.c_prof in
+  (* width 1 (booleans) are counted in the 8-bit class *)
   let pc = class_index width in
   let cell = ref None in
   fun value ->
@@ -111,11 +92,6 @@ let slot c ~iid ~width =
     s.s_count <- s.s_count + 1;
     t.req_hist.(class_index bits) <- t.req_hist.(class_index bits) + 1;
     t.prog_hist.(pc) <- t.prog_hist.(pc) + 1
-
-(** [record t ~func ~iid ~width value] logs one dynamic assignment of
-    [value] to the variable defined by [iid]. *)
-let record t ~func ~iid ~width value =
-  record_at (cursor t ~func) ~iid ~width value
 
 let stats t ~func ~iid =
   match Hashtbl.find_opt t.funcs func with

@@ -34,24 +34,17 @@ val create : unit -> t
 
 type cursor
 (** A per-function recording handle: resolves the function-name half of
-    the variable key once, so each dynamic assignment costs only an
-    int-keyed table update.  Hoist one out of any per-step loop. *)
+    the variable key once; each {!slot} built from it resolves the rest. *)
 
 val cursor : t -> func:string -> cursor
 
-val record_at : cursor -> iid:int -> width:int -> int64 -> unit
-(** Log one dynamic assignment through a cursor (the hot path). *)
-
 val slot : cursor -> iid:int -> width:int -> int64 -> unit
-(** [slot c ~iid ~width] partially applies {!record_at}: the returned
-    closure logs assignments of one fixed variable.  Everything but the
+(** [slot c ~iid ~width] is the recorder of one variable: applied to a
+    value, it logs one dynamic assignment of it.  Everything but the
     value — the width class and (lazily, on first use) the stats cell —
-    is resolved up front, so callers that know the variable statically
-    (the closure-compiled interpreter) can hoist the lookups out of the
-    execution loop.  Building a slot alone records nothing. *)
-
-val record : t -> func:string -> iid:int -> width:int -> int64 -> unit
-(** Log one dynamic assignment. *)
+    is resolved up front, so the interpreter bakes one slot per
+    committing instruction at compile time.  Building a slot alone
+    records nothing. *)
 
 val stats : t -> func:string -> iid:int -> var_stats option
 

@@ -6,7 +6,6 @@ let () =
       ("frontend", Test_frontend.suite);
       ("frontend-2", Test_frontend2.suite);
       ("interp", Test_interp.suite);
-      ("interp-engines", Test_interp_engines.suite);
       ("memimage", Test_memimage.suite);
       ("opt", Test_opt.suite);
       ("analysis", Test_analysis.suite);

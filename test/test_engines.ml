@@ -718,9 +718,9 @@ let test_every_form_hook_at_every_position () =
 
 (* --- corpus reproducers are engine-invariant ---------------------------- *)
 
-(* Every reproducer in test/corpus/ gets the full oracle treatment under
-   each engine; the rendered verdict (bucket, details, values) must not
-   depend on the engine.  This differences the engines through the whole
+(* Every reproducer in test/corpus/ replays under each engine; the
+   rendered verdict (bucket, details, values) must not depend on the
+   engine.  This differences the engines through the whole
    compile-and-compare pipeline, power reproducers included. *)
 let test_corpus_engine_invariant () =
   let files = Bs_fuzz.Corpus.list_dir "corpus" in
@@ -733,22 +733,7 @@ let test_corpus_engine_invariant () =
       match Bs_fuzz.Corpus.load path with
       | None, _ -> Alcotest.failf "%s: no metadata header" path
       | Some m, source ->
-          let describe engine =
-            let train =
-              [ (m.Bs_fuzz.Corpus.entry, m.Bs_fuzz.Corpus.train) ]
-            in
-            match m.Bs_fuzz.Corpus.power with
-            | Some p ->
-                Bs_fuzz.Oracle.describe_power
-                  (Bs_fuzz.Oracle.run_power ~train ~engine ~source
-                     ~entry:m.Bs_fuzz.Corpus.entry ~args:m.Bs_fuzz.Corpus.args
-                     ~power:p ())
-            | None ->
-                Bs_fuzz.Oracle.describe
-                  (Bs_fuzz.Oracle.run ?plant:m.Bs_fuzz.Corpus.fault ~train
-                     ~engine ~source ~entry:m.Bs_fuzz.Corpus.entry
-                     ~args:m.Bs_fuzz.Corpus.args ())
-          in
+          let describe engine = snd (Bs_fuzz.Oracle.replay ~engine m source) in
           let expected = describe Bs_sim.Machine.Classic in
           List.iter
             (fun (name, engine) ->

@@ -181,37 +181,14 @@ let test_corpus_replay () =
     (fun path ->
       match Bs_fuzz.Corpus.load path with
       | None, _ -> Alcotest.failf "%s: no metadata header" path
-      | Some ({ Bs_fuzz.Corpus.power = Some p; _ } as m), source -> (
-          (* intermittent-power reproducer: replay under the recorded
-             outage trace and checkpoint policy *)
-          let v =
-            Bs_fuzz.Oracle.run_power
-              ~train:[ (m.Bs_fuzz.Corpus.entry, m.Bs_fuzz.Corpus.train) ]
-              ~source ~entry:m.Bs_fuzz.Corpus.entry
-              ~args:m.Bs_fuzz.Corpus.args ~power:p ()
-          in
-          match v.Bs_fuzz.Oracle.p_bucket with
-          | Some bucket ->
-              Alcotest.(check string)
-                (Filename.basename path ^ ": bucket")
-                m.Bs_fuzz.Corpus.bucket_key (Bucket.key bucket)
-          | None ->
-              Alcotest.failf "%s: did not reproduce (%s)" path
-                (Bs_fuzz.Oracle.describe_power v))
       | Some m, source -> (
-          match
-            Bs_fuzz.Oracle.run ?plant:m.Bs_fuzz.Corpus.fault
-              ~train:[ (m.Bs_fuzz.Corpus.entry, m.Bs_fuzz.Corpus.train) ]
-              ~source ~entry:m.Bs_fuzz.Corpus.entry
-              ~args:m.Bs_fuzz.Corpus.args ()
-          with
-          | Bs_fuzz.Oracle.Crash { bucket; _ } ->
+          match Bs_fuzz.Oracle.replay m source with
+          | Some key, _ ->
               Alcotest.(check string)
                 (Filename.basename path ^ ": bucket")
-                m.Bs_fuzz.Corpus.bucket_key (Bucket.key bucket)
-          | v ->
-              Alcotest.failf "%s: did not reproduce (%s)" path
-                (Bs_fuzz.Oracle.describe v)))
+                m.Bs_fuzz.Corpus.bucket_key key
+          | None, description ->
+              Alcotest.failf "%s: did not reproduce (%s)" path description))
     files
 
 (* Compare elimination once folded [a0 < 2754] to true in CFG_orig on

@@ -4,9 +4,11 @@ open Bs_interp
 (* Semantics of the IR evaluator, operator by operator: each binop,
    compare and cast is checked against an independent OCaml model over
    random values and widths, plus targeted edge cases (division by zero
-   traps, shift masking, phi two-phase evaluation, memory endianness,
-   misspeculation conditions).  Both engines share the arithmetic, so
-   these models are its only independent check. *)
+   traps, shift masking, memory endianness, misspeculation conditions),
+   and whole runs against hand-counted answers: step, call and fuel
+   accounting, phi two-phase commit, traps, and a loop that allocates
+   nothing.  The interpreter and constant folding share the arithmetic,
+   so these models are its only independent check. *)
 
 let widths = [ 1; 8; 16; 32; 64 ]
 
@@ -96,8 +98,7 @@ let prop_cmp =
           Ir.Sgt; Ir.Sge ])
 
 (* Casts run through the interpreter: a function [c(a) = cast a] per
-   operation and (source, destination) width pair, executed by both
-   engines, against the model. *)
+   operation and (source, destination) width pair, against the model. *)
 let cast_model op ~sw ~w a =
   match op with
   | Ir.Zext | Ir.TruncCast -> Width.trunc w (Width.trunc sw a)
@@ -136,18 +137,14 @@ let prop_casts =
       List.for_all
         (fun (op, sw, w, m) ->
           let expected = cast_model op ~sw ~w a in
-          List.for_all
-            (fun engine ->
-              let opts = { Interp.default_opts with Interp.engine } in
-              let r = Interp.exec ~opts m ~entry:"c" ~args:[ a ] mem in
-              match r.Interp.ret with
-              | Some v when v = expected -> true
-              | got ->
-                  QCheck.Test.fail_reportf "%s i%d -> i%d of %Ld: %s, not %Ld"
-                    (cast_name op) sw w a
-                    (Option.fold ~none:"none" ~some:Int64.to_string got)
-                    expected)
-            [ Interp.Tree; Interp.Compiled ])
+          let r = Interp.exec m ~entry:"c" ~args:[ a ] mem in
+          match r.Interp.ret with
+          | Some v when v = expected -> true
+          | got ->
+              QCheck.Test.fail_reportf "%s i%d -> i%d of %Ld: %s, not %Ld"
+                (cast_name op) sw w a
+                (Option.fold ~none:"none" ~some:Int64.to_string got)
+                expected)
         (Lazy.force cast_cases))
 
 (* Table 1 against [Width.fits]: a slice Add/Sub misspeculates when its
@@ -245,6 +242,81 @@ let test_globals_layout () =
   Alcotest.(check bool) "disjoint" true
     (addr "b" >= addr "a" + 3 && addr "c" >= addr "b" + 8)
 
+(* [f(n)] is the n-th Fibonacci number, from a loop whose header holds
+   three phis and whose body calls [g]; built by hand, so the counts
+   below are this IR's and not the front end's:
+
+     g(x, y):  r = x + y; ret r                         2 steps
+     f(n):     entry:  br header                        1 step
+               header: i = phi [entry: 0; body: i'];
+                       b = phi [entry: 1; body: t];
+                       a = phi [entry: 0; body: b];
+                       c = i <u n; cbr c, body, exit    5 steps, n + 1 times
+               body:   t = g(a, b); i' = i + 1;
+                       br header                        3 + 2 steps, n times
+               exit:   ret a                            1 step
+
+   So [f(n)] takes 10n + 7 steps and n + 1 calls.  On the back edge [a]
+   reads [b], which the header sets first: a phi prefix that committed
+   one phi at a time would hand [a] the new [b]. *)
+let fib_loop () =
+  let k32 v = Ir.const ~width:32 v in
+  let g =
+    Ir.create_func ~name:"g" ~params:[ ("x", 32); ("y", 32) ] ~ret_width:32
+  in
+  let bg = Builder.create g in
+  Builder.position_at_end bg (Ir.add_block g "entry");
+  let r =
+    Builder.bin bg Ir.Add ~width:32
+      (Builder.value (Builder.param bg 0))
+      (Builder.value (Builder.param bg 1))
+  in
+  ignore (Builder.ret bg (Some (Builder.value r)));
+  let f = Ir.create_func ~name:"f" ~params:[ ("n", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let entry = Ir.add_block f "entry" in
+  let header = Ir.add_block f "header" in
+  let body = Ir.add_block f "body" in
+  let exit_b = Ir.add_block f "exit" in
+  Builder.position_at_end b entry;
+  ignore (Builder.br b header);
+  Builder.position_at_end b header;
+  let i = Builder.phi b ~width:32 [] in
+  let fb = Builder.phi b ~width:32 [] in
+  let fa = Builder.phi b ~width:32 [] in
+  let n = Builder.value (Builder.param b 0) in
+  let more = Builder.cmp b Ir.Ult (Builder.value i) n in
+  ignore (Builder.cbr b (Builder.value more) ~if_true:body ~if_false:exit_b);
+  Builder.position_at_end b body;
+  let t =
+    Builder.call b ~width:32 "g" [ Builder.value fa; Builder.value fb ]
+  in
+  let i' = Builder.bin b Ir.Add ~width:32 (Builder.value i) (k32 1L) in
+  ignore (Builder.br b header);
+  Builder.position_at_end b exit_b;
+  ignore (Builder.ret b (Some (Builder.value fa)));
+  let edges v back =
+    [ (entry.Ir.bid, k32 v); (body.Ir.bid, Builder.value back) ]
+  in
+  i.Ir.op <- Ir.Phi (edges 0L i');
+  fb.Ir.op <- Ir.Phi (edges 1L t);
+  fa.Ir.op <- Ir.Phi (edges 0L fb);
+  { Ir.funcs = [ f; g ]; globals = [] }
+
+(* [run()] calls [h() = 300] at width 8: the call's result is truncated
+   to the call's width, as every committed value is. *)
+let narrow_call () =
+  let h = Ir.create_func ~name:"h" ~params:[] ~ret_width:32 in
+  let bh = Builder.create h in
+  Builder.position_at_end bh (Ir.add_block h "entry");
+  ignore (Builder.ret bh (Some (Ir.const ~width:32 300L)));
+  let f = Ir.create_func ~name:"run" ~params:[] ~ret_width:8 in
+  let b = Builder.create f in
+  Builder.position_at_end b (Ir.add_block f "entry");
+  let t = Builder.call b ~width:8 "h" [] in
+  ignore (Builder.ret b (Some (Builder.value t)));
+  { Ir.funcs = [ f; h ]; globals = [] }
+
 let test_interp_call_counting () =
   let m =
     Bs_frontend.Lower.compile
@@ -252,7 +324,14 @@ let test_interp_call_counting () =
        u32 f(u32 n) { u32 s = 0; for (u32 i = 0; i < n; i += 1) s += g(i); return s; }"
   in
   let r, _ = Interp.run_fresh m ~entry:"f" ~args:[ 7L ] in
-  Alcotest.(check int) "1 + 7 calls" 8 r.Interp.calls
+  Alcotest.(check int) "1 + 7 calls" 8 r.Interp.calls;
+  let r, _ = Interp.run_fresh (fib_loop ()) ~entry:"f" ~args:[ 10L ] in
+  Alcotest.(check (option int64)) "fib(10)" (Some 55L) r.Interp.ret;
+  Alcotest.(check int) "fib(10): 10n + 7 steps" 107 r.Interp.steps;
+  Alcotest.(check int) "fib(10): n + 1 calls" 11 r.Interp.calls;
+  let r, _ = Interp.run_fresh (narrow_call ()) ~entry:"run" ~args:[] in
+  Alcotest.(check (option int64)) "300 called at width 8" (Some 44L)
+    r.Interp.ret
 
 let test_fuel_exhaustion () =
   (* fuel exhaustion is a structured outcome — the same Outcome.t variant
@@ -264,7 +343,21 @@ let test_fuel_exhaustion () =
   let r, _ = Interp.run_fresh ~opts m ~entry:"f" ~args:[] in
   Alcotest.(check bool) "out of fuel" true
     (r.Interp.outcome = Bs_support.Outcome.Out_of_fuel);
-  Alcotest.(check bool) "no return value" true (r.Interp.ret = None)
+  Alcotest.(check bool) "no return value" true (r.Interp.ret = None);
+  (* the boundary: fib(10) takes 107 steps, so a budget of 107 finishes
+     and one of 106 runs out on the final [ret] *)
+  let fib fuel =
+    fst
+      (Interp.run_fresh ~opts:{ Interp.default_opts with fuel } (fib_loop ())
+         ~entry:"f" ~args:[ 10L ])
+  in
+  let r = fib 107 in
+  Alcotest.(check bool) "fuel = steps: finished" true
+    (r.Interp.outcome = Bs_support.Outcome.Finished
+    && r.Interp.ret = Some 55L && r.Interp.steps = 107);
+  let r = fib 106 in
+  Alcotest.(check bool) "fuel = steps - 1: out of fuel" true
+    (r.Interp.outcome = Bs_support.Outcome.Out_of_fuel && r.Interp.ret = None)
 
 let test_normal_outcome_finished () =
   let m = Bs_frontend.Lower.compile "u32 f() { return 7; }" in
@@ -279,7 +372,7 @@ let trap_of what (r : Interp.result) =
   | Bs_support.Outcome.Trapped t ->
       Alcotest.(check bool) (what ^ ": no activity") true
         (r.Interp.ret = None && r.Interp.steps = 0 && r.Interp.calls = 0
-        && r.Interp.misspecs = 0 && r.Interp.misspec_sites = []);
+        && r.Interp.misspecs = 0);
       t
   | o ->
       Alcotest.failf "%s must trap, not end %s" what
@@ -323,6 +416,155 @@ let test_trap_division_in_program () =
   check_trap "remainder by zero" "div0"
     (fst (Interp.run_fresh m2 ~entry:"g" ~args:[ 0L ]))
 
+(* [run(n)] returns [x], which only the branch taken when [n <> 0] sets:
+   [run(0)] reads a value that was never set. *)
+let unset_read () =
+  let f = Ir.create_func ~name:"run" ~params:[ ("n", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let entry = Ir.add_block f "entry" in
+  let set = Ir.add_block f "set" in
+  let join = Ir.add_block f "join" in
+  let n = Builder.value (Builder.param b 0) in
+  Builder.position_at_end b entry;
+  let c = Builder.cmp b Ir.Ne n (Ir.const ~width:32 0L) in
+  ignore (Builder.cbr b (Builder.value c) ~if_true:set ~if_false:join);
+  Builder.position_at_end b set;
+  let x = Builder.bin b Ir.Add ~width:32 n (Ir.const ~width:32 1L) in
+  ignore (Builder.br b join);
+  Builder.position_at_end b join;
+  ignore (Builder.ret b (Some (Builder.value x)));
+  ({ Ir.funcs = [ f ]; globals = [] }, x.Ir.iid)
+
+(* The other kinds: a load and a store out of bounds, a call to a
+   function the module lacks, and malformed IR, whose trap carries its
+   diagnostic — an entry called with too few or too many arguments, and
+   a read of a value that was never set. *)
+let test_trap_memory_callee_malformed () =
+  let run m args = fst (Interp.run_fresh m ~entry:"run" ~args) in
+  let compile = Bs_frontend.Lower.compile in
+  check_trap "load out of bounds" "memory-fault"
+    (run (compile "u8 buf[4];\nu32 run(u32 n) { return buf[n * 100000000]; }")
+       [ 1L ]);
+  check_trap "store out of bounds" "memory-fault"
+    (run
+       (compile
+          "u8 buf[4];\nu32 run(u32 n) { buf[n * 100000000] = 7; return 0; }")
+       [ 1L ]);
+  (* the front end resolves every call: drop the callee to get an
+     unknown one *)
+  let m =
+    compile "u32 gone(u32 x) { return x; }\nu32 run(u32 n) { return gone(n); }"
+  in
+  let m =
+    { m with Ir.funcs = List.filter (fun f -> f.Ir.fname <> "gone") m.Ir.funcs }
+  in
+  check_trap "unknown callee" "unknown-function" (run m [ 1L ]);
+  let message what expected r =
+    match trap_of what r with
+    | Bs_support.Outcome.Trap_message msg ->
+        Alcotest.(check string) what expected msg
+    | t ->
+        Alcotest.failf "%s: trapped %s" what (Bs_support.Outcome.trap_name t)
+  in
+  let id = compile "u32 run(u32 n) { return n; }" in
+  message "too few arguments" "arity mismatch calling run" (run id []);
+  message "too many arguments" "arity mismatch calling run"
+    (run id [ 1L; 2L ]);
+  let m, x = unset_read () in
+  Alcotest.(check (option int64)) "run(1) sets x" (Some 2L)
+    (run m [ 1L ]).Interp.ret;
+  message "unset read" (Printf.sprintf "read of unset %%%d in run" x)
+    (run m [ 0L ])
+
+(* --- a register-only loop allocates nothing --------------------------- *)
+
+(* A loop of arithmetic, compares, casts, [?:] and if/else, with no loads,
+   stores, calls or division, must run without touching the minor heap:
+   every operand read, operation and commit stays unboxed, and entering a
+   block through its phis allocates nothing.  The per-iteration cost is
+   the difference between two trip counts, so compilation, image and
+   result set-up cancel out.  Profiling is off (a profiled commit passes
+   a boxed value to its recorder). *)
+let alloc_kernel =
+  {|
+u32 run(u32 n) {
+  u32 s = 7;
+  u8 c = 0;
+  i16 d = 0;
+  for (u32 i = 0; i < n; i += 1) {
+    u32 x = (i * 2654435761) ^ (s >> 3);
+    c = (u8)(c + (u8)(x & 15));
+    d = (i16)((i32)d - (i32)(x & 255));
+    if ((x & 1) == 1) { s = s + (u32)c; } else { s = s - (u32)(i32)d; }
+    s = s + ((i < 64) ? 3 : (u32)(c & 7));
+    if ((i32)d < -1000) { d = 0; }
+  }
+  return s;
+}
+|}
+
+let minor_words_per_iteration (m : Ir.modul) =
+  let run n =
+    let mem = Memimage.create m in
+    let w0 = Gc.minor_words () in
+    ignore (Interp.exec m ~entry:"run" ~args:[ Int64.of_int n ] mem);
+    Gc.minor_words () -. w0
+  in
+  let w1000 = run 1000 in
+  (run 2000 -. w1000) /. 1000.
+
+(* The front end lowers [?:] through control flow, so a [Select] comes
+   from hand-built IR: [run(n)] sums [(i & 1) != 0 ? i : 3] over [i < n]. *)
+let select_loop () =
+  let f = Ir.create_func ~name:"run" ~params:[ ("n", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let entry = Ir.add_block f "entry" in
+  let header = Ir.add_block f "header" in
+  let body = Ir.add_block f "body" in
+  let exit_b = Ir.add_block f "exit" in
+  let k32 v = Ir.const ~width:32 v in
+  Builder.position_at_end b entry;
+  ignore (Builder.br b header);
+  Builder.position_at_end b header;
+  let i = Builder.phi b ~width:32 [] and s = Builder.phi b ~width:32 [] in
+  let n = Builder.value (Builder.param b 0) in
+  let more = Builder.cmp b Ir.Ult (Builder.value i) n in
+  ignore (Builder.cbr b (Builder.value more) ~if_true:body ~if_false:exit_b);
+  Builder.position_at_end b body;
+  let odd = Builder.bin b Ir.And ~width:32 (Builder.value i) (k32 1L) in
+  let c = Builder.cmp b Ir.Ne (Builder.value odd) (k32 0L) in
+  let v =
+    Builder.select b ~width:32 (Builder.value c) (Builder.value i) (k32 3L)
+  in
+  let s' = Builder.bin b Ir.Add ~width:32 (Builder.value s) (Builder.value v) in
+  let i' = Builder.bin b Ir.Add ~width:32 (Builder.value i) (k32 1L) in
+  ignore (Builder.br b header);
+  Builder.position_at_end b exit_b;
+  ignore (Builder.ret b (Some (Builder.value s)));
+  i.Ir.op <- Ir.Phi [ (entry.Ir.bid, k32 0L); (body.Ir.bid, Builder.value i') ];
+  s.Ir.op <- Ir.Phi [ (entry.Ir.bid, k32 0L); (body.Ir.bid, Builder.value s') ];
+  { Ir.funcs = [ f ]; globals = [] }
+
+let test_register_loop_allocates_nothing () =
+  let pristine = Bs_frontend.Lower.compile alloc_kernel in
+  let c =
+    Bitspec.Driver.compile ~config:Bitspec.Driver.bitspec_config
+      ~source:alloc_kernel ~train:[ ("run", [ 2000L ]) ] ()
+  in
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check (float 0.))
+        (what ^ ": minor words per iteration") 0.
+        (minor_words_per_iteration m))
+    [ ("pristine IR", pristine); ("bitspec IR", c.Bitspec.Driver.ir);
+      ("select loop", select_loop ()) ];
+  (* no generated program has a [Select]: its answer is checked here.
+     The 50 odd [i] below 101 sum to 2500, and the 51 even ones add 3
+     each. *)
+  let r, _ = Interp.run_fresh (select_loop ()) ~entry:"run" ~args:[ 101L ] in
+  Alcotest.(check (option int64)) "select loop: run(101)" (Some 2653L)
+    r.Interp.ret
+
 let suite =
   List.map QCheck_alcotest.to_alcotest binop_props
   @ [ QCheck_alcotest.to_alcotest prop_cmp;
@@ -344,5 +586,9 @@ let suite =
         test_trap_stack_overflow_frameless;
       Alcotest.test_case "trap: division and remainder by zero" `Quick
         test_trap_division_in_program;
+      Alcotest.test_case "trap: memory faults, unknown callee, malformed IR"
+        `Quick test_trap_memory_callee_malformed;
+      Alcotest.test_case "a register-only loop allocates nothing" `Quick
+        test_register_loop_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_casts;
       QCheck_alcotest.to_alcotest prop_misspeculates ]

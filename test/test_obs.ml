@@ -1,6 +1,5 @@
 open Bitspec
 open Bs_workloads
-open Bs_interp
 
 (* Tests for the observability layer: deterministic span traces under an
    injected clock, Chrome-JSON well-formedness, remark-stream stability
@@ -140,18 +139,6 @@ let test_misspec_attribution_machine () =
   Alcotest.(check bool) "every site is attributed to a source line" true
     (List.for_all (fun ((fn, _, line), _) -> fn <> "?" && line > 0) sites)
 
-let test_misspec_attribution_interp () =
-  let c = compile_crc () in
-  let r, _ =
-    Interp.run_fresh
-      ~setup:(crc.Workload.test.Workload.setup c.Driver.ir)
-      c.Driver.ir ~entry:crc.Workload.entry
-      ~args:crc.Workload.test.Workload.args
-  in
-  Alcotest.(check int) "interp site counts sum to its misspec counter"
-    r.Interp.misspecs
-    (sum_counts r.Interp.misspec_sites)
-
 let suite =
   [ Alcotest.test_case "span nesting under injected clock" `Quick
       test_span_nesting;
@@ -164,6 +151,4 @@ let suite =
     Alcotest.test_case "remarks identical at jobs=1 and jobs=4" `Quick
       test_remark_jobs_identity;
     Alcotest.test_case "machine misspec attribution totals" `Quick
-      test_misspec_attribution_machine;
-    Alcotest.test_case "interp misspec attribution totals" `Quick
-      test_misspec_attribution_interp ]
+      test_misspec_attribution_machine ]
