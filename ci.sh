@@ -1,5 +1,6 @@
 #!/bin/sh
-# Minimal CI: build everything, run the full test suite, then a
+# Minimal CI: build everything, run the full test suite (its qcheck
+# properties once under the pinned seed, once under a fresh one), then a
 # fixed-seed differential-fuzz smoke: a clean campaign must find no
 # crashes, a campaign with a planted miscompile must catch it, and one
 # with a planted squeezer failure must bucket the failing compile by
@@ -30,6 +31,14 @@ if ! printf '%s\n' "$sb_rule" | grep -q -- '-strict-sequence'; then
   exit 1
 fi
 dune runtest
+# dune runtest draws every qcheck property from test/dune's pinned
+# QCHECK_SEED, so a run reproduces.  Run the test binary once more under
+# a fresh seed, so the properties still meet new samples, and print the
+# seed: `cd _build/default/test && QCHECK_SEED=<seed> ./main.exe`
+# repeats a failure.
+qseed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' \n')
+echo "test binary under a fresh seed: QCHECK_SEED=$qseed"
+(cd _build/default/test && QCHECK_SEED="$qseed" ./main.exe --compact -e)
 # Every smoke works in its own subdirectory of one temp root; one EXIT
 # trap stops a daemon a failed smoke left running and removes the root.
 tmp="$(mktemp -d)"
@@ -455,11 +464,15 @@ if [ "$elapsed" -gt $((2 * bench_baseline_ms)) ]; then
   exit 1
 fi
 
-# The two spans the engines exist for, from the phase table the run
-# above printed on stderr, must not regress past twice their baselines
-# (the slowest of the same ten runs, rounded up: 451-573 ms simulate,
-# 98-114 ms profile — the profile phase runs the closure-compiled
-# interpreter over the memoised training runs).
+# Three spans, from the phase table the run above printed on stderr,
+# must not regress past twice their baselines.  A baseline is the
+# slowest of ten runs, rounded up: simulate read 451-573 ms and profile
+# 98-114 ms when theirs were set.  The profile phase runs the
+# closure-compiled interpreter over the memoised training runs; with
+# each profiled commit recorded inline it read 111-137 ms on a host
+# where the build before that change read 174-191 ms, and its 120 ms
+# baseline stays.  lower (instruction selection and the linear scan) read
+# 198-228 ms.
 span_ms() {
   awk -v name="$1" '$1 == name { printf "%d", $2 }' "$bt/phases.txt"
 }
@@ -475,6 +488,13 @@ profile_ms=$(span_ms profile)
 echo "profile span: ${profile_ms} ms (baseline ${profile_baseline_ms} ms)"
 if [ -z "$profile_ms" ] || [ "$profile_ms" -gt $((2 * profile_baseline_ms)) ]; then
   echo "bench guard: profile span ${profile_ms:-missing} ms > 2x baseline" >&2
+  exit 1
+fi
+lower_baseline_ms=230
+lower_ms=$(span_ms lower)
+echo "lower span: ${lower_ms} ms (baseline ${lower_baseline_ms} ms)"
+if [ -z "$lower_ms" ] || [ "$lower_ms" -gt $((2 * lower_baseline_ms)) ]; then
+  echo "bench guard: lower span ${lower_ms:-missing} ms > 2x baseline" >&2
   exit 1
 fi
 

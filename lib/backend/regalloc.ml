@@ -266,20 +266,65 @@ let add_range_rev iv s e =
     | (s0, e0) :: rest when s <= e0 -> (s0, max e e0) :: rest
     | rs -> (s, e) :: rs)
 
-(* Claimed ranges on one (reg, slice), keyed by start.  Claims only ever
-   follow a successful free-probe, so the stored ranges are pairwise
-   disjoint — which makes an overlap query a single predecessor lookup:
-   among disjoint ranges, only the one with the greatest start below the
-   query's end can reach into it. *)
-module Occ = Map.Make (Int)
+(* Claimed ranges on one (reg, slice).  Claims only ever follow a
+   successful free-probe, so the stored ranges are pairwise disjoint —
+   which makes an overlap query a single predecessor lookup: among
+   disjoint ranges, only the one with the greatest start below the
+   query's end can reach into it.  They are kept sorted in two parallel
+   int arrays, so a probe is a binary search that allocates nothing; a
+   claim merges its ranges in from the back. *)
+module Occ = struct
+  type t = {
+    mutable starts : int array;
+    mutable ends : int array;
+    mutable n : int;  (* claimed ranges: [starts.(i), ends.(i)), i < n *)
+  }
 
-let occ_clashes (m : int Occ.t) (s, e) =
-  match Occ.find_last_opt (fun k -> k < e) m with
-  | Some (_, e0) -> e0 > s
-  | None -> false
+  let create () = { starts = [||]; ends = [||]; n = 0 }
 
-let occ_claim (m : int Occ.t) ranges =
-  List.fold_left (fun m (s, e) -> Occ.add s e m) m ranges
+  let clashes o s e =
+    (* [lo]: the first range starting at or after [e] *)
+    let lo = ref 0 and hi = ref o.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get o.starts mid < e then lo := mid + 1 else hi := mid
+    done;
+    !lo > 0 && Array.unsafe_get o.ends (!lo - 1) > s
+
+  let claim o ranges =
+    let add = Array.of_list ranges in
+    let k = Array.length add and n = o.n in
+    if n + k > Array.length o.starts then begin
+      let cap = Int.max 8 (Int.max (n + k) (2 * Array.length o.starts)) in
+      let grow a =
+        let b = Array.make cap 0 in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      o.starts <- grow o.starts;
+      o.ends <- grow o.ends
+    end;
+    (* merge from the back, the new ranges highest first: each old
+       range moves right by the number of new ranges below it *)
+    let i = ref (n - 1) in
+    for j = k - 1 downto 0 do
+      let s, e = add.(j) in
+      while !i >= 0 && o.starts.(!i) > s do
+        o.starts.(!i + j + 1) <- o.starts.(!i);
+        o.ends.(!i + j + 1) <- o.ends.(!i);
+        decr i
+      done;
+      o.starts.(!i + j + 1) <- s;
+      o.ends.(!i + j + 1) <- e
+    done;
+    o.n <- n + k
+end
+
+(* are all of [ranges] free on [o]?  (top level: a local closure over [o]
+   would be allocated per probe) *)
+let rec ranges_free o = function
+  | [] -> true
+  | (s, e) :: rest -> (not (Occ.clashes o s e)) && ranges_free o rest
 
 module VTbl = Bs_ir.Ir.IntTbl
 
@@ -447,11 +492,11 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
         b.mins)
     f.mblocks;
   (* occupancy per (reg, slice), at [4 * reg + slice] *)
-  let occ = Array.make (4 * (1 + List.fold_left Int.max 0 allocatable)) Occ.empty in
-  let slice_free r s iv =
-    let m = occ.((4 * r) + s) in
-    not (List.exists (occ_clashes m) iv.ranges)
+  let occ =
+    Array.init (4 * (1 + List.fold_left Int.max 0 allocatable)) (fun _ ->
+        Occ.create ())
   in
+  let slice_free r s iv = ranges_free occ.((4 * r) + s) iv.ranges in
   let reg_free r iv =
     slice_free r 0 iv && slice_free r 1 iv && slice_free r 2 iv
     && slice_free r 3 iv
@@ -460,7 +505,7 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
   let spill_slots = ref 0 in
   let used = Hashtbl.create 16 in
   let claim_slice r s iv =
-    occ.((4 * r) + s) <- occ_claim occ.((4 * r) + s) iv.ranges;
+    Occ.claim occ.((4 * r) + s) iv.ranges;
     Hashtbl.replace used r ()
   in
   let claim_reg r iv =
@@ -468,10 +513,7 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
       claim_slice r s iv
     done
   in
-  let candidates iv =
-    if iv.icrosses_call then List.filter (fun r -> r <> 0) allocatable
-    else allocatable
-  in
+  let no_r0 = List.filter (fun r -> r <> 0) allocatable in
   let hinted_locs iv =
     match Hashtbl.find_opt hints iv.ivreg with
     | None -> []
@@ -480,6 +522,8 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
   in
   List.iter
     (fun iv ->
+      (* the candidate registers: an interval live across a call avoids R0 *)
+      let cands = if iv.icrosses_call then no_r0 else allocatable in
       if iv.iwidth = 8 then begin
         (* prefer the slice (or slice 0 of the register) a copy partner got *)
         let hint =
@@ -487,10 +531,10 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
             (fun l ->
               match l with
               | Lslice sl
-                when List.mem sl.Isa.sl_reg (candidates iv)
+                when List.mem sl.Isa.sl_reg cands
                      && slice_free sl.Isa.sl_reg sl.Isa.sl_byte iv ->
                   Some (sl.Isa.sl_reg, sl.Isa.sl_byte)
-              | Lreg r when List.mem r (candidates iv) && slice_free r 0 iv ->
+              | Lreg r when List.mem r cands && slice_free r 0 iv ->
                   Some (r, 0)
               | _ -> None)
             (hinted_locs iv)
@@ -509,10 +553,14 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
             (fun r ->
               let free = List.filter (fun s -> slice_free r s iv) [ 0; 1; 2; 3 ] in
               (4 - List.length free, r, free))
-            (candidates iv)
+            cands
         in
+        (* highest score first, then lowest register *)
         let ranked =
-          List.sort (fun (sa, a, _) (sb, b, _) -> compare (sb, a) (sa, b)) scored
+          List.sort
+            (fun (sa, a, _) (sb, b, _) ->
+              match Int.compare sb sa with 0 -> Int.compare a b | c -> c)
+            scored
         in
         let found =
           List.find_map
@@ -545,7 +593,7 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
           List.find_map
             (fun l ->
               match l with
-              | Lreg r when List.mem r (candidates iv) && reg_free r iv ->
+              | Lreg r when List.mem r cands && reg_free r iv ->
                   Some r
               | _ -> None)
             (hinted_locs iv)
@@ -553,7 +601,7 @@ let run ?(regs = allocatable) ?(orig_first = false) (f : mfunc) : result =
         let reg =
           match hint with
           | Some r -> Some r
-          | None -> List.find_opt (fun r -> reg_free r iv) (candidates iv)
+          | None -> List.find_opt (fun r -> reg_free r iv) cands
         in
         match reg with
         | Some r ->

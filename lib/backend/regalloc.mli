@@ -35,6 +35,23 @@ type result = {
   used_regs : Bs_isa.Isa.reg list;
 }
 
+(** The ranges claimed on one (register, slice) location: half-open
+    [\[start, end)] instruction positions, pairwise disjoint, since the
+    allocator claims a range only after a probe found it free. *)
+module Occ : sig
+  type t
+
+  val create : unit -> t
+
+  val clashes : t -> int -> int -> bool
+  (** [clashes o s e]: does a claimed range overlap [\[s, e)]?  A binary
+      search that allocates nothing. *)
+
+  val claim : t -> (int * int) list -> unit
+  (** [claim o ranges] adds [ranges], sorted and disjoint, none of which
+      {!clashes} on [o]. *)
+end
+
 val run : ?regs:Bs_isa.Isa.reg list -> ?orig_first:bool -> Mir.mfunc -> result
 (** Allocate every virtual register.  [regs] restricts the allocatable set
     (Thumb passes R0-R7); [orig_first] inverts the RQ5 handler

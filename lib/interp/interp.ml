@@ -258,11 +258,15 @@ let[@inline] read fr d =
       else malformed msg
   | Atrap msg -> malformed msg
 
-(* write an already truncated value to the environment, record it *)
+(* write an already truncated value to the environment, record it in its
+   profile slot, if any (inline: no call, and [v] stays unboxed) *)
 let[@inline] commit fr iid record v =
   A1.unsafe_set fr.f_env iid v;
   Bytes.unsafe_set fr.f_set iid '\001';
-  match record with Some r -> r v | None -> ()
+  match record with Some s -> Profile.record s v | None -> ()
+
+(* the access widths [Memimage.read_int]/[write_int] carry *)
+let plain_int_width w = w = 8 || w = 16 || w = 32
 
 (* charge one step against the fuel *)
 let[@inline] tick (ctr : counters) fuel =
@@ -513,9 +517,18 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
             let v = read fr (if Int64.compare vc 0L <> 0 then da else dd) in
             commit fr iid record (Int64.logand v m);
             k fr
+      (* 8-, 16- and 32-bit accesses go through the image's plain-int
+         accessors, which box nothing; any other width keeps the [int64]
+         ones, since a plain int loses bit 63 of a 64-bit value *)
       | Ir.Load l ->
           let da = acc_of l.Ir.l_addr in
-          fun fr ->
+          if plain_int_width w then fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            let v = Memimage.read_int mem ~width:w (Int64.to_int va) in
+            commit fr iid record (Int64.of_int v);
+            k fr
+          else fun fr ->
             tick ctr fuel;
             let va = read fr da in
             let v = Memimage.read mem ~width:w (Int64.to_int va) in
@@ -524,18 +537,34 @@ let exec_compiled (st : state) ~entry ~(args : int64 list) : int64 option =
       | Ir.Store s ->
           let sw = s.Ir.s_width in
           let da = acc_of s.Ir.s_addr and dv = acc_of s.Ir.s_value in
-          fun fr ->
+          if plain_int_width sw then fun fr ->
+            tick ctr fuel;
+            let va = read fr da in
+            let vv = read fr dv in
+            Memimage.write_int mem ~width:sw (Int64.to_int va)
+              (Int64.to_int vv);
+            k fr
+          else fun fr ->
             tick ctr fuel;
             let va = read fr da in
             let vv = read fr dv in
             Memimage.write mem ~width:sw (Int64.to_int va) vv;
             k fr
-      | Ir.Gaddr g ->
-          fun fr ->
-            tick ctr fuel;
-            let v = Int64.of_int (Memimage.addr_of mem g) in
-            commit fr iid record (Int64.logand v m);
-            k fr
+      | Ir.Gaddr g -> (
+          (* the image's layout is fixed for the run: resolve the address
+             once, here; an unknown global still traps only when its
+             [Gaddr] runs *)
+          match Memimage.addr_of mem g with
+          | a ->
+              let v = Int64.logand (Int64.of_int a) m in
+              fun fr ->
+                tick ctr fuel;
+                commit fr iid record v;
+                k fr
+          | exception (Memimage.Fault _ as unknown) ->
+              fun _ ->
+                tick ctr fuel;
+                raise unknown)
       | Ir.Salloc _ ->
           let off = Hashtbl.find salloc_off iid in
           fun fr ->

@@ -62,11 +62,14 @@ val write : t -> width:int -> int -> int64 -> unit
 (** Little-endian store of [width] bits. *)
 
 val read_int : t -> width:int -> int -> int
-(** [read] for 8/16/32-bit values as a plain unsigned int — the machine
-    simulator's allocation-free load path. *)
+(** [read] for 8/16/32-bit values as a plain unsigned int — the
+    allocation-free load path of the machine simulator and of the IR
+    interpreter.  For 8, 16 and 32 bits only: a plain int cannot hold
+    bit 63 of a 64-bit value, so 64-bit loads use [read]. *)
 
 val write_int : t -> width:int -> int -> int -> unit
-(** [write] from a plain int (low [width] bits stored). *)
+(** [write] from a plain int (low [width] bits stored).  For 8, 16 and
+    32 bits only, like {!read_int}: 64-bit stores use [write]. *)
 
 (** {3 Per-width accessors}
 

@@ -11,9 +11,11 @@ open Bs_ir
 
    Recording is the hot path of every profiling run, so variables are
    stored per function: a {!cursor} resolves the function-name half of
-   the key once per compiled function, and a {!slot} the variable's
-   cell on its first assignment, leaving a few cell updates per dynamic
-   assignment. *)
+   the key once per compiled function, and a {!slot} everything but the
+   value once per committing instruction.  The interpreter applies
+   {!record} to a slot inline in its commit, so a dynamic assignment
+   costs a few loads, compares and stores, with no call and no boxed
+   value. *)
 
 type heuristic = Hmax | Havg | Hmin
 
@@ -55,43 +57,57 @@ let cursor t ~func =
   in
   { c_prof = t; c_vars = vars }
 
-(** [slot c ~iid ~width] pre-resolves everything about one variable's
-    recording except the value: the programmer-width class and (lazily,
-    on the first assignment, so a never-assigned variable still reports
-    as unprofiled) its stats cell.  The closure-compiled interpreter
-    bakes one of these per committing instruction at compile time,
-    leaving only the RequiredBits computation and a few cell updates on
-    the per-assignment path. *)
+type slot = {
+  sl_vars : (int, var_stats) Hashtbl.t;
+  sl_iid : int;
+  mutable sl_stats : var_stats;
+      (* the variable's cell, or [unentered] until the slot's first
+         assignment looks it up *)
+  sl_class : int;  (* the programmer-width class's index *)
+  sl_req : int array;  (* the profile's two histograms *)
+  sl_prog : int array;
+}
+
+let fresh_stats () = { s_min = max_int; s_max = 0; s_sum = 0; s_count = 0 }
+
+(* Every slot's cell before its first assignment: its zero count sends
+   that assignment to [enter], so it is never written. *)
+let unentered = fresh_stats ()
+
 let slot c ~iid ~width =
-  let t = c.c_prof in
   (* width 1 (booleans) are counted in the 8-bit class *)
-  let pc = class_index width in
-  let cell = ref None in
-  fun value ->
-    let s =
-      match !cell with
-      | Some s -> s
-      | None ->
-          let s =
-            match Hashtbl.find_opt c.c_vars iid with
-            | Some s -> s
-            | None ->
-                let s =
-                  { s_min = max_int; s_max = 0; s_sum = 0; s_count = 0 }
-                in
-                Hashtbl.replace c.c_vars iid s;
-                s
-          in
-          cell := Some s;
-          s
-    in
-    let bits = Width.required_bits value in
-    if bits < s.s_min then s.s_min <- bits;
-    if bits > s.s_max then s.s_max <- bits;
-    s.s_sum <- s.s_sum + bits;
-    s.s_count <- s.s_count + 1;
-    t.req_hist.(class_index bits) <- t.req_hist.(class_index bits) + 1;
-    t.prog_hist.(pc) <- t.prog_hist.(pc) + 1
+  { sl_vars = c.c_vars; sl_iid = iid; sl_stats = unentered;
+    sl_class = class_index width; sl_req = c.c_prof.req_hist;
+    sl_prog = c.c_prof.prog_hist }
+
+(* The slot's first assignment finds its variable's cell, entering a
+   fresh one if no slot of the variable was assigned before: a variable
+   never assigned stays out of the profile. *)
+let enter sl =
+  let s =
+    match Hashtbl.find_opt sl.sl_vars sl.sl_iid with
+    | Some s -> s
+    | None ->
+        let s = fresh_stats () in
+        Hashtbl.replace sl.sl_vars sl.sl_iid s;
+        s
+  in
+  sl.sl_stats <- s;
+  s
+
+let[@inline] record sl v =
+  let s = sl.sl_stats in
+  let s = if s.s_count = 0 then enter sl else s in
+  let bits = Width.required_bits v in
+  if bits < s.s_min then s.s_min <- bits;
+  if bits > s.s_max then s.s_max <- bits;
+  s.s_sum <- s.s_sum + bits;
+  s.s_count <- s.s_count + 1;
+  (* both indices are in [0, 3] *)
+  let h = sl.sl_req and k = class_index bits in
+  Array.unsafe_set h k (Array.unsafe_get h k + 1);
+  let h = sl.sl_prog and k = sl.sl_class in
+  Array.unsafe_set h k (Array.unsafe_get h k + 1)
 
 let stats t ~func ~iid =
   match Hashtbl.find_opt t.funcs func with

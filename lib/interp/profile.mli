@@ -38,13 +38,30 @@ type cursor
 
 val cursor : t -> func:string -> cursor
 
-val slot : cursor -> iid:int -> width:int -> int64 -> unit
-(** [slot c ~iid ~width] is the recorder of one variable: applied to a
-    value, it logs one dynamic assignment of it.  Everything but the
-    value — the width class and (lazily, on first use) the stats cell —
-    is resolved up front, so the interpreter bakes one slot per
-    committing instruction at compile time.  Building a slot alone
-    records nothing. *)
+type slot
+(** The recorder of one variable, built once per defining instruction
+    when the interpreter compiles it: it holds the variable's key, its
+    programmer-width class and the profile's histograms, and from its
+    first {!record} on, the variable's stats cell.
+
+    The contract the interpreter relies on:
+    - building a slot records nothing: a variable is entered in the
+      profile at its first assignment, so one never assigned stays
+      unprofiled ({!stats} [None]);
+    - all slots of one variable (built from several cursors of one
+      profile, say by successive runs) update one cell;
+    - {!record} allocates nothing and, after the slot's first
+      assignment, calls nothing. *)
+
+val slot : cursor -> iid:int -> width:int -> slot
+
+val record : slot -> int64 -> unit
+(** [record s v] logs one dynamic assignment of [v] to [s]'s variable:
+    its RequiredBits ({!Bs_ir.Width.required_bits}) updates the
+    variable's min, max, sum and count and the required-bits histogram,
+    and the slot's width class the programmer-width histogram.  It is
+    inlined where it is applied (a build without [-opaque]), with
+    RequiredBits, so the value stays unboxed. *)
 
 val stats : t -> func:string -> iid:int -> var_stats option
 

@@ -17,8 +17,9 @@ let sext w v =
    This sits on the profiler's per-assignment path and in every
    speculative misspeculation check, so the positive case drops to a
    native int and binary-searches the length instead of shifting one
-   bit per iteration. *)
-let required_bits a =
+   bit per iteration.  Inlined where it is applied, so an unboxed
+   argument stays unboxed (the profiler's inline recorder relies on it). *)
+let[@inline] required_bits a =
   if Int64.compare a 0L < 0 then 64
   else if a = 0L then 1
   else if Int64.compare a 0x4000_0000_0000_0000L >= 0 then 63

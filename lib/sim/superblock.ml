@@ -461,28 +461,37 @@ let step (cx : ctx) pc (insn : insn) : int =
       st.halted <- true;
       nx
 
+let unset_body : unit -> int = fun () -> assert false
+
 (* The dispatch table's closure per PC over {!step}: the instruction is
    decoded once, and only PCs tagged as spill or copy traffic pay for
-   counting it. *)
+   counting it.  The table is made with a static closure and then
+   filled: a table of more than 256 words lives in the major heap, and
+   making one with a young first element ([Array.mapi] does) forces a
+   minor collection. *)
 let bodies (cx : ctx) : (unit -> int) array =
   let ctr = cx.ctr in
-  Array.mapi
+  let code = cx.prog.Bs_backend.Asm.code in
+  let table = Array.make (Array.length code) unset_body in
+  Array.iteri
     (fun pc insn ->
-      match cx.prog.Bs_backend.Asm.prov.(pc) with
-      | PSpillLoad ->
-          fun () ->
-            ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1;
-            step cx pc insn
-      | PSpillStore ->
-          fun () ->
-            ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1;
-            step cx pc insn
-      | PCopy ->
-          fun () ->
-            ctr.Counters.copies <- ctr.Counters.copies + 1;
-            step cx pc insn
-      | _ -> fun () -> step cx pc insn)
-    cx.prog.Bs_backend.Asm.code
+      table.(pc) <-
+        (match cx.prog.Bs_backend.Asm.prov.(pc) with
+        | PSpillLoad ->
+            fun () ->
+              ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1;
+              step cx pc insn
+        | PSpillStore ->
+            fun () ->
+              ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1;
+              step cx pc insn
+        | PCopy ->
+            fun () ->
+              ctr.Counters.copies <- ctr.Counters.copies + 1;
+              step cx pc insn
+        | _ -> fun () -> step cx pc insn))
+    code;
+  table
 
 (* --- superblock detection ------------------------------------------------ *)
 

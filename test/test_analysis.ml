@@ -181,6 +181,129 @@ let test_block_coerce_worst_case () =
     true
     (coerced.(0) < req.(0))
 
+(* Property: recording through slots gives exactly the statistics,
+   targets and distributions a model computes from each variable's list
+   of values.  Each variable is recorded by two slots, as by two training
+   runs: every slot is built before any value is recorded, the first
+   records the first half of the values, the second the rest.  A
+   variable with no values must stay unprofiled. *)
+let naive_required_bits v =
+  let rec len n v =
+    if v = 0L then n else len (n + 1) (Int64.shift_right_logical v 1)
+  in
+  if Int64.compare v 0L < 0 then 64 else Int.max 1 (len 0 v)
+
+(* the index of a bit count's class among [Profile.classes] *)
+let class_of bits =
+  if bits <= 8 then 0 else if bits <= 16 then 1 else if bits <= 32 then 2
+  else 3
+
+let gen_profiled_vars =
+  QCheck.Gen.(
+    list_size (int_range 1 12)
+      (pair (oneofl [ 1; 8; 16; 32; 64 ])
+         (list_size (int_bound 6)
+            (frequency
+               [ (3, map Int64.of_int (int_bound 300));
+                 (2, map Int64.of_int (int_bound 70_000));
+                 (2, int64);
+                 (1, oneofl [ 0L; -1L; Int64.max_int; 0x4000_0000_0000_0000L ])
+               ]))))
+
+let prop_profile_matches_model =
+  QCheck.Test.make
+    ~name:"profile stats, targets and distributions match a model" ~count:300
+    QCheck.(make ~print:Print.(list (pair int (list int64))) gen_profiled_vars)
+    (fun vars ->
+      let vars = List.mapi (fun iid (w, vs) -> (iid, w, vs)) vars in
+      let func iid = if iid mod 2 = 0 then "f" else "g" in
+      let p = Profile.create () in
+      let slots () =
+        let cf = Profile.cursor p ~func:"f" in
+        let cg = Profile.cursor p ~func:"g" in
+        List.map
+          (fun (iid, width, _) ->
+            Profile.slot (if func iid = "f" then cf else cg) ~iid ~width)
+          vars
+      in
+      let first = slots () and second = slots () in
+      List.iter2
+        (fun (_, _, vs) (s1, s2) ->
+          let half = (List.length vs + 1) / 2 in
+          List.iteri
+            (fun k v -> Profile.record (if k < half then s1 else s2) v)
+            vs)
+        vars (List.combine first second);
+      (* the model *)
+      let req = Array.make 4 0 and prog = Array.make 4 0 in
+      let model =
+        List.map
+          (fun (iid, w, vs) ->
+            let bits = List.map naive_required_bits vs in
+            List.iter (fun b -> req.(class_of b) <- req.(class_of b) + 1) bits;
+            prog.(class_of w) <- prog.(class_of w) + List.length vs;
+            let stats =
+              if vs = [] then None
+              else
+                Some
+                  ( List.fold_left Int.min max_int bits,
+                    List.fold_left Int.max 0 bits,
+                    List.fold_left ( + ) 0 bits,
+                    List.length bits )
+            in
+            (iid, stats))
+          vars
+      in
+      let fractions h =
+        let total = Array.fold_left ( + ) 0 h in
+        if total = 0 then [||]
+        else Array.map (fun n -> float_of_int n /. float_of_int total) h
+      in
+      let target_model h (mn, mx, sum, count) =
+        Profile.classes.(class_of
+                           (match h with
+                           | Profile.Hmax -> mx
+                           | Profile.Hmin -> mn
+                           | Profile.Havg -> (sum + count - 1) / count))
+      in
+      let select ~func:_ ~iid = if iid mod 3 = 0 then 8 else 32 in
+      let dist_model pick =
+        let h = Array.make 4 0 in
+        List.iter
+          (fun (iid, st) ->
+            match st with
+            | Some ((_, _, _, count) as st) ->
+                let c = class_of (pick iid st) in
+                h.(c) <- h.(c) + count
+            | None -> ())
+          model;
+        fractions h
+      in
+      let heuristics = [ Profile.Hmax; Profile.Havg; Profile.Hmin ] in
+      List.for_all
+        (fun (iid, st) ->
+          (match (Profile.stats p ~func:(func iid) ~iid, st) with
+          | None, None -> true
+          | Some g, Some (mn, mx, sum, count) ->
+              g.Profile.s_min = mn && g.Profile.s_max = mx
+              && g.Profile.s_sum = sum && g.Profile.s_count = count
+          | _ -> false)
+          && List.for_all
+               (fun h ->
+                 Profile.target p h ~func:(func iid) ~iid
+                 = Option.map (target_model h) st)
+               heuristics)
+        model
+      && Profile.required_distribution p = fractions req
+      && Profile.programmer_distribution p = fractions prog
+      && List.for_all
+           (fun h ->
+             Profile.heuristic_distribution p h
+             = dist_model (fun _ st -> target_model h st))
+           heuristics
+      && Profile.selection_distribution p ~select
+         = dist_model (fun iid _ -> select ~func:(func iid) ~iid))
+
 let suite =
   [ Alcotest.test_case "profiler statistics" `Quick test_profile_stats;
     Alcotest.test_case "MAX/AVG/MIN targets" `Quick test_heuristic_targets;
@@ -192,4 +315,5 @@ let suite =
     Alcotest.test_case "demanded bits through shifts" `Quick
       test_demanded_bits_shifts;
     Alcotest.test_case "block coercion worst case (Fig 1d)" `Quick
-      test_block_coerce_worst_case ]
+      test_block_coerce_worst_case;
+    QCheck_alcotest.to_alcotest prop_profile_matches_model ]

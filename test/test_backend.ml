@@ -200,17 +200,19 @@ let prop_machine_equiv =
      }\n\
      return s; }"
   in
-  let base =
-    Driver.compile ~config:Driver.baseline_config ~source:src
-      ~train:[ ("f", [ 40L; 7L ]) ] ()
-  in
-  let bspec =
-    Driver.compile ~config:Driver.bitspec_config ~source:src
-      ~train:[ ("f", [ 40L; 7L ]) ] ()
+  (* compiled on the first trial, not when the module loads: a compile
+     that fails fails this test alone *)
+  let builds =
+    lazy
+      (let compile config =
+         Driver.compile ~config ~source:src ~train:[ ("f", [ 40L; 7L ]) ] ()
+       in
+       (compile Driver.baseline_config, compile Driver.bitspec_config))
   in
   QCheck.Test.make ~name:"machine == interpreter" ~count:100
     QCheck.(pair (int_bound 500) (int_bound 1000))
     (fun (a, b) ->
+      let base, bspec = Lazy.force builds in
       let args = [ Int64.of_int a; Int64.of_int b ] in
       let expect =
         match
@@ -221,6 +223,55 @@ let prop_machine_equiv =
       in
       machine_result base ~entry:"f" ~args = expect
       && machine_result bspec ~entry:"f" ~args = expect)
+
+(* Property: the allocator's slice occupancy answers every clash probe
+   as an ordered map of the claimed ranges does, over rounds of
+   probe-then-claim (the only way the allocator claims).  The model keys
+   each range by its start; among disjoint ranges only the one with the
+   greatest start below a probe's end can reach into it. *)
+module Occ = Bs_backend.Regalloc.Occ
+module Occ_model = Map.Make (Int)
+
+let model_clashes m (s, e) =
+  match Occ_model.find_last_opt (fun k -> k < e) m with
+  | Some (_, e0) -> e0 > s
+  | None -> false
+
+(* an interval's ranges: sorted, disjoint and non-empty, in [0, 70) *)
+let gen_ranges =
+  QCheck.Gen.(
+    list_size (int_range 1 4) (pair (int_bound 63) (int_range 1 6))
+    >|= fun cuts ->
+    let rec build = function
+      | s :: (s' :: _ as rest) ->
+          (s, Int.min (s + List.assoc s cuts) s') :: build rest
+      | [ s ] -> [ (s, s + List.assoc s cuts) ]
+      | [] -> []
+    in
+    build (List.sort_uniq Int.compare (List.map fst cuts)))
+
+let prop_occupancy_matches_map =
+  QCheck.Test.make ~name:"slice occupancy answers probes like a map"
+    ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (list (pair int int)))
+        Gen.(list_size (int_range 1 40) gen_ranges))
+    (fun intervals ->
+      let o = Occ.create () and m = ref Occ_model.empty in
+      List.for_all
+        (fun ranges ->
+          let answers =
+            List.map
+              (fun (s, e) -> (Occ.clashes o s e, model_clashes !m (s, e)))
+              ranges
+          in
+          if List.for_all (fun (a, b) -> not (a || b)) answers then begin
+            Occ.claim o ranges;
+            m := List.fold_left (fun m (s, e) -> Occ_model.add s e m) !m ranges
+          end;
+          List.for_all (fun (a, b) -> a = b) answers)
+        intervals)
 
 let suite =
   [ Alcotest.test_case "minimal" `Quick test_minimal;
@@ -233,4 +284,5 @@ let suite =
     Alcotest.test_case "misspeculation via Δ skeleton" `Quick test_misspec_machine;
     Alcotest.test_case "slice packing (Fig 11 signal)" `Quick test_slice_packing;
     Alcotest.test_case "binary encode/decode roundtrip" `Quick test_encode_roundtrip_program;
-    QCheck_alcotest.to_alcotest prop_machine_equiv ]
+    QCheck_alcotest.to_alcotest prop_machine_equiv;
+    QCheck_alcotest.to_alcotest prop_occupancy_matches_map ]

@@ -476,15 +476,62 @@ let test_trap_memory_callee_malformed () =
   message "unset read" (Printf.sprintf "read of unset %%%d in run" x)
     (run m [ 0L ])
 
-(* --- a register-only loop allocates nothing --------------------------- *)
+(* [run(n)] takes the address of a global the module does not define,
+   on the branch taken when [n <> 0] only. *)
+let missing_global () =
+  let f = Ir.create_func ~name:"run" ~params:[ ("n", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let entry = Ir.add_block f "entry" in
+  let taken = Ir.add_block f "taken" in
+  let other = Ir.add_block f "other" in
+  let n = Builder.value (Builder.param b 0) in
+  Builder.position_at_end b entry;
+  let c = Builder.cmp b Ir.Ne n (Ir.const ~width:32 0L) in
+  ignore (Builder.cbr b (Builder.value c) ~if_true:taken ~if_false:other);
+  Builder.position_at_end b taken;
+  let g = Builder.gaddr b "missing" in
+  ignore (Builder.ret b (Some (Builder.value g)));
+  Builder.position_at_end b other;
+  ignore (Builder.ret b (Some (Ir.const ~width:32 7L)));
+  { Ir.funcs = [ f ]; globals = [] }
+
+(* A global's address is resolved when its function is compiled; an
+   unknown one must still trap only when its [Gaddr] runs. *)
+let test_gaddr_of_missing_global () =
+  let m = missing_global () in
+  let run n = fst (Interp.run_fresh m ~entry:"run" ~args:[ n ]) in
+  let r = run 0L in
+  Alcotest.(check string) "run(0) finishes" "finished"
+    (Bs_support.Outcome.to_string r.Interp.outcome);
+  Alcotest.(check (option int64)) "run(0)" (Some 7L) r.Interp.ret;
+  match trap_of "run(1)" (run 1L) with
+  | Bs_support.Outcome.Memory_fault msg ->
+      Alcotest.(check string) "names the global" "unknown global missing" msg
+  | t -> Alcotest.failf "run(1) trapped %s" (Bs_support.Outcome.trap_name t)
+
+(* 8-, 16- and 32-bit accesses travel as plain ints; a 64-bit one must
+   keep bit 63, which a plain int loses. *)
+let test_u64_global_roundtrip () =
+  let m =
+    Bs_frontend.Lower.compile
+      "u64 g[2];\nu64 run(u64 x) { g[1] = x; return g[1]; }"
+  in
+  let v = 0x8000_0000_0000_0001L in
+  let r, mem = Interp.run_fresh m ~entry:"run" ~args:[ v ] in
+  Alcotest.(check (option int64)) "reloaded" (Some v) r.Interp.ret;
+  Alcotest.(check int64) "stored" v
+    (Memimage.get_global mem m ~name:"g" ~index:1)
+
+(* --- loops that allocate nothing --------------------------------------- *)
 
 (* A loop of arithmetic, compares, casts, [?:] and if/else, with no loads,
    stores, calls or division, must run without touching the minor heap:
    every operand read, operation and commit stays unboxed, and entering a
-   block through its phis allocates nothing.  The per-iteration cost is
-   the difference between two trip counts, so compilation, image and
-   result set-up cancel out.  Profiling is off (a profiled commit passes
-   a boxed value to its recorder). *)
+   block through its phis allocates nothing.  So must a loop of 8-, 16-
+   and 32-bit global loads and stores.  Both hold with profiling on, too:
+   a profiled commit records its value inline.  The per-iteration cost is
+   the difference between two trip counts, so compilation, image, profile
+   and result set-up cancel out. *)
 let alloc_kernel =
   {|
 u32 run(u32 n) {
@@ -503,11 +550,35 @@ u32 run(u32 n) {
 }
 |}
 
-let minor_words_per_iteration (m : Ir.modul) =
+let memory_kernel =
+  {|
+u8 b8[64];
+u16 b16[64];
+u32 b32[64];
+
+u32 run(u32 n) {
+  u32 s = 1;
+  for (u32 i = 0; i < n; i += 1) {
+    u32 j = i & 63;
+    b8[j] = (u8)(b8[j] + (u8)s);
+    b16[j] = (u16)(b16[(j + 1) & 63] ^ (u16)i);
+    b32[j] = b32[j] + s;
+    s = s + (u32)b8[j] + (u32)b16[j] + b32[(j + 7) & 63];
+  }
+  return s;
+}
+|}
+
+let minor_words_per_iteration ~profiled (m : Ir.modul) =
   let run n =
     let mem = Memimage.create m in
+    let opts =
+      if profiled then
+        { Interp.default_opts with profile = Some (Profile.create ()) }
+      else Interp.default_opts
+    in
     let w0 = Gc.minor_words () in
-    ignore (Interp.exec m ~entry:"run" ~args:[ Int64.of_int n ] mem);
+    ignore (Interp.exec ~opts m ~entry:"run" ~args:[ Int64.of_int n ] mem);
     Gc.minor_words () -. w0
   in
   let w1000 = run 1000 in
@@ -553,9 +624,14 @@ let test_register_loop_allocates_nothing () =
   in
   List.iter
     (fun (what, m) ->
-      Alcotest.(check (float 0.))
-        (what ^ ": minor words per iteration") 0.
-        (minor_words_per_iteration m))
+      List.iter
+        (fun profiled ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s%s: minor words per iteration" what
+               (if profiled then ", profiled" else ""))
+            0.
+            (minor_words_per_iteration ~profiled m))
+        [ false; true ])
     [ ("pristine IR", pristine); ("bitspec IR", c.Bitspec.Driver.ir);
       ("select loop", select_loop ()) ];
   (* no generated program has a [Select]: its answer is checked here.
@@ -564,6 +640,17 @@ let test_register_loop_allocates_nothing () =
   let r, _ = Interp.run_fresh (select_loop ()) ~entry:"run" ~args:[ 101L ] in
   Alcotest.(check (option int64)) "select loop: run(101)" (Some 2653L)
     r.Interp.ret
+
+let test_memory_loop_allocates_nothing () =
+  let m = Bs_frontend.Lower.compile memory_kernel in
+  List.iter
+    (fun profiled ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: minor words per iteration"
+           (if profiled then "profiled" else "unprofiled"))
+        0.
+        (minor_words_per_iteration ~profiled m))
+    [ false; true ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest binop_props
@@ -588,7 +675,14 @@ let suite =
         test_trap_division_in_program;
       Alcotest.test_case "trap: memory faults, unknown callee, malformed IR"
         `Quick test_trap_memory_callee_malformed;
+      Alcotest.test_case "a global's address traps only where it is taken"
+        `Quick test_gaddr_of_missing_global;
+      Alcotest.test_case "a u64 global keeps bit 63" `Quick
+        test_u64_global_roundtrip;
       Alcotest.test_case "a register-only loop allocates nothing" `Quick
         test_register_loop_allocates_nothing;
+      Alcotest.test_case "a loop of 8/16/32-bit loads and stores allocates \
+                          nothing"
+        `Quick test_memory_loop_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_casts;
       QCheck_alcotest.to_alcotest prop_misspeculates ]

@@ -319,6 +319,28 @@ let test_fuel_exhaustion_outcome () =
   Alcotest.(check bool) "stopped at the budget" true
     (r.Machine.ctr.Counters.instrs <= 101)
 
+(* Setting a run up forces no minor collection.  A dispatch table of
+   more than 256 words is allocated in the major heap, and one made from
+   a young first element empties the minor heap first: at one collection
+   per run, that was most of a compiling process's collections. *)
+let test_run_forces_no_minor_collection () =
+  let insns = List.init 300 (fun k -> ALU (OpAdd, 1, 1, Imm (k land 7))) in
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  List.iter
+    (fun engine ->
+      let mem =
+        Bs_interp.Memimage.create ~size:65536
+          { Bs_ir.Ir.funcs = []; globals = [] }
+      in
+      Gc.minor ();
+      let before = minors () in
+      let r = exec ~engine ~fuel:1 ~mem insns in
+      let after = minors () in
+      Alcotest.(check bool) "out of fuel" true
+        (r.Machine.outcome = Bs_support.Outcome.Out_of_fuel);
+      Alcotest.(check int) "minor collections" 0 (after - before))
+    [ Machine.Classic; Machine.Jit ]
+
 let test_trap_stack_runaway () =
   (* runaway recursion: each iteration pushes SP down by 4 KiB and
      stores; SP leaves the 64 KiB image and the access faults instead of
@@ -471,6 +493,8 @@ let suite =
     Alcotest.test_case "trap: PC out of range" `Quick test_trap_pc_out_of_range;
     Alcotest.test_case "fuel exhaustion outcome" `Quick
       test_fuel_exhaustion_outcome;
+    Alcotest.test_case "a run forces no minor collection" `Quick
+      test_run_forces_no_minor_collection;
     Alcotest.test_case "trap: stack runaway faults" `Quick
       test_trap_stack_runaway;
     Alcotest.test_case "fault injection: register flip" `Quick
